@@ -80,7 +80,23 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
     for key in ("gamma_grid", "count", "cycles"):
         if key in section and int(section[key]) <= 0:
             raise ConfigError(f"{key} must be positive")
+    if command == "oracle":
+        _check_cell_counts(section, cfg.model.n)
     return cfg
+
+
+def _check_cell_counts(section: dict, n_goods: int):
+    """oracle.gamma_cells and each oracle.theta_cells entry (one count, or
+    one count per good) must be positive integers."""
+    counts = [("gamma_cells", section["gamma_cells"])] if "gamma_cells" in section else []
+    ladder = section.get("theta_cells", [])
+    for entry in ladder if isinstance(ladder, list) else [ladder]:
+        if isinstance(entry, list) and len(entry) != n_goods:
+            raise ConfigError(f"oracle.theta_cells entry {entry!r} needs {n_goods} counts")
+        counts += [("theta_cells", k) for k in (entry if isinstance(entry, list) else [entry])]
+    for key, value in counts:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"oracle.{key} must hold positive integers, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,11 @@ class LpUnboundedError(ScreenforgeError, RuntimeError):
     """The linear program is unbounded."""
 
 
+class LpSolverError(ScreenforgeError, RuntimeError):
+    """The LP solver stopped without an optimum or a proof of
+    infeasibility or unboundedness."""
+
+
 class ConvergenceError(ScreenforgeError, RuntimeError):
     """An iterative procedure hit its round cap before converging."""
 

@@ -4,6 +4,12 @@ All callers express problems as maximization with rows in
 ``A_ub x <= b_ub`` form.  Determinism contract: identical inputs (same
 row ordering) produce identical solutions; an optional lexicographic
 polish resolves degenerate ties to the componentwise-smallest optimum.
+
+Two entry points share the tolerances and the status mapping:
+``lp_solve`` solves one program from scratch, and ``LpModel`` keeps one
+HiGHS model alive so that appended rows, moved right-hand sides and
+switched column bounds are re-solved by the dual simplex from the last
+basis.  Replaying the same calls on an ``LpModel`` gives the same bytes.
 """
 
 from __future__ import annotations
@@ -14,8 +20,22 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .errors import LpInfeasibleError, LpUnboundedError
+from .errors import LpInfeasibleError, LpSolverError, LpUnboundedError
 
+try:
+    # private module: the only import of it in the package
+    from scipy.optimize._highspy import _core as _highs
+
+    for _method in ("addRows", "changeRowBounds", "changeColsBounds"):
+        getattr(_highs._Highs, _method)
+except (ImportError, AttributeError) as exc:  # pragma: no cover - old scipy
+    raise ImportError(
+        "screenforge needs scipy >= 1.17: its bundled HiGHS binding "
+        "(scipy.optimize._highspy._core._Highs) must provide addRows, "
+        "changeRowBounds and changeColsBounds"
+    ) from exc
+
+_INF = _highs.kHighsInf
 _OPTIONS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-10,
@@ -50,7 +70,8 @@ def lp_solve(
     """Solve max (or min) c.x subject to A_ub x <= b_ub, A_eq x = b_eq.
 
     ``bounds`` follows scipy conventions (default x >= 0).  Raises
-    :class:`LpInfeasibleError` / :class:`LpUnboundedError` accordingly.
+    :class:`LpInfeasibleError` / :class:`LpUnboundedError` accordingly,
+    and :class:`LpSolverError` when HiGHS stops without either verdict.
     With ``lexico`` the optimal face is refined by minimizing x_1, then
     x_2, ... subject to optimality, a fixed deterministic tie-break.
     """
@@ -71,7 +92,7 @@ def lp_solve(
     if res.status == 3:
         raise LpUnboundedError(res.message)
     if res.status != 0:
-        raise LpInfeasibleError(f"solver failure: {res.message}")
+        raise LpSolverError(f"solver failure: {res.message}")
     x = np.asarray(res.x, dtype=float)
     value = float(np.dot(c, x))
     if not lexico:
@@ -105,3 +126,118 @@ def lp_solve(
         eqs_a.append(sp.csr_matrix(ek.reshape(1, -1)))
         eqs_b.append(np.array([float(xcur[k])]))
     return LpSolution(x=xcur, value=float(np.dot(c, xcur)))
+
+
+def _bound_arrays(bounds, n: int):
+    """(lower, upper) arrays from scipy-style bounds; None is unbounded."""
+    if bounds is None:
+        return np.zeros(n), np.full(n, _INF)
+    pairs = np.array(bounds, dtype=float).reshape(-1, 2)  # None -> nan
+    pairs = np.broadcast_to(pairs, (n, 2))
+    lower = np.where(np.isnan(pairs[:, 0]), -_INF, pairs[:, 0])
+    upper = np.where(np.isnan(pairs[:, 1]), _INF, pairs[:, 1])
+    return lower, upper
+
+
+class LpModel:
+    """A persistent HiGHS model of max c.x s.t. A_ub x <= b_ub.
+
+    Built once from CSC.  ``add_rows`` appends constraint rows,
+    ``set_rhs`` moves right-hand sides and ``set_bounds`` replaces the
+    column bounds; each ``solve`` re-runs the dual simplex from the last
+    basis with presolve off, under the tolerances of :func:`lp_solve`
+    and with the same error types.
+    """
+
+    def __init__(self, c, a_ub, b_ub, bounds=None):
+        self._c = np.asarray(c, dtype=float)
+        n = len(self._c)
+        a = sp.csc_matrix(_as_sparse(a_ub)) if a_ub is not None else sp.csc_matrix((0, n))
+        self._rhs = np.asarray(b_ub if b_ub is not None else [], dtype=float).copy()
+        if a.shape != (len(self._rhs), n):
+            raise ValueError("constraint matrix does not match c and b_ub")
+        self._lower, self._upper = _bound_arrays(bounds, n)
+        self._highs = _highs._Highs()
+        for key, value in (
+            ("output_flag", False),
+            ("presolve", "off"),
+            ("primal_feasibility_tolerance", _OPTIONS["primal_feasibility_tolerance"]),
+            ("dual_feasibility_tolerance", _OPTIONS["dual_feasibility_tolerance"]),
+        ):
+            self._check(self._highs.setOptionValue(key, value), f"option {key}")
+        lp = _highs.HighsLp()
+        lp.num_col_ = n
+        lp.num_row_ = a.shape[0]
+        lp.sense_ = _highs.ObjSense.kMaximize
+        lp.col_cost_ = self._c
+        lp.col_lower_ = self._lower
+        lp.col_upper_ = self._upper
+        lp.row_lower_ = np.full(a.shape[0], -_INF)
+        lp.row_upper_ = self._rhs
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_ = n
+        lp.a_matrix_.num_row_ = a.shape[0]
+        lp.a_matrix_.start_ = a.indptr.astype(np.int32)
+        lp.a_matrix_.index_ = a.indices.astype(np.int32)
+        lp.a_matrix_.value_ = a.data.astype(float)
+        self._check(self._highs.passModel(lp), "passModel")
+
+    @staticmethod
+    def _check(status, what: str):
+        if status == _highs.HighsStatus.kError:
+            raise LpSolverError(f"HiGHS rejected {what}")
+
+    def add_rows(self, a_rows, b_rows):
+        """Append the rows ``a_rows x <= b_rows``."""
+        a = _as_sparse(a_rows)
+        b = np.asarray(b_rows, dtype=float)
+        if a.shape != (len(b), len(self._c)):
+            raise ValueError("appended rows do not match the model")
+        self._check(
+            self._highs.addRows(
+                len(b), np.full(len(b), -_INF), b, a.nnz,
+                a.indptr.astype(np.int32), a.indices.astype(np.int32),
+                a.data.astype(float),
+            ),
+            "addRows",
+        )
+        self._rhs = np.concatenate([self._rhs, b])
+
+    def set_rhs(self, b_ub):
+        """Move the right-hand sides; only rows whose value changed are sent."""
+        b = np.asarray(b_ub, dtype=float)
+        if b.shape != self._rhs.shape:
+            raise ValueError("right-hand side does not match the model")
+        rows = np.flatnonzero(b != self._rhs)
+        change = self._highs.changeRowBounds
+        statuses = [change(i, -_INF, v) for i, v in zip(rows.tolist(), b[rows].tolist())]
+        if _highs.HighsStatus.kError in statuses:
+            raise LpSolverError("HiGHS rejected changeRowBounds")
+        self._rhs = b.copy()
+
+    def set_bounds(self, bounds):
+        """Replace the column bounds (scipy convention, as in ``lp_solve``)."""
+        lower, upper = _bound_arrays(bounds, len(self._c))
+        cols = np.flatnonzero((lower != self._lower) | (upper != self._upper))
+        if len(cols):
+            self._check(
+                self._highs.changeColsBounds(
+                    len(cols), cols.astype(np.int32), lower[cols], upper[cols]
+                ),
+                "changeColsBounds",
+            )
+        self._lower, self._upper = lower, upper
+
+    def solve(self) -> LpSolution:
+        """Re-optimize from the last basis."""
+        self._check(self._highs.run(), "run")
+        status = self._highs.getModelStatus()
+        if status == _highs.HighsModelStatus.kOptimal:
+            x = np.array(self._highs.getSolution().col_value, dtype=float)
+            return LpSolution(x=x, value=float(np.dot(self._c, x)))
+        message = self._highs.modelStatusToString(status)
+        if status == _highs.HighsModelStatus.kInfeasible:
+            raise LpInfeasibleError(message)
+        if status == _highs.HighsModelStatus.kUnbounded:
+            raise LpUnboundedError(message)
+        raise LpSolverError(f"solver failure: {message}")

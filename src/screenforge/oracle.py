@@ -30,9 +30,10 @@ from .errors import (
     ConvergenceError,
     DegenerateCellError,
     InvalidIntervalError,
+    LpInfeasibleError,
     ShapeMismatchError,
 )
-from .lp import lp_solve
+from .lp import LpModel, lp_solve
 from .mech import ThresholdMechanism, transfer_t2
 from .model import JointModel
 
@@ -243,109 +244,183 @@ def mechanism_revenue(instance: DiscreteInstance, mech: DiscreteMechanism) -> fl
 
 
 # ---------------------------------------------------------------------------
+# cutting-plane engine shared by the simultaneous and sequential regimes
+# ---------------------------------------------------------------------------
+
+
+def _block_rows(blocks, count: int, nvar: int):
+    """CSR rows from (cols, data) blocks whose leading axis is the row;
+    repeated columns in a row are summed."""
+    cols = np.concatenate([c.reshape(count, -1) for c, _ in blocks], axis=1)
+    data = np.concatenate(
+        [np.broadcast_to(d, c.shape).reshape(count, -1) for c, d in blocks], axis=1
+    )
+    rows = np.repeat(np.arange(count), cols.shape[1])
+    mat = sp.csr_matrix((data.ravel(), (rows, cols.ravel())), shape=(count, nvar))
+    mat.eliminate_zeros()
+    return mat
+
+
+class _Layout:
+    """Column layout of a regime LP: allocations first, then transfers.
+
+    ``qcol[m, c, j]`` is the column of good j's allocation for type m at
+    the full cell c (cells share a column where the allocation may only
+    depend on a prefix of the history), ``t2col[m, c]`` the settling
+    transfer and ``t1col[m]`` the upfront fee, if the regime has one.
+    """
+
+    def __init__(self, instance: DiscreteInstance, qcol, t2col, t1col, regime: str):
+        self.inst = instance
+        self.qcol, self.t2col, self.t1col = qcol, t2col, t1col
+        self.regime = regime
+        self.nq = int(qcol.max()) + 1
+        self.nvar = self.nq + t2col.size + (0 if t1col is None else t1col.size)
+        self.cap = CAP_FACTOR * max(1.0, abs(full_surplus(instance)))
+        self.theta = instance.cell_values
+
+    def objective(self) -> np.ndarray:
+        c = np.zeros(self.nvar)
+        c[self.t2col] = self.inst.gamma_probs[:, None] * self.inst.pmf
+        if self.t1col is not None:
+            c[self.t1col] = self.inst.gamma_probs
+        return c
+
+    def bounds(self, capped: bool = True):
+        t = (-self.cap, self.cap) if capped else (None, None)
+        return [(0.0, 1.0)] * self.nq + [t] * (self.nvar - self.nq)
+
+    def _interim(self, m, menu, report):
+        """(cols, data) blocks of interim values, one row per entry k:
+        type m[k] takes menu[k] and reports cell report[k, c] at true c."""
+        f = self.inst.pmf[m]
+        blocks = [
+            (self.qcol[menu[:, None], report], f[:, :, None] * self.theta),
+            (self.t2col[menu[:, None], report], -f),
+        ]
+        if self.t1col is not None:
+            blocks.append((self.t1col[menu][:, None], -1.0))
+        return blocks
+
+    def participation_rows(self):
+        """-U_m(truth) <= 0 for every type m."""
+        m = np.arange(self.inst.n_types)
+        truth = np.broadcast_to(np.arange(self.inst.n_cells), (len(m), self.inst.n_cells))
+        blocks = [(c, -d) for c, d in self._interim(m, m, truth)]
+        return _block_rows(blocks, len(m), self.nvar), np.zeros(len(m))
+
+    def deviation_rows(self, cuts):
+        """U_m(deviation) - U_m(truth) <= 0 per cut (m, m_rep, report):
+        type m takes menu m_rep and reports cell report[c] at true cell c."""
+        m = np.array([cut[0] for cut in cuts], dtype=int)
+        m_rep = np.array([cut[1] for cut in cuts], dtype=int)
+        report = np.array([cut[2] for cut in cuts], dtype=int)
+        truth = np.broadcast_to(np.arange(self.inst.n_cells), report.shape)
+        blocks = self._interim(m, m_rep, report)
+        blocks += [(c, -d) for c, d in self._interim(m, m, truth)]
+        return _block_rows(blocks, len(cuts), self.nvar), np.zeros(len(cuts))
+
+    def unpack(self, x: np.ndarray) -> DiscreteMechanism:
+        t1 = np.zeros(self.inst.n_types) if self.t1col is None else x[self.t1col]
+        return DiscreteMechanism(q=x[self.qcol], t1=t1, t2=x[self.t2col], regime=self.regime)
+
+
+def _cutting_plane(layout: _Layout, base_rows, base_rhs, separate, label: str,
+                   tol: float, max_rounds: int) -> SolveReport:
+    """Kelley cutting planes on one warm HiGHS model.
+
+    ``separate(mech)`` returns ``(m, m_rep, report, violation)`` for every
+    ordered type pair.  Violated deviations are appended as rows and the
+    model is re-solved from its last basis.  Once a round finds none, the
+    transfer caps are dropped and the cap-free optimum, which can sit at
+    another vertex of the optimal face, is separated as well.
+    """
+    n_cells = layout.inst.n_cells
+    model = LpModel(layout.objective(), base_rows, base_rhs, bounds=layout.bounds())
+    cut_keys: set = set()
+
+    def add_cuts(found):
+        new = []
+        for m, m_rep, report, _ in found:
+            key = (m, m_rep, report)
+            if key not in cut_keys:
+                cut_keys.add(key)
+                new.append(key)
+        if new:
+            model.add_rows(*layout.deviation_rows(new))
+        return bool(new)
+
+    # identity maps: plain type misreports with truthful cell reporting
+    types = range(layout.inst.n_types)
+    add_cuts([(m, r, tuple(range(n_cells)), 0.0) for m in types for r in types if m != r])
+
+    def violated(mech):
+        return [cut for cut in separate(mech) if cut[3] > tol]
+
+    cut_log: list = []
+    round_values = []
+    for rnd in range(max_rounds):
+        sol = model.solve()
+        round_values.append(sol.value)
+        found = violated(layout.unpack(sol.x))
+        cut_log.append([(m, mr, float(v)) for (m, mr, _, v) in found])
+        if add_cuts(found):
+            continue
+        model.set_bounds(layout.bounds(capped=False))
+        sol = model.solve()
+        mech = layout.unpack(sol.x)
+        found = violated(mech)
+        if add_cuts(found):
+            cut_log.append([(m, mr, float(v)) for (m, mr, _, v) in found])
+            model.set_bounds(layout.bounds())
+            continue
+        if found:
+            raise ConvergenceError(
+                f"{label} keeps finding a violated constraint already in the program"
+            )
+        return SolveReport(
+            value=sol.value,
+            mechanism=mech,
+            iterations=rnd + 1,
+            cut_log=cut_log,
+            round_values=round_values,
+            status="optimal",
+        )
+    raise ConvergenceError(f"no clean {label} within {max_rounds} rounds")
+
+
+# ---------------------------------------------------------------------------
 # simultaneous regime
 # ---------------------------------------------------------------------------
 
 
-class _SimProblem:
-    """Variable layout and row factory for the simultaneous LP."""
+def _sim_layout(instance: DiscreteInstance) -> _Layout:
+    m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
+    nq = m_count * c_count * n
+    return _Layout(
+        instance,
+        qcol=np.arange(nq).reshape(m_count, c_count, n),
+        t2col=nq + np.arange(m_count * c_count).reshape(m_count, c_count),
+        t1col=nq + m_count * c_count + np.arange(m_count),
+        regime="simultaneous",
+    )
 
-    def __init__(self, instance: DiscreteInstance, cap: float):
-        self.inst = instance
-        m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
-        self.nq = m_count * c_count * n
-        self.nt2 = m_count * c_count
-        self.nvar = self.nq + self.nt2 + m_count
-        self.cap = cap
-        self.theta = instance.cell_values
 
-    def iq(self, m, c, j):
-        return (m * self.inst.n_cells + c) * self.inst.n_goods + j
-
-    def it2(self, m, c):
-        return self.nq + m * self.inst.n_cells + c
-
-    def it1(self, m):
-        return self.nq + self.nt2 + m
-
-    def objective(self) -> np.ndarray:
-        c = np.zeros(self.nvar)
-        for m in range(self.inst.n_types):
-            c[self.it1(m)] = self.inst.gamma_probs[m]
-            for cell in range(self.inst.n_cells):
-                c[self.it2(m, cell)] = self.inst.gamma_probs[m] * self.inst.pmf[m, cell]
-        return c
-
-    def bounds(self, capped: bool = True):
-        cap = self.cap if capped else None
-        lo_t = -self.cap if capped else None
-        b = [(0.0, 1.0)] * self.nq
-        b += [(lo_t, cap)] * (self.nt2 + self.inst.n_types)
-        return b
-
-    def _truth_row(self, m):
-        """Coefficients of U_m (truthful interim value) as a sparse dict."""
-        row = {}
-        for cell in range(self.inst.n_cells):
-            f = self.inst.pmf[m, cell]
-            for j in range(self.inst.n_goods):
-                row[self.iq(m, cell, j)] = row.get(self.iq(m, cell, j), 0.0) + f * self.theta[cell, j]
-            row[self.it2(m, cell)] = row.get(self.it2(m, cell), 0.0) - f
-        row[self.it1(m)] = row.get(self.it1(m), 0.0) - 1.0
-        return row
-
-    def base_rows(self):
-        """Truth-telling in valuations (all cell pairs) and participation."""
-        data, rows, cols, rhs = [], [], [], []
-        r = 0
-        inst = self.inst
-        for m in range(inst.n_types):
-            for a in range(inst.n_cells):
-                for b in range(inst.n_cells):
-                    if a == b:
-                        continue
-                    # reporting cell b with true values theta_a must not beat truth
-                    for j in range(inst.n_goods):
-                        cols += [self.iq(m, b, j), self.iq(m, a, j)]
-                        data += [self.theta[a, j], -self.theta[a, j]]
-                        rows += [r, r]
-                    cols += [self.it2(m, b), self.it2(m, a)]
-                    data += [-1.0, 1.0]
-                    rows += [r, r]
-                    rhs.append(0.0)
-                    r += 1
-        for m in range(inst.n_types):
-            for col, v in self._truth_row(m).items():
-                cols.append(col)
-                data.append(-v)
-                rows.append(r)
-            rhs.append(0.0)
-            r += 1
-        mat = sp.csr_matrix((data, (rows, cols)), shape=(r, self.nvar))
-        return mat, np.asarray(rhs)
-
-    def deviation_row(self, m, m_rep, dev_map):
-        """Row for: type m reports m_rep, then misreports cells via dev_map."""
-        row = {}
-        for cell in range(self.inst.n_cells):
-            f = self.inst.pmf[m, cell]
-            target = int(dev_map[cell])
-            for j in range(self.inst.n_goods):
-                key = self.iq(m_rep, target, j)
-                row[key] = row.get(key, 0.0) + f * self.theta[cell, j]
-            key = self.it2(m_rep, target)
-            row[key] = row.get(key, 0.0) - f
-        row[self.it1(m_rep)] = row.get(self.it1(m_rep), 0.0) - 1.0
-        for col, v in self._truth_row(m).items():
-            row[col] = row.get(col, 0.0) - v
-        return row
-
-    def unpack(self, x: np.ndarray) -> DiscreteMechanism:
-        inst = self.inst
-        q = x[: self.nq].reshape(inst.n_types, inst.n_cells, inst.n_goods)
-        t2 = x[self.nq : self.nq + self.nt2].reshape(inst.n_types, inst.n_cells)
-        t1 = x[self.nq + self.nt2 :]
-        return DiscreteMechanism(q=q.copy(), t1=t1.copy(), t2=t2.copy(), regime="simultaneous")
+def _sim_cell_rows(layout: _Layout):
+    """Truth-telling in valuations: at true cell a, reporting any cell
+    b != a on the own menu must not beat truth."""
+    m_count, c_count = layout.inst.n_types, layout.inst.n_cells
+    a, b = np.nonzero(~np.eye(c_count, dtype=bool))
+    m = np.repeat(np.arange(m_count), len(a))
+    a, b = np.tile(a, m_count), np.tile(b, m_count)
+    theta_a = layout.theta[a]
+    blocks = [
+        (layout.qcol[m, b], theta_a),
+        (layout.qcol[m, a], -theta_a),
+        (layout.t2col[m, b], -1.0),
+        (layout.t2col[m, a], 1.0),
+    ]
+    return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
 
 
 def _sim_separate(instance: DiscreteInstance, mech: DiscreteMechanism):
@@ -370,76 +445,18 @@ def solve_simultaneous(
     max_rounds: int = MAX_ROUNDS,
 ) -> SolveReport:
     """Cutting-plane solution of the one-shot screening LP."""
-    cap = CAP_FACTOR * max(1.0, abs(full_surplus(instance)))
-    prob = _SimProblem(instance, cap)
-    obj = prob.objective()
-    base, base_rhs = prob.base_rows()
-
-    cut_rows: list = []
-    cut_keys: set = set()
-    cut_log: list = []
-
-    def add_cut(m, m_rep, dev):
-        key = (m, m_rep, dev)
-        if key in cut_keys:
-            return False
-        cut_keys.add(key)
-        cut_rows.append(prob.deviation_row(m, m_rep, dev))
-        return True
-
-    # identity maps: plain type misreports with truthful cell reporting
-    for m in range(instance.n_types):
-        for m_rep in range(instance.n_types):
-            if m != m_rep:
-                add_cut(m, m_rep, tuple(range(instance.n_cells)))
-
-    def assemble():
-        if not cut_rows:
-            return base, base_rhs
-        data, rows, cols = [], [], []
-        for r, row in enumerate(cut_rows):
-            for col, v in row.items():
-                rows.append(r)
-                cols.append(col)
-                data.append(v)
-        cuts = sp.csr_matrix((data, (rows, cols)), shape=(len(cut_rows), prob.nvar))
-        return sp.vstack([base, cuts]).tocsr(), np.concatenate([base_rhs, np.zeros(len(cut_rows))])
-
-    round_values = []
-    for rnd in range(max_rounds):
-        a_ub, b_ub = assemble()
-        sol = lp_solve(obj, a_ub=a_ub, b_ub=b_ub, bounds=prob.bounds())
-        mech = prob.unpack(sol.x)
-        round_values.append(sol.value)
-        violated = [
-            (m, mr, dev, v) for (m, mr, dev, v) in _sim_separate(instance, mech) if v > tol
-        ]
-        cut_log.append([(m, mr, float(v)) for (m, mr, dev, v) in violated])
-        if violated and any([add_cut(m, mr, dev) for m, mr, dev, _ in violated]):
-            continue
-        # verification: drop the transfer caps; the cap-free optimum can sit
-        # at a different vertex of the optimal face, so separate it too
-        sol = lp_solve(obj, a_ub=a_ub, b_ub=b_ub, bounds=prob.bounds(capped=False))
-        mech = prob.unpack(sol.x)
-        violated = [
-            (m, mr, dev, v) for (m, mr, dev, v) in _sim_separate(instance, mech) if v > tol
-        ]
-        if violated and any([add_cut(m, mr, dev) for m, mr, dev, _ in violated]):
-            cut_log.append([(m, mr, float(v)) for (m, mr, dev, v) in violated])
-            continue
-        if violated:
-            raise ConvergenceError(
-                "separation keeps finding a violated constraint already in the program"
-            )
-        return SolveReport(
-            value=sol.value,
-            mechanism=mech,
-            iterations=rnd + 1,
-            cut_log=cut_log,
-            round_values=round_values,
-            status="optimal",
-        )
-    raise ConvergenceError(f"no clean separation pass within {max_rounds} rounds")
+    layout = _sim_layout(instance)
+    cells, cells_rhs = _sim_cell_rows(layout)
+    part, part_rhs = layout.participation_rows()
+    return _cutting_plane(
+        layout,
+        sp.vstack([cells, part]).tocsr(),
+        np.concatenate([cells_rhs, part_rhs]),
+        lambda mech: _sim_separate(instance, mech),
+        "separation",
+        tol,
+        max_rounds,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -447,184 +464,69 @@ def solve_simultaneous(
 # ---------------------------------------------------------------------------
 
 
-class _SeqProblem:
-    """Layout with history-measurable allocations: q^i lives on the
-    revealed prefix (gamma, theta^1..theta^i); transfers settle at the
-    final history, which nests any per-period payment schedule."""
-
-    def __init__(self, instance: DiscreteInstance, cap: float):
-        self.inst = instance
-        self.dims = instance.dims
-        self.cap = cap
-        m_count, n = instance.n_types, instance.n_goods
-        self.prefix_sizes = [int(np.prod(self.dims[: i + 1])) for i in range(n)]
-        self.q_offsets = []
-        off = 0
-        for i in range(n):
-            self.q_offsets.append(off)
-            off += m_count * self.prefix_sizes[i]
-        self.nq = off
-        self.nt2 = m_count * instance.n_cells
-        self.nvar = self.nq + self.nt2
-        # flat cell -> prefix index per period
-        self.cell_multi = np.stack(np.unravel_index(np.arange(instance.n_cells), self.dims), axis=-1)
-        self.prefix_of_cell = [
-            np.ravel_multi_index(
-                tuple(self.cell_multi[:, : i + 1].T), self.dims[: i + 1]
-            )
-            for i in range(n)
-        ]
-
-    def iq(self, i, m, prefix):
-        return self.q_offsets[i] + m * self.prefix_sizes[i] + prefix
-
-    def it2(self, m, c):
-        return self.nq + m * self.inst.n_cells + c
-
-    def objective(self):
-        c = np.zeros(self.nvar)
-        for m in range(self.inst.n_types):
-            for cell in range(self.inst.n_cells):
-                c[self.it2(m, cell)] = self.inst.gamma_probs[m] * self.inst.pmf[m, cell]
-        return c
-
-    def bounds(self, capped: bool = True):
-        cap = self.cap if capped else None
-        lo = -self.cap if capped else None
-        return [(0.0, 1.0)] * self.nq + [(lo, cap)] * self.nt2
-
-    def _truth_row(self, m):
-        row = {}
-        theta = self.inst.cell_values
-        for cell in range(self.inst.n_cells):
-            f = self.inst.pmf[m, cell]
-            for i in range(self.inst.n_goods):
-                key = self.iq(i, m, int(self.prefix_of_cell[i][cell]))
-                row[key] = row.get(key, 0.0) + f * theta[cell, i]
-            key = self.it2(m, cell)
-            row[key] = row.get(key, 0.0) - f
-        return row
-
-    def base_rows(self):
-        """Participation only; all truth-telling arrives as cuts."""
-        data, rows, cols, rhs = [], [], [], []
-        for m in range(self.inst.n_types):
-            for col, v in self._truth_row(m).items():
-                rows.append(m)
-                cols.append(col)
-                data.append(-v)
-            rhs.append(0.0)
-        return (
-            sp.csr_matrix((data, (rows, cols)), shape=(self.inst.n_types, self.nvar)),
-            np.asarray(rhs),
-        )
-
-    def deviation_row(self, m, m_rep, reported_cells):
-        """reported_cells[c] = full reported history when the true cell is c."""
-        row = {}
-        theta = self.inst.cell_values
-        rep_multi = self.cell_multi[np.asarray(reported_cells, dtype=int)]
-        for cell in range(self.inst.n_cells):
-            f = self.inst.pmf[m, cell]
-            if f == 0.0:
-                continue
-            for i in range(self.inst.n_goods):
-                rep_prefix = np.ravel_multi_index(
-                    tuple(rep_multi[cell, : i + 1]), self.dims[: i + 1]
-                )
-                key = self.iq(i, m_rep, int(rep_prefix))
-                row[key] = row.get(key, 0.0) + f * theta[cell, i]
-            key = self.it2(m_rep, int(reported_cells[cell]))
-            row[key] = row.get(key, 0.0) - f
-        for col, v in self._truth_row(m).items():
-            row[col] = row.get(col, 0.0) - v
-        return row
-
-    def unpack(self, x: np.ndarray) -> DiscreteMechanism:
-        inst = self.inst
-        q = np.empty((inst.n_types, inst.n_cells, inst.n_goods))
-        for m in range(inst.n_types):
-            for i in range(inst.n_goods):
-                for cell in range(inst.n_cells):
-                    q[m, cell, i] = x[self.iq(i, m, int(self.prefix_of_cell[i][cell]))]
-        t2 = x[self.nq :].reshape(inst.n_types, inst.n_cells)
-        return DiscreteMechanism(
-            q=q, t1=np.zeros(inst.n_types), t2=t2.copy(), regime="sequential"
-        )
+def _seq_layout(instance: DiscreteInstance) -> _Layout:
+    """History-measurable allocations: q^i lives on the revealed prefix
+    (gamma, theta^1..theta^i); transfers settle at the final history,
+    which nests any per-period payment schedule."""
+    dims = instance.dims
+    m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
+    cell_multi = np.unravel_index(np.arange(c_count), dims)
+    qcol = np.empty((m_count, c_count, n), dtype=int)
+    off = 0
+    for i in range(n):
+        prefix = np.ravel_multi_index(cell_multi[: i + 1], dims[: i + 1])
+        size = int(np.prod(dims[: i + 1]))
+        qcol[:, :, i] = off + np.arange(m_count)[:, None] * size + prefix[None, :]
+        off += m_count * size
+    return _Layout(
+        instance,
+        qcol=qcol,
+        t2col=off + np.arange(m_count * c_count).reshape(m_count, c_count),
+        t1col=None,
+        regime="sequential",
+    )
 
 
-def _seq_best_response(instance: DiscreteInstance, prob: _SeqProblem, mech: DiscreteMechanism, m: int, m_rep: int):
+def _seq_best_response(instance: DiscreteInstance, mech: DiscreteMechanism, m: int, m_rep: int):
     """Adapted best response of true type m on menu m_rep, by backward
     induction over (true history, reported history) states.
 
     Returns (value, reported_cells) with reported_cells[c] the induced
     full report for each true cell c.
     """
-    dims = prob.dims
+    dims = instance.dims
     n = instance.n_goods
     pmf = instance.pmf[m].reshape(dims)
-    # q tables per period on prefixes of the REPORTED history
-    q_pref = []
-    for i in range(n):
-        tab = np.empty((prob.prefix_sizes[i],))
-        # mech.q is expanded on full cells; collapse to the prefix table
-        for cell in range(instance.n_cells):
-            tab[int(prob.prefix_of_cell[i][cell])] = mech.q[m_rep, cell, i]
-        q_pref.append(tab.reshape(dims[: i + 1]))
-    t2 = mech.t2[m_rep].reshape(dims)
-
-    # prefix marginals of the true distribution
-    prefix_prob = []
-    for i in range(n + 1):
-        axes = tuple(range(i, n))
-        prefix_prob.append(pmf.sum(axis=axes) if axes else pmf)
-
-    theta = [instance.theta_grids[i] for i in range(n)]
-
+    q = mech.q[m_rep].reshape(dims + (n,))
     # value tensors carry axes (true prefix..., reported prefix...);
     # terminal level: V_n(t_full, r_full) = -t2(r_full)
+    v = np.broadcast_to(-mech.t2[m_rep].reshape(dims), dims + dims)
     policies = [None] * n
-    v = np.broadcast_to(-t2, dims + dims).copy()
-
-    for level in range(n, 0, -1):
-        i = level - 1
-        tdims, rdims = dims[:level], dims[:level]
-        pol = np.empty(tdims + rdims[:-1], dtype=int)
-        v_new = np.zeros(dims[: level - 1] + dims[: level - 1])
-        for t_pre in np.ndindex(*dims[: level - 1]):
-            p_pre = prefix_prob[level - 1][t_pre] if level - 1 > 0 else 1.0
-            for r_pre in np.ndindex(*dims[: level - 1]):
-                total = 0.0
-                for t_i in range(dims[i]):
-                    p_joint = prefix_prob[level][t_pre + (t_i,)]
-                    if p_pre <= 0.0 or p_joint <= 0.0:
-                        pol[t_pre + (t_i,) + r_pre] = 0
-                        continue
-                    w = p_joint / p_pre
-                    best, best_r = -np.inf, 0
-                    for r_i in range(dims[i]):
-                        gain = theta[i][t_i] * q_pref[i][r_pre + (r_i,)]
-                        cont = v[t_pre + (t_i,) + r_pre + (r_i,)]
-                        cand = gain + cont
-                        if cand > best + 1e-15:
-                            best, best_r = cand, r_i
-                    pol[t_pre + (t_i,) + r_pre] = best_r
-                    total += w * best
-                v_new[t_pre + r_pre] = total
-        policies[i] = pol
-        v = v_new
-    dev_value = float(v[()])
+    for i in range(n - 1, -1, -1):
+        pre = dims[:i]
+        # good i's allocation on the reported prefix (r_0..r_i); the
+        # table is read at the last cell of each prefix
+        q_i = q[(slice(None),) * (i + 1) + (-1,) * (n - i - 1) + (i,)]
+        gain = instance.theta_grids[i].reshape((1,) * i + (-1,) + (1,) * (i + 1)) * q_i
+        cand = gain + v  # axes (t_0..t_i, r_0..r_i)
+        pol = np.argmax(cand, axis=-1)
+        best = np.take_along_axis(cand, pol[..., None], axis=-1)[..., 0]
+        # conditional probability of t_i given the true prefix
+        p_joint = pmf.sum(axis=tuple(range(i + 1, n)))
+        p_pre = pmf.sum(axis=tuple(range(i, n)))[..., None] if i else np.ones(1)
+        live = (p_joint > 0.0) & (p_pre > 0.0)
+        w = np.divide(p_joint, p_pre, out=np.zeros(dims[: i + 1]), where=live)
+        shape = dims[: i + 1] + (1,) * i
+        policies[i] = np.where(live.reshape(shape), pol, 0)
+        v = np.sum(w.reshape(shape) * best, axis=i)  # axes (t_0..t_{i-1}, r_0..r_{i-1})
+    dev_value = float(v)
 
     # roll the policy forward to a full reported history per true cell
-    reported = np.empty(instance.n_cells, dtype=int)
-    for cell in range(instance.n_cells):
-        t_multi = tuple(prob.cell_multi[cell])
-        r_hist: tuple = ()
-        for i in range(n):
-            r_i = int(policies[i][t_multi[: i + 1] + r_hist])
-            r_hist = r_hist + (r_i,)
-        reported[cell] = int(np.ravel_multi_index(r_hist, dims))
-    return dev_value, reported
+    true_hist = np.unravel_index(np.arange(instance.n_cells), dims)
+    rep_hist: tuple = ()
+    for i in range(n):
+        rep_hist += (policies[i][true_hist[: i + 1] + rep_hist],)
+    return dev_value, np.ravel_multi_index(rep_hist, dims)
 
 
 def solve_sequential(
@@ -632,80 +534,26 @@ def solve_sequential(
     tol: float = DEFAULT_TOL,
     max_rounds: int = MAX_ROUNDS,
 ) -> SolveReport:
-    """Cutting-plane solution of the period-by-period selling LP."""
-    cap = CAP_FACTOR * max(1.0, abs(full_surplus(instance)))
-    prob = _SeqProblem(instance, cap)
-    obj = prob.objective()
-    base, base_rhs = prob.base_rows()
+    """Cutting-plane solution of the period-by-period selling LP.
 
-    cut_rows: list = []
-    cut_keys: set = set()
-    cut_log: list = []
-
-    def add_cut(m, m_rep, reported):
-        key = (m, m_rep, tuple(int(r) for r in reported))
-        if key in cut_keys:
-            return False
-        cut_keys.add(key)
-        cut_rows.append(prob.deviation_row(m, m_rep, reported))
-        return True
-
-    for m in range(instance.n_types):
-        for m_rep in range(instance.n_types):
-            if m != m_rep:
-                add_cut(m, m_rep, np.arange(instance.n_cells))
-
-    def assemble():
-        if not cut_rows:
-            return base, base_rhs
-        data, rows, cols = [], [], []
-        for r, row in enumerate(cut_rows):
-            for col, v in row.items():
-                rows.append(r)
-                cols.append(col)
-                data.append(v)
-        cuts = sp.csr_matrix((data, (rows, cols)), shape=(len(cut_rows), prob.nvar))
-        return sp.vstack([base, cuts]).tocsr(), np.concatenate([base_rhs, np.zeros(len(cut_rows))])
+    Only participation is imposed up front; all truth-telling arrives
+    as cuts from the adapted best response.
+    """
+    layout = _seq_layout(instance)
+    types = range(instance.n_types)
 
     def separate(mech):
         truthful = _truthful_values(instance, mech)
-        out = []
-        for m in range(instance.n_types):
-            for m_rep in range(instance.n_types):
-                val, reported = _seq_best_response(instance, prob, mech, m, m_rep)
-                violation = val - float(truthful[m])
-                if violation > tol:
-                    out.append((m, m_rep, reported, violation))
-        return out
+        found = []
+        for m in types:
+            for m_rep in types:
+                val, reported = _seq_best_response(instance, mech, m, m_rep)
+                found.append((m, m_rep, tuple(reported.tolist()), val - float(truthful[m])))
+        return found
 
-    round_values = []
-    for rnd in range(max_rounds):
-        a_ub, b_ub = assemble()
-        sol = lp_solve(obj, a_ub=a_ub, b_ub=b_ub, bounds=prob.bounds())
-        round_values.append(sol.value)
-        violated = separate(prob.unpack(sol.x))
-        cut_log.append([(m, mr, float(v)) for (m, mr, _, v) in violated])
-        if violated and any([add_cut(m, mr, rep) for m, mr, rep, _ in violated]):
-            continue
-        sol = lp_solve(obj, a_ub=a_ub, b_ub=b_ub, bounds=prob.bounds(capped=False))
-        mech = prob.unpack(sol.x)
-        violated = separate(mech)
-        if violated and any([add_cut(m, mr, rep) for m, mr, rep, _ in violated]):
-            cut_log.append([(m, mr, float(v)) for (m, mr, _, v) in violated])
-            continue
-        if violated:
-            raise ConvergenceError(
-                "adapted separation keeps finding a violated constraint already in the program"
-            )
-        return SolveReport(
-            value=sol.value,
-            mechanism=mech,
-            iterations=rnd + 1,
-            cut_log=cut_log,
-            round_values=round_values,
-            status="optimal",
-        )
-    raise ConvergenceError(f"no clean adapted separation within {max_rounds} rounds")
+    return _cutting_plane(
+        layout, *layout.participation_rows(), separate, "adapted separation", tol, max_rounds
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -909,10 +757,9 @@ def evaluate_mechanism(instance: DiscreteInstance, mech: DiscreteMechanism) -> E
         ic2 = max(ic2, float(np.max(w - own[:, None])))
     ic1 = -np.inf
     if mech.regime == "sequential":
-        prob = _SeqProblem(instance, 1.0)
         for m in range(instance.n_types):
             for m_rep in range(instance.n_types):
-                val, _ = _seq_best_response(instance, prob, mech, m, m_rep)
+                val, _ = _seq_best_response(instance, mech, m, m_rep)
                 ic1 = max(ic1, val - float(truthful[m]))
     else:
         for m, m_rep, _, v in _sim_separate(instance, mech):
@@ -1046,31 +893,28 @@ def brute_force_value(instance: DiscreteInstance) -> float:
                     data.append(float(coeff[col]))
                 r += 1
     a_ub = sp.csr_matrix((data, (rows, cols)), shape=(r, nvar))
+    model = LpModel(obj, a_ub, np.zeros(r), bounds=(None, None))
 
     cell_ids = np.arange(c_count)
+    true_cell, reported_cell = np.nonzero(~np.eye(c_count, dtype=bool))
     best = -np.inf
     for combo in np.ndindex(*([len(allocs)] * m_count)):
         q = np.stack([allocs[combo[m]] for m in range(m_count)])
         qtheta = np.einsum("mcn,an->mac", q, theta)  # report c at true a on menu m
         u_const = np.einsum("mc,mc->m", instance.pmf, np.einsum("mcn,cn->mc", q, theta))
+        n_cell_rows = m_count * len(true_cell)
         rhs = np.empty(r)
-        i = 0
-        for m in range(m_count):
-            for a in range(c_count):
-                for b in range(c_count):
-                    if a == b:
-                        continue
-                    rhs[i] = qtheta[m, a, a] - qtheta[m, a, b]
-                    i += 1
-        for m in range(m_count):
-            rhs[i] = u_const[m]
-            i += 1
+        rhs[:n_cell_rows] = (
+            qtheta[:, true_cell, true_cell] - qtheta[:, true_cell, reported_cell]
+        ).ravel()
+        rhs[n_cell_rows: n_cell_rows + m_count] = u_const
         for m, m_rep, start in pair_index:
             dev_gain = qtheta[m_rep][cell_ids[None, :], maps] @ instance.pmf[m]
             rhs[start: start + len(maps)] = u_const[m] - dev_gain
+        model.set_rhs(rhs)
         try:
-            sol = lp_solve(obj, a_ub=a_ub, b_ub=rhs, bounds=[(None, None)] * nvar)
-        except Exception:  # noqa: BLE001 - infeasible allocation profile
+            sol = model.solve()
+        except LpInfeasibleError:  # allocation profile admits no transfers
             continue
         best = max(best, sol.value)
     return float(best)

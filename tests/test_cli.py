@@ -177,6 +177,20 @@ class TestOracleCommand:
         dump = json.loads((tmp_path / "out" / "instance_fail.json").read_text())
         assert "instance" in dump and dump["error"] == "forced failure"
 
+    @pytest.mark.parametrize("section", [
+        {"gamma_cells": 0, "theta_cells": [2]},
+        {"gamma_cells": 3, "theta_cells": [2, 0]},
+        {"gamma_cells": 3, "theta_cells": [[2, 0]]},
+        {"gamma_cells": 3, "theta_cells": [[2, 2, 2]]},
+        {"gamma_cells": "three", "theta_cells": [2]},
+    ])
+    def test_bad_cell_counts_exit_2(self, tmp_path, section, capsys):
+        cfg = write_config(tmp_path, family={"name": "cl_uniform", "goods": 2}, oracle=section)
+        out = tmp_path / "out"
+        assert run("oracle", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_type_all_efficient(self, tmp_path):
         cfg = write_config(
             tmp_path,

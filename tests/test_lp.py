@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from screenforge.errors import LpInfeasibleError, LpUnboundedError
-from screenforge.lp import lp_solve
+from screenforge.lp import LpModel, lp_solve
 
 
 class TestBasics:
@@ -70,3 +71,92 @@ class TestTransportToy:
             for t in np.linspace(0.1, 0.5, 401)
         )
         assert abs(-sol.value - best) < 1e-9
+
+
+CAPPED = (-1.0, 1.0)
+FREE = (None, None)
+
+
+def _random_program(seed, n=6, rows=5):
+    """max c.x over random rows that x = 0 satisfies, plus |x_i| <= 2 rows
+    so that the program stays bounded once the column bounds are dropped."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=n)
+    a = np.vstack([rng.normal(size=(rows, n)), np.eye(n), -np.eye(n)])
+    b = np.concatenate([rng.random(rows) + 0.5, np.full(2 * n, 2.0)])
+    return rng, c, a, b
+
+
+def _replay(seed):
+    """Edit one warm model step by step; after each step solve it and
+    the same program from scratch.  Returns [(warm, cold)] per step."""
+    rng, c, a, b = _random_program(seed)
+    n = len(c)
+    model = LpModel(c, sp.csr_matrix(a), b, bounds=CAPPED)
+    steps = []
+
+    def check(bounds):
+        steps.append((model.solve(), lp_solve(c, a_ub=a, b_ub=b, bounds=bounds)))
+
+    check(CAPPED)
+    for _ in range(3):
+        extra = rng.normal(size=(2, n))
+        extra_b = rng.random(2) + 0.1
+        model.add_rows(sp.csr_matrix(extra), extra_b)
+        a, b = np.vstack([a, extra]), np.concatenate([b, extra_b])
+        check(CAPPED)
+    b = b.copy()
+    b[: len(b) // 2] *= rng.random(len(b) // 2) + 0.5
+    model.set_rhs(b)
+    check(CAPPED)
+    model.set_bounds(FREE)
+    check(FREE)
+    model.set_bounds(CAPPED)
+    check(CAPPED)
+    return steps
+
+
+class TestLpModel:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_lp_solve_after_edits(self, seed):
+        for warm, cold in _replay(seed):
+            assert abs(warm.value - cold.value) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_replay_is_byte_identical(self, seed):
+        first, second = _replay(seed), _replay(seed)
+        for (a, _), (b, _) in zip(first, second):
+            assert a.x.tobytes() == b.x.tobytes()
+
+    def test_infeasible_rhs_then_recovery(self):
+        _, c, a, b = _random_program(11)
+        model = LpModel(c, a, b, bounds=CAPPED)
+        before = model.solve().value
+        bad = b.copy()
+        bad[-1] = -5.0  # -x_n <= -5 against x_n <= 1
+        model.set_rhs(bad)
+        with pytest.raises(LpInfeasibleError):
+            model.solve()
+        with pytest.raises(LpInfeasibleError):
+            lp_solve(c, a_ub=a, b_ub=bad, bounds=CAPPED)
+        model.set_rhs(b)
+        assert abs(model.solve().value - before) <= 1e-9
+
+    def test_unbounded_after_dropping_bounds(self):
+        # max x_1 subject to x_1 - x_2 <= 0: bounded only by the caps
+        c, a, b = [1.0, 0.0], [[1.0, -1.0]], [0.0]
+        model = LpModel(c, a, b, bounds=CAPPED)
+        assert abs(model.solve().value - 1.0) <= 1e-9
+        model.set_bounds(FREE)
+        with pytest.raises(LpUnboundedError):
+            model.solve()
+        with pytest.raises(LpUnboundedError):
+            lp_solve(c, a_ub=a, b_ub=b, bounds=FREE)
+
+    def test_infeasible_appended_row(self):
+        c, a, b = [1.0, 1.0], [[1.0, 1.0]], [1.0]
+        model = LpModel(c, a, b, bounds=(0.0, None))
+        model.solve()
+        model.add_rows([[-1.0, -1.0]], [-2.0])  # x_1 + x_2 >= 2
+        with pytest.raises(LpInfeasibleError):
+            model.solve()

@@ -4,7 +4,12 @@ import pytest
 from screenforge import mech as X
 from screenforge import model as M
 from screenforge import oracle as O
-from screenforge.errors import DegenerateCellError, InvalidIntervalError
+from screenforge.errors import (
+    DegenerateCellError,
+    InvalidIntervalError,
+    LpSolverError,
+    LpUnboundedError,
+)
 
 
 def cl_model(goods=2, copula=None):
@@ -190,6 +195,100 @@ class TestSequential:
         assert ev.ic1_violation <= 1e-9
 
 
+def _scalar_best_response(instance, mech, m, m_rep):
+    """Reference adapted best response: scalar backward induction over
+    (true history, reported history) states, one state at a time."""
+    dims = instance.dims
+    n = instance.n_goods
+    cell_multi = np.stack(np.unravel_index(np.arange(instance.n_cells), dims), axis=-1)
+    pmf = instance.pmf[m].reshape(dims)
+    q_pref = []
+    for i in range(n):
+        tab = np.empty(int(np.prod(dims[: i + 1])))
+        for cell in range(instance.n_cells):
+            prefix = np.ravel_multi_index(tuple(cell_multi[cell, : i + 1]), dims[: i + 1])
+            tab[prefix] = mech.q[m_rep, cell, i]
+        q_pref.append(tab.reshape(dims[: i + 1]))
+    t2 = mech.t2[m_rep].reshape(dims)
+    prefix_prob = []
+    for i in range(n + 1):
+        axes = tuple(range(i, n))
+        prefix_prob.append(pmf.sum(axis=axes) if axes else pmf)
+    theta = instance.theta_grids
+    policies = [None] * n
+    v = np.broadcast_to(-t2, dims + dims).copy()
+    for level in range(n, 0, -1):
+        i = level - 1
+        pol = np.empty(dims[:level] + dims[: level - 1], dtype=int)
+        v_new = np.zeros(dims[: level - 1] + dims[: level - 1])
+        for t_pre in np.ndindex(*dims[: level - 1]):
+            p_pre = prefix_prob[level - 1][t_pre] if level - 1 > 0 else 1.0
+            for r_pre in np.ndindex(*dims[: level - 1]):
+                total = 0.0
+                for t_i in range(dims[i]):
+                    p_joint = prefix_prob[level][t_pre + (t_i,)]
+                    if p_pre <= 0.0 or p_joint <= 0.0:
+                        pol[t_pre + (t_i,) + r_pre] = 0
+                        continue
+                    best, best_r = -np.inf, 0
+                    for r_i in range(dims[i]):
+                        cand = theta[i][t_i] * q_pref[i][r_pre + (r_i,)] + v[t_pre + (t_i,) + r_pre + (r_i,)]
+                        if cand > best + 1e-15:
+                            best, best_r = cand, r_i
+                    pol[t_pre + (t_i,) + r_pre] = best_r
+                    total += p_joint / p_pre * best
+                v_new[t_pre + r_pre] = total
+        policies[i] = pol
+        v = v_new
+    return float(v[()])
+
+
+def _random_adapted_mechanism(rng, instance):
+    """Random menus whose good-i allocation depends on the first i+1
+    reported coordinates only."""
+    dims, n = instance.dims, instance.n_goods
+    multi = np.unravel_index(np.arange(instance.n_cells), dims)
+    q = np.empty((instance.n_types, instance.n_cells, n))
+    for i in range(n):
+        prefix = np.ravel_multi_index(multi[: i + 1], dims[: i + 1])
+        q[:, :, i] = rng.random((instance.n_types, int(np.prod(dims[: i + 1]))))[:, prefix]
+    t2 = rng.normal(size=(instance.n_types, instance.n_cells))
+    return O.DiscreteMechanism(q=q, t1=np.zeros(instance.n_types), t2=t2, regime="sequential")
+
+
+def _random_instance(rng, n_types, dims):
+    pmf = rng.random((n_types, int(np.prod(dims))))
+    pmf[pmf < 0.2] = 0.0  # zero-probability histories take the skip branch
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    return O.DiscreteInstance(
+        gamma_values=np.linspace(0.0, 1.0, n_types),
+        gamma_probs=np.full(n_types, 1.0 / n_types),
+        theta_grids=[np.sort(rng.random(d) * 2.0) for d in dims],
+        pmf=pmf,
+    )
+
+
+class TestAdaptedBestResponse:
+    @pytest.mark.parametrize("seed,n_types,dims", [
+        (0, 2, (2, 2)), (1, 3, (3, 4)), (2, 2, (5, 3)), (3, 3, (2, 3, 2)), (4, 2, (3, 2, 3)),
+    ])
+    def test_matches_scalar_backward_induction(self, seed, n_types, dims):
+        rng = np.random.default_rng(seed)
+        inst = _random_instance(rng, n_types, dims)
+        theta = inst.cell_values
+        for _ in range(3):
+            mech = _random_adapted_mechanism(rng, inst)
+            for m in range(n_types):
+                for m_rep in range(n_types):
+                    value, reported = O._seq_best_response(inst, mech, m, m_rep)
+                    assert abs(value - _scalar_best_response(inst, mech, m, m_rep)) <= 1e-12
+                    # the induced report earns that value
+                    earned = inst.pmf[m] @ (
+                        np.sum(theta * mech.q[m_rep, reported], axis=1) - mech.t2[m_rep, reported]
+                    )
+                    assert abs(earned - value) <= 1e-12
+
+
 class TestRelaxed:
     def test_single_type_efficient(self):
         rep = O.solve_relaxed(SINGLE)
@@ -279,6 +378,17 @@ class TestBruteForceAgreement:
     def test_two_goods_two_by_two(self):
         inst = O.discretize(cl_model(2), 2, [2, 2])
         assert abs(O.solve_simultaneous(inst).value - O.brute_force_value(inst)) < 1e-8
+
+    @pytest.mark.parametrize("error", [LpUnboundedError, LpSolverError])
+    def test_non_infeasibility_failure_propagates(self, monkeypatch, error):
+        # only an infeasible profile is skipped; any other LP failure is
+        # an error of the oracle itself
+        def fail(model):
+            raise error("forced")
+
+        monkeypatch.setattr(O.LpModel, "solve", fail)
+        with pytest.raises(error):
+            O.brute_force_value(HAND)
 
     def test_guard_on_large_instances(self):
         inst = O.discretize(cl_model(2), 2, [4, 4])
