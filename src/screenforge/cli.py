@@ -22,7 +22,7 @@ from . import mech as mechmod
 from . import model as modelmod
 from . import oracle as oraclemod
 from .errors import ConfigError, RegularityError, ScreenforgeError
-from .numerics import RngStream, uniform_draws
+from .numerics import RngStream, gauss_rule, uniform_draws
 
 _FLOAT_FMT = "%.17g"
 
@@ -39,7 +39,6 @@ class RunConfig:
     out_dir: str
     seed: int
     quiet: bool
-    threads: int
     config_hash: str = ""
     model: object = None
     section: dict = field(default_factory=dict)
@@ -64,7 +63,6 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
     if seed <= 0:
         raise ConfigError("seed must be positive")
     out_dir = str(out_override if out_override is not None else raw.get("out", "screenforge_out"))
-    threads = max(1, int(os.environ.get("SCREENFORGE_THREADS", "1")))
     section = dict(raw.get(command, {}))
     cfg = RunConfig(
         raw=raw,
@@ -72,31 +70,36 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
         out_dir=out_dir,
         seed=seed,
         quiet=quiet,
-        threads=threads,
         config_hash=_hash_config(raw, command, seed),
         section=section,
     )
     cfg.model = modelmod.build_model(dict(raw["family"]))
-    for key in ("gamma_grid", "count", "cycles"):
-        if key in section and int(section[key]) <= 0:
-            raise ConfigError(f"{key} must be positive")
+    keys = ("gamma_grid", "count", "cycles", "cycle_length", "points", "gamma_cells")
+    counts = [(key, section[key]) for key in keys if key in section]
     if command == "oracle":
-        _check_cell_counts(section, cfg.model.n)
+        counts += _theta_cell_counts(section, cfg.model.n)
+    for key, value in counts:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{command}.{key} must hold positive integers, got {value!r}")
+    lo, hi = cfg.model.prior.lo, cfg.model.prior.hi
+    gammas = section.get("gammas", []) if command == "sample" else []
+    if not isinstance(gammas, list) or not all(
+            isinstance(g, (int, float)) and not isinstance(g, bool) and lo <= g <= hi
+            for g in gammas):
+        raise ConfigError(f"sample.gammas must list types in the prior support "
+                          f"[{lo}, {hi}], got {gammas!r}")
     return cfg
 
 
-def _check_cell_counts(section: dict, n_goods: int):
-    """oracle.gamma_cells and each oracle.theta_cells entry (one count, or
-    one count per good) must be positive integers."""
-    counts = [("gamma_cells", section["gamma_cells"])] if "gamma_cells" in section else []
+def _theta_cell_counts(section: dict, n_goods: int) -> list:
+    """Each oracle.theta_cells entry: one count, or one count per good."""
+    counts = []
     ladder = section.get("theta_cells", [])
     for entry in ladder if isinstance(ladder, list) else [ladder]:
         if isinstance(entry, list) and len(entry) != n_goods:
             raise ConfigError(f"oracle.theta_cells entry {entry!r} needs {n_goods} counts")
         counts += [("theta_cells", k) for k in (entry if isinstance(entry, list) else [entry])]
-    for key, value in counts:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"oracle.{key} must hold positive integers, got {value!r}")
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +156,7 @@ def read_mechanism_csv(path: str, box_top=None) -> mechmod.ThresholdMechanism:
 
 def _solved_mechanism(cfg: RunConfig, grid_size: int):
     grid = np.linspace(cfg.model.prior.lo, cfg.model.prior.hi, grid_size)
-    mech = mechmod.solve_thresholds(cfg.model, grid, threads=cfg.threads)
+    mech = mechmod.solve_thresholds(cfg.model, grid)
     return mechmod.upfront_t1(cfg.model, mech)
 
 
@@ -199,7 +202,7 @@ def cmd_audit(cfg: RunConfig) -> int:
         mech = read_mechanism_csv(csv_path, box_top=box_top)
     else:
         mech = _solved_mechanism(cfg, grid_size)
-    audit = mechmod.ic_audit(cfg.model, mech, threads=cfg.threads)
+    audit = mechmod.ic_audit(cfg.model, mech)
     surplus = _continuum_surplus(cfg.model)
     gain_tol = float(sec.get("tolerance_gain_rel", 1e-6)) * max(surplus, 1e-12)
     ir_tol = float(sec.get("ir_tol", 1e-8))
@@ -240,21 +243,10 @@ def cmd_audit(cfg: RunConfig) -> int:
 
 def _continuum_surplus(model) -> float:
     """Expected efficient surplus, used as the audit scale."""
-    from .numerics import gauss_rule
-
     grule = gauss_rule(64, model.prior.lo, model.prior.hi)
-    total = 0.0
-    for g, w in zip(grule.nodes, grule.weights):
-        dens = float(model.prior.pdf(g))
-        inner = 0.0
-        for j, m in enumerate(model.marginals):
-            s = float(np.clip(m.cdf(0.0, g), 0.0, 1.0))
-            if s >= 1.0 - 1e-14:
-                continue
-            rule = gauss_rule(64, s, 1.0)
-            inner += float(np.dot(rule.weights, np.asarray(m.quantile(rule.nodes, g))))
-        total += w * dens * inner
-    return total
+    dens = np.asarray(model.prior.pdf(grule.nodes), dtype=float)
+    rule = mechmod.PercentileRule(model, grule.nodes, np.zeros((64, model.n)), 64)
+    return float(np.sum(grule.weights * dens * rule.integrate(rule.q)))
 
 
 def cmd_identity(cfg: RunConfig) -> int:

@@ -274,10 +274,12 @@ class GaussianCopula:
         u = np.asarray(u, dtype=float)
         x = ndtri(np.clip(u, _Z_CLIP, 1.0 - _Z_CLIP))
         det = (1.0 - r) ** (n - 1) * (1.0 + (n - 1) * r)
-        # (R^-1 - I) x computed via the closed form for equicorrelation
-        srow = np.sum(x, axis=-1, keepdims=True)
+        # (R^-1 - I) x computed via the closed form for equicorrelation;
+        # row sums as products with ones, far faster than numpy's
+        # reduction over a short last axis
+        srow = (x @ np.ones(n))[..., None]
         rinv_x = (x - r / (1.0 + (n - 1) * r) * srow) / (1.0 - r)
-        quad = np.sum(x * (rinv_x - x), axis=-1)
+        quad = (x * (rinv_x - x)) @ np.ones(n)
         return np.exp(-0.5 * quad) / math.sqrt(det)
 
     def partial_log_density(self, u, gamma: float = 0.0):
@@ -285,7 +287,7 @@ class GaussianCopula:
         n = self.dim
         u = np.asarray(u, dtype=float)
         x = ndtri(np.clip(u, _Z_CLIP, 1.0 - _Z_CLIP))
-        srow = np.sum(x, axis=-1, keepdims=True)
+        srow = (x @ np.ones(n))[..., None]
         rinv_x = (x - r / (1.0 + (n - 1) * r) * srow) / (1.0 - r)
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         return -(rinv_x - x) / phi

@@ -32,10 +32,6 @@ class DensityZeroError(ScreenforgeError, ZeroDivisionError):
     """A density is zero at a point where a ratio is required."""
 
 
-class QuantileError(ScreenforgeError, ArithmeticError):
-    """Numeric quantile inversion did not converge."""
-
-
 class InvarianceRequiredError(ScreenforgeError, ValueError):
     """Operation is only valid when the dependency structure is
     invariant in the pre-contract type."""

@@ -17,19 +17,27 @@ quadrature) for any menu, which is the main internal consistency check:
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
 
 from .copulas import IndependenceCopula
-from .errors import InvarianceRequiredError, InvalidIntervalError, RegularityError
+from .errors import (
+    DensityZeroError,
+    InvalidIntervalError,
+    InvarianceRequiredError,
+    RegularityError,
+)
 from .model import JointModel, hazard, score
-from .numerics import bisect_root, gauss_rule, geometric_breaks, tensor_rule
+from .numerics import bisect_root, composite_rule, gauss_rule, geometric_breaks
 
 DEFAULT_GRID_SIZE = 101
 _SCAN_POINTS = 257
+# points per batched marginal evaluation: bounds the temporaries of the
+# marginal callables and of the audit's cross tensor
+_CHUNK_POINTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,9 @@ class ThresholdMechanism:
     strikes: np.ndarray
     upfront: Optional[np.ndarray] = None
     box_top: Optional[np.ndarray] = None
+    # percentile rules of the menu cells (see _panels); copies made with
+    # dataclasses.replace share them
+    _rules: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         grid = np.asarray(self.gamma_grid, dtype=float)
@@ -112,51 +123,81 @@ class InterimUtilityCurve:
 # ---------------------------------------------------------------------------
 
 
-def virtual_value(model: JointModel, j: int, gamma: float, theta_j):
+def virtual_value(model: JointModel, j: int, gamma, theta_j):
     """Pointwise marginal revenue of good j: theta plus the rent distortion.
 
     Equals theta at the top type (zero hazard) and for type-independent
-    marginals (zero impulse).
+    marginals (zero impulse).  An array ``gamma`` broadcasts against
+    ``theta_j``.
     """
     h = hazard(model.prior, gamma)
     t = np.asarray(theta_j, dtype=float)
     return t + np.asarray(model.marginals[j].impulse(t, gamma), dtype=float) * h
 
 
-def _solve_strike(model: JointModel, j: int, gamma: float, tol: float) -> float:
-    lo, hi = model.marginals[j].support
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    phi = np.asarray(virtual_value(model, j, gamma, grid), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(phi))))
+def _marginal_groups(model: JointModel) -> list:
+    """Goods grouped by marginal object, in order: [(marginal, [j, ...])]."""
+    groups: dict = {}
+    for j, m in enumerate(model.marginals):
+        groups.setdefault(id(m), (m, []))[1].append(j)
+    return list(groups.values())
+
+
+def _by_marginal(model: JointModel, goods, method: str, x, gamma) -> np.ndarray:
+    """A marginal method on ``(x, gamma)`` row by row, each row under the
+    marginal of its good ``goods[r]``; one call per distinct marginal."""
+    out = np.empty(np.broadcast(x, gamma).shape)
+    step = max(1, _CHUNK_POINTS * len(out) // max(out.size, 1))
+    for m, js in _marginal_groups(model):
+        rows = np.flatnonzero(np.isin(goods, js))
+        for part in np.split(rows, np.arange(step, len(rows), step)):
+            out[part] = getattr(m, method)(x[part], gamma[part])
+    return out
+
+
+def _sign_scan(phi: np.ndarray):
+    """Per row of virtual values on an ascending theta scan: the index of
+    the first nonnegative value (the row length when there is none), and
+    the index of the first later value back below zero beyond roundoff
+    (-1 when the row crosses zero once)."""
+    k = phi.shape[-1]
+    scale = np.maximum(1.0, np.max(np.abs(phi), axis=-1, keepdims=True))
     nonneg = phi >= 0.0
-    if nonneg.any():
-        first = int(np.argmax(nonneg))
-        if np.any(phi[first:] < -1e-9 * scale):
-            back = first + int(np.argmax(phi[first:] < -1e-9 * scale))
-            raise RegularityError(
-                f"virtual value of good {j} re-crosses zero at gamma={gamma}, "
-                f"theta={grid[back]}"
-            )
-        if first == 0:
-            return lo
-        return bisect_root(
-            lambda t: float(virtual_value(model, j, gamma, t)),
-            float(grid[first - 1]),
-            float(grid[first]),
-            tol=tol,
+    first = np.where(nonneg.any(axis=-1), np.argmax(nonneg, axis=-1), k)
+    back = (np.arange(k) >= first[..., None]) & (phi < -1e-9 * scale)
+    return first, np.where(back.any(axis=-1), np.argmax(back, axis=-1), -1)
+
+
+def _strike_path(model: JointModel, j: int, gammas: np.ndarray, tol: float) -> np.ndarray:
+    """Zero of good j's virtual value for every type: one scan over a
+    (types x _SCAN_POINTS) array, then one batched bisection."""
+    lo, hi = model.marginals[j].support
+    thetas = np.linspace(lo, hi, _SCAN_POINTS)
+    first, back = _sign_scan(virtual_value(model, j, gammas[:, None], thetas))
+    if np.any(back >= 0):
+        i = int(np.argmax(back >= 0))
+        raise RegularityError(
+            f"virtual value of good {j} re-crosses zero at gamma={gammas[i]}, "
+            f"theta={thetas[back[i]]}"
         )
-    return hi
+    out = np.where(first == 0, lo, hi)
+    cut = (first > 0) & (first < _SCAN_POINTS)
+    if np.any(cut):
+        g = gammas[cut]
+        out[cut] = bisect_root(lambda t: virtual_value(model, j, g, t),
+                               thetas[first[cut] - 1], thetas[first[cut]], tol=tol)
+    return out
 
 
 def solve_thresholds(
     model: JointModel,
     gamma_grid=None,
     quad: QuadSpec = QuadSpec(),
-    threads: int = 1,
 ) -> ThresholdMechanism:
     """Strike prices per grid type: the zero of each good's virtual value
     over the enclosing box, clipped to a box endpoint when the sign is
-    constant.  Fees are left unfilled.
+    constant.  Fees are left unfilled.  Goods sharing one marginal share
+    one strike path, solved once.
 
     A strike may lie below the type's own moving support (``cl_uniform``
     posts 1-gamma, below gamma once gamma > 1/2) and is deliberately not
@@ -168,20 +209,12 @@ def solve_thresholds(
     if gamma_grid is None:
         gamma_grid = np.linspace(model.prior.lo, model.prior.hi, DEFAULT_GRID_SIZE)
     gamma_grid = np.asarray(gamma_grid, dtype=float)
-
-    def solve_one(g: float) -> np.ndarray:
-        return np.array(
-            [_solve_strike(model, j, g, quad.root_tol) for j in range(model.n)]
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve_one, gamma_grid))
-    else:
-        rows = [solve_one(g) for g in gamma_grid]
+    strikes = np.empty((len(gamma_grid), model.n))
+    for _, goods in _marginal_groups(model):
+        strikes[:, goods] = _strike_path(model, goods[0], gamma_grid, quad.root_tol)[:, None]
     return ThresholdMechanism(
         gamma_grid=gamma_grid,
-        strikes=np.vstack(rows),
+        strikes=strikes,
         box_top=np.array([m.support[1] for m in model.marginals]),
     )
 
@@ -221,65 +254,81 @@ def transfer_t2(mech: ThresholdMechanism, gamma: float, theta):
 # ---------------------------------------------------------------------------
 
 
-def _gamma_panels(model: JointModel, grid: np.ndarray, order: int):
-    """Per menu cell: gamma nodes and plain dgamma weights."""
-    panels = []
-    for i in range(len(grid) - 1):
-        rule = gauss_rule(order, float(grid[i]), float(grid[i + 1]))
-        panels.append((i, rule.nodes, rule.weights))
-    return panels
+class PercentileRule:
+    """Percentile-space Gauss rules for a batch of (type, strike vector) pairs.
 
-
-def _strike_percentile(model: JointModel, j: int, p: float, gamma: float) -> float:
-    return float(np.clip(model.marginals[j].cdf(p, gamma), 0.0, 1.0))
-
-
-def _marginal_integrals(model, gamma, strikes, order):
-    """Per-good percentile-space integrals of the menu at one gamma.
-
-    Returns (E[u], E[theta * q], E[t2], rent slope) for the menu with the
-    given strike vector under F(.|gamma).
+    Entry (k, j) covers good j for type ``gamma[k]`` facing the strike
+    ``strikes[k, j]``: an ``order``-point rule on [F^j(strike | gamma), 1],
+    the percentiles where the option is exercised.  Entries whose strike
+    percentile reaches 1 carry no rule; the others are the rows of the
+    weights ``w`` and quantile nodes ``q`` (rows x order).  Each marginal
+    is evaluated once for all goods sharing it.  Fees, rent slopes, the
+    three revenues, the audit's cross rents and the surplus scale are all
+    weighted sums over these rows.
     """
-    e_u = e_thq = e_t2 = slope = 0.0
-    for j, m in enumerate(model.marginals):
-        p = float(strikes[j])
-        s = _strike_percentile(model, j, p, gamma)
-        e_t2 += p * (1.0 - s)
-        if s >= 1.0 - 1e-14:
-            continue
-        rule = gauss_rule(order, s, 1.0)
-        qvals = np.asarray(m.quantile(rule.nodes, gamma), dtype=float)
-        e_u += float(np.dot(rule.weights, qvals - p))
-        e_thq += float(np.dot(rule.weights, qvals))
-        vvals = np.asarray(m.impulse(qvals, gamma), dtype=float)
-        slope += -float(np.dot(rule.weights, vvals))
-    return e_u, e_thq, e_t2, slope
+
+    def __init__(self, model: JointModel, gamma, strikes, order: int):
+        self.model = model
+        self.gamma = np.asarray(gamma, dtype=float)
+        self.strikes = np.asarray(strikes, dtype=float)
+        s = np.empty_like(self.strikes)
+        for m, goods in _marginal_groups(model):
+            s[:, goods] = np.clip(m.cdf(self.strikes[:, goods], self.gamma[:, None]), 0.0, 1.0)
+        self.s = s
+        self.rows, self.goods = np.nonzero(s < 1.0 - 1e-14)
+        rule = gauss_rule(order, s[self.rows, self.goods], 1.0)
+        self.w = rule.weights
+        self.p = self.strikes[self.rows, self.goods][:, None]
+        self.q = self.per_row("quantile", rule.nodes)
+
+    def per_row(self, method: str, x=None) -> np.ndarray:
+        """A marginal method on the rows (``x`` defaults to ``q``)."""
+        x = self.q if x is None else x
+        return _by_marginal(self.model, self.goods, method, x, self.gamma[self.rows, None])
+
+    def integrate(self, values) -> np.ndarray:
+        """Per type: the sum over goods of the rule applied to ``values``
+        (one row per live entry)."""
+        out = np.zeros(self.s.shape)
+        out[self.rows, self.goods] = np.sum(self.w * values, axis=-1)
+        return out.sum(axis=1)
+
+    @cached_property
+    def impulse(self) -> np.ndarray:
+        """F_gamma/f at the quantile nodes."""
+        return self.per_row("impulse")
+
+    @property
+    def expected_u(self) -> np.ndarray:
+        """Expected option value E[u | gamma] of the menu."""
+        return self.integrate(self.q - self.p)
 
 
-def _menu_expected_u(model, gamma, strikes, order) -> float:
-    e_u = 0.0
-    for j, m in enumerate(model.marginals):
-        p = float(strikes[j])
-        s = _strike_percentile(model, j, p, gamma)
-        if s >= 1.0 - 1e-14:
-            continue
-        rule = gauss_rule(order, s, 1.0)
-        qvals = np.asarray(m.quantile(rule.nodes, gamma), dtype=float)
-        e_u += float(np.dot(rule.weights, qvals - p))
-    return e_u
+def _panels(model: JointModel, mech: ThresholdMechanism, quad: QuadSpec, order: int):
+    """Gauss nodes and dgamma weights, ``order`` per menu cell, and the
+    percentile rule of each node facing its cell's strikes.
+
+    Kept on the mechanism, so the fee, rent and revenue accountings of
+    one menu build each node set's rule once.
+    """
+    grid = mech.gamma_grid
+    key = (id(model), order, quad.marginal_order, grid.tobytes(), mech.strikes.tobytes())
+    hit = mech._rules.get(key)
+    if hit is None or hit[0] is not model:
+        cells = gauss_rule(order, grid[:-1], grid[1:])
+        nodes = cells.nodes.ravel()
+        strikes = mech.strikes[np.repeat(np.arange(len(grid) - 1), order)]
+        rule = PercentileRule(model, nodes, strikes, quad.marginal_order)
+        mech._rules[key] = hit = (model, (nodes, cells.weights.ravel(), rule))
+    return hit[1]
 
 
 def _rent_curve(model: JointModel, mech: ThresholdMechanism, quad: QuadSpec) -> np.ndarray:
     """Cumulative envelope integral of the rent slope along the grid."""
-    grid = mech.gamma_grid
-    values = np.zeros(len(grid))
-    for i, nodes, weights in _gamma_panels(model, grid, quad.gamma_cell_order):
-        inc = 0.0
-        for g, w in zip(nodes, weights):
-            _, _, _, sl = _marginal_integrals(model, g, mech.strikes[i], quad.marginal_order)
-            inc += w * sl
-        values[i + 1] = values[i] + inc
-    return values
+    _, weights, rule = _panels(model, mech, quad, quad.gamma_cell_order)
+    # rent slope: -E[sum_j q_j F^j_gamma / f^j | gamma]
+    inc = -np.sum((weights * rule.integrate(rule.impulse)).reshape(-1, quad.gamma_cell_order), axis=1)
+    return np.concatenate([[0.0], np.cumsum(inc)])
 
 
 def upfront_t1(
@@ -287,19 +336,16 @@ def upfront_t1(
 ) -> ThresholdMechanism:
     """Fees leaving the bottom type zero rent and local truth-telling
     binding: expected option value minus the accumulated rent."""
-    rents = _rent_curve(model, mech, quad)
-    fees = np.empty(len(mech.gamma_grid))
-    for i, g in enumerate(mech.gamma_grid):
-        fees[i] = _menu_expected_u(model, g, mech.strikes[i], quad.marginal_order) - rents[i]
-    return replace(mech, upfront=fees)
+    e_u = PercentileRule(model, mech.gamma_grid, mech.strikes, quad.marginal_order).expected_u
+    return replace(mech, upfront=e_u - _rent_curve(model, mech, quad))
 
 
 def interim_utility(
     model: JointModel, mech: ThresholdMechanism, gamma: float, quad: QuadSpec = QuadSpec()
 ) -> float:
     """Truthful rent of a type: expected option value minus its fee."""
-    e_u = _menu_expected_u(model, gamma, mech.strikes_at(gamma), quad.marginal_order)
-    return e_u - mech.t1_at(gamma)
+    rule = PercentileRule(model, [gamma], [mech.strikes_at(gamma)], quad.marginal_order)
+    return float(rule.expected_u[0]) - mech.t1_at(gamma)
 
 
 def rent_curve(
@@ -317,15 +363,11 @@ def revenue_direct(model: JointModel, mech: ThresholdMechanism, quad: QuadSpec =
     """Expected fee plus expected exercise payments."""
     if mech.upfront is None:
         raise InvalidIntervalError("fill upfront fees before computing revenue")
-    grid = mech.gamma_grid
-    gmass = np.diff(np.asarray(model.prior.cdf(grid), dtype=float))
-    total = float(np.dot(mech.upfront[:-1], gmass))
-    for i, nodes, weights in _gamma_panels(model, grid, quad.gamma_cell_order):
-        dens = np.asarray(model.prior.pdf(nodes), dtype=float)
-        for g, w, dg in zip(nodes, weights, dens):
-            _, _, e_t2, _ = _marginal_integrals(model, g, mech.strikes[i], quad.marginal_order)
-            total += w * dg * e_t2
-    return total
+    gmass = np.diff(np.asarray(model.prior.cdf(mech.gamma_grid), dtype=float))
+    nodes, weights, rule = _panels(model, mech, quad, quad.gamma_cell_order)
+    dens = np.asarray(model.prior.pdf(nodes), dtype=float)
+    e_t2 = np.sum(rule.strikes * (1.0 - rule.s), axis=1)
+    return float(np.dot(mech.upfront[:-1], gmass) + np.sum(weights * dens * e_t2))
 
 
 def revenue_impulse_form(
@@ -335,28 +377,14 @@ def revenue_impulse_form(
     dependency structure is invariant in the type."""
     if not model.invariant_flag:
         raise InvarianceRequiredError("impulse-form revenue needs invariant dependencies")
-    grid = mech.gamma_grid
-    total = 0.0
-    for i, nodes, weights in _gamma_panels(model, grid, quad.gamma_cell_order):
-        dens = np.asarray(model.prior.pdf(nodes), dtype=float)
-        for g, w, dg in zip(nodes, weights, dens):
-            hz = hazard(model.prior, g)
-            inner = 0.0
-            for j, m in enumerate(model.marginals):
-                p = float(mech.strikes[i][j])
-                s = _strike_percentile(model, j, p, g)
-                if s >= 1.0 - 1e-14:
-                    continue
-                rule = gauss_rule(quad.marginal_order, s, 1.0)
-                qvals = np.asarray(m.quantile(rule.nodes, g), dtype=float)
-                phi = qvals + np.asarray(m.impulse(qvals, g), dtype=float) * hz
-                inner += float(np.dot(rule.weights, phi))
-            total += w * dg * inner
-    return total
+    nodes, weights, rule = _panels(model, mech, quad, quad.gamma_cell_order)
+    dens = np.asarray(model.prior.pdf(nodes), dtype=float)
+    hz = np.asarray(hazard(model.prior, nodes), dtype=float)[rule.rows, None]
+    return float(np.sum(weights * dens * rule.integrate(rule.q + rule.impulse * hz)))
 
 
-def _expected_u_score(model: JointModel, gamma: float, strikes, quad: QuadSpec) -> float:
-    """E[u * score | gamma] for the menu with the given strikes.
+def _score_rents(model: JointModel, rule: PercentileRule, quad: QuadSpec) -> np.ndarray:
+    """E[u * score | gamma] per type of ``rule``, for its strikes.
 
     Pointwise score integrals need the density to be differentiable in
     gamma everywhere; moving supports carry derivative mass on their
@@ -366,59 +394,81 @@ def _expected_u_score(model: JointModel, gamma: float, strikes, quad: QuadSpec) 
     """
     if not all(m.smooth_in_gamma for m in model.marginals):
         h = 1e-6 * (model.prior.hi - model.prior.lo)
-        up = _menu_expected_u(model, gamma + h, strikes, quad.marginal_order)
-        dn = _menu_expected_u(model, gamma - h, strikes, quad.marginal_order)
-        return (up - dn) / (2.0 * h)
-    independent = model.n == 1 or isinstance(model.copula, IndependenceCopula)
-    if independent and all(
-        m.dcdf_dgamma is not None and m.dpdf_dgamma is not None for m in model.marginals
-    ):
+        up, dn = (PercentileRule(model, rule.gamma + d, rule.strikes, quad.marginal_order)
+                  for d in (h, -h))
+        return (up.expected_u - dn.expected_u) / (2.0 * h)
+    derivs = all(m.dcdf_dgamma is not None and m.dpdf_dgamma is not None
+                 for m in model.marginals)
+    if derivs and (model.n == 1 or isinstance(model.copula, IndependenceCopula)):
         # cross terms E[u_j] E[score_k] vanish since each marginal score
         # integrates to zero; only matched-good terms remain
-        total = 0.0
-        for j, m in enumerate(model.marginals):
-            p = float(strikes[j])
-            s = _strike_percentile(model, j, p, gamma)
-            if s >= 1.0 - 1e-14:
-                continue
-            rule = gauss_rule(quad.marginal_order, s, 1.0)
-            qvals = np.asarray(m.quantile(rule.nodes, gamma), dtype=float)
-            sj = (np.asarray(m.dpdf_dgamma(qvals, gamma), dtype=float)
-                  / np.asarray(m.pdf(qvals, gamma), dtype=float))
-            total += float(np.dot(rule.weights, (qvals - p) * sj))
-        return total
-    # joint percentile-space integral with grading toward the cube corners
-    breaks = []
-    graded = geometric_breaks(depth=quad.corner_depth)
-    for j, m in enumerate(model.marginals):
-        s = _strike_percentile(model, j, float(strikes[j]), gamma)
-        pts = list(graded)
-        if 0.0 < s < 1.0:
-            pts.append(s)
-        breaks.append(pts)
-    pts, wts = tensor_rule([(0.0, 1.0)] * model.n, [quad.joint_order] * model.n, breaks)
-    theta = np.stack(
-        [np.asarray(model.marginals[j].quantile(pts[:, j], gamma), dtype=float)
-         for j in range(model.n)],
-        axis=-1,
-    )
-    u_util = np.sum(np.maximum(theta - np.asarray(strikes, dtype=float), 0.0), axis=-1)
-    svals = np.asarray(score(model, gamma, theta), dtype=float)
-    cvals = np.asarray(model.copula.density(pts, gamma), dtype=float)
-    return float(np.dot(wts, u_util * svals * cvals))
+        ratio = rule.per_row("dpdf_dgamma") / rule.per_row("pdf")
+        return rule.integrate((rule.q - rule.p) * ratio)
+    return _joint_score_rents(model, rule, quad, derivs and model.invariant_flag)
+
+
+def _joint_score_rents(model: JointModel, rule: PercentileRule, quad: QuadSpec,
+                       analytic: bool) -> np.ndarray:
+    """Joint percentile-space score integrals, one tensor grid per type,
+    graded toward the cube corners and split at the strike percentiles.
+
+    The marginal quantities are evaluated once per axis and broadcast
+    onto the grid, so only the copula terms (and the likelihood
+    difference quotient when ``analytic`` is False) see the full grid.
+    """
+    n, copula = model.n, model.copula
+    graded = list(geometric_breaks(depth=quad.corner_depth))
+
+    def spread(arrays):
+        """Per-axis arrays reshaped to broadcast over the tensor grid."""
+        return [a.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j)) for j, a in enumerate(arrays)]
+
+    def points(arrays):
+        return np.stack(np.broadcast_arrays(*spread(arrays)), axis=-1).reshape(-1, n)
+
+    rents = np.empty(len(rule.gamma))
+    # types per batch of axis evaluations, each axis about (len(graded) + 2) * order nodes
+    step = max(1, _CHUNK_POINTS // (n * (len(graded) + 2) * quad.joint_order))
+    for start in range(0, len(rule.gamma), step):
+        ks = range(start, min(start + step, len(rule.gamma)))
+        axes = [composite_rule(0.0, 1.0, quad.joint_order, graded + [s] if 0.0 < s < 1.0 else graded)
+                for k in ks for s in rule.s[k]]
+        sizes = [a.nodes.size for a in axes]
+        goods = np.repeat(np.tile(np.arange(n), len(ks)), sizes)
+        gam = np.repeat(np.repeat(rule.gamma[ks.start:ks.stop], n), sizes)
+        theta = _by_marginal(model, goods, "quantile", np.concatenate([a.nodes for a in axes]), gam)
+        fields = [theta]
+        if analytic:
+            cdf, f, df, dcdf = (_by_marginal(model, goods, name, theta, gam)
+                                for name in ("cdf", "pdf", "dpdf_dgamma", "dcdf_dgamma"))
+            if np.any(f <= 0.0):
+                raise DensityZeroError("score requested where the density vanishes")
+            fields += [cdf, df / f, dcdf]
+        per_axis = [np.split(f, np.cumsum(sizes)[:-1]) for f in fields]
+        for i, k in enumerate(ks):
+            ax, g = slice(i * n, (i + 1) * n), rule.gamma[k]
+            wts = reduce(np.multiply, spread([a.weights for a in axes[ax]]))
+            util = reduce(np.add, spread(np.maximum(t - p, 0.0)
+                                         for t, p in zip(per_axis[0][ax], rule.strikes[k])))
+            if analytic:
+                u, dlogf, dcdf = (spread(f[ax]) for f in per_axis[1:])
+                dlogc = np.asarray(copula.partial_log_density(points(u), g), dtype=float)
+                dlogc = dlogc.reshape(wts.shape + (n,))
+                svals = reduce(np.add, (dlogf[j] + dcdf[j] * dlogc[..., j] for j in range(n)))
+            else:
+                svals = np.asarray(score(model, g, points(per_axis[0][ax])), dtype=float)
+            cvals = np.asarray(copula.density(points([a.nodes for a in axes[ax]]), g), dtype=float)
+            rents[k] = np.dot(wts.ravel(), (util * svals.reshape(wts.shape)).ravel() * cvals)
+    return rents
 
 
 def revenue_functional(
     model: JointModel, mech: ThresholdMechanism, quad: QuadSpec = QuadSpec()
 ) -> float:
     """Allocated surplus minus score-weighted, hazard-weighted rents."""
-    grid = mech.gamma_grid
-    total = 0.0
-    for i, nodes, weights in _gamma_panels(model, grid, quad.gamma_cell_order):
-        dens = np.asarray(model.prior.pdf(nodes), dtype=float)
-        for g, w, dg in zip(nodes, weights, dens):
-            _, e_thq, _, _ = _marginal_integrals(model, g, mech.strikes[i], quad.marginal_order)
-            total += w * dg * e_thq
+    nodes, weights, rule = _panels(model, mech, quad, quad.gamma_cell_order)
+    dens = np.asarray(model.prior.pdf(nodes), dtype=float)
+    surplus = np.sum(weights * dens * rule.integrate(rule.q))
     # The rent term is smooth on each menu cell, and the expensive joint
     # score integral is only needed for smooth dependent families, so a
     # low-order panel per cell is enough.
@@ -428,12 +478,9 @@ def revenue_functional(
         and not isinstance(model.copula, IndependenceCopula)
     )
     rent_order = 2 if joint_path else quad.gamma_cell_order
-    for i, nodes, weights in _gamma_panels(model, grid, rent_order):
-        surv = 1.0 - np.asarray(model.prior.cdf(nodes), dtype=float)
-        for g, w, sv in zip(nodes, weights, surv):
-            rent = _expected_u_score(model, g, mech.strikes[i], quad)
-            total -= w * sv * rent
-    return total
+    nodes, weights, rule = _panels(model, mech, quad, rent_order)
+    surv = 1.0 - np.asarray(model.prior.cdf(nodes), dtype=float)
+    return float(surplus - np.sum(weights * surv * _score_rents(model, rule, quad)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +502,6 @@ def ic_audit(
     mech: ThresholdMechanism,
     gamma_grid=None,
     quad: QuadSpec = QuadSpec(),
-    threads: int = 1,
 ) -> AuditReport:
     """Cross-report rents over all grid pairs.
 
@@ -465,29 +511,16 @@ def ic_audit(
     """
     if mech.upfront is None:
         raise InvalidIntervalError("fill upfront fees before auditing")
-    if gamma_grid is None:
-        grid = mech.gamma_grid
-        menus = list(range(len(grid)))
-    else:
-        grid = np.asarray(gamma_grid, dtype=float)
-        menus = [mech.menu_index(g) for g in grid]
+    grid = mech.gamma_grid if gamma_grid is None else np.asarray(gamma_grid, dtype=float)
+    menus = np.array([mech.menu_index(g) for g in grid])
     m_count = len(grid)
-    fees = mech.upfront
-
-    def row(i: int) -> np.ndarray:
-        gi = float(grid[i])
-        vals = np.empty(m_count)
-        for jj, mj in enumerate(menus):
-            e_u = _menu_expected_u(model, gi, mech.strikes[mj], quad.marginal_order)
-            vals[jj] = e_u - fees[mj]
-        return vals
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, range(m_count)))
-    else:
-        rows = [row(i) for i in range(m_count)]
-    cross = np.vstack(rows)  # cross[i, j] = rent of type i reporting entry j
+    # one (types x menus x goods x nodes) tensor, built a block of types at a time
+    step = max(1, _CHUNK_POINTS // (m_count * model.n * quad.marginal_order))
+    e_u = [PercentileRule(model, np.repeat(grid[i:i + step], m_count),
+                          mech.strikes[np.tile(menus, len(grid[i:i + step]))],
+                          quad.marginal_order).expected_u for i in range(0, m_count, step)]
+    # cross[i, j] = rent of type i reporting entry j
+    cross = np.concatenate(e_u).reshape(m_count, m_count) - mech.upfront[menus]
     truthful = np.diag(cross).copy()
     gains = cross - truthful[:, None]
     worst = int(np.argmax(gains))
@@ -523,33 +556,25 @@ def regularity_report(model: JointModel, gamma_grid=None, theta_points: int = 12
     for j, m in enumerate(model.marginals):
         lo, hi = m.support
         thetas = np.linspace(lo, hi, theta_points)
-        prev_phi = None
-        for g in gamma_grid:
-            fg = np.asarray(m.F_gamma(thetas, g), dtype=float)
-            k = int(np.argmax(fg))
-            if fg[k] > worst_fg:
-                worst_fg = float(fg[k])
-                locations["f_gamma"] = {"good": j, "gamma": float(g), "theta": float(thetas[k])}
-            phi = np.asarray(virtual_value(model, j, g, thetas), dtype=float)
-            scale = max(1.0, float(np.max(np.abs(phi))))
-            nonneg = phi >= 0.0
-            if nonneg.any():
-                first = int(np.argmax(nonneg))
-                if np.any(phi[first:] < -1e-9 * scale):
-                    k2 = first + int(np.argmax(phi[first:] < -1e-9 * scale))
-                    crossings.append(
-                        {"good": j, "gamma": float(g), "theta": float(thetas[k2]),
-                         "value": float(phi[k2])}
-                    )
-            if prev_phi is not None:
-                d = float(np.min(phi - prev_phi))
-                if d < worst_mono:
-                    worst_mono = d
-                    k3 = int(np.argmin(phi - prev_phi))
-                    locations["gamma_monotonicity"] = {
-                        "good": j, "gamma": float(g), "theta": float(thetas[k3])
-                    }
-            prev_phi = phi
+        fg = np.asarray(m.F_gamma(thetas, gamma_grid[:, None]), dtype=float)
+        i, k = np.unravel_index(np.argmax(fg), fg.shape)
+        if fg[i, k] > worst_fg:
+            worst_fg = float(fg[i, k])
+            locations["f_gamma"] = {"good": j, "gamma": float(gamma_grid[i]),
+                                    "theta": float(thetas[k])}
+        phi = np.asarray(virtual_value(model, j, gamma_grid[:, None], thetas), dtype=float)
+        _, back = _sign_scan(phi)
+        for i in np.flatnonzero(back >= 0):
+            crossings.append({"good": j, "gamma": float(gamma_grid[i]),
+                              "theta": float(thetas[back[i]]), "value": float(phi[i, back[i]])})
+        if len(gamma_grid) > 1:
+            rise = phi[1:] - phi[:-1]
+            i, k = np.unravel_index(np.argmin(rise), rise.shape)
+            if rise[i, k] < worst_mono:
+                worst_mono = float(rise[i, k])
+                locations["gamma_monotonicity"] = {
+                    "good": j, "gamma": float(gamma_grid[i + 1]), "theta": float(thetas[k])
+                }
     tol = 1e-9
     ok = worst_fg <= tol and worst_mono >= -tol and not crossings
     return RegularityReport(
@@ -564,19 +589,15 @@ def regularity_report(model: JointModel, gamma_grid=None, theta_points: int = 12
 def max_cycle_gain(q_fn, cycles) -> float:
     """Worst cycle sum sum_i q(theta_i) . (theta_{i+1} - theta_i).
 
+    ``cycles`` is a (count, length, n) array of valuation cycles and
+    ``q_fn`` maps an array of valuations (..., n) to allocations (..., n).
     Nonpositive (up to roundoff) exactly when the allocation is the
     gradient of a convex option value.
     """
-    worst = -np.inf
-    for cyc in cycles:
-        cyc = np.asarray(cyc, dtype=float)
-        total = 0.0
-        k = cyc.shape[0]
-        for i in range(k):
-            q = np.asarray(q_fn(cyc[i]), dtype=float)
-            total += float(np.dot(q, cyc[(i + 1) % k] - cyc[i]))
-        worst = max(worst, total)
-    return float(worst)
+    cyc = np.asarray(cycles, dtype=float)
+    steps = np.roll(cyc, -1, axis=1) - cyc
+    sums = np.sum(np.asarray(q_fn(cyc), dtype=float) * steps, axis=(1, 2))
+    return float(np.max(sums, initial=-np.inf))
 
 
 def cyclic_monotonicity_check(mech: ThresholdMechanism, gamma: float, cycles) -> float:
@@ -584,13 +605,13 @@ def cyclic_monotonicity_check(mech: ThresholdMechanism, gamma: float, cycles) ->
     return max_cycle_gain(lambda th: mech.allocation(gamma, th), cycles)
 
 
-def random_cycles(box, count: int, length: int, stream) -> list:
-    """Deterministic batch of valuation cycles inside the box."""
+def random_cycles(box, count: int, length: int, stream) -> np.ndarray:
+    """Deterministic batch of valuation cycles inside the box, shape
+    (count, length, n)."""
     from .numerics import uniform_draws
 
     n = len(box)
     draws = uniform_draws(stream, count * length, n)
     los = np.array([b[0] for b in box])
     his = np.array([b[1] for b in box])
-    pts = los + draws * (his - los)
-    return [pts[i * length:(i + 1) * length] for i in range(count)]
+    return (los + draws * (his - los)).reshape(count, length, n)

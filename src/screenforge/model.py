@@ -26,9 +26,8 @@ from .errors import (
     DensityZeroError,
     InvalidIntervalError,
     InvarianceRequiredError,
-    QuantileError,
 )
-from .numerics import DEFAULT_FD_STEP_FRACTION, bisect_root, tensor_integrate
+from .numerics import DEFAULT_FD_STEP_FRACTION, tensor_integrate
 
 _FD_GAMMA_STEP = 1e-6
 
@@ -83,14 +82,16 @@ def truncated_exponential_prior(rate: float, lo: float, hi: float) -> GammaPrior
     return GammaPrior(lo, hi, cdf, pdf, label=f"exp({rate})[{lo},{hi}]")
 
 
-def hazard(prior: GammaPrior, gamma: float) -> float:
-    """Inverse hazard rate (1 - G(gamma)) / g(gamma) of the type prior."""
-    g = float(prior.pdf(gamma))
-    if g <= 0.0:
-        if float(prior.cdf(gamma)) >= 1.0:
-            return 0.0
+def hazard(prior: GammaPrior, gamma):
+    """Inverse hazard rate (1 - G(gamma)) / g(gamma) of the type prior,
+    elementwise over an array ``gamma``; zero where no mass is left."""
+    g = np.asarray(prior.pdf(gamma), dtype=float)
+    surv = 1.0 - np.asarray(prior.cdf(gamma), dtype=float)
+    dead = g <= 0.0
+    if np.any(dead & (surv > 0.0)):
         raise DensityZeroError(f"prior density vanishes at gamma={gamma}")
-    return float((1.0 - prior.cdf(gamma)) / g)
+    out = np.where(dead, 0.0, surv / np.where(dead, 1.0, g))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +103,10 @@ def hazard(prior: GammaPrior, gamma: float) -> float:
 class ConditionalMarginal:
     """One good's valuation distribution conditional on the type.
 
-    ``cdf``, ``pdf`` and the optional derivative/quantile callables take
-    ``(theta, gamma)`` with ``theta`` vectorized and ``gamma`` scalar.
+    ``cdf``, ``pdf``, ``quantile_fn`` and the optional derivative
+    callables take ``(theta, gamma)`` (``(p, gamma)`` for the quantile)
+    and broadcast: ``gamma`` may be an array of types shaped to broadcast
+    against ``theta``, e.g. (T, 1) against (T, K) or (K,).
     ``impulse_fn`` supplies F_gamma/f extended continuously to the whole
     box (needed where the density vanishes off a moving support).
     """
@@ -111,9 +114,9 @@ class ConditionalMarginal:
     support: tuple
     cdf: Callable
     pdf: Callable
+    quantile_fn: Callable
     dcdf_dgamma: Optional[Callable] = None
     dpdf_dgamma: Optional[Callable] = None
-    quantile_fn: Optional[Callable] = None
     effective_fn: Optional[Callable] = None
     impulse_fn: Optional[Callable] = None
     # True when the density is differentiable in gamma pointwise on the
@@ -127,13 +130,13 @@ class ConditionalMarginal:
         if not lo < hi:
             raise InvalidIntervalError("marginal support is degenerate")
 
-    def effective_support(self, gamma: float) -> tuple:
+    def effective_support(self, gamma) -> tuple:
         """Interval where the conditional density is positive."""
         if self.effective_fn is None:
             return self.support
         return self.effective_fn(gamma)
 
-    def F_gamma(self, theta, gamma: float):
+    def F_gamma(self, theta, gamma):
         """Type-derivative of the conditional cdf (analytic or central FD)."""
         if self.dcdf_dgamma is not None:
             return self.dcdf_dgamma(theta, gamma)
@@ -141,7 +144,7 @@ class ConditionalMarginal:
         return (np.asarray(self.cdf(theta, gamma + h), dtype=float)
                 - np.asarray(self.cdf(theta, gamma - h), dtype=float)) / (2.0 * h)
 
-    def impulse(self, theta, gamma: float):
+    def impulse(self, theta, gamma):
         """F_gamma/f, the valuation response to a type shift."""
         if self.impulse_fn is not None:
             return self.impulse_fn(theta, gamma)
@@ -150,36 +153,17 @@ class ConditionalMarginal:
             raise DensityZeroError("impulse requested where the density vanishes")
         return np.asarray(self.F_gamma(theta, gamma), dtype=float) / dens
 
-    def quantile(self, p, gamma: float):
+    def quantile(self, p, gamma):
         """Inverse conditional cdf; p = 0/1 map to the box endpoints."""
         p = np.asarray(p, dtype=float)
         lo, hi = self.support
-        if self.quantile_fn is not None:
-            interior = self.quantile_fn(np.clip(p, 1e-300, 1.0 - 1e-16), gamma)
-        else:
-            interior = self._quantile_bisect(p, gamma)
+        interior = self.quantile_fn(np.clip(p, 1e-300, 1.0 - 1e-16), gamma)
         out = np.where(p <= 0.0, lo, np.where(p >= 1.0, hi, interior))
         return out if out.ndim else float(out)
 
-    def _quantile_bisect(self, p, gamma: float):
-        lo, hi = self.support
-        flat = np.atleast_1d(p).ravel()
-        vals = np.empty_like(flat)
-        for i, pi in enumerate(flat):
-            if pi <= 0.0:
-                vals[i] = lo
-            elif pi >= 1.0:
-                vals[i] = hi
-            else:
-                try:
-                    vals[i] = bisect_root(
-                        lambda t: float(self.cdf(t, gamma)) - pi, lo, hi, tol=1e-12
-                    )
-                except Exception as exc:  # noqa: BLE001 - rewrap with context
-                    raise QuantileError(
-                        f"quantile inversion failed at p={pi}, gamma={gamma}"
-                    ) from exc
-        return vals.reshape(np.shape(p))
+
+def _zeros(t, g):
+    return np.zeros(np.broadcast(np.asarray(t, dtype=float), np.asarray(g)).shape)
 
 
 def shifted_uniform_marginal(width: float = 1.0, box: tuple = (0.0, 2.0)) -> ConditionalMarginal:
@@ -196,9 +180,6 @@ def shifted_uniform_marginal(width: float = 1.0, box: tuple = (0.0, 2.0)) -> Con
         t = np.asarray(t, dtype=float)
         return np.where((t >= g) & (t <= g + width), -1.0 / width, 0.0)
 
-    def dpdf(t, g):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
     def quant(p, g):
         return g + width * np.asarray(p, dtype=float)
 
@@ -207,10 +188,10 @@ def shifted_uniform_marginal(width: float = 1.0, box: tuple = (0.0, 2.0)) -> Con
         cdf=cdf,
         pdf=pdf,
         dcdf_dgamma=dcdf,
-        dpdf_dgamma=dpdf,
+        dpdf_dgamma=_zeros,
         quantile_fn=quant,
         effective_fn=lambda g: (g, g + width),
-        impulse_fn=lambda t, g: np.full_like(np.asarray(t, dtype=float), -1.0),
+        impulse_fn=lambda t, g: _zeros(t, g) - 1.0,
         label=f"uniform-shift(w={width})",
     )
 
@@ -220,22 +201,20 @@ def fixed_uniform_marginal(lo: float = 0.0, hi: float = 1.0) -> ConditionalMargi
     width = hi - lo
 
     def cdf(t, g):
-        return np.clip((np.asarray(t, dtype=float) - lo) / width, 0.0, 1.0)
+        return np.clip((np.asarray(t, dtype=float) - lo) / width + _zeros(t, g), 0.0, 1.0)
 
     def pdf(t, g):
-        t = np.asarray(t, dtype=float)
+        t = np.asarray(t, dtype=float) + _zeros(t, g)
         return np.where((t >= lo) & (t <= hi), 1.0 / width, 0.0)
-
-    zeros = lambda t, g: np.zeros_like(np.asarray(t, dtype=float))
 
     return ConditionalMarginal(
         support=(lo, hi),
         cdf=cdf,
         pdf=pdf,
-        dcdf_dgamma=zeros,
-        dpdf_dgamma=zeros,
-        quantile_fn=lambda p, g: lo + width * np.asarray(p, dtype=float),
-        impulse_fn=zeros,
+        dcdf_dgamma=_zeros,
+        dpdf_dgamma=_zeros,
+        quantile_fn=lambda p, g: lo + width * np.asarray(p, dtype=float) + _zeros(p, g),
+        impulse_fn=_zeros,
         smooth_in_gamma=True,
         label=f"uniform[{lo},{hi}]",
     )

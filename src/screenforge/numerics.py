@@ -50,18 +50,21 @@ def _leggauss(order: int):
     return x, w
 
 
-def gauss_rule(order: int, lo: float, hi: float) -> QuadratureRule:
+def gauss_rule(order: int, lo, hi) -> QuadratureRule:
     """Gauss-Legendre rule with ``order`` points mapped to [lo, hi].
 
-    Exact for polynomials of degree <= 2*order - 1.
+    Exact for polynomials of degree <= 2*order - 1.  Array ``lo``/``hi``
+    broadcast together and give one rule per interval, with nodes and
+    weights of shape (..., order).
     """
     if order < 1:
         raise InvalidIntervalError(f"order must be >= 1, got {order}")
-    if not lo < hi:
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not np.all(lo < hi):
         raise InvalidIntervalError(f"need lo < hi, got [{lo}, {hi}]")
     x, w = _leggauss(int(order))
-    half = 0.5 * (hi - lo)
-    return QuadratureRule(nodes=lo + half * (x + 1.0), weights=half * w)
+    half = 0.5 * (hi - lo)[..., None]
+    return QuadratureRule(nodes=lo[..., None] + half * (x + 1.0), weights=half * w)
 
 
 def composite_rule(lo: float, hi: float, order: int, breaks=()) -> QuadratureRule:
@@ -73,19 +76,12 @@ def composite_rule(lo: float, hi: float, order: int, breaks=()) -> QuadratureRul
     """
     if not lo < hi:
         raise InvalidIntervalError(f"need lo < hi, got [{lo}, {hi}]")
-    pts = [lo, hi]
-    for b in np.atleast_1d(np.asarray(breaks, dtype=float)):
-        if lo < b < hi:
-            pts.append(float(b))
-    edges = np.unique(np.asarray(pts, dtype=float))
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b - a < 1e-15 * max(1.0, abs(a)):
-            continue
-        r = gauss_rule(order, a, b)
-        nodes.append(r.nodes)
-        weights.append(r.weights)
-    return QuadratureRule(np.concatenate(nodes), np.concatenate(weights))
+    breaks = np.atleast_1d(np.asarray(breaks, dtype=float))
+    edges = np.unique(np.concatenate([[lo, hi], breaks[(breaks > lo) & (breaks < hi)]]))
+    a, b = edges[:-1], edges[1:]
+    keep = b - a >= 1e-15 * np.maximum(1.0, np.abs(a))
+    panels = gauss_rule(order, a[keep], b[keep])
+    return QuadratureRule(panels.nodes.ravel(), panels.weights.ravel())
 
 
 def geometric_breaks(depth: int = 6, coarse=(0.1, 0.5, 0.9)) -> np.ndarray:
@@ -141,34 +137,42 @@ def tensor_integrate(f, box, orders, breaks=None) -> float:
     return float(np.dot(weights, vals))
 
 
-def bisect_root(g, lo: float, hi: float, tol: float = DEFAULT_ROOT_TOL) -> float:
+def bisect_root(g, lo, hi, tol: float = DEFAULT_ROOT_TOL):
     """Deterministic bisection for a sign change of ``g`` on [lo, hi].
 
     Accepts an exact root at either endpoint.  Raises
     :class:`BracketError` when both endpoints have the same strict sign.
-    Stops when |g| <= tol or the bracket width falls below tol.
+    Stops when g is exactly zero or the bracket width falls below tol.
+
+    Array ``lo``/``hi`` bisect many brackets at once: ``g`` then maps an
+    array of points (one per bracket) to their values, and each bracket
+    follows exactly the steps it would take alone.
     """
-    lo, hi = float(lo), float(hi)
-    if not lo < hi:
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    ev = (lambda t: g(float(t))) if scalar else g
+    a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
+    if not np.all(a < b):
         raise InvalidIntervalError(f"need lo < hi, got [{lo}, {hi}]")
-    glo, ghi = float(g(lo)), float(g(hi))
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0.0:
-        raise BracketError(f"g({lo})={glo} and g({hi})={ghi} have the same sign")
-    a, b, ga = lo, hi, glo
-    while b - a > tol:
+    ga, gb = (np.asarray(ev(v), dtype=float) for v in (a, b))
+    done = (ga == 0.0) | (gb == 0.0)
+    root = np.where(ga == 0.0, a, b)
+    if np.any(~done & (ga * gb > 0.0)):
+        k = np.argmax(~done & (ga * gb > 0.0))
+        raise BracketError(f"g({a.flat[k]})={ga.flat[k]} and g({b.flat[k]})={gb.flat[k]} "
+                           "have the same sign")
+    live = ~done & (b - a > tol)
+    while np.any(live):
         m = 0.5 * (a + b)
-        gm = float(g(m))
-        if gm == 0.0:
-            return m
-        if ga * gm < 0.0:
-            b = m
-        else:
-            a, ga = m, gm
-    return 0.5 * (a + b)
+        gm = np.asarray(ev(m), dtype=float)
+        hit = live & (gm == 0.0)
+        root, done = np.where(hit, m, root), done | hit
+        left = live & ~hit & (ga * gm < 0.0)
+        right = live & ~hit & ~left
+        b = np.where(left, m, b)
+        a, ga = np.where(right, m, a), np.where(right, gm, ga)
+        live = ~done & (b - a > tol)
+    root = np.where(done, root, 0.5 * (a + b))
+    return float(root) if scalar else root
 
 
 def fd_partial(f, point, axis: int, step: float, bounds=None) -> float:

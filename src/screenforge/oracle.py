@@ -750,18 +750,19 @@ def evaluate_mechanism(instance: DiscreteInstance, mech: DiscreteMechanism) -> E
     truthful = _truthful_values(instance, mech)
     ir_violation = float(np.maximum(-truthful, 0.0).max())
     theta = instance.cell_values
-    ic2 = -np.inf
-    for m in range(instance.n_types):
-        w = theta @ mech.q[m].T - mech.t2[m][None, :]
-        own = np.diag(w)
-        ic2 = max(ic2, float(np.max(w - own[:, None])))
-    ic1 = -np.inf
+    ic1 = ic2 = -np.inf
     if mech.regime == "sequential":
+        # valuation reports are adapted too (good i's report cannot depend
+        # on later goods' values): IC2 is the adapted best response on the
+        # type's own menu, IC1 the one over all menus
         for m in range(instance.n_types):
-            for m_rep in range(instance.n_types):
-                val, _ = _seq_best_response(instance, mech, m, m_rep)
-                ic1 = max(ic1, val - float(truthful[m]))
+            gains = [_seq_best_response(instance, mech, m, m_rep)[0] - float(truthful[m])
+                     for m_rep in range(instance.n_types)]
+            ic1, ic2 = max(ic1, *gains), max(ic2, gains[m])
     else:
+        for m in range(instance.n_types):
+            w = theta @ mech.q[m].T - mech.t2[m][None, :]
+            ic2 = max(ic2, float(np.max(w - np.diag(w)[:, None])))
         for m, m_rep, _, v in _sim_separate(instance, mech):
             ic1 = max(ic1, v)
     return EvalReport(

@@ -60,6 +60,20 @@ class TestSolveCommand:
         rep = json.loads((tmp_path / "out" / "regularity.json").read_text())
         assert not rep["ok"]
 
+    @pytest.mark.parametrize("command,section", [
+        ("solve", {"gamma_grid": "abc"}),
+        ("sample", {"count": "many"}),
+        ("audit", {"cycles": [5]}),
+        ("audit", {"cycle_length": 2.5}),
+        ("identity", {"points": None}),
+    ])
+    def test_bad_counts_exit_2(self, tmp_path, command, section, capsys):
+        cfg = write_config(tmp_path, **{command: section})
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_errors_exit_2(self, tmp_path):
         missing = str(tmp_path / "nope.json")
         assert run("solve", "--config", missing, "--quiet") == 2
@@ -226,6 +240,16 @@ class TestSampleCommand:
         for thetas in by_corner.values():
             assert len(thetas) == 1  # same box corner for every type
 
+    @pytest.mark.parametrize("gammas", [[7.0], [0.3, -0.1], ["low"], 0.3])
+    def test_gammas_outside_prior_exit_2(self, tmp_path, gammas, capsys):
+        # the prior of cl_uniform is [0, 1]; gamma = 7 used to write
+        # valuations near 7.3, outside the box [0, 2]
+        cfg = write_config(tmp_path, sample={"count": 10, "gammas": gammas})
+        out = tmp_path / "out"
+        assert run("sample", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert "sample.gammas" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ks_within_tolerance(self, tmp_path):
         cfg = write_config(
             tmp_path, sample={"count": 100_000, "gammas": [0.3], "corners": False}
@@ -254,16 +278,22 @@ class TestDeterminism:
         match, mismatch, errors = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
         assert not mismatch and not errors
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-        monkeypatch.delenv("SCREENFORGE_THREADS", raising=False)
-        assert run("solve", "--config", cfg, "--out", out_a, "--quiet") == 0
-        monkeypatch.setenv("SCREENFORGE_THREADS", "3")
-        assert run("solve", "--config", cfg, "--out", out_b, "--quiet") == 0
-        names = sorted(os.listdir(out_a))
-        _, mismatch, errors = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
-        assert not mismatch and not errors
+    def test_solve_matches_scalar_reference(self, tmp_path):
+        # the batched strikes and fees written by solve equal the scalar
+        # per-type code they replace
+        import scalar_reference as scalar
+        from screenforge import model as M
+
+        family = {"name": "logistic_shift", "goods": 2, "copula": {"name": "gaussian", "rho": 0.5}}
+        cfg = write_config(tmp_path, family=family, solve={"gamma_grid": 11})
+        out = str(tmp_path / "out")
+        assert run("solve", "--config", cfg, "--out", out, "--quiet") == 0
+        mech = read_mechanism_csv(os.path.join(out, "mechanism.csv"))
+        model = M.build_model(family)
+        strikes = scalar.strikes(model, mech.gamma_grid)
+        np.testing.assert_allclose(mech.strikes, strikes, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mech.upfront, scalar.fees(model, mech.gamma_grid, strikes),
+                                   rtol=0, atol=1e-12)
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write_config(tmp_path, sample={"count": 100, "gammas": [0.4]})

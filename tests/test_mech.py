@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_reference as scalar
 from screenforge import mech as X
 from screenforge import model as M
 from screenforge.errors import InvarianceRequiredError, RegularityError
@@ -181,7 +182,7 @@ class TestUpfrontFees:
 
     def test_bottom_type_fee_equals_expected_option_value(self, cl1, logi2):
         for mdl, mech in (cl1, logi2):
-            e_u = X._menu_expected_u(mdl, mech.gamma_grid[0], mech.strikes[0], 48)
+            e_u = scalar.menu_expected_u(mdl, mech.gamma_grid[0], mech.strikes[0], 48)
             assert abs(mech.upfront[0] - e_u) < 1e-12
 
     def test_rent_recomputation_matches_envelope_integral(self, cl1):
@@ -189,7 +190,7 @@ class TestUpfrontFees:
         curve = X.rent_curve(mdl, mech)
         for i in (0, 10, 50, 77, 100):
             g = mech.gamma_grid[i]
-            direct = X._menu_expected_u(mdl, g, mech.strikes[i], 48) - mech.upfront[i]
+            direct = scalar.menu_expected_u(mdl, g, mech.strikes[i], 48) - mech.upfront[i]
             assert abs(direct - curve.values[i]) < 1e-6
 
     def test_interim_utility_zero_at_bottom(self, cl1, cl2, logi2):
@@ -331,10 +332,17 @@ class TestCyclicMonotonicity:
     def test_adversarial_nonmonotone_allocation_detected(self):
         # hand-built q that sells only in a band: not a subgradient field
         def q_band(theta):
-            return np.array([1.0 if 0.5 <= theta[0] <= 1.0 else 0.0])
+            return ((theta >= 0.5) & (theta <= 1.0)).astype(float)
 
         cycle = [np.array([0.7]), np.array([1.5])]
         assert X.max_cycle_gain(q_band, [cycle]) > 0.1
+
+    def test_cycle_sums_match_pointwise_loop(self, cl2):
+        _, mech = cl2
+        cycles = X.random_cycles([(0, 2), (0, 2)], 50, 4, RngStream(seed=5, stream_id=2))
+        sums = [sum(float(np.dot(mech.allocation(0.3, c[i]), c[(i + 1) % 4] - c[i]))
+                    for i in range(4)) for c in cycles]
+        assert abs(X.cyclic_monotonicity_check(mech, 0.3, cycles) - max(sums)) < 1e-12
 
 
 class TestIcAudit:
@@ -365,12 +373,13 @@ class TestIcAudit:
         audit = X.ic_audit(mdl, broken, np.linspace(0, 1, 51))
         assert audit.max_gain > 1e-3
 
-    def test_threads_do_not_change_results(self, cl1):
-        mdl, mech = cl1
+    def test_gain_matrix_does_not_depend_on_the_batch(self, logi2):
+        # the audit of a sub-grid is the matching block of the full audit
+        mdl, mech = logi2
         grid = np.linspace(0, 1, 21)
-        a = X.ic_audit(mdl, mech, grid, threads=1)
-        b = X.ic_audit(mdl, mech, grid, threads=4)
-        np.testing.assert_array_equal(a.gain_matrix, b.gain_matrix)
+        full = X.ic_audit(mdl, mech, grid).gain_matrix
+        sub = X.ic_audit(mdl, mech, grid[::4]).gain_matrix
+        np.testing.assert_allclose(sub, full[::4, ::4], rtol=0, atol=1e-15)
 
 
 class TestEnvelopeConsistency:
@@ -384,8 +393,8 @@ class TestEnvelopeConsistency:
         for i in (10, 40, 80):
             g = 0.5 * (mech.gamma_grid[i] + mech.gamma_grid[i + 1])
             strikes = mech.strikes[i]
-            up = X._menu_expected_u(mdl, g + h, strikes, 64)
-            dn = X._menu_expected_u(mdl, g - h, strikes, 64)
+            up = scalar.menu_expected_u(mdl, g + h, strikes, 64)
+            dn = scalar.menu_expected_u(mdl, g - h, strikes, 64)
             fd_slope = (up - dn) / (2 * h)
             ref = 0.0
             for j, marg in enumerate(mdl.marginals):
@@ -396,3 +405,57 @@ class TestEnvelopeConsistency:
                     (rule.nodes - strikes[j]) * np.asarray(marg.dpdf_dgamma(rule.nodes, g)),
                 ))
             assert abs(fd_slope - ref) < 1e-4
+
+
+REFERENCE_FAMILIES = {
+    "cl_uniform": {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": 2.0}},
+    "uniform_iid": {"name": "uniform_iid", "goods": 2},
+    "logistic_shift": {"name": "logistic_shift", "goods": 2,
+                       "copula": {"name": "gaussian", "rho": 0.5}},
+    "logistic_shift-independent": {"name": "logistic_shift", "goods": 2},
+}
+
+
+class TestAgainstScalarReference:
+    """The batched accountings against the scalar per-type code they replace."""
+
+    GRID = np.linspace(0.0, 1.0, 21)
+
+    @pytest.fixture(scope="class", params=sorted(REFERENCE_FAMILIES))
+    def solved(self, request):
+        mdl = M.build_model(REFERENCE_FAMILIES[request.param])
+        return mdl, X.upfront_t1(mdl, X.solve_thresholds(mdl, self.GRID))
+
+    def test_strikes(self, solved):
+        mdl, mech = solved
+        np.testing.assert_allclose(mech.strikes, scalar.strikes(mdl, self.GRID), rtol=0, atol=1e-12)
+
+    def test_fees_and_rent_curve(self, solved):
+        mdl, mech = solved
+        np.testing.assert_allclose(X.rent_curve(mdl, mech).values,
+                                   scalar.rent_curve(mdl, self.GRID, mech.strikes), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mech.upfront, scalar.fees(mdl, self.GRID, mech.strikes),
+                                   rtol=0, atol=1e-12)
+
+    def test_revenues(self, solved):
+        mdl, mech = solved
+        assert abs(X.revenue_direct(mdl, mech) - scalar.revenue_direct(mdl, mech)) < 1e-12
+        assert abs(X.revenue_impulse_form(mdl, mech) - scalar.revenue_impulse_form(mdl, mech)) < 1e-12
+        functional, expected = X.revenue_functional(mdl, mech), scalar.revenue_functional(mdl, mech)
+        if all(m.smooth_in_gamma for m in mdl.marginals):
+            assert abs(functional - expected) < 1e-12
+        else:  # finite-difference rent path
+            assert abs(functional - expected) < 1e-9 * abs(expected)
+
+    def test_ic_audit_gain_matrix(self, solved):
+        mdl, mech = solved
+        grid = np.linspace(0.0, 1.0, 13)
+        np.testing.assert_allclose(X.ic_audit(mdl, mech, grid).gain_matrix,
+                                   scalar.gain_matrix(mdl, mech, grid), rtol=0, atol=1e-12)
+
+    def test_regularity_report_matches_per_type_scan(self, solved):
+        mdl, _ = solved
+        rep = X.regularity_report(mdl, self.GRID)
+        thetas = np.linspace(*mdl.marginals[0].support, 129)
+        fg = max(float(np.max(mdl.marginals[0].F_gamma(thetas, g))) for g in self.GRID)
+        assert rep.ok and rep.worst_f_gamma == pytest.approx(fg, abs=1e-15)

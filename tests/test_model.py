@@ -57,6 +57,36 @@ class TestHazard:
             M.hazard(prior, -0.5)
 
 
+    def test_array_gamma(self):
+        prior = M.truncated_exponential_prior(1.0, 0.0, 2.0)
+        gammas = np.array([[0.0, 0.5], [1.5, 2.0]])
+        expected = [[M.hazard(prior, g) for g in row] for row in gammas]
+        np.testing.assert_array_equal(M.hazard(prior, gammas), expected)
+        with pytest.raises(DensityZeroError):
+            M.hazard(prior, np.array([0.5, -0.5]))
+
+
+class TestMarginalBroadcast:
+    FIELDS = ("cdf", "pdf", "dcdf_dgamma", "dpdf_dgamma", "impulse", "F_gamma")
+
+    @pytest.mark.parametrize("name", M.FAMILY_NAMES)
+    def test_gamma_array_matches_scalar_rows(self, name):
+        marg = M.build_model({"name": name, "goods": 1}).marginals[0]
+        lo, hi = marg.support
+        thetas = np.linspace(lo, hi, 9)[1:-1]
+        p = np.linspace(0.05, 0.95, 7)
+        gammas = np.array([0.0, 0.3, 0.7, 1.0])
+        for field in self.FIELDS:
+            fn = getattr(marg, field)
+            batch = np.asarray(fn(thetas, gammas[:, None]))
+            assert batch.shape == (4, 7), field
+            for k, g in enumerate(gammas):
+                np.testing.assert_allclose(batch[k], fn(thetas, g), rtol=0, atol=1e-15)
+        batch = marg.quantile(p, gammas[:, None])
+        for k, g in enumerate(gammas):
+            np.testing.assert_allclose(batch[k], marg.quantile(p, g), rtol=0, atol=1e-15)
+
+
 class TestJointDensity:
     def test_independence_is_product(self):
         mdl = cl_model(2)

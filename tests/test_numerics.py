@@ -65,6 +65,18 @@ class TestGaussRule:
         assert abs(rule.integrate(poly) - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
+    def test_array_bounds_give_one_rule_per_interval(self):
+        lo, hi = np.array([0.0, 0.25, -1.0]), np.array([1.0, 0.5, 3.0])
+        rule = gauss_rule(7, lo, hi)
+        assert rule.nodes.shape == rule.weights.shape == (3, 7)
+        for k in range(3):
+            one = gauss_rule(7, lo[k], hi[k])
+            np.testing.assert_array_equal(rule.nodes[k], one.nodes)
+            np.testing.assert_array_equal(rule.weights[k], one.weights)
+        with pytest.raises(InvalidIntervalError):
+            gauss_rule(3, lo, np.array([1.0, 0.25, 3.0]))
+
+
 class TestTensorIntegrate:
     def test_constant(self):
         val = tensor_integrate(lambda p: np.ones(len(p)), [(0, 1), (0, 1)], [4, 4])
@@ -115,6 +127,22 @@ class TestBisect:
         loose = bisect_root(f, 0.0, 1.0, tol=1e-6)
         tight = bisect_root(f, 0.0, 1.0, tol=1e-12)
         assert abs(loose - tight) <= 1e-6
+
+
+    def test_array_brackets_follow_scalar_steps(self):
+        # each bracket takes the steps it would take alone, including an
+        # exact endpoint root and an exact midpoint root
+        c = np.array([0.3, 2.0, 0.0, 0.125, 5.0])
+        lo, hi = np.zeros(5), np.array([1.0, 2.0, 1.0, 1.0, 3.0])
+        roots = bisect_root(lambda x: x ** 3 - c, lo, hi, tol=1e-12)
+        alone = [bisect_root(lambda x, ck=ck: x ** 3 - ck, a, b, tol=1e-12)
+                 for ck, a, b in zip(c, lo, hi)]
+        np.testing.assert_array_equal(roots, alone)
+        assert roots[2] == 0.0 and roots[3] == 0.5
+
+    def test_array_brackets_without_sign_change(self):
+        with pytest.raises(BracketError):
+            bisect_root(lambda x: x - np.array([0.5, 2.0]), np.zeros(2), np.ones(2))
 
 
 class TestFiniteDifference:

@@ -187,6 +187,15 @@ class TestSequential:
         # good 1 may depend only on its own cell: constant across good 2
         np.testing.assert_allclose(q[:, :, 0, 0], q[:, :, 1, 0], atol=1e-12)
 
+    @pytest.mark.parametrize("cells", [3, 4])
+    def test_optimal_mechanism_has_no_adapted_ic2_gain(self, cells):
+        # full-cell misreports are not adapted deviations: the optimum
+        # admits them (readme family, 3 type cells) but no adapted one
+        inst = O.discretize(cl_model(2, {"name": "clayton", "alpha": 2.0}), 3, cells)
+        ev = O.evaluate_mechanism(inst, O.solve_sequential(inst).mechanism)
+        assert ev.ic2_violation <= 1e-9
+        assert ev.ic1_violation <= 1e-9
+
     def test_self_consistency(self):
         inst = O.discretize(cl_model(2), 2, [2, 2])
         rep = O.solve_sequential(inst)
