@@ -25,6 +25,7 @@ from .errors import ConfigError, RegularityError, ScreenforgeError
 from .numerics import RngStream, gauss_rule, uniform_draws
 
 _FLOAT_FMT = "%.17g"
+_CSV_BLOCK_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +51,14 @@ def _hash_config(raw: dict, command: str, seed: int) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+_COUNT = ("positive integers", lambda v: isinstance(v, int) and v >= 1)
+_TOLERANCE = ("finite numbers >= 0", lambda v: 0 <= v < np.inf)
+_SECTION_KEYS = {"gamma_grid": _COUNT, "count": _COUNT, "cycles": _COUNT, "cycle_length": _COUNT,
+                 "points": _COUNT, "gamma_cells": _COUNT, "divergence_tol": _TOLERANCE,
+                 "boundary_tol": _TOLERANCE, "invariance_tol": _TOLERANCE,
+                 "tolerance_gain_rel": _TOLERANCE, "ir_tol": _TOLERANCE}
+
+
 def load_config(path: str, command: str, out_override=None, seed_override=None,
                 quiet: bool = False) -> RunConfig:
     try:
@@ -57,13 +66,13 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict) or "family" not in raw:
-        raise ConfigError("config must be a JSON object with a 'family' block")
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 20240101))
-    if seed <= 0:
-        raise ConfigError("seed must be positive")
+    if not isinstance(raw, dict) or not isinstance(raw.get("family"), dict):
+        raise ConfigError("config must be a JSON object with a 'family' object")
+    seed = seed_override if seed_override is not None else raw.get("seed", 20240101)
     out_dir = str(out_override if out_override is not None else raw.get("out", "screenforge_out"))
-    section = dict(raw.get(command, {}))
+    section = raw.get(command, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{command}' must be a JSON object, got {section!r}")
     cfg = RunConfig(
         raw=raw,
         command=command,
@@ -74,13 +83,13 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
         section=section,
     )
     cfg.model = modelmod.build_model(dict(raw["family"]))
-    keys = ("gamma_grid", "count", "cycles", "cycle_length", "points", "gamma_cells")
-    counts = [(key, section[key]) for key in keys if key in section]
+    checks = [("seed", seed, _COUNT)] + [(f"{command}.{key}", section[key], rule)
+                                         for key, rule in _SECTION_KEYS.items() if key in section]
     if command == "oracle":
-        counts += _theta_cell_counts(section, cfg.model.n)
-    for key, value in counts:
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{command}.{key} must hold positive integers, got {value!r}")
+        checks += [("oracle.theta_cells", k, _COUNT) for k in _theta_cell_counts(section, cfg.model.n)]
+    for name, value, (what, valid) in checks:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not valid(value):
+            raise ConfigError(f"{name} must hold {what}, got {value!r}")
     lo, hi = cfg.model.prior.lo, cfg.model.prior.hi
     gammas = section.get("gammas", []) if command == "sample" else []
     if not isinstance(gammas, list) or not all(
@@ -98,7 +107,7 @@ def _theta_cell_counts(section: dict, n_goods: int) -> list:
     for entry in ladder if isinstance(ladder, list) else [ladder]:
         if isinstance(entry, list) and len(entry) != n_goods:
             raise ConfigError(f"oracle.theta_cells entry {entry!r} needs {n_goods} counts")
-        counts += [("theta_cells", k) for k in (entry if isinstance(entry, list) else [entry])]
+        counts += entry if isinstance(entry, list) else [entry]
     return counts
 
 
@@ -108,12 +117,13 @@ def _theta_cell_counts(section: dict, n_goods: int) -> list:
 
 
 def _write_csv(path: str, header, rows):
+    """Write a 2-D float array in row blocks, so only one block is ever Python floats."""
+    row_fmt = ",".join([_FLOAT_FMT] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                _FLOAT_FMT % v if isinstance(v, float) else str(v) for v in row
-            ) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([row_fmt % tuple(row) for row in block]))
 
 
 def _write_json(path: str, payload: dict, cfg: RunConfig):
@@ -129,11 +139,7 @@ def write_mechanism_csv(path: str, mech: mechmod.ThresholdMechanism):
     n = mech.n_goods
     header = ["gamma", "t1"] + [f"p_{j + 1}" for j in range(n)]
     fees = mech.upfront if mech.upfront is not None else np.full(len(mech.gamma_grid), np.nan)
-    rows = [
-        [float(g), float(t)] + [float(p) for p in prow]
-        for g, t, prow in zip(mech.gamma_grid, fees, mech.strikes)
-    ]
-    _write_csv(path, header, rows)
+    _write_csv(path, header, np.column_stack([mech.gamma_grid, fees, mech.strikes]))
 
 
 def read_mechanism_csv(path: str, box_top=None) -> mechmod.ThresholdMechanism:
@@ -232,11 +238,8 @@ def cmd_audit(cfg: RunConfig) -> int:
         "scale": surplus,
         "ok": ok,
     }, cfg)
-    _write_csv(
-        os.path.join(cfg.out_dir, "u_curve.csv"),
-        ["gamma", "U"],
-        [[float(g), float(u)] for g, u in zip(audit.curve.gamma_grid, audit.curve.values)],
-    )
+    _write_csv(os.path.join(cfg.out_dir, "u_curve.csv"), ["gamma", "U"],
+               np.column_stack([audit.curve.gamma_grid, audit.curve.values]))
     _say(cfg, f"max gain {audit.max_gain:.3g} (tol {gain_tol:.3g}); ok={ok}")
     return 0 if ok else 3
 
@@ -256,30 +259,24 @@ def cmd_identity(cfg: RunConfig) -> int:
     points = int(sec.get("points", 100))
     div_tol = float(sec.get("divergence_tol", 1e-4))
     bnd_tol = float(sec.get("boundary_tol", 1e-6))
-    inv_tol = float(sec.get("invariance_tol", 1e-2))
+    inv_tol = float(sec.get("invariance_tol", 1e-8))
     pair = sec.get("gamma_pair")
     rows = []
-    failed = False
     for mdl in models:
         lo, hi = mdl.prior.lo, mdl.prior.hi
         gpair = tuple(pair) if pair else (lo, hi)
         stream = RngStream(seed=cfg.seed, stream_id=7)
         draws = uniform_draws(stream, points, mdl.n + 1)
-        resids = []
-        for row in draws:
-            g = lo + (0.1 + 0.8 * row[0]) * (hi - lo)
-            z = 0.1 + 0.8 * row[1:]
-            theta = modelmod.sample_theta(mdl, g, z)
-            resids.append(modelmod.divergence_residual(mdl, g, theta))
-        resids = np.asarray(resids)
+        types = lo + (0.1 + 0.8 * draws[:, 0]) * (hi - lo)
+        theta = modelmod.sample_theta(mdl, types, 0.1 + 0.8 * draws[:, 1:])
+        resids = modelmod.divergence_residual(mdl, types, theta)
         gammas = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 9)
         bnd = max(modelmod.boundary_residual(mdl, float(g)) for g in gammas)
         inv = modelmod.invariance_residual(mdl, 9, gpair)
         ok = bool(
             (not mdl.invariant_flag)
-            or (resids.max() <= div_tol and bnd <= bnd_tol and inv <= 1e-8)
+            or (resids.max() <= div_tol and bnd <= bnd_tol and inv <= inv_tol)
         )
-        failed = failed or not ok
         rows.append({
             "family": mdl.label,
             "invariant_flag": mdl.invariant_flag,
@@ -293,6 +290,7 @@ def cmd_identity(cfg: RunConfig) -> int:
         "families": rows,
         "tolerances": {"divergence": div_tol, "boundary": bnd_tol, "invariance": inv_tol},
     }, cfg)
+    failed = not all(row["ok"] for row in rows)
     _say(cfg, f"{len(rows)} families checked; ok={not failed}")
     return 3 if failed else 0
 
@@ -301,14 +299,11 @@ def cmd_oracle(cfg: RunConfig) -> int:
     sec = cfg.section
     gcells = int(sec.get("gamma_cells", 3))
     ladder = sec.get("theta_cells", [2, 3, 4])
-    if not isinstance(ladder, list):
-        ladder = [ladder]
-    specs = [{"gamma_cells": gcells, "theta_cells": k} for k in ladder]
     table = []
     inst = None
     try:
-        for spec in specs:
-            inst = oraclemod.discretize(cfg.model, spec["gamma_cells"], spec["theta_cells"])
+        for cells in ladder if isinstance(ladder, list) else [ladder]:
+            inst = oraclemod.discretize(cfg.model, gcells, cells)
             reports = {
                 "simultaneous": oraclemod.solve_simultaneous(inst),
                 "sequential": oraclemod.solve_sequential(inst),
@@ -316,14 +311,14 @@ def cmd_oracle(cfg: RunConfig) -> int:
             }
             for regime, rep in reports.items():
                 _write_mech_table(
-                    os.path.join(cfg.out_dir, f"mech_{regime}_k{spec['theta_cells']}.csv"),
+                    os.path.join(cfg.out_dir, f"mech_{regime}_k{cells}.csv"),
                     inst, rep.mechanism,
                 )
             v_sim = reports["simultaneous"].value
             v_sep = oraclemod.separate_selling_value(inst)
             table.append({
-                "theta_cells": spec["theta_cells"],
-                "gamma_cells": spec["gamma_cells"],
+                "theta_cells": cells,
+                "gamma_cells": gcells,
                 "iterations": {k: r.iterations for k, r in reports.items()},
                 "v_simultaneous": v_sim,
                 "v_sequential": reports["sequential"].value,
@@ -350,16 +345,11 @@ def _write_mech_table(path: str, inst, mech):
     n = inst.n_goods
     header = (["gamma"] + [f"theta_{j + 1}" for j in range(n)]
               + [f"q_{j + 1}" for j in range(n)] + ["t2", "t1"])
-    reps = inst.cell_values
-    rows = []
-    for m, g in enumerate(inst.gamma_values):
-        for c in range(inst.n_cells):
-            rows.append(
-                [float(g)] + [float(v) for v in reps[c]]
-                + [float(q) for q in mech.q[m, c]]
-                + [float(mech.t2[m, c]), float(mech.t1[m])]
-            )
-    _write_csv(path, header, rows)
+    cells = inst.n_cells
+    _write_csv(path, header, np.column_stack([
+        np.repeat(inst.gamma_values, cells), np.tile(inst.cell_values, (inst.n_types, 1)),
+        mech.q.reshape(-1, n), mech.t2.reshape(-1), np.repeat(mech.t1, cells),
+    ]))
 
 
 def cmd_sample(cfg: RunConfig) -> int:
@@ -368,7 +358,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     gammas = sec.get("gammas", [0.5 * (cfg.model.prior.lo + cfg.model.prior.hi)])
     corners = bool(sec.get("corners", False))
     n = cfg.model.n
-    rows = []
+    blocks = []
     ks_rows = []
     for gi, g in enumerate(gammas):
         stream = RngStream(seed=cfg.seed, stream_id=100 + gi)
@@ -377,8 +367,7 @@ def cmd_sample(cfg: RunConfig) -> int:
             corner_z = np.array(np.meshgrid(*([[0.0, 1.0]] * n), indexing="ij")).reshape(n, -1).T
             z = np.vstack([corner_z, z])
         theta = modelmod.sample_theta(cfg.model, float(g), z)
-        for zr, tr in zip(z, theta):
-            rows.append([float(g)] + [float(v) for v in zr] + [float(v) for v in tr])
+        blocks.append(np.column_stack([np.full(len(z), float(g)), z, theta]))
         for j in range(n):
             ks_rows.append({
                 "gamma": float(g),
@@ -387,6 +376,7 @@ def cmd_sample(cfg: RunConfig) -> int:
             })
     header = (["gamma"] + [f"z_{j + 1}" for j in range(n)]
               + [f"theta_{j + 1}" for j in range(n)])
+    rows = np.vstack(blocks)
     _write_csv(os.path.join(cfg.out_dir, "draws.csv"), header, rows)
     _write_json(os.path.join(cfg.out_dir, "ks.json"),
                 {"count": count, "statistics": ks_rows}, cfg)

@@ -11,6 +11,8 @@ Each copula exposes, for a pre-contract type ``gamma``:
 
 Parameters may drift with ``gamma`` through a linear path ``base +
 slope * gamma``; a copula is invariant exactly when every slope is zero.
+``density``, ``partial_log_density`` and ``conditional_chain`` also take
+one type per point, a ``gamma`` array of shape ``u.shape[:-1]``.
 Exact 0/1 components of ``z`` are mapped to 0/1 components of ``u`` so
 corner draws stay at corners.
 """
@@ -29,15 +31,22 @@ from .numerics import gauss_rule
 _Z_CLIP = 1e-15
 
 
+def _goods_axis(param):
+    """A per-point parameter array shaped to broadcast against (..., n)."""
+    return param[..., None] if np.ndim(param) else param
+
+
 @dataclass(frozen=True)
 class ParamPath:
-    """Scalar copula parameter as an affine function of gamma."""
+    """Copula parameter base + slope * gamma; just ``base`` when invariant."""
 
     base: float
     slope: float = 0.0
 
-    def __call__(self, gamma: float) -> float:
-        return self.base + self.slope * float(gamma)
+    def __call__(self, gamma):
+        if self.slope == 0.0:
+            return self.base
+        return self.base + self.slope * np.asarray(gamma, dtype=float)
 
     @property
     def invariant(self) -> bool:
@@ -91,9 +100,9 @@ class ClaytonCopula:
     def is_gamma_invariant(self) -> bool:
         return self.alpha.invariant
 
-    def _alpha(self, gamma: float) -> float:
+    def _alpha(self, gamma):
         a = self.alpha(gamma)
-        if a <= 0:
+        if np.any(a <= 0):
             raise InvalidIntervalError(f"clayton alpha must be positive, got {a}")
         return a
 
@@ -105,24 +114,24 @@ class ClaytonCopula:
             out = np.where(np.isfinite(s), np.maximum(s, 1.0) ** (-1.0 / a), 0.0)
         return out
 
-    def density(self, u, gamma: float = 0.0):
+    def density(self, u, gamma=0.0):
         a = self._alpha(gamma)
         u = np.asarray(u, dtype=float)
         n = self.dim
         lead = math.prod(k * a + 1.0 for k in range(1, n))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            s = np.sum(u ** (-a), axis=-1) - n + 1.0
+            s = np.sum(u ** (-_goods_axis(a)), axis=-1) - n + 1.0
             out = lead * np.prod(u, axis=-1) ** (-(a + 1.0)) * s ** (-(n + 1.0 / a))
         return out
 
-    def partial_log_density(self, u, gamma: float = 0.0):
-        a = self._alpha(gamma)
+    def partial_log_density(self, u, gamma=0.0):
+        a = _goods_axis(self._alpha(gamma))
         u = np.asarray(u, dtype=float)
         n = self.dim
         s = np.sum(u ** (-a), axis=-1, keepdims=True) - n + 1.0
         return -(a + 1.0) / u + a * (n + 1.0 / a) * u ** (-(a + 1.0)) / s
 
-    def conditional_chain(self, z, gamma: float = 0.0):
+    def conditional_chain(self, z, gamma=0.0):
         a = self._alpha(gamma)
         z = np.asarray(z, dtype=float)
         zc = np.clip(z, _Z_CLIP, 1.0 - _Z_CLIP)
@@ -261,49 +270,46 @@ class GaussianCopula:
     def is_gamma_invariant(self) -> bool:
         return self.rho.invariant
 
-    def _rho(self, gamma: float) -> float:
+    def _rho(self, gamma):
         r = self.rho(gamma)
         n = self.dim
-        if not (-1.0 / (n - 1) < r < 1.0):
+        if not np.all((-1.0 / (n - 1) < r) & (r < 1.0)):
             raise InvalidIntervalError(f"equicorrelation rho {r} invalid for dim {n}")
         return r
 
-    def density(self, u, gamma: float = 0.0):
-        r = self._rho(gamma)
+    def _scores(self, u, r):
+        """Normal scores x of u and R^-1 x, by the closed form for
+        equicorrelation; row sums as products with ones, far faster than
+        numpy's reduction over a short last axis."""
         n = self.dim
-        u = np.asarray(u, dtype=float)
-        x = ndtri(np.clip(u, _Z_CLIP, 1.0 - _Z_CLIP))
-        det = (1.0 - r) ** (n - 1) * (1.0 + (n - 1) * r)
-        # (R^-1 - I) x computed via the closed form for equicorrelation;
-        # row sums as products with ones, far faster than numpy's
-        # reduction over a short last axis
+        x = ndtri(np.clip(np.asarray(u, dtype=float), _Z_CLIP, 1.0 - _Z_CLIP))
         srow = (x @ np.ones(n))[..., None]
-        rinv_x = (x - r / (1.0 + (n - 1) * r) * srow) / (1.0 - r)
-        quad = (x * (rinv_x - x)) @ np.ones(n)
-        return np.exp(-0.5 * quad) / math.sqrt(det)
+        r = _goods_axis(r)
+        return x, (x - r / (1.0 + (n - 1) * r) * srow) / (1.0 - r)
 
-    def partial_log_density(self, u, gamma: float = 0.0):
+    def density(self, u, gamma=0.0):
         r = self._rho(gamma)
         n = self.dim
-        u = np.asarray(u, dtype=float)
-        x = ndtri(np.clip(u, _Z_CLIP, 1.0 - _Z_CLIP))
-        srow = (x @ np.ones(n))[..., None]
-        rinv_x = (x - r / (1.0 + (n - 1) * r) * srow) / (1.0 - r)
+        x, rinv_x = self._scores(u, r)
+        det = (1.0 - r) ** (n - 1) * (1.0 + (n - 1) * r)
+        quad = (x * (rinv_x - x)) @ np.ones(n)
+        return np.exp(-0.5 * quad) / np.sqrt(det)
+
+    def partial_log_density(self, u, gamma=0.0):
+        x, rinv_x = self._scores(u, self._rho(gamma))
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         return -(rinv_x - x) / phi
 
-    def _cholesky(self, gamma: float) -> np.ndarray:
-        r = self._rho(gamma)
-        n = self.dim
-        corr = np.full((n, n), r)
-        np.fill_diagonal(corr, 1.0)
+    def _cholesky(self, gamma) -> np.ndarray:
+        r = np.asarray(self._rho(gamma), dtype=float)[..., None, None]
+        corr = np.where(np.eye(self.dim, dtype=bool), 1.0, r)
         return np.linalg.cholesky(corr)
 
-    def conditional_chain(self, z, gamma: float = 0.0):
+    def conditional_chain(self, z, gamma=0.0):
         z = np.asarray(z, dtype=float)
         chol = self._cholesky(gamma)
         xi = ndtri(np.clip(z, _Z_CLIP, 1.0 - _Z_CLIP))
-        x = xi @ chol.T
+        x = xi @ chol.T if chol.ndim == 2 else (chol @ xi[..., None])[..., 0]
         u = ndtr(x)
         corner = (z <= 0.0) | (z >= 1.0)
         return np.where(corner, np.clip(z, 0.0, 1.0), u)

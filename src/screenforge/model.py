@@ -403,12 +403,13 @@ def impulse_response(model: JointModel, gamma: float, theta) -> np.ndarray:
     )
 
 
-def sample_theta(model: JointModel, gamma: float, z) -> np.ndarray:
+def sample_theta(model: JointModel, gamma, z) -> np.ndarray:
     """Push uniform draws z in [0,1]^n through the conditional-quantile
     chain of the copula and then the marginal quantiles.
 
     The pushforward of the uniform cube equals F(.|gamma); components of
     z at exactly 0/1 land on the enclosing box corners for every gamma.
+    ``gamma`` may also hold one type per draw: shape (N,) with z (N, n).
     """
     z = np.asarray(z, dtype=float)
     u = model.copula.conditional_chain(z, gamma) if model.n > 1 else z.copy()
@@ -437,34 +438,36 @@ def invariance_residual(model: JointModel, grid, gamma_pair) -> float:
     return float(np.max(np.abs(c1 - c2)))
 
 
-def divergence_residual(model: JointModel, gamma: float, theta,
-                        step: float = DEFAULT_FD_STEP_FRACTION) -> float:
-    """Continuity-equation defect at an interior point.
+def divergence_residual(model: JointModel, gamma, theta,
+                        step: float = DEFAULT_FD_STEP_FRACTION):
+    """Continuity-equation defect: a float at one point, N residuals for
+    gamma of shape (N,) and theta of shape (N, n).
 
     Compares div_theta(V f) against f_gamma, both by central differences,
     where V is the per-good impulse response.  Small residuals certify
-    that rewriting rents through V is legitimate at this point.
+    that rewriting rents through V is legitimate at these points.
     """
     theta = np.asarray(theta, dtype=float)
 
     def vf_component(j, t):
         pt = theta.copy()
-        pt[j] = t
+        pt[..., j] = t
         v = np.asarray(model.marginals[j].impulse(t, gamma), dtype=float)
-        return float(v * joint_density(model, gamma, pt))
+        return v * joint_density(model, gamma, pt)
 
     div = 0.0
-    for j in range(model.n):
-        lo, hi = model.marginals[j].effective_support(gamma)
-        h = step * (model.marginals[j].support[1] - model.marginals[j].support[0])
-        if theta[j] - h < lo or theta[j] + h > hi:
+    for j, m in enumerate(model.marginals):
+        lo, hi = m.effective_support(gamma)
+        h = step * (m.support[1] - m.support[0])
+        tj = theta[..., j]
+        if np.any((tj - h < lo) | (tj + h > hi)):
             raise InvalidIntervalError("divergence stencil leaves the support interior")
-        div += (vf_component(j, theta[j] + h) - vf_component(j, theta[j] - h)) / (2.0 * h)
+        div += (vf_component(j, tj + h) - vf_component(j, tj - h)) / (2.0 * h)
     hg = step * (model.prior.hi - model.prior.lo)
-    f_up = float(joint_density(model, gamma + hg, theta))
-    f_dn = float(joint_density(model, gamma - hg, theta))
-    f_gamma = (f_up - f_dn) / (2.0 * hg)
-    return abs(div - f_gamma)
+    f_up = joint_density(model, gamma + hg, theta)
+    f_dn = joint_density(model, gamma - hg, theta)
+    out = np.abs(div - (f_up - f_dn) / (2.0 * hg))
+    return out if out.ndim else float(out)
 
 
 def boundary_residual(model: JointModel, gamma: float, use_fd: bool = False) -> float:
@@ -518,14 +521,14 @@ def build_model(config: dict) -> JointModel:
     if "name" not in config:
         raise ConfigError("family config needs a 'name'")
     name = str(config["name"]).lower()
-    goods = int(config.get("goods", 1))
-    if goods < 1:
-        raise ConfigError("goods must be >= 1")
-    cop_cfg = dict(config.get("copula", {"name": "independence"}))
-    cop_name = cop_cfg.pop("name", "independence")
+    goods = config.get("goods", 1)
+    if isinstance(goods, bool) or not isinstance(goods, int) or goods < 1:
+        raise ConfigError(f"goods must be a positive integer, got {goods!r}")
     try:
+        cop_cfg = dict(config.get("copula", {"name": "independence"}))
+        cop_name = cop_cfg.pop("name", "independence")
         copula = copulas.make_copula(cop_name, max(goods, 2), **cop_cfg)
-    except (TypeError, InvalidIntervalError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad copula config: {exc}") from exc
 
     if name == "cl_uniform":

@@ -1,16 +1,28 @@
 """Scalar reference implementations of the continuum accountings.
 
 These evaluate one type, one good and one Gauss rule at a time, the way
-the solver did before its quadrature was batched over types.  The tests
+the solver did before its quadrature was batched over types.  The same
+goes for the identity check (one point at a time), the copulas (one
+scalar parameter) and the CSV writer (one value at a time).  The tests
 check the batched code against them.
 """
 
+import math
+
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from screenforge import mech as X
 from screenforge.copulas import IndependenceCopula
-from screenforge.model import hazard, score
-from screenforge.numerics import bisect_root, gauss_rule, geometric_breaks, tensor_rule
+from screenforge.model import divergence_residual, hazard, sample_theta, score
+from screenforge.numerics import (
+    RngStream,
+    bisect_root,
+    gauss_rule,
+    geometric_breaks,
+    tensor_rule,
+    uniform_draws,
+)
 
 SCAN_POINTS = 257
 
@@ -153,3 +165,89 @@ def gain_matrix(model, mech, grid):
     cross = np.array([[menu_expected_u(model, gi, mech.strikes[mj]) - mech.upfront[mj]
                        for mj in menus] for gi in grid])
     return cross - np.diag(cross)[:, None]
+
+
+def identity_residuals(model, seed, points):
+    """The identity verb's divergence residuals, one sampled point at a time."""
+    lo, hi = model.prior.lo, model.prior.hi
+    draws = uniform_draws(RngStream(seed=seed, stream_id=7), points, model.n + 1)
+    resids = []
+    for row in draws:
+        g = lo + (0.1 + 0.8 * row[0]) * (hi - lo)
+        theta = sample_theta(model, g, 0.1 + 0.8 * row[1:])
+        resids.append(divergence_residual(model, g, theta))
+    return np.asarray(resids)
+
+
+# --- copulas with one scalar parameter -------------------------------------
+
+Z_CLIP = 1e-15
+
+
+def clayton_density(u, a, n):
+    lead = math.prod(k * a + 1.0 for k in range(1, n))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.sum(u ** (-a), axis=-1) - n + 1.0
+        return lead * np.prod(u, axis=-1) ** (-(a + 1.0)) * s ** (-(n + 1.0 / a))
+
+
+def clayton_partial_log_density(u, a, n):
+    s = np.sum(u ** (-a), axis=-1, keepdims=True) - n + 1.0
+    return -(a + 1.0) / u + a * (n + 1.0 / a) * u ** (-(a + 1.0)) / s
+
+
+def clayton_chain(z, a, n):
+    zc = np.clip(z, Z_CLIP, 1.0 - Z_CLIP)
+    u = np.empty_like(zc)
+    u[..., 0] = zc[..., 0]
+    t = u[..., 0] ** (-a)
+    for k in range(1, n):
+        u[..., k] = (t * (zc[..., k] ** (-a / (1.0 + a * k)) - 1.0) + 1.0) ** (-1.0 / a)
+        t = t + u[..., k] ** (-a) - 1.0
+    return np.where((z <= 0.0) | (z >= 1.0), np.clip(z, 0.0, 1.0), u)
+
+
+def _gaussian_scores(u, r, n):
+    x = ndtri(np.clip(u, Z_CLIP, 1.0 - Z_CLIP))
+    srow = (x @ np.ones(n))[..., None]
+    return x, (x - r / (1.0 + (n - 1) * r) * srow) / (1.0 - r)
+
+
+def gaussian_density(u, r, n):
+    x, rinv_x = _gaussian_scores(u, r, n)
+    quad = (x * (rinv_x - x)) @ np.ones(n)
+    return np.exp(-0.5 * quad) / math.sqrt((1.0 - r) ** (n - 1) * (1.0 + (n - 1) * r))
+
+
+def gaussian_partial_log_density(u, r, n):
+    x, rinv_x = _gaussian_scores(u, r, n)
+    return -(rinv_x - x) / (np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+
+
+def gaussian_chain(z, r, n):
+    corr = np.full((n, n), r)
+    np.fill_diagonal(corr, 1.0)
+    x = ndtri(np.clip(z, Z_CLIP, 1.0 - Z_CLIP)) @ np.linalg.cholesky(corr).T
+    return np.where((z <= 0.0) | (z >= 1.0), np.clip(z, 0.0, 1.0), ndtr(x))
+
+
+# --- report writer, one value at a time ------------------------------------
+
+def write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                "%.17g" % v if isinstance(v, float) else str(v) for v in row
+            ) + "\n")
+
+
+def mech_table_rows(inst, mech):
+    """Rows of an oracle mech_*.csv table, one (type, cell) pair at a time."""
+    rows = []
+    for m, g in enumerate(inst.gamma_values):
+        for c in range(inst.n_cells):
+            rows.append([float(g)] + [float(v) for v in inst.cell_values[c]]
+                        + [float(q) for q in mech.q[m, c]]
+                        + [float(mech.t2[m, c]), float(mech.t1[m])])
+    return rows

@@ -85,6 +85,45 @@ class TestSolveCommand:
         assert run("solve", "--config", str(neg), "--quiet") == 2
 
 
+    @pytest.mark.parametrize("overrides", [
+        {"solve": 5},
+        {"solve": [101]},
+        {"family": 5},
+        {"family": {"name": "cl_uniform", "goods": "two"}},
+        {"family": {"name": "cl_uniform", "goods": 2.5}},
+        {"family": {"name": "cl_uniform", "goods": 2, "copula": 5}},
+        {"family": {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": "x"}}},
+        {"seed": "abc"},
+        {"seed": 4.5},
+    ], ids=["section-int", "section-list", "family-int", "goods-str", "goods-float",
+            "copula-int", "copula-param-str", "seed-str", "seed-float"])
+    def test_malformed_config_exits_2(self, tmp_path, overrides, capsys):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert run("solve", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("identity", "divergence_tol", "abc"),
+        ("identity", "divergence_tol", -1e-4),
+        ("identity", "boundary_tol", float("nan")),
+        ("identity", "boundary_tol", None),
+        ("identity", "invariance_tol", float("inf")),
+        ("identity", "invariance_tol", True),
+        ("audit", "tolerance_gain_rel", "1e-6"),
+        ("audit", "tolerance_gain_rel", -1.0),
+        ("audit", "ir_tol", [1e-8]),
+        ("audit", "ir_tol", float("-inf")),
+    ])
+    def test_bad_tolerances_exit_2(self, tmp_path, command, key, value, capsys):
+        cfg = write_config(tmp_path, **{command: {key: value}})
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert f"{command}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAuditCommand:
     def test_solved_menu_passes(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -142,6 +181,20 @@ class TestIdentityCommand:
         assert run("identity", "--config", cfg, "--out", out, "--quiet") == 3
         rep = json.loads((tmp_path / "out" / "identity.json").read_text())
         assert not rep["families"][0]["ok"]
+
+    def test_invariance_tol_is_applied(self, tmp_path, monkeypatch):
+        # registered invariant families have a residual of exactly 0, so
+        # stand in a small one to see which tolerance decides
+        from screenforge import cli as climod
+
+        monkeypatch.setattr(climod.modelmod, "invariance_residual", lambda *a: 1e-6)
+        section = {"points": 5, "families": [{"name": "cl_uniform", "goods": 2}]}
+        cfg = write_config(tmp_path, identity=section)
+        assert run("identity", "--config", cfg, "--out", str(tmp_path / "a"), "--quiet") == 3
+        rep = json.loads((tmp_path / "a" / "identity.json").read_text())
+        assert rep["tolerances"]["invariance"] == 1e-8
+        cfg = write_config(tmp_path, identity={**section, "invariance_tol": 1e-5})
+        assert run("identity", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet") == 0
 
     def test_drifting_copula_reported_but_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, identity={
@@ -303,3 +356,76 @@ class TestDeterminism:
         ja = json.loads((tmp_path / "a" / "ks.json").read_text())
         jb = json.loads((tmp_path / "b" / "ks.json").read_text())
         assert ja["config_hash"] != jb["config_hash"]
+
+
+class TestBlockWriter:
+    """The block CSV writer against the old one-value-at-a-time writer."""
+
+    def test_block_boundaries(self, tmp_path):
+        import scalar_reference as scalar
+        from screenforge import cli as climod
+
+        rng = np.random.default_rng(3)
+        assert climod._CSV_BLOCK_ROWS == 4096
+        for count in (4095, 4096, 4097):
+            rows = rng.normal(size=(count, 4)) * 10.0 ** rng.integers(-300, 300, size=(count, 4))
+            rows[::97, 0] = np.resize([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 7.0],
+                                      len(rows[::97]))
+            header = ["a", "b", "c", "d"]
+            climod._write_csv(str(tmp_path / "new.csv"), header, rows)
+            scalar.write_csv(str(tmp_path / "old.csv"), header, rows.tolist())
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+            assert len((tmp_path / "new.csv").read_text().splitlines()) == count + 1
+
+    def test_mechanism_with_nan_fees(self, tmp_path):
+        import scalar_reference as scalar
+        from screenforge import cli as climod
+        from screenforge import mech as X
+        from screenforge import model as M
+
+        mdl = M.build_model({"name": "cl_uniform", "goods": 2})
+        mech = X.solve_thresholds(mdl, np.linspace(0.0, 1.0, 21))
+        assert mech.upfront is None
+        climod.write_mechanism_csv(str(tmp_path / "new.csv"), mech)
+        rows = [[float(g), float("nan")] + [float(p) for p in prow]
+                for g, prow in zip(mech.gamma_grid, mech.strikes)]
+        scalar.write_csv(str(tmp_path / "old.csv"), ["gamma", "t1", "p_1", "p_2"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert ",nan," in (tmp_path / "new.csv").read_text()
+
+    def test_sample_with_several_types_and_corners(self, tmp_path):
+        import scalar_reference as scalar
+        from screenforge import model as M
+        from screenforge.numerics import RngStream, uniform_draws
+
+        family = {"name": "logistic_shift", "goods": 2, "copula": {"name": "gaussian", "rho": 0.5}}
+        gammas = [0.1, 0.5, 0.9]
+        cfg = write_config(tmp_path, family=family,
+                           sample={"count": 3000, "gammas": gammas, "corners": True})
+        assert run("sample", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
+        mdl = M.build_model(family)
+        rows = []
+        for gi, g in enumerate(gammas):
+            z = np.vstack([[[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+                           uniform_draws(RngStream(seed=4242, stream_id=100 + gi), 3000, 2)])
+            theta = M.sample_theta(mdl, g, z)
+            rows += [[float(g)] + [float(v) for v in zr] + [float(v) for v in tr]
+                     for zr, tr in zip(z, theta)]
+        header = ["gamma", "z_1", "z_2", "theta_1", "theta_2"]
+        scalar.write_csv(str(tmp_path / "old.csv"), header, rows)
+        assert ((tmp_path / "out" / "draws.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    def test_oracle_mech_table(self, tmp_path):
+        import scalar_reference as scalar
+        from screenforge import cli as climod
+        from screenforge import model as M
+        from screenforge import oracle as O
+
+        mdl = M.build_model({"name": "cl_uniform", "goods": 2})
+        inst = O.discretize(mdl, 3, [2, 3])
+        mech = O.solve_relaxed(inst).mechanism
+        climod._write_mech_table(str(tmp_path / "new.csv"), inst, mech)
+        header = ["gamma", "theta_1", "theta_2", "q_1", "q_2", "t2", "t1"]
+        scalar.write_csv(str(tmp_path / "old.csv"), header, scalar.mech_table_rows(inst, mech))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

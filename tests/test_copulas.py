@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import multivariate_normal
 
+import scalar_reference as scalar
 from screenforge.copulas import (
     ClaytonCopula,
     GaussianCopula,
@@ -12,6 +13,7 @@ from screenforge.copulas import (
     bvn_upper,
     make_copula,
 )
+from screenforge.errors import InvalidIntervalError
 from screenforge.numerics import geometric_breaks, tensor_rule
 
 
@@ -134,3 +136,68 @@ class TestParameterPaths:
         assert make_copula("gaussian", 2, rho=0.1).name == "gaussian"
         with pytest.raises(Exception):
             make_copula("tawn", 2)
+
+
+class TestTypeArrays:
+    """One type per point: a gamma array of shape u.shape[:-1]."""
+
+    DRIFTING = [
+        ClaytonCopula(2, alpha=2.0, alpha_slope=1.0),
+        ClaytonCopula(3, alpha=1.5, alpha_slope=-0.8),
+        GaussianCopula(2, rho=0.2, rho_slope=0.6),
+        GaussianCopula(3, rho=-0.1, rho_slope=0.5),
+    ]
+    IDS = ["clayton2", "clayton3", "gauss2", "gauss3"]
+    METHODS = ("density", "partial_log_density", "conditional_chain")
+
+    @staticmethod
+    def points(dim, count=64, seed=8):
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.02, 0.98, size=(count, dim))
+        u[:3] = [[0.0] * dim, [1.0] * dim, [0.5] + [1.0] * (dim - 1)]  # corner draws
+        return u, rng.uniform(0.0, 1.0, size=count)
+
+    @pytest.mark.parametrize("cop", DRIFTING, ids=IDS)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_drifting_array_equals_stacked_scalar_calls(self, cop, method):
+        u, gammas = self.points(cop.dim)
+        if method != "conditional_chain":
+            u = u[3:]
+            gammas = gammas[3:]
+        fn = getattr(cop, method)
+        batched = fn(u, gammas)
+        stacked = np.stack([fn(row, float(g)) for row, g in zip(u, gammas)])
+        assert batched.shape == stacked.shape
+        np.testing.assert_allclose(batched, stacked, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("cop", DRIFTING, ids=IDS)
+    def test_drifting_parameter_checked_at_every_point(self, cop):
+        path, bad = (cop.alpha, -5.0) if cop.name == "clayton" else (cop.rho, 5.0)
+        u, gammas = self.points(cop.dim, count=8)
+        gammas[5] = (bad - path.base) / path.slope
+        with pytest.raises(InvalidIntervalError):
+            cop.density(u[3:], gammas[3:])
+
+    @pytest.mark.parametrize("cop,prefix,param", [
+        (ClaytonCopula(2, alpha=2.0), "clayton", 2.0),
+        (ClaytonCopula(3, alpha=2.0), "clayton", 2.0),
+        (GaussianCopula(2, rho=0.5), "gaussian", 0.5),
+        (GaussianCopula(3, rho=-0.3), "gaussian", -0.3),
+    ], ids=["clayton2", "clayton3", "gauss2", "gauss3"])
+    def test_invariant_bit_identical_to_scalar_reference(self, cop, prefix, param):
+        # the scalar-parameter copula code, kept in the tests, gives the
+        # same bits whether gamma is a scalar or one type per point
+        u, gammas = self.points(cop.dim, count=200)
+        for method, ref_name in (("density", "density"),
+                                 ("partial_log_density", "partial_log_density"),
+                                 ("conditional_chain", "chain")):
+            pts = u if method == "conditional_chain" else u[3:]
+            expect = getattr(scalar, f"{prefix}_{ref_name}")(pts, param, cop.dim)
+            for gamma in (0.3, gammas[:len(pts)]):
+                np.testing.assert_array_equal(getattr(cop, method)(pts, gamma), expect)
+
+    def test_independence_accepts_type_arrays(self):
+        cop = IndependenceCopula(3)
+        u, gammas = self.points(3, count=10)
+        np.testing.assert_array_equal(cop.density(u, gammas), np.ones(10))
+        np.testing.assert_array_equal(cop.conditional_chain(u, gammas), u)

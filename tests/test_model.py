@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import scalar_reference as scalar
 from screenforge import model as M
-from screenforge.errors import ConfigError, DensityZeroError
+from screenforge.errors import ConfigError, DensityZeroError, InvalidIntervalError
 from screenforge.numerics import RngStream, uniform_draws
 
 
@@ -277,6 +278,56 @@ class TestDivergenceResidual:
             theta = M.sample_theta(mdl, g, 0.2 + 0.6 * row[1:])
             worst = max(worst, M.divergence_residual(mdl, g, theta))
         assert worst > 1e-2
+
+
+class TestBatchedIdentity:
+    """The identity verb's one call per family against its old per-point loop."""
+
+    FAMILIES = [
+        {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": 2.0}},
+        {"name": "logistic_shift", "goods": 2, "copula": {"name": "gaussian", "rho": 0.5}},
+        {"name": "cl_uniform", "goods": 2,
+         "copula": {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}},
+        {"name": "logistic_shift", "goods": 2,
+         "copula": {"name": "gaussian", "rho": 0.1, "rho_slope": 0.4}},
+        {"name": "logistic_shift", "goods": 3},
+        {"name": "cl_uniform", "goods": 3, "copula": {"name": "clayton", "alpha": 1.5}},
+    ]
+
+    @staticmethod
+    def batched(mdl, seed, points):
+        lo, hi = mdl.prior.lo, mdl.prior.hi
+        draws = uniform_draws(RngStream(seed=seed, stream_id=7), points, mdl.n + 1)
+        g = lo + (0.1 + 0.8 * draws[:, 0]) * (hi - lo)
+        return M.divergence_residual(mdl, g, M.sample_theta(mdl, g, 0.1 + 0.8 * draws[:, 1:]))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=[
+        "readme-clayton", "logi-gauss", "drift-clayton", "drift-gauss", "logi3", "cl3-clayton"])
+    def test_matches_per_point_reference(self, family):
+        mdl = M.build_model(family)
+        resids = self.batched(mdl, seed=4242, points=300)
+        expect = scalar.identity_residuals(mdl, seed=4242, points=300)
+        assert resids.shape == (300,)
+        np.testing.assert_allclose(resids, expect, rtol=0.0, atol=1e-9)
+
+    def test_sampler_matches_per_draw_calls(self):
+        mdl = M.build_model(self.FAMILIES[3])
+        z = uniform_draws(RngStream(seed=5), 50, 2)
+        gammas = np.linspace(0.05, 0.95, 50)
+        expect = np.stack([M.sample_theta(mdl, float(g), row) for g, row in zip(gammas, z)])
+        np.testing.assert_allclose(M.sample_theta(mdl, gammas, z), expect, rtol=1e-14, atol=0.0)
+
+    def test_scalar_call_returns_float(self):
+        mdl = M.build_model(self.FAMILIES[0])
+        assert type(M.divergence_residual(mdl, 0.45, np.array([0.8, 1.0]))) is float
+
+    def test_stencil_outside_support_raises_for_any_point(self):
+        mdl = cl_model(2)
+        gammas = np.array([0.4, 0.5, 0.6])
+        theta = np.array([[0.8, 1.0], [0.9, 1.1], [0.6, 1.2]])  # last: 0.6 = gamma, the edge
+        with pytest.raises(InvalidIntervalError):
+            M.divergence_residual(mdl, gammas, theta)
+        assert M.divergence_residual(mdl, gammas[:2], theta[:2]).shape == (2,)
 
 
 class TestBoundaryResidual:
