@@ -43,6 +43,7 @@ class RunConfig:
     config_hash: str = ""
     model: object = None
     section: dict = field(default_factory=dict)
+    families: list = field(default_factory=list)  # identity: the models it checks
 
 
 def _hash_config(raw: dict, command: str, seed: int) -> str:
@@ -90,14 +91,27 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
     for name, value, (what, valid) in checks:
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not valid(value):
             raise ConfigError(f"{name} must hold {what}, got {value!r}")
-    lo, hi = cfg.model.prior.lo, cfg.model.prior.hi
-    gammas = section.get("gammas", []) if command == "sample" else []
-    if not isinstance(gammas, list) or not all(
-            isinstance(g, (int, float)) and not isinstance(g, bool) and lo <= g <= hi
-            for g in gammas):
-        raise ConfigError(f"sample.gammas must list types in the prior support "
-                          f"[{lo}, {hi}], got {gammas!r}")
+    if command == "identity":
+        fams = section.get("families")
+        if fams is not None and not (isinstance(fams, list) and all(isinstance(f, dict) for f in fams)):
+            raise ConfigError(f"identity.families must be a list of family objects, got {fams!r}")
+        cfg.families = [modelmod.build_model(dict(f)) for f in fams] if fams else [cfg.model]
+        if section.get("gamma_pair") is not None:
+            _check_types("identity.gamma_pair", section["gamma_pair"], cfg.families, count=2)
+    if command == "sample":
+        _check_types("sample.gammas", section.get("gammas", []), [cfg.model])
     return cfg
+
+
+def _check_types(name: str, values, models, count=None):
+    """``values`` must list types in every model's prior support, ``count`` of them if given."""
+    lo, hi = max(m.prior.lo for m in models), min(m.prior.hi for m in models)
+    if not isinstance(values, list) or (count is not None and len(values) != count) or not all(
+            isinstance(g, (int, float)) and not isinstance(g, bool) and lo <= g <= hi
+            for g in values):
+        what = "types" if count is None else f"{count} types"
+        raise ConfigError(f"{name} must list {what} in the prior support [{lo}, {hi}], "
+                          f"got {values!r}")
 
 
 def _theta_cell_counts(section: dict, n_goods: int) -> list:
@@ -143,12 +157,15 @@ def write_mechanism_csv(path: str, mech: mechmod.ThresholdMechanism):
 
 
 def read_mechanism_csv(path: str, box_top=None) -> mechmod.ThresholdMechanism:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        data = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
-    arr = np.asarray(data, dtype=float)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            data = [list(map(float, line.strip().split(","))) for line in fh if line.strip()]
+        arr = np.asarray(data, dtype=float).reshape(len(data), len(header))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read mechanism table {path}: {exc}") from exc
     n = len(header) - 2
-    if n < 1 or header[:2] != ["gamma", "t1"]:
+    if n < 1 or header[:2] != ["gamma", "t1"] or not data:
         raise ConfigError(f"{path} is not a mechanism table")
     return mechmod.ThresholdMechanism(
         gamma_grid=arr[:, 0], strikes=arr[:, 2:2 + n], upfront=arr[:, 1], box_top=box_top
@@ -254,15 +271,13 @@ def _continuum_surplus(model) -> float:
 
 def cmd_identity(cfg: RunConfig) -> int:
     sec = cfg.section
-    fams = sec.get("families")
-    models = [modelmod.build_model(dict(f)) for f in fams] if fams else [cfg.model]
     points = int(sec.get("points", 100))
     div_tol = float(sec.get("divergence_tol", 1e-4))
     bnd_tol = float(sec.get("boundary_tol", 1e-6))
     inv_tol = float(sec.get("invariance_tol", 1e-8))
     pair = sec.get("gamma_pair")
     rows = []
-    for mdl in models:
+    for mdl in cfg.families:
         lo, hi = mdl.prior.lo, mdl.prior.hi
         gpair = tuple(pair) if pair else (lo, hi)
         stream = RngStream(seed=cfg.seed, stream_id=7)
@@ -304,30 +319,24 @@ def cmd_oracle(cfg: RunConfig) -> int:
     try:
         for cells in ladder if isinstance(ladder, list) else [ladder]:
             inst = oraclemod.discretize(cfg.model, gcells, cells)
-            reports = {
-                "simultaneous": oraclemod.solve_simultaneous(inst),
-                "sequential": oraclemod.solve_sequential(inst),
-                "relaxed": oraclemod.solve_relaxed(inst),
-            }
-            for regime, rep in reports.items():
+            row = oraclemod.regime_row(inst)
+            for regime, rep in row.reports.items():
                 _write_mech_table(
                     os.path.join(cfg.out_dir, f"mech_{regime}_k{cells}.csv"),
                     inst, rep.mechanism,
                 )
-            v_sim = reports["simultaneous"].value
-            v_sep = oraclemod.separate_selling_value(inst)
             table.append({
                 "theta_cells": cells,
                 "gamma_cells": gcells,
-                "iterations": {k: r.iterations for k, r in reports.items()},
-                "v_simultaneous": v_sim,
-                "v_sequential": reports["sequential"].value,
-                "v_relaxed": reports["relaxed"].value,
-                "v_separate": v_sep,
-                "full_surplus": oraclemod.full_surplus(inst),
-                "gap_separate": v_sim - v_sep,
-                "gap_sequential": reports["sequential"].value - v_sim,
-                "gap_relaxed": reports["relaxed"].value - v_sim,
+                "iterations": {k: r.iterations for k, r in row.reports.items()},
+                "v_simultaneous": row.v_simultaneous,
+                "v_sequential": row.v_sequential,
+                "v_relaxed": row.v_relaxed,
+                "v_separate": row.v_separate,
+                "full_surplus": row.surplus,
+                "gap_separate": row.gap_separate,
+                "gap_sequential": row.gap_sequential,
+                "gap_relaxed": row.gap_relaxed,
             })
     except ScreenforgeError as exc:
         # dump the instance that failed so the run can be replayed
@@ -425,12 +434,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command, args.out, args.seed, args.quiet)
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    try:
-        return _COMMANDS[args.command](cfg)
     except RegularityError as exc:
         print(f"regularity failure: {exc}", file=sys.stderr)
         return 3

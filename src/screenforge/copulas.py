@@ -146,6 +146,7 @@ class ClaytonCopula:
         return np.where(corner, np.clip(z, 0.0, 1.0), u)
 
 
+# Kept as typed, not numerics._leggauss: its last-digit differences move the Gaussian-copula oracle values.
 _GL6_W = np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904])
 _GL6_X = np.array([0.9324695142031522, 0.6612093864662647, 0.2386191860831970])
 _GL12_W = np.array(

@@ -9,23 +9,8 @@ class InvalidIntervalError(ScreenforgeError, ValueError):
     """An interval or box argument is degenerate or reversed."""
 
 
-class EvaluationFailure(ScreenforgeError, ArithmeticError):
-    """An integrand returned a non-finite value.
-
-    Carries the offending point in ``.point``.
-    """
-
-    def __init__(self, message, point=None):
-        super().__init__(message)
-        self.point = point
-
-
 class BracketError(ScreenforgeError, ValueError):
     """Root bracketing failed: both endpoints have the same sign."""
-
-
-class DomainStencilError(ScreenforgeError, ValueError):
-    """A finite-difference stencil would leave the declared domain."""
 
 
 class DensityZeroError(ScreenforgeError, ZeroDivisionError):

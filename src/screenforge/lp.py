@@ -2,8 +2,7 @@
 
 All callers express problems as maximization with rows in
 ``A_ub x <= b_ub`` form.  Determinism contract: identical inputs (same
-row ordering) produce identical solutions; an optional lexicographic
-polish resolves degenerate ties to the componentwise-smallest optimum.
+row ordering) produce identical solutions.
 
 Two entry points share the tolerances and the status mapping:
 ``lp_solve`` solves one program from scratch, and ``LpModel`` keeps one
@@ -65,15 +64,12 @@ def lp_solve(
     b_eq=None,
     bounds=None,
     maximize: bool = True,
-    lexico: bool = False,
 ) -> LpSolution:
     """Solve max (or min) c.x subject to A_ub x <= b_ub, A_eq x = b_eq.
 
     ``bounds`` follows scipy conventions (default x >= 0).  Raises
     :class:`LpInfeasibleError` / :class:`LpUnboundedError` accordingly,
     and :class:`LpSolverError` when HiGHS stops without either verdict.
-    With ``lexico`` the optimal face is refined by minimizing x_1, then
-    x_2, ... subject to optimality, a fixed deterministic tie-break.
     """
     c = np.asarray(c, dtype=float)
     sign = -1.0 if maximize else 1.0
@@ -94,38 +90,7 @@ def lp_solve(
     if res.status != 0:
         raise LpSolverError(f"solver failure: {res.message}")
     x = np.asarray(res.x, dtype=float)
-    value = float(np.dot(c, x))
-    if not lexico:
-        return LpSolution(x=x, value=value)
-
-    # pin the objective, then minimize coordinates one at a time
-    n = len(c)
-    rows = [_as_sparse(a_ub)] if a_ub is not None else []
-    rhs = [np.asarray(b_ub, dtype=float)] if b_ub is not None else []
-    rows.append(sp.csr_matrix((sign * c).reshape(1, -1)))
-    rhs.append(np.array([sign * value + 1e-9]))
-    eqs_a = [] if a_eq is None else [_as_sparse(a_eq)]
-    eqs_b = [] if b_eq is None else [np.asarray(b_eq, dtype=float)]
-    xcur = x
-    for k in range(n):
-        ek = np.zeros(n)
-        ek[k] = 1.0
-        res_k = linprog(
-            ek,
-            A_ub=sp.vstack(rows).tocsr(),
-            b_ub=np.concatenate(rhs),
-            A_eq=sp.vstack(eqs_a).tocsr() if eqs_a else None,
-            b_eq=np.concatenate(eqs_b) if eqs_b else None,
-            bounds=bounds,
-            method="highs",
-            options=_OPTIONS,
-        )
-        if res_k.status != 0:
-            break
-        xcur = np.asarray(res_k.x, dtype=float)
-        eqs_a.append(sp.csr_matrix(ek.reshape(1, -1)))
-        eqs_b.append(np.array([float(xcur[k])]))
-    return LpSolution(x=xcur, value=float(np.dot(c, xcur)))
+    return LpSolution(x=x, value=float(np.dot(c, x)))
 
 
 def _bound_arrays(bounds, n: int):

@@ -219,31 +219,14 @@ def solve_thresholds(
     )
 
 
-def efficient_cutoff(model: JointModel, j: int) -> float:
-    """Strike implementing the surplus-efficient rule (sell iff value >= 0),
-    posted on the enclosing box."""
-    lo, hi = model.marginals[j].support
-    return float(min(max(0.0, lo), hi))
-
-
 # ---------------------------------------------------------------------------
 # pointwise menu objects
 # ---------------------------------------------------------------------------
 
 
-def utility_u(mech: ThresholdMechanism, gamma: float, theta):
-    """Option value of the menu entry: sum_j max(0, theta_j - strike_j).
-
-    Convex and componentwise 1-Lipschitz in theta by construction.
-    """
-    theta = np.asarray(theta, dtype=float)
-    p = mech.strikes_at(gamma)
-    return np.sum(np.maximum(theta - p, 0.0), axis=-1)
-
-
 def transfer_t2(mech: ThresholdMechanism, gamma: float, theta):
-    """Exercise payments: sum_j strike_j * 1{exercised}; equals
-    theta . q - u identically."""
+    """Exercise payments: sum_j strike_j * 1{exercised}; equals theta . q
+    minus the option value sum_j max(0, theta_j - strike_j) identically."""
     theta = np.asarray(theta, dtype=float)
     p = mech.strikes_at(gamma)
     return np.sum(p * mech.allocation(gamma, theta), axis=-1)
@@ -338,14 +321,6 @@ def upfront_t1(
     binding: expected option value minus the accumulated rent."""
     e_u = PercentileRule(model, mech.gamma_grid, mech.strikes, quad.marginal_order).expected_u
     return replace(mech, upfront=e_u - _rent_curve(model, mech, quad))
-
-
-def interim_utility(
-    model: JointModel, mech: ThresholdMechanism, gamma: float, quad: QuadSpec = QuadSpec()
-) -> float:
-    """Truthful rent of a type: expected option value minus its fee."""
-    rule = PercentileRule(model, [gamma], [mech.strikes_at(gamma)], quad.marginal_order)
-    return float(rule.expected_u[0]) - mech.t1_at(gamma)
 
 
 def rent_curve(

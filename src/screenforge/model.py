@@ -21,13 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import copulas
-from .errors import (
-    ConfigError,
-    DensityZeroError,
-    InvalidIntervalError,
-    InvarianceRequiredError,
-)
-from .numerics import DEFAULT_FD_STEP_FRACTION, tensor_integrate
+from .errors import ConfigError, DensityZeroError, InvalidIntervalError
+from .numerics import DEFAULT_FD_STEP_FRACTION
 
 _FD_GAMMA_STEP = 1e-6
 
@@ -63,23 +58,6 @@ def uniform_prior(lo: float = 0.0, hi: float = 1.0) -> GammaPrior:
         return np.where((g >= lo) & (g <= hi), 1.0 / width, 0.0)
 
     return GammaPrior(lo, hi, cdf, pdf, label=f"uniform[{lo},{hi}]")
-
-
-def truncated_exponential_prior(rate: float, lo: float, hi: float) -> GammaPrior:
-    if rate <= 0:
-        raise InvalidIntervalError("rate must be positive")
-    norm = np.exp(-rate * lo) - np.exp(-rate * hi)
-
-    def cdf(g):
-        g = np.clip(np.asarray(g, dtype=float), lo, hi)
-        return (np.exp(-rate * lo) - np.exp(-rate * g)) / norm
-
-    def pdf(g):
-        g = np.asarray(g, dtype=float)
-        inside = (g >= lo) & (g <= hi)
-        return np.where(inside, rate * np.exp(-rate * g) / norm, 0.0)
-
-    return GammaPrior(lo, hi, cdf, pdf, label=f"exp({rate})[{lo},{hi}]")
 
 
 def hazard(prior: GammaPrior, gamma):
@@ -385,24 +363,6 @@ def score(model: JointModel, gamma: float, theta, force_fd: bool = False) -> np.
     return (np.log(f1) - np.log(f0)) / (g1 - g0)
 
 
-def impulse_response(model: JointModel, gamma: float, theta) -> np.ndarray:
-    """Per-good valuation response F^j_gamma/f^j, shape (..., n).
-
-    Only meaningful under invariant dependencies; each component is
-    nonpositive under the regularity assumed of the marginals.
-    """
-    if not model.invariant_flag:
-        raise InvarianceRequiredError(
-            "impulse response requires an invariant dependency structure"
-        )
-    theta = np.asarray(theta, dtype=float)
-    return np.stack(
-        [np.asarray(m.impulse(theta[..., j], gamma), dtype=float)
-         for j, m in enumerate(model.marginals)],
-        axis=-1,
-    )
-
-
 def sample_theta(model: JointModel, gamma, z) -> np.ndarray:
     """Push uniform draws z in [0,1]^n through the conditional-quantile
     chain of the copula and then the marginal quantiles.
@@ -486,25 +446,6 @@ def boundary_residual(model: JointModel, gamma: float, use_fd: bool = False) -> 
     return worst
 
 
-def joint_mass(model: JointModel, gamma: float, order: int = 24) -> float:
-    """Numeric total mass of f(.|gamma) over the box (should be 1)."""
-    breaks = []
-    for m in model.marginals:
-        lo_e, hi_e = m.effective_support(gamma)
-        pts = [lo_e, hi_e]
-        # grade toward the effective corners where copula densities can blow up
-        for eps in (1e-6, 1e-4, 1e-2, 0.1):
-            pts.append(float(m.quantile(eps, gamma)))
-            pts.append(float(m.quantile(1.0 - eps, gamma)))
-        breaks.append(pts)
-    return tensor_integrate(
-        lambda pts: joint_density(model, gamma, pts),
-        model.box,
-        [order] * model.n,
-        breaks=breaks,
-    )
-
-
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
@@ -524,36 +465,30 @@ def build_model(config: dict) -> JointModel:
     goods = config.get("goods", 1)
     if isinstance(goods, bool) or not isinstance(goods, int) or goods < 1:
         raise ConfigError(f"goods must be a positive integer, got {goods!r}")
+    if name not in FAMILY_NAMES:
+        raise ConfigError(f"unknown family '{name}' (known: {FAMILY_NAMES})")
     try:
         cop_cfg = dict(config.get("copula", {"name": "independence"}))
         cop_name = cop_cfg.pop("name", "independence")
         copula = copulas.make_copula(cop_name, max(goods, 2), **cop_cfg)
+        if name == "cl_uniform":
+            marg = shifted_uniform_marginal(width=float(config.get("width", 1.0)))
+        elif name == "uniform_iid":
+            lo, hi = config.get("box", (0.0, 1.0))
+            marg = fixed_uniform_marginal(float(lo), float(hi))
+        else:
+            marg = truncated_logistic_marginal(
+                box=tuple(config.get("box", (-4.0, 5.0))),
+                loc=float(config.get("loc", 0.0)),
+                shift=float(config.get("shift", 1.0)),
+                scale=float(config.get("scale", 0.7)),
+            )
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad copula config: {exc}") from exc
-
-    if name == "cl_uniform":
-        marg = shifted_uniform_marginal(width=float(config.get("width", 1.0)))
-        marginals = [marg] * goods
-        prior = uniform_prior(0.0, 1.0)
-    elif name == "uniform_iid":
-        lo, hi = config.get("box", (0.0, 1.0))
-        marginals = [fixed_uniform_marginal(float(lo), float(hi))] * goods
-        prior = uniform_prior(0.0, 1.0)
-    elif name == "logistic_shift":
-        marg = truncated_logistic_marginal(
-            box=tuple(config.get("box", (-4.0, 5.0))),
-            loc=float(config.get("loc", 0.0)),
-            shift=float(config.get("shift", 1.0)),
-            scale=float(config.get("scale", 0.7)),
-        )
-        marginals = [marg] * goods
-        prior = uniform_prior(0.0, 1.0)
-    else:
-        raise ConfigError(f"unknown family '{name}' (known: {FAMILY_NAMES})")
+        raise ConfigError(f"bad family config: {exc}") from exc
 
     return JointModel(
-        prior=prior,
-        marginals=tuple(marginals),
+        prior=uniform_prior(0.0, 1.0),
+        marginals=(marg,) * goods,
         copula=copula,
         invariant_flag=bool(copula.is_gamma_invariant),
         label=f"{name}/{goods}g/{cop_name}",

@@ -1,24 +1,19 @@
-"""Deterministic numerical primitives: quadrature, root finding, finite
-differences, and counter-based random streams.
+"""Deterministic numerical primitives: quadrature, root finding and
+counter-based random streams.
 
 Everything here is a pure function of its inputs.  In particular the
-random streams are keyed by ``(seed, stream_id, counter)`` so parallel
-callers can split work without sharing state.
+random streams are keyed by ``(seed, stream_id, counter)``, so a draw
+depends on its key alone and never on what was drawn before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    BracketError,
-    DomainStencilError,
-    EvaluationFailure,
-    InvalidIntervalError,
-)
+from .errors import BracketError, InvalidIntervalError
 
 DEFAULT_ROOT_TOL = 1e-10
 DEFAULT_FD_STEP_FRACTION = 1e-5
@@ -118,25 +113,6 @@ def tensor_rule(box, orders, breaks=None):
     return points, weights
 
 
-def tensor_integrate(f, box, orders, breaks=None) -> float:
-    """Integrate ``f`` over a box with tensor-product Gauss quadrature.
-
-    ``f`` must accept an (N, d) array of points and return N values.
-    Non-finite evaluations raise :class:`EvaluationFailure` carrying the
-    first offending point.
-    """
-    points, weights = tensor_rule(box, orders, breaks)
-    vals = np.asarray(f(points), dtype=float).reshape(-1)
-    if vals.shape[0] != points.shape[0]:
-        raise EvaluationFailure("integrand returned a wrong number of values")
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        raise EvaluationFailure(
-            "integrand returned a non-finite value", point=points[int(np.argmax(bad))]
-        )
-    return float(np.dot(weights, vals))
-
-
 def bisect_root(g, lo, hi, tol: float = DEFAULT_ROOT_TOL):
     """Deterministic bisection for a sign change of ``g`` on [lo, hi].
 
@@ -175,34 +151,12 @@ def bisect_root(g, lo, hi, tol: float = DEFAULT_ROOT_TOL):
     return float(root) if scalar else root
 
 
-def fd_partial(f, point, axis: int, step: float, bounds=None) -> float:
-    """Central difference of ``f`` along one axis at ``point``.
-
-    ``bounds`` is an optional list of per-axis (lo, hi); when given and
-    the stencil leaves the box, :class:`DomainStencilError` is raised so
-    the caller can shrink the step or switch to a one-sided stencil.
-    """
-    point = np.asarray(point, dtype=float)
-    if step <= 0:
-        raise InvalidIntervalError("step must be positive")
-    hvec = np.zeros_like(point)
-    hvec[axis] = step
-    if bounds is not None:
-        lo, hi = bounds[axis]
-        if point[axis] - step < lo or point[axis] + step > hi:
-            raise DomainStencilError(
-                f"stencil [{point[axis] - step}, {point[axis] + step}] leaves "
-                f"axis {axis} domain [{lo}, {hi}]"
-            )
-    return float((f(point + hvec) - f(point - hvec)) / (2.0 * step))
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based random stream keyed by (seed, stream_id, counter).
 
-    The output is a pure function of the key, so distinct stream ids can
-    be handed to parallel workers with no shared state.
+    The output is a pure function of the key, so distinct stream ids give
+    each caller its own reproducible draws with no shared state.
     """
 
     seed: int
@@ -216,12 +170,6 @@ class RngStream:
         if self.counter:
             bg.advance(int(self.counter))
         return np.random.Generator(bg)
-
-    def advanced(self, steps: int) -> "RngStream":
-        return replace(self, counter=self.counter + int(steps))
-
-    def substream(self, stream_id: int) -> "RngStream":
-        return RngStream(seed=self.seed, stream_id=stream_id)
 
 
 def uniform_draws(stream: RngStream, count: int, dim: int) -> np.ndarray:

@@ -928,12 +928,27 @@ def brute_force_value(instance: DiscreteInstance) -> float:
 
 @dataclass(frozen=True)
 class RegimeRow:
-    spec: dict
-    v_simultaneous: float
-    v_sequential: float
-    v_relaxed: float
+    """The four regime values of one instance.
+
+    ``reports`` maps "simultaneous", "sequential" and "relaxed" to their
+    solve reports, in solve order; ``surplus`` is the full surplus.
+    """
+
+    reports: dict
     v_separate: float
     surplus: float
+
+    @property
+    def v_simultaneous(self) -> float:
+        return self.reports["simultaneous"].value
+
+    @property
+    def v_sequential(self) -> float:
+        return self.reports["sequential"].value
+
+    @property
+    def v_relaxed(self) -> float:
+        return self.reports["relaxed"].value
 
     @property
     def gap_separate(self) -> float:
@@ -948,26 +963,21 @@ class RegimeRow:
         return self.v_relaxed - self.v_simultaneous
 
 
+def regime_row(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> RegimeRow:
+    """Solve the simultaneous, sequential and relaxed LPs and the
+    separate-selling value of one instance, in that order."""
+    reports = {
+        "simultaneous": solve_simultaneous(instance, tol=tol),
+        "sequential": solve_sequential(instance, tol=tol),
+        "relaxed": solve_relaxed(instance),
+    }
+    return RegimeRow(reports, separate_selling_value(instance, tol=tol), full_surplus(instance))
+
+
 def compare_regimes(model: JointModel, grid_specs: Sequence[dict], tol: float = DEFAULT_TOL) -> list:
     """Solve all four values per refinement spec.
 
     Each spec is ``{"gamma_cells": int, "theta_cells": int | list}``.
     """
-    out = []
-    for spec in grid_specs:
-        inst = discretize(model, int(spec["gamma_cells"]), spec["theta_cells"])
-        sim = solve_simultaneous(inst, tol=tol)
-        seq = solve_sequential(inst, tol=tol)
-        rel = solve_relaxed(inst)
-        sep = separate_selling_value(inst, tol=tol)
-        out.append(
-            RegimeRow(
-                spec=dict(spec),
-                v_simultaneous=sim.value,
-                v_sequential=seq.value,
-                v_relaxed=rel.value,
-                v_separate=sep,
-                surplus=full_surplus(inst),
-            )
-        )
-    return out
+    return [regime_row(discretize(model, int(spec["gamma_cells"]), spec["theta_cells"]), tol)
+            for spec in grid_specs]

@@ -93,10 +93,13 @@ class TestSolveCommand:
         {"family": {"name": "cl_uniform", "goods": 2.5}},
         {"family": {"name": "cl_uniform", "goods": 2, "copula": 5}},
         {"family": {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": "x"}}},
+        {"family": {"name": "cl_uniform", "goods": 2, "width": "abc"}},
+        {"family": {"name": "logistic_shift", "goods": 2, "scale": -1}},
         {"seed": "abc"},
         {"seed": 4.5},
     ], ids=["section-int", "section-list", "family-int", "goods-str", "goods-float",
-            "copula-int", "copula-param-str", "seed-str", "seed-float"])
+            "copula-int", "copula-param-str", "width-str", "scale-negative", "seed-str",
+            "seed-float"])
     def test_malformed_config_exits_2(self, tmp_path, overrides, capsys):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -152,6 +155,17 @@ class TestAuditCommand:
         assert run("audit", "--config", cfg2, "--out", out2, "--quiet") == 3
         rep = json.loads((tmp_path / "audit2" / "audit.json").read_text())
         assert rep["max_gain"] > 1e-3 and not rep["ok"]
+
+    @pytest.mark.parametrize("table", [None, "gamma,t1,p_1\n0,0.5,1\n0.5,abc,0.5\n"],
+                             ids=["missing", "non-numeric"])
+    def test_unreadable_menu_exits_2(self, tmp_path, table, capsys):
+        path = tmp_path / "menu.csv"
+        if table is not None:
+            path.write_text(table)
+        cfg = write_config(tmp_path, audit={"mechanism_csv": str(path), "cycles": 5})
+        assert run("audit", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "menu.csv" in err
 
 
 class TestIdentityCommand:
@@ -211,6 +225,24 @@ class TestIdentityCommand:
         assert not row["invariant_flag"]
         assert row["invariance_residual"] > 1e-2
 
+    @pytest.mark.parametrize("section", [
+        {"families": [5]},
+        {"families": 5},
+        {"families": {"name": "bogus"}},
+        {"families": [{"name": "bogus"}]},
+        {"gamma_pair": 5},
+        {"gamma_pair": [0.2]},
+        {"gamma_pair": [0.2, 7.0]},
+        {"gamma_pair": ["low", "high"]},
+    ], ids=["families-int-list", "families-int", "families-object", "family-unknown",
+            "pair-int", "pair-short", "pair-outside-prior", "pair-str"])
+    def test_bad_identity_inputs_exit_2(self, tmp_path, section, capsys):
+        cfg = write_config(tmp_path, identity={"points": 5, **section})
+        out = tmp_path / "out"
+        assert run("identity", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCommand:
     def test_table_and_mech_dumps(self, tmp_path):
@@ -229,6 +261,21 @@ class TestOracleCommand:
             path = tmp_path / "out" / f"mech_{regime}_k2.csv"
             header = path.read_text().splitlines()[0]
             assert header == "gamma,theta_1,theta_2,q_1,q_2,t2,t1"
+
+    def test_report_matches_compare_regimes(self, tmp_path):
+        from screenforge import model as M
+        from screenforge import oracle as O
+
+        family = {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": 2.0}}
+        cfg = write_config(tmp_path, family=family,
+                           oracle={"gamma_cells": 3, "theta_cells": [2, 3]})
+        assert run("oracle", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
+        table = json.loads((tmp_path / "out" / "oracle.json").read_text())["refinements"]
+        rows = O.compare_regimes(M.build_model(family),
+                                 [{"gamma_cells": 3, "theta_cells": k} for k in (2, 3)])
+        keys = ("v_simultaneous", "v_sequential", "v_relaxed", "v_separate",
+                "gap_separate", "gap_sequential", "gap_relaxed")
+        assert [[r[k] for k in keys] for r in table] == [[getattr(r, k) for k in keys] for r in rows]
 
     def test_lp_failure_exits_4_and_dumps_instance(self, tmp_path, monkeypatch):
         from screenforge import cli as climod

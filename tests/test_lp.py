@@ -34,16 +34,6 @@ class TestBasics:
         assert s1.x.tobytes() == s2.x.tobytes()
 
 
-class TestDegenerateTies:
-    def test_lexicographic_pick(self):
-        # max x + y on the simplex x + y <= 1: every point of the face is
-        # optimal; the polish picks the lexicographically smallest vertex
-        sol = lp_solve([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
-                       bounds=[(0, 1)] * 2, lexico=True)
-        assert abs(sol.value - 1.0) < 1e-8
-        np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-8)
-
-
 class TestTransportToy:
     def test_two_by_two_against_enumeration(self):
         # min-cost transport, solved as max of negated cost

@@ -115,7 +115,9 @@ class TestSolveThresholds:
     def test_no_distortion_at_top(self, cl1, iid2, logi2):
         for mdl, mech in (cl1, iid2, logi2):
             for j in range(mdl.n):
-                assert abs(mech.strikes[-1, j] - X.efficient_cutoff(mdl, j)) < 1e-8
+                # the surplus-efficient strike (sell iff value >= 0), posted on the box
+                lo, hi = mdl.marginals[j].support
+                assert abs(mech.strikes[-1, j] - min(max(0.0, lo), hi)) < 1e-8
 
     def test_menu_is_piecewise_constant(self, cl1):
         _, mech = cl1
@@ -127,22 +129,26 @@ class TestSolveThresholds:
 
 
 class TestUtilityAndTransfer:
+    @staticmethod
+    def ex_post_utility(mech, gamma, theta):
+        return float(np.dot(theta, mech.allocation(gamma, theta))) - X.transfer_t2(mech, gamma, theta)
+
     def test_kink_point_zero(self, cl2):
         _, mech = cl2
         p = mech.strikes_at(0.4)
-        assert X.utility_u(mech, 0.4, p) == 0.0
+        assert self.ex_post_utility(mech, 0.4, p) == 0.0
 
     def test_single_exercised_good(self, cl2):
         _, mech = cl2
         p = mech.strikes_at(0.4)
         theta = p + np.array([0.2, -0.3])
-        assert abs(X.utility_u(mech, 0.4, theta) - 0.2) < 1e-12
+        assert abs(self.ex_post_utility(mech, 0.4, theta) - 0.2) < 1e-12
 
     def test_half_at_midpoint_menu(self, cl2):
         _, mech = cl2
         # strikes at the middle type are (0.5, 0.5)
         np.testing.assert_allclose(mech.strikes_at(0.5), [0.5, 0.5], atol=1e-8)
-        assert abs(X.utility_u(mech, 0.5, np.array([0.9, 0.6])) - 0.5) < 1e-7
+        assert abs(self.ex_post_utility(mech, 0.5, np.array([0.9, 0.6])) - 0.5) < 1e-7
 
     def test_transfer_below_and_above(self, cl2):
         _, mech = cl2
@@ -160,7 +166,8 @@ class TestUtilityAndTransfer:
         mech = X.upfront_t1(mdl, X.solve_thresholds(mdl, np.linspace(0, 1, 21)))
         theta = np.asarray(theta)
         q = mech.allocation(gamma, theta)
-        lhs = float(np.dot(theta, q)) - X.utility_u(mech, gamma, theta)
+        u = np.sum(np.maximum(theta - mech.strikes_at(gamma), 0.0))
+        lhs = float(np.dot(theta, q)) - u
         assert abs(lhs - X.transfer_t2(mech, gamma, theta)) < 1e-12
 
     def test_never_sell_strict_at_top(self):
@@ -177,8 +184,7 @@ class TestUpfrontFees:
     def test_full_extraction_when_type_independent(self, iid2):
         mdl, mech = iid2
         np.testing.assert_allclose(mech.upfront, 1.0, atol=1e-10)  # E[theta1+theta2]
-        for g in (0.0, 0.3, 0.9):
-            assert abs(X.interim_utility(mdl, mech, g)) < 1e-10
+        np.testing.assert_allclose(X.rent_curve(mdl, mech).values, 0.0, atol=1e-10)
 
     def test_bottom_type_fee_equals_expected_option_value(self, cl1, logi2):
         for mdl, mech in (cl1, logi2):
@@ -195,7 +201,7 @@ class TestUpfrontFees:
 
     def test_interim_utility_zero_at_bottom(self, cl1, cl2, logi2):
         for mdl, mech in (cl1, cl2, logi2):
-            assert abs(X.interim_utility(mdl, mech, mdl.prior.lo)) < 1e-8
+            assert abs(X.rent_curve(mdl, mech).values[0]) < 1e-8
 
     def test_rents_nondecreasing(self, cl1, logi2):
         for mdl, mech in (cl1, logi2):
