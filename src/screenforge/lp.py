@@ -111,7 +111,9 @@ class LpModel:
     ``set_rhs`` moves right-hand sides and ``set_bounds`` replaces the
     column bounds; each ``solve`` re-runs the dual simplex from the last
     basis with presolve off, under the tolerances of :func:`lp_solve`
-    and with the same error types.
+    and with the same error types.  A solve that ends without an optimum
+    clears the solver before it raises, so the solve after an infeasible
+    verdict starts from scratch rather than from a stale basis.
     """
 
     def __init__(self, c, a_ub, b_ub, bounds=None):
@@ -201,6 +203,9 @@ class LpModel:
             x = np.array(self._highs.getSolution().col_value, dtype=float)
             return LpSolution(x=x, value=float(np.dot(self._c, x)))
         message = self._highs.modelStatusToString(status)
+        # a warm start from the basis HiGHS leaves behind can end in status
+        # "Unknown" on a feasible model; the next solve starts cold instead
+        self._highs.clearSolver()
         if status == _highs.HighsModelStatus.kInfeasible:
             raise LpInfeasibleError(message)
         if status == _highs.HighsModelStatus.kUnbounded:

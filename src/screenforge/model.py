@@ -472,7 +472,10 @@ def build_model(config: dict) -> JointModel:
         cop_name = cop_cfg.pop("name", "independence")
         copula = copulas.make_copula(cop_name, max(goods, 2), **cop_cfg)
         if name == "cl_uniform":
-            marg = shifted_uniform_marginal(width=float(config.get("width", 1.0)))
+            width = float(config.get("width", 1.0))
+            if not 0.0 < width <= 1.0:  # keeps [gamma, gamma + width] in the box
+                raise ConfigError(f"width must lie in (0, 1], got {width!r}")
+            marg = shifted_uniform_marginal(width=width)
         elif name == "uniform_iid":
             lo, hi = config.get("box", (0.0, 1.0))
             marg = fixed_uniform_marginal(float(lo), float(hi))

@@ -830,8 +830,15 @@ def brute_force_value(instance: DiscreteInstance) -> float:
     LP carrying the complete deviation set: all cell misreport pairs and
     every joint misreporting map for every ordered type pair.  The
     constraint matrix over transfers does not depend on the allocation,
-    so it is assembled once and only the right-hand side moves.  Only
-    sensible for a handful of cells.
+    so it is assembled once and only the right-hand side moves.
+
+    Allocation profiles are solved best-first by the bound
+    ``sum_m P(m) E[q.theta | m]``.  The participation rows cap each
+    type's payments at the expected surplus of its allocation, so no
+    profile's LP value exceeds its bound; the search stops at the first
+    profile whose bound does not beat the best value found, and the
+    result is still the exhaustive optimum.  Only sensible for a
+    handful of cells and types.
     """
     m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
     if c_count ** c_count > 100_000 or 2 ** (c_count * n) > 4096:
@@ -844,6 +851,8 @@ def brute_force_value(instance: DiscreteInstance) -> float:
         a = a.reshape(c_count, n)
         if _cyclically_monotone(theta, a):
             allocs.append(a)
+    if len(allocs) ** m_count > 10_000_000:
+        raise InvalidIntervalError("instance too large for exhaustive search")
 
     maps = np.array(list(np.ndindex(*([c_count] * c_count))), dtype=int)  # (n_maps, C)
     nvar = m_count * c_count + m_count  # t2 then t1
@@ -854,7 +863,6 @@ def brute_force_value(instance: DiscreteInstance) -> float:
 
     rows, cols, data = [], [], []
     r = 0
-    pair_index = []  # row ranges of the map blocks per ordered type pair
     # cell-misreport rows: t2(m,a) - t2(m,b) <= value difference (rhs)
     for m in range(m_count):
         for a in range(c_count):
@@ -880,7 +888,6 @@ def brute_force_value(instance: DiscreteInstance) -> float:
         for m_rep in range(m_count):
             if m == m_rep:
                 continue
-            pair_index.append((m, m_rep, r))
             for mp_row in maps:
                 coeff = np.zeros(nvar)
                 for cell in range(c_count):
@@ -896,23 +903,28 @@ def brute_force_value(instance: DiscreteInstance) -> float:
     a_ub = sp.csr_matrix((data, (rows, cols)), shape=(r, nvar))
     model = LpModel(obj, a_ub, np.zeros(r), bounds=(None, None))
 
-    cell_ids = np.arange(c_count)
+    # right-hand-side tables per allocation k: qtheta[k, a, c] is the value
+    # of report c at true cell a; surplus[m, k] = E[q.theta | m]
+    qtheta = np.einsum("kcn,an->kac", np.stack(allocs), theta)
+    surplus = instance.pmf @ np.einsum("kaa->ka", qtheta).T
     true_cell, reported_cell = np.nonzero(~np.eye(c_count, dtype=bool))
+    cell_gain = qtheta[:, true_cell, true_cell] - qtheta[:, true_cell, reported_cell]
+    map_gain = np.einsum("kpc,mc->mkp", qtheta[:, np.arange(c_count), maps], instance.pmf)
+    pair_m, pair_rep = np.nonzero(~np.eye(m_count, dtype=bool))  # map-block order
+
+    shape = (len(allocs),) * m_count
+    bound = sum(np.ix_(*(instance.gamma_probs[:, None] * surplus))).ravel()  # C order
+    types = np.arange(m_count)
     best = -np.inf
-    for combo in np.ndindex(*([len(allocs)] * m_count)):
-        q = np.stack([allocs[combo[m]] for m in range(m_count)])
-        qtheta = np.einsum("mcn,an->mac", q, theta)  # report c at true a on menu m
-        u_const = np.einsum("mc,mc->m", instance.pmf, np.einsum("mcn,cn->mc", q, theta))
-        n_cell_rows = m_count * len(true_cell)
-        rhs = np.empty(r)
-        rhs[:n_cell_rows] = (
-            qtheta[:, true_cell, true_cell] - qtheta[:, true_cell, reported_cell]
-        ).ravel()
-        rhs[n_cell_rows: n_cell_rows + m_count] = u_const
-        for m, m_rep, start in pair_index:
-            dev_gain = qtheta[m_rep][cell_ids[None, :], maps] @ instance.pmf[m]
-            rhs[start: start + len(maps)] = u_const[m] - dev_gain
-        model.set_rhs(rhs)
+    for p in np.argsort(-bound, kind="stable"):
+        if bound[p] <= best:
+            break
+        k = np.array(np.unravel_index(p, shape))
+        own = surplus[types, k]
+        model.set_rhs(np.concatenate([
+            cell_gain[k].ravel(), own,
+            (own[pair_m, None] - map_gain[pair_m, k[pair_rep]]).ravel(),
+        ]))
         try:
             sol = model.solve()
         except LpInfeasibleError:  # allocation profile admits no transfers

@@ -94,12 +94,15 @@ class TestSolveCommand:
         {"family": {"name": "cl_uniform", "goods": 2, "copula": 5}},
         {"family": {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": "x"}}},
         {"family": {"name": "cl_uniform", "goods": 2, "width": "abc"}},
+        {"family": {"name": "cl_uniform", "goods": 1, "width": 0}},
+        {"family": {"name": "cl_uniform", "goods": 1, "width": -1}},
+        {"family": {"name": "cl_uniform", "goods": 1, "width": 5}},
         {"family": {"name": "logistic_shift", "goods": 2, "scale": -1}},
         {"seed": "abc"},
         {"seed": 4.5},
     ], ids=["section-int", "section-list", "family-int", "goods-str", "goods-float",
-            "copula-int", "copula-param-str", "width-str", "scale-negative", "seed-str",
-            "seed-float"])
+            "copula-int", "copula-param-str", "width-str", "width-zero", "width-negative",
+            "width-wide", "scale-negative", "seed-str", "seed-float"])
     def test_malformed_config_exits_2(self, tmp_path, overrides, capsys):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"

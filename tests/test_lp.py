@@ -132,6 +132,26 @@ class TestLpModel:
         model.set_rhs(b)
         assert abs(model.solve().value - before) <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_infeasible_rhs_then_feasible(self, seed):
+        # a warm start from the basis an infeasible verdict leaves behind
+        # can end in status "Unknown"; the model clears its solver instead
+        _, c, a, b = _random_program(seed)
+        model = LpModel(c, a, b, bounds=CAPPED)
+        model.solve()
+        for cut in (-5.0, -3.0):
+            bad = b.copy()
+            bad[-1] = cut  # -x_n <= cut against x_n <= 1
+            model.set_rhs(bad)
+            with pytest.raises(LpInfeasibleError):
+                model.solve()
+            with pytest.raises(LpInfeasibleError):
+                lp_solve(c, a_ub=a, b_ub=bad, bounds=CAPPED)
+            assert not model._highs.getBasis().valid  # no stale basis kept
+        model.set_rhs(b)
+        cold = lp_solve(c, a_ub=a, b_ub=b, bounds=CAPPED)
+        assert abs(model.solve().value - cold.value) <= 1e-9
+
     def test_unbounded_after_dropping_bounds(self):
         # max x_1 subject to x_1 - x_2 <= 0: bounded only by the caps
         c, a, b = [1.0, 0.0], [[1.0, -1.0]], [0.0]

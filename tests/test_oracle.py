@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screenforge import mech as X
 from screenforge import model as M
@@ -388,6 +390,27 @@ class TestBruteForceAgreement:
         inst = O.discretize(cl_model(2), 2, [2, 2])
         assert abs(O.solve_simultaneous(inst).value - O.brute_force_value(inst)) < 1e-8
 
+    def test_drifting_clayton_two_by_two(self):
+        # a warm re-solve after infeasible profiles used to stop in "Unknown"
+        inst = O.discretize(cl_model(2, {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}),
+                            2, [2, 2])
+        assert abs(O.solve_simultaneous(inst).value - O.brute_force_value(inst)) < 1e-8
+
+    def test_bound_order_skips_most_profiles(self, monkeypatch):
+        # 2,809 implementable profiles; only those whose participation
+        # bound beats the optimum 1.625 need an LP
+        inst = O.discretize(cl_model(2, {"name": "clayton", "alpha": 2.0}), 2, [2, 2])
+        calls = []
+        solve = O.LpModel.solve
+
+        def counted(model):
+            calls.append(None)
+            return solve(model)
+
+        monkeypatch.setattr(O.LpModel, "solve", counted)
+        assert abs(O.brute_force_value(inst) - 1.625) < 1e-9
+        assert len(calls) < 500
+
     @pytest.mark.parametrize("error", [LpUnboundedError, LpSolverError])
     def test_non_infeasibility_failure_propagates(self, monkeypatch, error):
         # only an infeasible profile is skipped; any other LP failure is
@@ -399,8 +422,10 @@ class TestBruteForceAgreement:
         with pytest.raises(error):
             O.brute_force_value(HAND)
 
-    def test_guard_on_large_instances(self):
-        inst = O.discretize(cl_model(2), 2, [4, 4])
+    @pytest.mark.parametrize("gamma_cells,theta_cells", [(2, [4, 4]), (5, [2, 2])])
+    def test_guard_on_large_instances(self, gamma_cells, theta_cells):
+        # 16 cells are too many; so are 53**5 allocation profiles
+        inst = O.discretize(cl_model(2), gamma_cells, theta_cells)
         with pytest.raises(InvalidIntervalError):
             O.brute_force_value(inst)
 
@@ -415,10 +440,26 @@ class TestInstanceRoundtrip:
         assert O.solve_simultaneous(back).value == O.solve_simultaneous(inst).value
 
 
-class TestRandomInstanceProperties:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+@st.composite
+def random_instances(draw, dims):
+    """Random 2- or 3-type instance on the given per-good cell counts."""
+    n_types = draw(st.sampled_from([2, 3]))
+    cells = int(np.prod(dims))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n_types * cells,
+                            max_size=n_types * cells))
+    probs = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n_types, max_size=n_types)))
+    grids = [np.cumsum(draw(st.lists(st.floats(0.1, 1.0), min_size=d, max_size=d)))
+             for d in dims]
+    pmf = np.reshape(weights, (n_types, cells))
+    return O.DiscreteInstance(
+        gamma_values=np.arange(n_types) / n_types,
+        gamma_probs=probs / probs.sum(),
+        theta_grids=grids,
+        pmf=pmf / pmf.sum(axis=1, keepdims=True),
+    )
 
+
+class TestRandomInstanceProperties:
     @settings(max_examples=10, deadline=None)
     @given(st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
            st.floats(0.2, 0.8))
@@ -438,6 +479,28 @@ class TestRandomInstanceProperties:
         assert rel >= sim - 1e-9
         assert sim >= sep - 1e-9
         assert max(sim, rel, sep) <= cap + 1e-9
+
+    @staticmethod
+    def check_brute_force_against_lp(inst):
+        # the LP also admits random allocations, which can beat every 0/1
+        # profile (a few percent of one-good instances); when its optimum
+        # is deterministic, that profile is one the exhaustive search covers
+        brute = O.brute_force_value(inst)
+        rep = O.solve_simultaneous(inst)
+        assert brute <= rep.value + 1e-8
+        q = rep.mechanism.q
+        if np.all(np.minimum(q, 1.0 - q) < 1e-7):
+            assert abs(brute - rep.value) < 1e-8
+
+    @settings(max_examples=10, deadline=None)
+    @given(random_instances([3]))
+    def test_brute_force_matches_lp_one_good(self, inst):
+        self.check_brute_force_against_lp(inst)
+
+    @settings(max_examples=10, deadline=None)
+    @given(random_instances([2, 1]))
+    def test_brute_force_matches_lp_two_goods(self, inst):
+        self.check_brute_force_against_lp(inst)
 
 
 class TestSeparationSoundness:
