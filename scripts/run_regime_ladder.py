@@ -1,42 +1,63 @@
 #!/usr/bin/env python3
-"""Refinement ladder comparing the four contracting regimes on grids."""
+"""Refinement ladder comparing the four contracting regimes on grids.
+
+For every rung it prints each regime's value, its wall time and the rows
+of its LP.  With --joint the type cells follow the valuation cells, as
+in the k x k x k joint ladder.
+"""
 
 import argparse
+from time import perf_counter
 
 from screenforge import model as M
 from screenforge import oracle as O
+
+COPULAS = {
+    "independence": {"name": "independence"},
+    "clayton": {"name": "clayton", "alpha": 2.0},
+    "gaussian": {"name": "gaussian", "rho": 0.5},
+}
+REGIMES = {
+    "simultaneous": O.solve_simultaneous,
+    "sequential": O.solve_sequential,
+    "relaxed": O.solve_relaxed,
+}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--goods", type=int, default=2)
     ap.add_argument("--gamma-cells", type=int, default=3)
+    ap.add_argument("--joint", action="store_true",
+                    help="use k type cells on the k-cell rung instead of --gamma-cells")
     ap.add_argument("--cells", type=int, nargs="+", default=[2, 3, 4])
     ap.add_argument("--family", default="cl_uniform",
                     choices=["cl_uniform", "uniform_iid", "logistic_shift"])
+    ap.add_argument("--copula", default="independence", choices=sorted(COPULAS))
     args = ap.parse_args()
 
-    model = M.build_model({"name": args.family, "goods": args.goods})
-    specs = [{"gamma_cells": args.gamma_cells, "theta_cells": k} for k in args.cells]
-    rows = O.compare_regimes(model, specs)
-
-    print(f"family: {model.label}, {args.gamma_cells} type cells")
-    print(f"{'cells':>6} {'V_simult':>12} {'V_sequent':>12} {'V_relaxed':>12} "
-          f"{'V_separate':>12} {'surplus':>10} | {'gap_sep':>9} {'gap_seq':>9} {'gap_rel':>9}")
-    for spec, row in zip(specs, rows):
-        print(f"{spec['theta_cells']:>6} {row.v_simultaneous:12.8f} {row.v_sequential:12.8f} "
-              f"{row.v_relaxed:12.8f} {row.v_separate:12.8f} {row.surplus:10.6f} | "
-              f"{row.gap_separate:9.6f} {row.gap_sequential:9.6f} {row.gap_relaxed:9.6f}")
-
-    print("\norderings (must hold to 1e-9 on product-form instances):")
-    for spec, row in zip(specs, rows):
-        flags = [
-            row.v_relaxed >= row.v_simultaneous - 1e-9,
-            row.v_simultaneous >= row.v_separate - 1e-9,
-            row.v_sequential >= row.v_simultaneous - 1e-9,
-        ]
-        print(f"  cells={spec['theta_cells']}: relaxed>=simult {flags[0]}, "
-              f"simult>=separate {flags[1]}, sequent>=simult {flags[2]}")
+    model = M.build_model({"name": args.family, "goods": args.goods,
+                           "copula": COPULAS[args.copula]})
+    types = "k" if args.joint else str(args.gamma_cells)
+    print(f"family: {model.label}, {types} type cells")
+    print(f"{'cells':>6} {'regime':>13} {'value':>12} {'time_s':>9} {'lp_rows':>8}")
+    for k in args.cells:
+        inst = O.discretize(model, k if args.joint else args.gamma_cells, k)
+        values = {}
+        for regime, solve in REGIMES.items():
+            t0 = perf_counter()
+            rep = solve(inst)
+            values[regime] = rep.value
+            print(f"{k:>6} {regime:>13} {rep.value:12.8f} {perf_counter() - t0:9.3f} {rep.rows:8d}")
+        t0 = perf_counter()
+        sep = O.separate_selling_value(inst)
+        print(f"{k:>6} {'separate':>13} {sep:12.8f} {perf_counter() - t0:9.3f}")
+        sim = values["simultaneous"]
+        flags = [values["relaxed"] >= sim - 1e-9, sim >= sep - 1e-9,
+                 values["sequential"] >= sim - 1e-9]
+        print(f"{'':>6} surplus {O.full_surplus(inst):.6f}; orderings (1e-9): "
+              f"relaxed>=simult {flags[0]}, simult>=separate {flags[1]}, "
+              f"sequent>=simult {flags[2]}")
 
 
 if __name__ == "__main__":

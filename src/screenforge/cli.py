@@ -329,6 +329,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
                 "theta_cells": cells,
                 "gamma_cells": gcells,
                 "iterations": {k: r.iterations for k, r in row.reports.items()},
+                "lp_size": {k: {"rows": r.rows, "cols": r.cols, "nnz": r.nnz}
+                            for k, r in row.reports.items()},
                 "v_simultaneous": row.v_simultaneous,
                 "v_sequential": row.v_sequential,
                 "v_relaxed": row.v_relaxed,

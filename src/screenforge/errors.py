@@ -41,7 +41,7 @@ class LpSolverError(ScreenforgeError, RuntimeError):
 
 
 class ConvergenceError(ScreenforgeError, RuntimeError):
-    """An iterative procedure hit its round cap before converging."""
+    """A solver optimum failed its independent re-check."""
 
 
 class DegenerateCellError(ScreenforgeError, ValueError):

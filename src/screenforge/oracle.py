@@ -3,12 +3,12 @@
 Three contracting regimes are solved as linear programs on a common
 discretized instance:
 
-* simultaneous  - all valuations drawn and reported at once; truthful
-  type reporting is enforced against every joint misreporting map,
-  generated lazily as cutting planes by a cellwise best-response oracle;
+* simultaneous  - all valuations drawn and reported at once; cell
+  truth-telling rows plus one type-misreport row per ordered type pair
+  cover every joint misreporting map;
 * sequential    - goods sold one period at a time; allocations are
   measurable in the revealed history and deviations are adapted
-  strategies, separated by backward induction;
+  strategies, written out as the backward induction's epigraph rows;
 * relaxed       - the orthogonalized shock z is publicly observed and
   only the type is screened; a pure LP on a common z rectangulation
   whose pushforward reproduces each type's cell masses exactly.
@@ -16,6 +16,10 @@ discretized instance:
 ``separate_selling_value`` prices each good on its own marginal
 instance; the joint optimum can only improve on it, and under invariant
 coupling the improvement vanishes with grid refinement.
+
+The simultaneous and sequential optima are re-checked by
+``evaluate_mechanism``, whose best responses share no rows with the
+program.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .mech import ThresholdMechanism, transfer_t2
 from .model import JointModel
 
 DEFAULT_TOL = 1e-10
-MAX_ROUNDS = 200
 CAP_FACTOR = 10.0
 
 
@@ -217,11 +220,17 @@ class DiscreteMechanism:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """One regime solve: ``solve_values`` holds the objective of each
+    HiGHS solve in order (capped, then cap-free); ``rows``, ``cols`` and
+    ``nnz`` size the program."""
+
     value: float
     mechanism: DiscreteMechanism
     iterations: int
-    cut_log: list
-    round_values: list
+    solve_values: list
+    rows: int
+    cols: int
+    nnz: int
     status: str
 
 
@@ -244,13 +253,15 @@ def mechanism_revenue(instance: DiscreteInstance, mech: DiscreteMechanism) -> fl
 
 
 # ---------------------------------------------------------------------------
-# cutting-plane engine shared by the simultaneous and sequential regimes
+# exact LP engine shared by the simultaneous and sequential regimes
 # ---------------------------------------------------------------------------
 
 
 def _block_rows(blocks, count: int, nvar: int):
     """CSR rows from (cols, data) blocks whose leading axis is the row;
     repeated columns in a row are summed."""
+    if count == 0:  # a single type has no type-misreport rows
+        return sp.csr_matrix((0, nvar))
     cols = np.concatenate([c.reshape(count, -1) for c, _ in blocks], axis=1)
     data = np.concatenate(
         [np.broadcast_to(d, c.shape).reshape(count, -1) for c, d in blocks], axis=1
@@ -262,20 +273,24 @@ def _block_rows(blocks, count: int, nvar: int):
 
 
 class _Layout:
-    """Column layout of a regime LP: allocations first, then transfers.
+    """Column layout of a regime LP: allocations, transfers, then values.
 
     ``qcol[m, c, j]`` is the column of good j's allocation for type m at
     the full cell c (cells share a column where the allocation may only
     depend on a prefix of the history), ``t2col[m, c]`` the settling
     transfer and ``t1col[m]`` the upfront fee, if the regime has one.
+    ``wcol[j][m, r, a, b]`` are free columns bounding the stage-j value
+    of an adapted deviation (see ``_seq_stage_rows``); only the
+    sequential regime has them.
     """
 
-    def __init__(self, instance: DiscreteInstance, qcol, t2col, t1col, regime: str):
+    def __init__(self, instance: DiscreteInstance, qcol, t2col, t1col, regime: str, wcol=()):
         self.inst = instance
-        self.qcol, self.t2col, self.t1col = qcol, t2col, t1col
+        self.qcol, self.t2col, self.t1col, self.wcol = qcol, t2col, t1col, wcol
         self.regime = regime
         self.nq = int(qcol.max()) + 1
-        self.nvar = self.nq + t2col.size + (0 if t1col is None else t1col.size)
+        self.nt = t2col.size + (0 if t1col is None else t1col.size)
+        self.nvar = 1 + max(int(w.max()) for w in wcol) if wcol else self.nq + self.nt
         self.cap = CAP_FACTOR * max(1.0, abs(full_surplus(instance)))
         self.theta = instance.cell_values
 
@@ -288,7 +303,8 @@ class _Layout:
 
     def bounds(self, capped: bool = True):
         t = (-self.cap, self.cap) if capped else (None, None)
-        return [(0.0, 1.0)] * self.nq + [t] * (self.nvar - self.nq)
+        free = self.nvar - self.nq - self.nt
+        return [(0.0, 1.0)] * self.nq + [t] * self.nt + [(None, None)] * free
 
     def _interim(self, m, menu, report):
         """(cols, data) blocks of interim values, one row per entry k:
@@ -302,91 +318,54 @@ class _Layout:
             blocks.append((self.t1col[menu][:, None], -1.0))
         return blocks
 
+    def truth_blocks(self, m):
+        """Blocks of -U_m(truth), one row per entry of m."""
+        truth = np.broadcast_to(np.arange(self.inst.n_cells), (len(m), self.inst.n_cells))
+        return [(c, -d) for c, d in self._interim(m, m, truth)]
+
     def participation_rows(self):
         """-U_m(truth) <= 0 for every type m."""
         m = np.arange(self.inst.n_types)
-        truth = np.broadcast_to(np.arange(self.inst.n_cells), (len(m), self.inst.n_cells))
-        blocks = [(c, -d) for c, d in self._interim(m, m, truth)]
-        return _block_rows(blocks, len(m), self.nvar), np.zeros(len(m))
-
-    def deviation_rows(self, cuts):
-        """U_m(deviation) - U_m(truth) <= 0 per cut (m, m_rep, report):
-        type m takes menu m_rep and reports cell report[c] at true cell c."""
-        m = np.array([cut[0] for cut in cuts], dtype=int)
-        m_rep = np.array([cut[1] for cut in cuts], dtype=int)
-        report = np.array([cut[2] for cut in cuts], dtype=int)
-        truth = np.broadcast_to(np.arange(self.inst.n_cells), report.shape)
-        blocks = self._interim(m, m_rep, report)
-        blocks += [(c, -d) for c, d in self._interim(m, m, truth)]
-        return _block_rows(blocks, len(cuts), self.nvar), np.zeros(len(cuts))
+        return _block_rows(self.truth_blocks(m), len(m), self.nvar), np.zeros(len(m))
 
     def unpack(self, x: np.ndarray) -> DiscreteMechanism:
         t1 = np.zeros(self.inst.n_types) if self.t1col is None else x[self.t1col]
         return DiscreteMechanism(q=x[self.qcol], t1=t1, t2=x[self.t2col], regime=self.regime)
 
 
-def _cutting_plane(layout: _Layout, base_rows, base_rhs, separate, label: str,
-                   tol: float, max_rounds: int) -> SolveReport:
-    """Kelley cutting planes on one warm HiGHS model.
+def _solve_exact(layout: _Layout, parts, tol: float) -> SolveReport:
+    """Solve a regime's complete LP on one HiGHS model, then re-check it.
 
-    ``separate(mech)`` returns ``(m, m_rep, report, violation)`` for every
-    ordered type pair.  Violated deviations are appended as rows and the
-    model is re-solved from its last basis.  Once a round finds none, the
-    transfer caps are dropped and the cap-free optimum, which can sit at
-    another vertex of the optimal face, is separated as well.
+    ``parts`` are the (rows, rhs) blocks of ``rows x <= rhs``.  The first
+    solve caps the transfers; the cap-free re-solve starts from its basis
+    and can end at another vertex of the optimal face.  That optimum is
+    then re-audited by ``evaluate_mechanism``, whose best responses share
+    no rows with the program; a violation above ``tol`` is an error.
     """
-    n_cells = layout.inst.n_cells
-    model = LpModel(layout.objective(), base_rows, base_rhs, bounds=layout.bounds())
-    cut_keys: set = set()
-
-    def add_cuts(found):
-        new = []
-        for m, m_rep, report, _ in found:
-            key = (m, m_rep, report)
-            if key not in cut_keys:
-                cut_keys.add(key)
-                new.append(key)
-        if new:
-            model.add_rows(*layout.deviation_rows(new))
-        return bool(new)
-
-    # identity maps: plain type misreports with truthful cell reporting
-    types = range(layout.inst.n_types)
-    add_cuts([(m, r, tuple(range(n_cells)), 0.0) for m in types for r in types if m != r])
-
-    def violated(mech):
-        return [cut for cut in separate(mech) if cut[3] > tol]
-
-    cut_log: list = []
-    round_values = []
-    for rnd in range(max_rounds):
-        sol = model.solve()
-        round_values.append(sol.value)
-        found = violated(layout.unpack(sol.x))
-        cut_log.append([(m, mr, float(v)) for (m, mr, _, v) in found])
-        if add_cuts(found):
-            continue
-        model.set_bounds(layout.bounds(capped=False))
-        sol = model.solve()
-        mech = layout.unpack(sol.x)
-        found = violated(mech)
-        if add_cuts(found):
-            cut_log.append([(m, mr, float(v)) for (m, mr, _, v) in found])
-            model.set_bounds(layout.bounds())
-            continue
-        if found:
-            raise ConvergenceError(
-                f"{label} keeps finding a violated constraint already in the program"
-            )
-        return SolveReport(
-            value=sol.value,
-            mechanism=mech,
-            iterations=rnd + 1,
-            cut_log=cut_log,
-            round_values=round_values,
-            status="optimal",
+    rows = sp.vstack([p[0] for p in parts]).tocsr()
+    model = LpModel(layout.objective(), rows, np.concatenate([p[1] for p in parts]),
+                    bounds=layout.bounds())
+    capped = model.solve()
+    model.set_bounds(layout.bounds(capped=False))
+    sol = model.solve()
+    mech = layout.unpack(sol.x)
+    ev = evaluate_mechanism(layout.inst, mech)
+    worst = max(ev.ic1_violation, ev.ic2_violation, ev.ir_violation)
+    if worst > tol:
+        raise ConvergenceError(
+            f"{layout.regime} LP optimum fails its independent re-check: "
+            f"violation {worst:.3g} > {tol:g}"
         )
-    raise ConvergenceError(f"no clean {label} within {max_rounds} rounds")
+    return SolveReport(
+        value=sol.value,
+        mechanism=mech,
+        iterations=1,
+        solve_values=[capped.value, sol.value],
+        rows=rows.shape[0],
+        cols=rows.shape[1],
+        nnz=rows.nnz,
+        status="optimal",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,39 +402,25 @@ def _sim_cell_rows(layout: _Layout):
     return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
 
 
-def _sim_separate(instance: DiscreteInstance, mech: DiscreteMechanism):
-    """Worst joint-misreport per ordered type pair against a candidate."""
-    theta = instance.cell_values
-    truthful = _truthful_values(instance, mech)
-    found = []
-    for m in range(instance.n_types):
-        for m_rep in range(instance.n_types):
-            # W[c, c'] = value of true cell c reporting cell c' on menu m_rep
-            w = theta @ mech.q[m_rep].T - mech.t2[m_rep][None, :]
-            dev = np.argmax(w, axis=1)
-            val = float(np.dot(instance.pmf[m], w[np.arange(instance.n_cells), dev])) - mech.t1[m_rep]
-            violation = val - truthful[m]
-            found.append((m, m_rep, tuple(int(d) for d in dev), violation))
-    return found
+def _sim_type_rows(layout: _Layout):
+    """Type misreports with truthful cell reports: U_m(menu r) <= U_m(truth)
+    for every r != m.  The cell rows make every menu truthful in
+    valuations, and on such a menu the identity map is a best misreport,
+    so these rows complete the joint misreport constraints."""
+    m, r = np.nonzero(~np.eye(layout.inst.n_types, dtype=bool))
+    truth = np.broadcast_to(np.arange(layout.inst.n_cells), (len(m), layout.inst.n_cells))
+    blocks = layout._interim(m, r, truth) + layout.truth_blocks(m)
+    return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
 
 
-def solve_simultaneous(
-    instance: DiscreteInstance,
-    tol: float = DEFAULT_TOL,
-    max_rounds: int = MAX_ROUNDS,
-) -> SolveReport:
-    """Cutting-plane solution of the one-shot screening LP."""
+def solve_simultaneous(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> SolveReport:
+    """Exact LP of the one-shot screening problem: cell rows, participation
+    and type-misreport rows, re-checked against every joint misreport map."""
     layout = _sim_layout(instance)
-    cells, cells_rhs = _sim_cell_rows(layout)
-    part, part_rhs = layout.participation_rows()
-    return _cutting_plane(
+    return _solve_exact(
         layout,
-        sp.vstack([cells, part]).tocsr(),
-        np.concatenate([cells_rhs, part_rhs]),
-        lambda mech: _sim_separate(instance, mech),
-        "separation",
+        [_sim_cell_rows(layout), layout.participation_rows(), _sim_type_rows(layout)],
         tol,
-        max_rounds,
     )
 
 
@@ -467,7 +432,14 @@ def solve_simultaneous(
 def _seq_layout(instance: DiscreteInstance) -> _Layout:
     """History-measurable allocations: q^i lives on the revealed prefix
     (gamma, theta^1..theta^i); transfers settle at the final history,
-    which nests any per-period payment schedule."""
+    which nests any per-period payment schedule.
+
+    ``wcol[j][m, r, a, b]`` is the value column of stage j for true type m
+    on menu r at true prefix a = (t_0..t_j) and reported prefix
+    b = (r_0..r_{j-1}), both flat in C order.  The last stage's value
+    depends on t_j and b alone, so its columns are shared across m and
+    across t_0..t_{j-1}.
+    """
     dims = instance.dims
     m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
     cell_multi = np.unravel_index(np.arange(c_count), dims)
@@ -478,13 +450,63 @@ def _seq_layout(instance: DiscreteInstance) -> _Layout:
         size = int(np.prod(dims[: i + 1]))
         qcol[:, :, i] = off + np.arange(m_count)[:, None] * size + prefix[None, :]
         off += m_count * size
-    return _Layout(
-        instance,
-        qcol=qcol,
-        t2col=off + np.arange(m_count * c_count).reshape(m_count, c_count),
-        t1col=None,
-        regime="sequential",
-    )
+    t2col = off + np.arange(m_count * c_count).reshape(m_count, c_count)
+    off += m_count * c_count
+    wcol = []
+    for j in range(n):
+        shape = (m_count, m_count, int(np.prod(dims[: j + 1])), int(np.prod(dims[:j])))
+        if j < n - 1:
+            wcol.append(off + np.arange(np.prod(shape)).reshape(shape))
+            off += wcol[-1].size
+        else:
+            shared = off + np.arange(m_count * dims[j] * shape[3]).reshape(1, m_count, dims[j], -1)
+            wcol.append(np.broadcast_to(shared[:, :, np.arange(shape[2]) % dims[j]], shape))
+    return _Layout(instance, qcol=qcol, t2col=t2col, t1col=None, regime="sequential", wcol=wcol)
+
+
+def _seq_stage_rows(layout: _Layout, j: int):
+    """Epigraph rows of stage j of every adapted deviation.
+
+    For true type m on menu r, W_j(t_0..t_j, r_0..r_{j-1}) is at least
+    theta_j(t_j) q^r_j(r_0..r_j) plus the continuation: -t2^r(r) at the
+    last stage, else the expected W_{j+1} under type m's law of t_{j+1}
+    given t_0..t_j, with the zero-mass rule of ``_seq_best_response``.
+    One row per (m, r, true prefix, reported r_0..r_j); the shared last
+    stage needs one m and one t_0..t_{j-1}.
+    """
+    inst = layout.inst
+    dims, n, m_count = inst.dims, inst.n_goods, inst.n_types
+    last = j == n - 1
+    size = int(np.prod(dims[: j + 1]))
+    m, r, a, b = (g.ravel() for g in np.meshgrid(
+        np.arange(1 if last else m_count), np.arange(m_count),
+        np.arange(dims[j] if last else size), np.arange(size), indexing="ij",
+    ))
+    blocks = [
+        (layout.wcol[j][m, r, a, b // dims[j]], -1.0),
+        (layout.qcol[r, b * int(np.prod(dims[j + 1:])), j], inst.theta_grids[j][a % dims[j]]),
+    ]
+    if last:
+        blocks.append((layout.t2col[r, b], -1.0))
+    else:
+        pmf = inst.pmf.reshape((m_count,) + dims)
+        p_joint = pmf.sum(axis=tuple(range(j + 3, n + 1))).reshape(m_count, size, -1)
+        p_pre = p_joint.sum(axis=2, keepdims=True)
+        live = (p_joint > 0.0) & (p_pre > 0.0)
+        w = np.divide(p_joint, p_pre, out=np.zeros_like(p_joint), where=live)
+        nxt = a[:, None] * dims[j + 1] + np.arange(dims[j + 1])
+        blocks.append((layout.wcol[j + 1][m[:, None], r[:, None], nxt, b[:, None]], w[m, a]))
+    return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
+
+
+def _seq_top_rows(layout: _Layout):
+    """E[W_0 | m] <= U_m(truth) for every true type m and menu r."""
+    m_count, d0 = layout.inst.n_types, layout.inst.dims[0]
+    m, r = np.divmod(np.arange(m_count * m_count), m_count)
+    p0 = layout.inst.pmf.reshape(m_count, d0, -1).sum(axis=2)
+    blocks = [(layout.wcol[0][m[:, None], r[:, None], np.arange(d0), 0], p0[m])]
+    blocks += layout.truth_blocks(m)
+    return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
 
 
 def _seq_best_response(instance: DiscreteInstance, mech: DiscreteMechanism, m: int, m_rep: int):
@@ -529,31 +551,18 @@ def _seq_best_response(instance: DiscreteInstance, mech: DiscreteMechanism, m: i
     return dev_value, np.ravel_multi_index(rep_hist, dims)
 
 
-def solve_sequential(
-    instance: DiscreteInstance,
-    tol: float = DEFAULT_TOL,
-    max_rounds: int = MAX_ROUNDS,
-) -> SolveReport:
-    """Cutting-plane solution of the period-by-period selling LP.
+def solve_sequential(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> SolveReport:
+    """Exact LP of period-by-period selling.
 
-    Only participation is imposed up front; all truth-telling arrives
-    as cuts from the adapted best response.
+    Adapted truth-telling is written out in its one-shot-deviation form:
+    free value columns follow the backward induction of every (true
+    type, menu) pair stage by stage, and the expected first-stage value
+    may not beat truth-telling.  The optimum is re-checked against
+    ``_seq_best_response``.
     """
     layout = _seq_layout(instance)
-    types = range(instance.n_types)
-
-    def separate(mech):
-        truthful = _truthful_values(instance, mech)
-        found = []
-        for m in types:
-            for m_rep in types:
-                val, reported = _seq_best_response(instance, mech, m, m_rep)
-                found.append((m, m_rep, tuple(reported.tolist()), val - float(truthful[m])))
-        return found
-
-    return _cutting_plane(
-        layout, *layout.participation_rows(), separate, "adapted separation", tol, max_rounds
-    )
+    stages = [_seq_stage_rows(layout, j) for j in range(instance.n_goods)]
+    return _solve_exact(layout, stages + [_seq_top_rows(layout), layout.participation_rows()], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -643,54 +652,22 @@ def solve_relaxed(instance: DiscreteInstance, tables: Optional[RelaxedTables] = 
     nq = m_count * z_count * n
     nvar = nq + m_count
 
-    def iq(m, z, j):
-        return (m * z_count + z) * n + j
-
-    def it(m):
-        return nq + m
-
     obj = np.zeros(nvar)
     obj[nq:] = instance.gamma_probs
     cap = CAP_FACTOR * max(1.0, abs(full_surplus(instance)))
     bounds = [(0.0, 1.0)] * nq + [(-cap, cap)] * m_count
 
-    data, rows, cols, rhs = [], [], [], []
-    r = 0
+    qcol = np.arange(nq).reshape(m_count, z_count, n)
+    tcol = nq + np.arange(m_count)
+    # mv[m, z, j]: mass of z cell times type m's valuation of good j
+    mv = tables.masses[None, :, None] * tables.values.transpose(1, 0, 2)
     # participation: that_m <= E_z[qhat(m,z).v(m,z)]
-    for m in range(m_count):
-        cols.append(it(m))
-        data.append(1.0)
-        rows.append(r)
-        for z in range(z_count):
-            for j in range(n):
-                cols.append(iq(m, z, j))
-                data.append(-tables.masses[z] * tables.values[z, m, j])
-                rows.append(r)
-        rhs.append(0.0)
-        r += 1
+    part = _block_rows([(tcol, 1.0), (qcol, -mv)], m_count, nvar)
     # type misreports: menu m_rep valued with type m's valuation map
-    for m in range(m_count):
-        for m_rep in range(m_count):
-            if m == m_rep:
-                continue
-            for z in range(z_count):
-                for j in range(n):
-                    cols.append(iq(m_rep, z, j))
-                    data.append(tables.masses[z] * tables.values[z, m, j])
-                    rows.append(r)
-                    cols.append(iq(m, z, j))
-                    data.append(-tables.masses[z] * tables.values[z, m, j])
-                    rows.append(r)
-            cols.append(it(m_rep))
-            data.append(-1.0)
-            rows.append(r)
-            cols.append(it(m))
-            data.append(1.0)
-            rows.append(r)
-            rhs.append(0.0)
-            r += 1
-    a_ub = sp.csr_matrix((data, (rows, cols)), shape=(r, nvar))
-    sol = lp_solve(obj, a_ub=a_ub, b_ub=np.asarray(rhs), bounds=bounds)
+    m, m_rep = np.nonzero(~np.eye(m_count, dtype=bool))
+    blocks = [(qcol[m_rep], mv[m]), (qcol[m], -mv[m]), (tcol[m_rep], -1.0), (tcol[m], 1.0)]
+    a_ub = sp.vstack([part, _block_rows(blocks, len(m), nvar)]).tocsr()
+    sol = lp_solve(obj, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=bounds)
 
     qhat = sol.x[:nq].reshape(m_count, z_count, n)
     that = sol.x[nq:]
@@ -714,8 +691,10 @@ def solve_relaxed(instance: DiscreteInstance, tables: Optional[RelaxedTables] = 
         value=sol.value,
         mechanism=mech,
         iterations=1,
-        cut_log=[],
-        round_values=[sol.value],
+        solve_values=[sol.value],
+        rows=a_ub.shape[0],
+        cols=nvar,
+        nnz=a_ub.nnz,
         status="optimal",
     )
 
@@ -760,11 +739,11 @@ def evaluate_mechanism(instance: DiscreteInstance, mech: DiscreteMechanism) -> E
                      for m_rep in range(instance.n_types)]
             ic1, ic2 = max(ic1, *gains), max(ic2, gains[m])
     else:
-        for m in range(instance.n_types):
-            w = theta @ mech.q[m].T - mech.t2[m][None, :]
-            ic2 = max(ic2, float(np.max(w - np.diag(w)[:, None])))
-        for m, m_rep, _, v in _sim_separate(instance, mech):
-            ic1 = max(ic1, v)
+        # w[r, c, d]: value on menu r of true cell c reporting cell d; the
+        # best joint misreport map reports the argmax cell at every c
+        w = np.einsum("cn,rdn->rcd", theta, mech.q) - mech.t2[:, None, :]
+        ic2 = float(np.max(w - np.diagonal(w, axis1=1, axis2=2)[:, :, None]))
+        ic1 = float(np.max(instance.pmf @ w.max(axis=2).T - mech.t1 - truthful[:, None]))
     return EvalReport(
         revenue=revenue,
         ic2_violation=max(ic2, 0.0),

@@ -3,8 +3,10 @@
 These evaluate one type, one good and one Gauss rule at a time, the way
 the solver did before its quadrature was batched over types.  The same
 goes for the identity check (one point at a time), the copulas (one
-scalar parameter) and the CSV writer (one value at a time).  The tests
-check the batched code against them.
+scalar parameter) and the CSV writer (one value at a time), and for the
+sequential LP, solved by cutting planes the way the oracle did before
+its adapted constraints were written out.  The tests check the batched
+code against them.
 """
 
 import math
@@ -13,7 +15,10 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from screenforge import mech as X
+from screenforge import oracle as O
 from screenforge.copulas import IndependenceCopula
+from screenforge.errors import ConvergenceError
+from screenforge.lp import LpModel
 from screenforge.model import divergence_residual, hazard, sample_theta, score
 from screenforge.numerics import (
     RngStream,
@@ -251,3 +256,66 @@ def mech_table_rows(inst, mech):
                         + [float(q) for q in mech.q[m, c]]
                         + [float(mech.t2[m, c]), float(mech.t1[m])])
     return rows
+
+
+# --- sequential LP by Kelley cutting planes --------------------------------
+
+def _deviation_row(layout, m, m_rep, report):
+    """U_m(menu m_rep, report map) - U_m(truth), one cell at a time."""
+    inst = layout.inst
+    row = np.zeros(layout.nvar)
+    for c in range(inst.n_cells):
+        f = inst.pmf[m, c]
+        for j in range(inst.n_goods):
+            row[layout.qcol[m_rep, report[c], j]] += f * layout.theta[c, j]
+            row[layout.qcol[m, c, j]] -= f * layout.theta[c, j]
+        row[layout.t2col[m_rep, report[c]]] -= f
+        row[layout.t2col[m, c]] += f
+    return row
+
+
+def _adapted_cuts(inst, mech, tol):
+    """(m, m_rep, report map) of every adapted best response that beats
+    truth-telling by more than tol."""
+    truthful = O._truthful_values(inst, mech)
+    cuts = []
+    for m in range(inst.n_types):
+        for m_rep in range(inst.n_types):
+            value, reported = O._seq_best_response(inst, mech, m, m_rep)
+            if value - truthful[m] > tol:
+                cuts.append((m, m_rep, tuple(reported.tolist())))
+    return cuts
+
+
+def kelley_sequential(inst, tol=1e-10, max_rounds=200):
+    """Optimal value of the sequential LP by Kelley's cutting planes.
+
+    Only participation is imposed up front.  Each round appends the
+    violated adapted deviations as rows and re-solves from the last
+    basis; a clean round is re-solved without the transfer caps and
+    separated once more.
+    """
+    seq = O._seq_layout(inst)
+    layout = O._Layout(inst, seq.qcol, seq.t2col, None, "sequential")
+    model = LpModel(layout.objective(), *layout.participation_rows(), bounds=layout.bounds())
+    seen = set()
+
+    def add(cuts):
+        new = [cut for cut in cuts if cut not in seen]
+        if cuts and not new:
+            raise ConvergenceError("a violated deviation is already in the program")
+        seen.update(new)
+        if new:
+            rows = np.array([_deviation_row(layout, *cut) for cut in new])
+            model.add_rows(rows, np.zeros(len(new)))
+        return bool(new)
+
+    for _ in range(max_rounds):
+        if add(_adapted_cuts(inst, layout.unpack(model.solve().x), tol)):
+            continue
+        model.set_bounds(layout.bounds(capped=False))
+        sol = model.solve()
+        if not add(_adapted_cuts(inst, layout.unpack(sol.x), tol)):
+            return sol.value
+        model.set_bounds(layout.bounds())
+    raise ConvergenceError(f"no clean adapted separation within {max_rounds} rounds")

@@ -264,6 +264,10 @@ class TestOracleCommand:
             path = tmp_path / "out" / f"mech_{regime}_k2.csv"
             header = path.read_text().splitlines()[0]
             assert header == "gamma,theta_1,theta_2,q_1,q_2,t2,t1"
+            for r in rows:
+                assert r["iterations"][regime] == 1
+                size = r["lp_size"][regime]
+                assert size["rows"] > 0 and size["cols"] > 0 and size["nnz"] > 0
 
     def test_report_matches_compare_regimes(self, tmp_path):
         from screenforge import model as M
@@ -284,7 +288,7 @@ class TestOracleCommand:
         from screenforge import cli as climod
         from screenforge.errors import LpInfeasibleError
 
-        def boom(instance, tol=0.0, max_rounds=0):
+        def boom(instance, tol=0.0):
             raise LpInfeasibleError("forced failure")
 
         monkeypatch.setattr(climod.oraclemod, "solve_simultaneous", boom)
@@ -293,6 +297,37 @@ class TestOracleCommand:
         assert run("oracle", "--config", cfg, "--out", out, "--quiet") == 4
         dump = json.loads((tmp_path / "out" / "instance_fail.json").read_text())
         assert "instance" in dump and dump["error"] == "forced failure"
+
+    def test_failed_recheck_exits_4_and_dumps_instance(self, tmp_path, monkeypatch):
+        # the sequential LP without its stage-0 epigraph rows is not
+        # incentive compatible; the re-check must stop the verb
+        from screenforge import oracle as O
+
+        build = O._seq_stage_rows
+
+        def drop_first_stage(layout, j):
+            rows, rhs = build(layout, j)
+            return (rows[:0], rhs[:0]) if j == 0 else (rows, rhs)
+
+        monkeypatch.setattr(O, "_seq_stage_rows", drop_first_stage)
+        cfg = write_config(tmp_path, family={"name": "cl_uniform", "goods": 2})
+        out = tmp_path / "out"
+        assert run("oracle", "--config", cfg, "--out", str(out), "--quiet") == 4
+        dump = json.loads((out / "instance_fail.json").read_text())
+        assert "re-check" in dump["error"]
+        assert not (out / "oracle.json").exists()
+
+    def test_logistic_rungs_past_the_old_round_cap(self, tmp_path):
+        family = {"name": "logistic_shift", "goods": 2, "copula": {"name": "gaussian", "rho": 0.5}}
+        cfg = write_config(tmp_path, family=family,
+                           oracle={"gamma_cells": 3, "theta_cells": [6, 8]})
+        assert run("oracle", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
+        rows = json.loads((tmp_path / "out" / "oracle.json").read_text())["refinements"]
+        assert [r["theta_cells"] for r in rows] == [6, 8]
+        for r in rows:
+            assert r["v_relaxed"] >= r["v_simultaneous"] - 1e-9
+            assert r["v_simultaneous"] >= r["v_separate"] - 1e-9
+            assert r["v_sequential"] >= r["v_simultaneous"] - 1e-9
 
     @pytest.mark.parametrize("section", [
         {"gamma_cells": 0, "theta_cells": [2]},

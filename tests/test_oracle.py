@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_reference import kelley_sequential
 
 from screenforge import mech as X
 from screenforge import model as M
 from screenforge import oracle as O
 from screenforge.errors import (
+    ConvergenceError,
     DegenerateCellError,
     InvalidIntervalError,
     LpSolverError,
@@ -146,11 +148,14 @@ class TestSimultaneous:
         assert ev.ir_violation <= 1e-9
         assert ev.ic1_violation <= 1e-9
 
-    def test_round_values_never_increase(self):
+    @pytest.mark.parametrize("solver", [O.solve_simultaneous, O.solve_sequential],
+                             ids=["simultaneous", "sequential"])
+    def test_capped_and_cap_free_values_agree(self, solver):
         inst = O.discretize(cl_model(2), 3, [4, 4])
-        rep = O.solve_simultaneous(inst)
-        vals = np.asarray(rep.round_values)
-        assert np.all(np.diff(vals) <= 1e-9)
+        rep = solver(inst)
+        capped, cap_free = rep.solve_values
+        assert abs(capped - cap_free) <= 1e-9
+        assert rep.value == cap_free and rep.iterations == 1
 
     def test_value_capped_by_full_surplus(self):
         for inst in (HAND, SINGLE, IDENTICAL, O.discretize(cl_model(2), 3, [3, 3])):
@@ -277,6 +282,76 @@ def _random_instance(rng, n_types, dims):
         theta_grids=[np.sort(rng.random(d) * 2.0) for d in dims],
         pmf=pmf,
     )
+
+
+def _adapted_audit_is_clean(inst, mech):
+    ev = O.evaluate_mechanism(inst, mech)
+    return max(ev.ic1_violation, ev.ic2_violation, ev.ir_violation) <= 1e-9
+
+
+README_FAMILY = {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": 2.0}}
+LOGI_FAMILY = {"name": "logistic_shift", "goods": 2, "copula": {"name": "gaussian", "rho": 0.5}}
+DRIFTING_LOGI = {"name": "logistic_shift", "goods": 2,
+                 "copula": {"name": "gaussian", "rho": -0.8, "rho_slope": 1.6}}
+
+
+class TestExactSequential:
+    @pytest.mark.parametrize("family,gamma_cells,theta_cells", [
+        *((README_FAMILY, 3, k) for k in (2, 3, 4, 5)),
+        *((LOGI_FAMILY, 3, k) for k in (2, 3, 4, 5)),
+        ({"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
+         2, [3, 3, 3]),
+    ], ids=[*(f"readme-3x{k}x{k}" for k in (2, 3, 4, 5)),
+            *(f"logi-3x{k}x{k}" for k in (2, 3, 4, 5)), "cl-gaussian-2x3x3x3"])
+    def test_matches_kelley_cutting_planes(self, family, gamma_cells, theta_cells):
+        inst = O.discretize(M.build_model(family), gamma_cells, theta_cells)
+        rep = O.solve_sequential(inst)
+        assert abs(rep.value - kelley_sequential(inst)) <= 1e-9
+        assert _adapted_audit_is_clean(inst, rep.mechanism)
+
+    @pytest.mark.parametrize("seed,n_types,dims", [(1, 3, (3, 4)), (3, 3, (2, 3, 2))])
+    def test_zero_mass_histories_match_kelley(self, seed, n_types, dims):
+        inst = _random_instance(np.random.default_rng(seed), n_types, dims)
+        assert np.any(inst.pmf == 0.0)
+        rep = O.solve_sequential(inst)
+        assert abs(rep.value - kelley_sequential(inst)) <= 1e-9
+        assert _adapted_audit_is_clean(inst, rep.mechanism)
+
+    @pytest.mark.parametrize("family,gamma_cells,theta_cells", [
+        ({"name": "cl_uniform", "goods": 2}, 3, [8, 8]),
+        ({"name": "cl_uniform", "goods": 2}, 8, [8, 8]),
+        (DRIFTING_LOGI, 4, [5, 5]),
+        ({"name": "logistic_shift", "goods": 3, "copula": {"name": "clayton", "alpha": 2.0}},
+         3, [3, 3, 3]),
+    ], ids=["cl-3x8x8", "cl-8x8x8", "drifting-logi-4x5x5", "logi-clayton-3x3x3x3"])
+    def test_rungs_past_the_old_round_cap(self, family, gamma_cells, theta_cells):
+        # cutting planes needed 318, 304 and 463 rounds on the first three
+        inst = O.discretize(M.build_model(family), gamma_cells, theta_cells)
+        rep = O.solve_sequential(inst)
+        assert _adapted_audit_is_clean(inst, rep.mechanism)
+        assert rep.value >= O.solve_simultaneous(inst).value - 1e-9
+
+    def test_lp_size_is_reported(self):
+        # 3 types, 5x5 cells: 90 allocation, 75 transfer and 120 value
+        # columns; 375 + 225 epigraph, 9 deviation and 3 participation rows
+        inst = O.discretize(M.build_model(LOGI_FAMILY), 3, 5)
+        rep = O.solve_sequential(inst)
+        assert (rep.rows, rep.cols) == (612, 285)
+        assert 0 < rep.nnz < rep.rows * rep.cols
+
+    def test_dropped_stage_rows_fail_the_recheck(self, monkeypatch):
+        # without stage 0's epigraph rows the top rows bound nothing, and
+        # only the independent best responses can notice
+        build = O._seq_stage_rows
+
+        def drop_first_stage(layout, j):
+            rows, rhs = build(layout, j)
+            return (rows[:0], rhs[:0]) if j == 0 else (rows, rhs)
+
+        monkeypatch.setattr(O, "_seq_stage_rows", drop_first_stage)
+        inst = O.discretize(cl_model(2, {"name": "clayton", "alpha": 2.0}), 3, 3)
+        with pytest.raises(ConvergenceError, match="re-check"):
+            O.solve_sequential(inst)
 
 
 class TestAdaptedBestResponse:
