@@ -7,7 +7,13 @@ Each copula exposes, for a pre-contract type ``gamma``:
 * ``partial_log_density``  componentwise d ln c / d u_j,
 * ``conditional_chain``    the inverse Rosenblatt map z -> u used for
   sequential sampling (z uniform on the cube gives u distributed as the
-  copula).
+  copula),
+* ``on_grid(method, axes, gamma)``  ``density`` or ``partial_log_density``
+  on the tensor product of n per-axis 1-D arrays, flattened in C order
+  like ``numerics.tensor_points(axes)``.  The Gaussian copula takes its
+  normal scores once per axis there and broadcasts them; the others call
+  the point form on the tensor points.  The values equal the point form's
+  bit for bit.
 
 Parameters may drift with ``gamma`` through a linear path ``base +
 slope * gamma``; a copula is invariant exactly when every slope is zero.
@@ -26,7 +32,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .errors import InvalidIntervalError
-from .numerics import gauss_rule
+from .numerics import gauss_rule, tensor_points
 
 _Z_CLIP = 1e-15
 
@@ -53,7 +59,21 @@ class ParamPath:
         return self.slope == 0.0
 
 
-class IndependenceCopula:
+class _Copula:
+    """Shared grid entry point; see the module docstring."""
+
+    def on_grid(self, method: str, axes, gamma: float = 0.0):
+        """``method`` (``density`` or ``partial_log_density``) on the tensor
+        product of the per-axis 1-D arrays ``axes``, for one type."""
+        return getattr(self, method)(tensor_points(axes), gamma)
+
+    def check_path(self, lo: float, hi: float) -> None:
+        """Raise InvalidIntervalError unless the parameter path is valid for
+        every type in [lo, hi]; paths are linear and every valid set is an
+        interval, so the two ends decide."""
+
+
+class IndependenceCopula(_Copula):
     """Product copula: percentiles are independent across goods."""
 
     def __init__(self, dim: int):
@@ -80,7 +100,7 @@ class IndependenceCopula:
         return np.asarray(z, dtype=float).copy()
 
 
-class ClaytonCopula:
+class ClaytonCopula(_Copula):
     """Clayton copula with lower-tail dependence, alpha > 0.
 
     C(u) = (sum_j u_j^-alpha - n + 1)^(-1/alpha)
@@ -105,6 +125,9 @@ class ClaytonCopula:
         if np.any(a <= 0):
             raise InvalidIntervalError(f"clayton alpha must be positive, got {a}")
         return a
+
+    def check_path(self, lo, hi):
+        self._alpha(np.array([lo, hi], dtype=float))
 
     def cdf(self, u, gamma: float = 0.0):
         a = self._alpha(gamma)
@@ -252,7 +275,11 @@ def bvn_upper(dh: float, dk: float, r: float) -> float:
     return max(0.0, min(1.0, bvn))
 
 
-class GaussianCopula:
+def _normal_scores(u):
+    return ndtri(np.clip(np.asarray(u, dtype=float), _Z_CLIP, 1.0 - _Z_CLIP))
+
+
+class GaussianCopula(_Copula):
     """Gaussian copula with an equicorrelated matrix, |rho| < 1.
 
     For dim n the correlation matrix is (1-rho) I + rho J; rho may drift
@@ -278,28 +305,37 @@ class GaussianCopula:
             raise InvalidIntervalError(f"equicorrelation rho {r} invalid for dim {n}")
         return r
 
-    def _scores(self, u, r):
-        """Normal scores x of u and R^-1 x, by the closed form for
+    def check_path(self, lo, hi):
+        self._rho(np.array([lo, hi], dtype=float))
+
+    def _rinv(self, x, r):
+        """R^-1 x for normal scores x, by the closed form for
         equicorrelation; row sums as products with ones, far faster than
         numpy's reduction over a short last axis."""
         n = self.dim
-        x = ndtri(np.clip(np.asarray(u, dtype=float), _Z_CLIP, 1.0 - _Z_CLIP))
         srow = (x @ np.ones(n))[..., None]
         r = _goods_axis(r)
-        return x, (x - r / (1.0 + (n - 1) * r) * srow) / (1.0 - r)
+        return (x - r / (1.0 + (n - 1) * r) * srow) / (1.0 - r)
 
     def density(self, u, gamma=0.0):
-        r = self._rho(gamma)
-        n = self.dim
-        x, rinv_x = self._scores(u, r)
-        det = (1.0 - r) ** (n - 1) * (1.0 + (n - 1) * r)
-        quad = (x * (rinv_x - x)) @ np.ones(n)
-        return np.exp(-0.5 * quad) / np.sqrt(det)
+        return self._density(_normal_scores(u), self._rho(gamma))
 
     def partial_log_density(self, u, gamma=0.0):
-        x, rinv_x = self._scores(u, self._rho(gamma))
+        return self._partial_log_density(_normal_scores(u), self._rho(gamma))
+
+    def on_grid(self, method: str, axes, gamma: float = 0.0):
+        x = tensor_points([_normal_scores(a) for a in axes])  # ndtri n*M times, not n*M^n
+        return getattr(self, "_" + method)(x, self._rho(gamma))
+
+    def _density(self, x, r):
+        n = self.dim
+        det = (1.0 - r) ** (n - 1) * (1.0 + (n - 1) * r)
+        quad = (x * (self._rinv(x, r) - x)) @ np.ones(n)
+        return np.exp(-0.5 * quad) / np.sqrt(det)
+
+    def _partial_log_density(self, x, r):
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return -(rinv_x - x) / phi
+        return -(self._rinv(x, r) - x) / phi
 
     def _cholesky(self, gamma) -> np.ndarray:
         r = np.asarray(self._rho(gamma), dtype=float)[..., None, None]
@@ -309,7 +345,7 @@ class GaussianCopula:
     def conditional_chain(self, z, gamma=0.0):
         z = np.asarray(z, dtype=float)
         chol = self._cholesky(gamma)
-        xi = ndtri(np.clip(z, _Z_CLIP, 1.0 - _Z_CLIP))
+        xi = _normal_scores(z)
         x = xi @ chol.T if chol.ndim == 2 else (chol @ xi[..., None])[..., 0]
         u = ndtr(x)
         corner = (z <= 0.0) | (z >= 1.0)

@@ -31,7 +31,7 @@ from .errors import (
     RegularityError,
 )
 from .model import JointModel, hazard, score
-from .numerics import bisect_root, composite_rule, gauss_rule, geometric_breaks
+from .numerics import bisect_root, composite_rule, gauss_rule, geometric_breaks, tensor_points
 
 DEFAULT_GRID_SIZE = 101
 _SCAN_POINTS = 257
@@ -388,19 +388,12 @@ def _joint_score_rents(model: JointModel, rule: PercentileRule, quad: QuadSpec,
     graded toward the cube corners and split at the strike percentiles.
 
     The marginal quantities are evaluated once per axis and broadcast
-    onto the grid, so only the copula terms (and the likelihood
-    difference quotient when ``analytic`` is False) see the full grid.
+    onto the grid (``np.ix_``), and the copula terms go through the
+    copula's grid entry point, so only the likelihood difference quotient
+    (when ``analytic`` is False) sees materialized grid points.
     """
     n, copula = model.n, model.copula
     graded = list(geometric_breaks(depth=quad.corner_depth))
-
-    def spread(arrays):
-        """Per-axis arrays reshaped to broadcast over the tensor grid."""
-        return [a.reshape((1,) * j + (-1,) + (1,) * (n - 1 - j)) for j, a in enumerate(arrays)]
-
-    def points(arrays):
-        return np.stack(np.broadcast_arrays(*spread(arrays)), axis=-1).reshape(-1, n)
-
     rents = np.empty(len(rule.gamma))
     # types per batch of axis evaluations, each axis about (len(graded) + 2) * order nodes
     step = max(1, _CHUNK_POINTS // (n * (len(graded) + 2) * quad.joint_order))
@@ -422,17 +415,17 @@ def _joint_score_rents(model: JointModel, rule: PercentileRule, quad: QuadSpec,
         per_axis = [np.split(f, np.cumsum(sizes)[:-1]) for f in fields]
         for i, k in enumerate(ks):
             ax, g = slice(i * n, (i + 1) * n), rule.gamma[k]
-            wts = reduce(np.multiply, spread([a.weights for a in axes[ax]]))
-            util = reduce(np.add, spread(np.maximum(t - p, 0.0)
-                                         for t, p in zip(per_axis[0][ax], rule.strikes[k])))
+            wts = reduce(np.multiply, np.ix_(*[a.weights for a in axes[ax]]))
+            util = reduce(np.add, np.ix_(*[np.maximum(t - p, 0.0)
+                                           for t, p in zip(per_axis[0][ax], rule.strikes[k])]))
             if analytic:
-                u, dlogf, dcdf = (spread(f[ax]) for f in per_axis[1:])
-                dlogc = np.asarray(copula.partial_log_density(points(u), g), dtype=float)
-                dlogc = dlogc.reshape(wts.shape + (n,))
+                dlogf, dcdf = (np.ix_(*f[ax]) for f in per_axis[2:])
+                dlogc = np.asarray(copula.on_grid("partial_log_density", per_axis[1][ax], g),
+                                   dtype=float).reshape(wts.shape + (n,))
                 svals = reduce(np.add, (dlogf[j] + dcdf[j] * dlogc[..., j] for j in range(n)))
             else:
-                svals = np.asarray(score(model, g, points(per_axis[0][ax])), dtype=float)
-            cvals = np.asarray(copula.density(points([a.nodes for a in axes[ax]]), g), dtype=float)
+                svals = np.asarray(score(model, g, tensor_points(per_axis[0][ax])), dtype=float)
+            cvals = np.asarray(copula.on_grid("density", [a.nodes for a in axes[ax]], g), dtype=float)
             rents[k] = np.dot(wts.ravel(), (util * svals.reshape(wts.shape)).ravel() * cvals)
     return rents
 

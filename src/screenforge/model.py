@@ -22,7 +22,7 @@ import numpy as np
 
 from . import copulas
 from .errors import ConfigError, DensityZeroError, InvalidIntervalError
-from .numerics import DEFAULT_FD_STEP_FRACTION
+from .numerics import DEFAULT_FD_STEP_FRACTION, tensor_points
 
 _FD_GAMMA_STEP = 1e-6
 
@@ -388,9 +388,7 @@ def invariance_residual(model: JointModel, grid, gamma_pair) -> float:
     """
     g1, g2 = gamma_pair
     if np.isscalar(grid):
-        axis = np.linspace(0.1, 0.9, int(grid))
-        mesh = np.meshgrid(*([axis] * model.n), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = tensor_points([np.linspace(0.1, 0.9, int(grid))] * model.n)
     else:
         pts = np.asarray(grid, dtype=float)
     c1 = np.asarray(model.copula.density(pts, g1), dtype=float)
@@ -467,10 +465,12 @@ def build_model(config: dict) -> JointModel:
         raise ConfigError(f"goods must be a positive integer, got {goods!r}")
     if name not in FAMILY_NAMES:
         raise ConfigError(f"unknown family '{name}' (known: {FAMILY_NAMES})")
+    prior = uniform_prior(0.0, 1.0)
     try:
         cop_cfg = dict(config.get("copula", {"name": "independence"}))
         cop_name = cop_cfg.pop("name", "independence")
         copula = copulas.make_copula(cop_name, max(goods, 2), **cop_cfg)
+        copula.check_path(prior.lo, prior.hi)
         if name == "cl_uniform":
             width = float(config.get("width", 1.0))
             if not 0.0 < width <= 1.0:  # keeps [gamma, gamma + width] in the box
@@ -490,7 +490,7 @@ def build_model(config: dict) -> JointModel:
         raise ConfigError(f"bad family config: {exc}") from exc
 
     return JointModel(
-        prior=uniform_prior(0.0, 1.0),
+        prior=prior,
         marginals=(marg,) * goods,
         copula=copula,
         invariant_flag=bool(copula.is_gamma_invariant),

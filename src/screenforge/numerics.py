@@ -106,11 +106,14 @@ def tensor_rule(box, orders, breaks=None):
         composite_rule(lo, hi, orders[k], breaks[k])
         for k, (lo, hi) in enumerate(box)
     ]
-    grids = np.meshgrid(*[r.nodes for r in axes], indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[r.weights for r in axes], indexing="ij")
-    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    return points, weights
+    weights = np.prod(tensor_points([r.weights for r in axes]), axis=-1)
+    return tensor_points([r.nodes for r in axes]), weights
+
+
+def tensor_points(axes) -> np.ndarray:
+    """Tensor product of the 1-D arrays ``axes`` as points of shape (N, d),
+    in C order (the last axis varies fastest)."""
+    return np.stack(np.broadcast_arrays(*np.ix_(*axes)), axis=-1).reshape(-1, len(axes))
 
 
 def bisect_root(g, lo, hi, tol: float = DEFAULT_ROOT_TOL):

@@ -110,6 +110,21 @@ class TestSolveCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("copula,message", [
+        ({"name": "gaussian", "rho": -0.6}, "equicorrelation rho -0.6 invalid for dim 3"),
+        ({"name": "gaussian", "rho": 1.0}, "equicorrelation rho 1.0 invalid"),
+        ({"name": "gaussian", "rho": 0.5, "rho_slope": 0.6}, "equicorrelation rho [0.5 1.1]"),
+        ({"name": "clayton", "alpha": -1}, "clayton alpha must be positive"),
+        ({"name": "clayton", "alpha": 1, "alpha_slope": -2}, "clayton alpha must be positive"),
+    ], ids=["rho-below", "rho-one", "rho-path-leaves", "alpha-negative", "alpha-path-leaves"])
+    def test_bad_copula_parameters_exit_2(self, tmp_path, copula, message, capsys):
+        # checked at both ends of the prior support before anything is solved
+        cfg = write_config(tmp_path, family={"name": "logistic_shift", "goods": 3, "copula": copula})
+        out = tmp_path / "out"
+        assert run("solve", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,key,value", [
         ("identity", "divergence_tol", "abc"),
         ("identity", "divergence_tol", -1e-4),

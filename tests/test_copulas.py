@@ -14,7 +14,7 @@ from screenforge.copulas import (
     make_copula,
 )
 from screenforge.errors import InvalidIntervalError
-from screenforge.numerics import geometric_breaks, tensor_rule
+from screenforge.numerics import geometric_breaks, tensor_points, tensor_rule
 
 
 def copula_mass(cop, gamma=0.0, order=16):
@@ -201,3 +201,36 @@ class TestTypeArrays:
         u, gammas = self.points(3, count=10)
         np.testing.assert_array_equal(cop.density(u, gammas), np.ones(10))
         np.testing.assert_array_equal(cop.conditional_chain(u, gammas), u)
+
+
+class TestGridForm:
+    """on_grid equals the point form on the tensor points, bit for bit."""
+
+    COPULAS = [
+        IndependenceCopula(2),
+        IndependenceCopula(3),
+        ClaytonCopula(2, alpha=2.0),
+        ClaytonCopula(3, alpha=1.5),
+        ClaytonCopula(2, alpha=2.0, alpha_slope=1.0),
+        ClaytonCopula(3, alpha=1.5, alpha_slope=-0.8),
+        GaussianCopula(2, rho=0.5),
+        GaussianCopula(3, rho=-0.3),
+        GaussianCopula(2, rho=0.2, rho_slope=0.6),
+        GaussianCopula(3, rho=-0.1, rho_slope=0.5),
+    ]
+    IDS = ["indep2", "indep3", "clayton2", "clayton3", "clayton2-drift", "clayton3-drift",
+           "gauss2", "gauss3", "gauss2-drift", "gauss3-drift"]
+
+    @pytest.mark.parametrize("cop", COPULAS, ids=IDS)
+    @pytest.mark.parametrize("method", ["density", "partial_log_density"])
+    def test_equals_point_form_on_tensor_points(self, cop, method):
+        rng = np.random.default_rng(31)
+        # unequal lengths; 0, 1e-16, 1 - 1e-16 and 1 clip at the score clamp
+        edges = [0.0, 1e-16, 1.0 - 1e-16, 1.0]
+        axes = [rng.permutation(np.concatenate([edges, rng.uniform(size=3 + 2 * j)]))
+                for j in range(cop.dim)]
+        with np.errstate(all="ignore"):
+            grid = cop.on_grid(method, axes, 0.7)
+            point = getattr(cop, method)(tensor_points(axes), 0.7)
+        assert grid.shape == point.shape == (math.prod(len(a) for a in axes),) + point.shape[1:]
+        np.testing.assert_array_equal(grid, point)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -452,6 +454,23 @@ class TestAgainstScalarReference:
             assert abs(functional - expected) < 1e-12
         else:  # finite-difference rent path
             assert abs(functional - expected) < 1e-9 * abs(expected)
+
+    @pytest.mark.parametrize("copula,shifts", [
+        ({"name": "gaussian", "rho": 0.3}, None),
+        ({"name": "clayton", "alpha": 2.0}, None),
+        ({"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}, None),
+        ({"name": "gaussian", "rho": 0.3}, (1.0, 0.6, 1.4)),
+    ], ids=["gaussian", "clayton", "gaussian-drift", "gaussian-unequal-goods"])
+    def test_three_good_joint_score_integral(self, copula, shifts):
+        # three axes check the broadcast order of the per-axis terms on the
+        # tensor grid; goods with unequal marginals make every axis differ
+        mdl = M.build_model({"name": "logistic_shift", "goods": 3, "copula": copula})
+        if shifts:
+            mdl = replace(mdl, marginals=[M.truncated_logistic_marginal(shift=s) for s in shifts])
+        quad = X.QuadSpec(joint_order=4, corner_depth=2)
+        mech = X.upfront_t1(mdl, X.solve_thresholds(mdl, np.linspace(0.0, 1.0, 3), quad), quad)
+        functional = X.revenue_functional(mdl, mech, quad)
+        assert abs(functional - scalar.revenue_functional(mdl, mech, quad)) < 1e-12
 
     def test_ic_audit_gain_matrix(self, solved):
         mdl, mech = solved

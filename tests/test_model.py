@@ -352,3 +352,14 @@ class TestRegistry:
     def test_invariant_flag_follows_copula(self):
         assert cl_model(2, {"name": "clayton", "alpha": 2.0}).invariant_flag
         assert not cl_model(2, {"name": "clayton", "alpha": 2.0, "alpha_slope": 0.5}).invariant_flag
+
+    @pytest.mark.parametrize("copula", [
+        {"name": "gaussian", "rho": -0.5},
+        {"name": "gaussian", "rho": 0.9, "rho_slope": 0.1},
+        {"name": "clayton", "alpha": 0.0},
+        {"name": "clayton", "alpha": 1.0, "alpha_slope": -1.0},
+    ])
+    def test_copula_path_invalid_at_a_prior_end_is_config_error(self, copula):
+        # the bounds are open: a path that reaches one at an end fails
+        with pytest.raises(ConfigError):
+            M.build_model({"name": "logistic_shift", "goods": 3, "copula": copula})
