@@ -22,7 +22,7 @@ from . import mech as mechmod
 from . import model as modelmod
 from . import oracle as oraclemod
 from .errors import ConfigError, RegularityError, ScreenforgeError
-from .numerics import RngStream, gauss_rule, uniform_draws
+from .numerics import RngStream, gauss_rule, tensor_points, uniform_draws
 
 _FLOAT_FMT = "%.17g"
 _CSV_BLOCK_ROWS = 4096
@@ -375,8 +375,7 @@ def cmd_sample(cfg: RunConfig) -> int:
         stream = RngStream(seed=cfg.seed, stream_id=100 + gi)
         z = uniform_draws(stream, count, n)
         if corners:
-            corner_z = np.array(np.meshgrid(*([[0.0, 1.0]] * n), indexing="ij")).reshape(n, -1).T
-            z = np.vstack([corner_z, z])
+            z = np.vstack([tensor_points([[0.0, 1.0]] * n), z])
         theta = modelmod.sample_theta(cfg.model, float(g), z)
         blocks.append(np.column_stack([np.full(len(z), float(g)), z, theta]))
         for j in range(n):

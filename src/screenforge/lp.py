@@ -4,11 +4,12 @@ All callers express problems as maximization with rows in
 ``A_ub x <= b_ub`` form.  Determinism contract: identical inputs (same
 row ordering) produce identical solutions.
 
-Two entry points share the tolerances and the status mapping:
-``lp_solve`` solves one program from scratch, and ``LpModel`` keeps one
-HiGHS model alive so that appended rows, moved right-hand sides and
-switched column bounds are re-solved by the dual simplex from the last
-basis.  Replaying the same calls on an ``LpModel`` gives the same bytes.
+There is one engine: ``LpModel`` keeps one HiGHS model alive so that
+appended rows, moved right-hand sides and switched column bounds are
+re-solved by the dual simplex from the last basis, and ``lp_solve`` is a
+single solve on a fresh ``LpModel``.  Every model is built under the one
+option table ``_OPTIONS``.  Replaying the same calls on an ``LpModel``
+gives the same bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .errors import LpInfeasibleError, LpSolverError, LpUnboundedError
 
@@ -35,10 +35,15 @@ except (ImportError, AttributeError) as exc:  # pragma: no cover - old scipy
     ) from exc
 
 _INF = _highs.kHighsInf
+# Set before the model is passed: HiGHS drops matrix entries below
+# small_matrix_value when it receives the matrix, and its default of 1e-9
+# would silently solve another program (1e-12 is the least it accepts).
 _OPTIONS = {
-    "presolve": True,
+    "output_flag": False,
+    "presolve": "off",
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
+    "small_matrix_value": 1e-12,
 }
 
 
@@ -49,48 +54,15 @@ class LpSolution:
 
 
 def _as_sparse(a):
-    if a is None:
-        return None
     if sp.issparse(a):
         return a.tocsr()
     return sp.csr_matrix(np.atleast_2d(np.asarray(a, dtype=float)))
 
 
-def lp_solve(
-    c,
-    a_ub=None,
-    b_ub=None,
-    a_eq=None,
-    b_eq=None,
-    bounds=None,
-    maximize: bool = True,
-) -> LpSolution:
-    """Solve max (or min) c.x subject to A_ub x <= b_ub, A_eq x = b_eq.
-
-    ``bounds`` follows scipy conventions (default x >= 0).  Raises
-    :class:`LpInfeasibleError` / :class:`LpUnboundedError` accordingly,
-    and :class:`LpSolverError` when HiGHS stops without either verdict.
-    """
-    c = np.asarray(c, dtype=float)
-    sign = -1.0 if maximize else 1.0
-    res = linprog(
-        sign * c,
-        A_ub=_as_sparse(a_ub),
-        b_ub=None if b_ub is None else np.asarray(b_ub, dtype=float),
-        A_eq=_as_sparse(a_eq),
-        b_eq=None if b_eq is None else np.asarray(b_eq, dtype=float),
-        bounds=bounds,
-        method="highs",
-        options=_OPTIONS,
-    )
-    if res.status == 2:
-        raise LpInfeasibleError(res.message)
-    if res.status == 3:
-        raise LpUnboundedError(res.message)
-    if res.status != 0:
-        raise LpSolverError(f"solver failure: {res.message}")
-    x = np.asarray(res.x, dtype=float)
-    return LpSolution(x=x, value=float(np.dot(c, x)))
+def lp_solve(c, a_ub=None, b_ub=None, bounds=None) -> LpSolution:
+    """Solve max c.x subject to A_ub x <= b_ub once, on a fresh
+    :class:`LpModel` (bounds and errors as there)."""
+    return LpModel(c, a_ub, b_ub, bounds=bounds).solve()
 
 
 def _bound_arrays(bounds, n: int):
@@ -110,10 +82,13 @@ class LpModel:
     Built once from CSC.  ``add_rows`` appends constraint rows,
     ``set_rhs`` moves right-hand sides and ``set_bounds`` replaces the
     column bounds; each ``solve`` re-runs the dual simplex from the last
-    basis with presolve off, under the tolerances of :func:`lp_solve`
-    and with the same error types.  A solve that ends without an optimum
-    clears the solver before it raises, so the solve after an infeasible
-    verdict starts from scratch rather than from a stale basis.
+    basis, with presolve off.  ``bounds`` follow scipy conventions
+    (default x >= 0, None is unbounded).  A solve raises
+    :class:`LpInfeasibleError` or :class:`LpUnboundedError` on those
+    verdicts and :class:`LpSolverError` when HiGHS stops without either.
+    A solve that ends without an optimum clears the solver before it
+    raises, so the solve after an infeasible verdict starts from scratch
+    rather than from a stale basis.
     """
 
     def __init__(self, c, a_ub, b_ub, bounds=None):
@@ -125,12 +100,7 @@ class LpModel:
             raise ValueError("constraint matrix does not match c and b_ub")
         self._lower, self._upper = _bound_arrays(bounds, n)
         self._highs = _highs._Highs()
-        for key, value in (
-            ("output_flag", False),
-            ("presolve", "off"),
-            ("primal_feasibility_tolerance", _OPTIONS["primal_feasibility_tolerance"]),
-            ("dual_feasibility_tolerance", _OPTIONS["dual_feasibility_tolerance"]),
-        ):
+        for key, value in _OPTIONS.items():
             self._check(self._highs.setOptionValue(key, value), f"option {key}")
         lp = _highs.HighsLp()
         lp.num_col_ = n
@@ -183,7 +153,7 @@ class LpModel:
         self._rhs = b.copy()
 
     def set_bounds(self, bounds):
-        """Replace the column bounds (scipy convention, as in ``lp_solve``)."""
+        """Replace the column bounds (scipy convention, as in the constructor)."""
         lower, upper = _bound_arrays(bounds, len(self._c))
         cols = np.flatnonzero((lower != self._lower) | (upper != self._upper))
         if len(cols):

@@ -17,14 +17,14 @@ discretized instance:
 instance; the joint optimum can only improve on it, and under invariant
 coupling the improvement vanishes with grid refinement.
 
-The simultaneous and sequential optima are re-checked by
-``evaluate_mechanism``, whose best responses share no rows with the
-program.
+Every regime's optimum is re-checked by ``evaluate_mechanism``, whose
+best responses share no rows with the program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +40,7 @@ from .errors import (
 from .lp import LpModel, lp_solve
 from .mech import ThresholdMechanism, transfer_t2
 from .model import JointModel
+from .numerics import tensor_points
 
 DEFAULT_TOL = 1e-10
 CAP_FACTOR = 10.0
@@ -91,11 +92,12 @@ class DiscreteInstance:
     def n_types(self) -> int:
         return len(self.gamma_values)
 
-    @property
+    @cached_property
     def cell_values(self) -> np.ndarray:
-        """(C, n) matrix of cell representative valuations."""
-        grids = np.meshgrid(*self.theta_grids, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        """(C, n) read-only matrix of cell representative valuations."""
+        values = tensor_points(self.theta_grids)
+        values.flags.writeable = False
+        return values
 
     def to_jsonable(self) -> dict:
         return {
@@ -146,8 +148,7 @@ def discretize(model: JointModel, gamma_cells: int, theta_cells) -> DiscreteInst
 
     dims = tuple(theta_cells)
     pmf = np.empty((gamma_cells, int(np.prod(dims))))
-    corner_axes = np.meshgrid(*edges, indexing="ij")
-    corners = np.stack([c.ravel() for c in corner_axes], axis=-1)
+    corners = tensor_points(edges)
     for mi, g in enumerate(gvals):
         if model.n == 1:
             cdf_tab = np.asarray(model.marginals[0].cdf(edges[0], g), dtype=float)
@@ -231,7 +232,6 @@ class SolveReport:
     rows: int
     cols: int
     nnz: int
-    status: str
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ def mechanism_revenue(instance: DiscreteInstance, mech: DiscreteMechanism) -> fl
 
 
 # ---------------------------------------------------------------------------
-# exact LP engine shared by the simultaneous and sequential regimes
+# LP rows and re-check shared by every regime
 # ---------------------------------------------------------------------------
 
 
@@ -276,27 +276,35 @@ class _Layout:
     """Column layout of a regime LP: allocations, transfers, then values.
 
     ``qcol[m, c, j]`` is the column of good j's allocation for type m at
-    the full cell c (cells share a column where the allocation may only
-    depend on a prefix of the history), ``t2col[m, c]`` the settling
-    transfer and ``t1col[m]`` the upfront fee, if the regime has one.
+    cell c (cells share a column where the allocation may only depend on
+    a prefix of the history), ``t2col[m, c]`` the settling transfer and
+    ``t1col[m]`` the upfront fee, each if the regime has one.
     ``wcol[j][m, r, a, b]`` are free columns bounding the stage-j value
     of an adapted deviation (see ``_seq_stage_rows``); only the
     sequential regime has them.
+
+    The cells are the instance's valuation cells unless ``pmf`` (M, C)
+    and ``theta`` (M, C, n) give others: type m's cell masses and its
+    valuation of each cell.  Transfers are capped by the instance's full
+    surplus either way.
     """
 
-    def __init__(self, instance: DiscreteInstance, qcol, t2col, t1col, regime: str, wcol=()):
+    def __init__(self, instance: DiscreteInstance, qcol, t2col, t1col, regime: str, wcol=(),
+                 pmf=None, theta=None):
         self.inst = instance
         self.qcol, self.t2col, self.t1col, self.wcol = qcol, t2col, t1col, wcol
         self.regime = regime
+        self.pmf = instance.pmf if pmf is None else pmf
+        self.theta = np.broadcast_to(instance.cell_values if theta is None else theta, qcol.shape)
         self.nq = int(qcol.max()) + 1
-        self.nt = t2col.size + (0 if t1col is None else t1col.size)
+        self.nt = sum(col.size for col in (t2col, t1col) if col is not None)
         self.nvar = 1 + max(int(w.max()) for w in wcol) if wcol else self.nq + self.nt
         self.cap = CAP_FACTOR * max(1.0, abs(full_surplus(instance)))
-        self.theta = instance.cell_values
 
     def objective(self) -> np.ndarray:
         c = np.zeros(self.nvar)
-        c[self.t2col] = self.inst.gamma_probs[:, None] * self.inst.pmf
+        if self.t2col is not None:
+            c[self.t2col] = self.inst.gamma_probs[:, None] * self.pmf
         if self.t1col is not None:
             c[self.t1col] = self.inst.gamma_probs
         return c
@@ -306,22 +314,20 @@ class _Layout:
         free = self.nvar - self.nq - self.nt
         return [(0.0, 1.0)] * self.nq + [t] * self.nt + [(None, None)] * free
 
-    def _interim(self, m, menu, report):
+    def _interim(self, m, menu):
         """(cols, data) blocks of interim values, one row per entry k:
-        type m[k] takes menu[k] and reports cell report[k, c] at true c."""
-        f = self.inst.pmf[m]
-        blocks = [
-            (self.qcol[menu[:, None], report], f[:, :, None] * self.theta),
-            (self.t2col[menu[:, None], report], -f),
-        ]
+        type m[k] takes menu[k] and reports its cells truthfully."""
+        f = self.pmf[m]
+        blocks = [(self.qcol[menu], f[:, :, None] * self.theta[m])]
+        if self.t2col is not None:
+            blocks.append((self.t2col[menu], -f))
         if self.t1col is not None:
             blocks.append((self.t1col[menu][:, None], -1.0))
         return blocks
 
     def truth_blocks(self, m):
         """Blocks of -U_m(truth), one row per entry of m."""
-        truth = np.broadcast_to(np.arange(self.inst.n_cells), (len(m), self.inst.n_cells))
-        return [(c, -d) for c, d in self._interim(m, m, truth)]
+        return [(c, -d) for c, d in self._interim(m, m)]
 
     def participation_rows(self):
         """-U_m(truth) <= 0 for every type m."""
@@ -333,29 +339,39 @@ class _Layout:
         return DiscreteMechanism(q=x[self.qcol], t1=t1, t2=x[self.t2col], regime=self.regime)
 
 
+def _stack(parts):
+    """One ``rows x <= rhs`` program from its (rows, rhs) blocks."""
+    return sp.vstack([p[0] for p in parts]).tocsr(), np.concatenate([p[1] for p in parts])
+
+
+def _recheck(instance: DiscreteInstance, mech: DiscreteMechanism, tol: float):
+    """Re-audit an LP optimum with ``evaluate_mechanism``, whose best
+    responses share no rows with the program; a violation above ``tol``
+    is an error."""
+    ev = evaluate_mechanism(instance, mech)
+    worst = max(ev.ic1_violation, ev.ic2_violation, ev.ir_violation)
+    if worst > tol:
+        raise ConvergenceError(
+            f"{mech.regime} LP optimum fails its independent re-check: "
+            f"violation {worst:.3g} > {tol:g}"
+        )
+
+
 def _solve_exact(layout: _Layout, parts, tol: float) -> SolveReport:
     """Solve a regime's complete LP on one HiGHS model, then re-check it.
 
     ``parts`` are the (rows, rhs) blocks of ``rows x <= rhs``.  The first
     solve caps the transfers; the cap-free re-solve starts from its basis
     and can end at another vertex of the optimal face.  That optimum is
-    then re-audited by ``evaluate_mechanism``, whose best responses share
-    no rows with the program; a violation above ``tol`` is an error.
+    then re-checked (``_recheck``).
     """
-    rows = sp.vstack([p[0] for p in parts]).tocsr()
-    model = LpModel(layout.objective(), rows, np.concatenate([p[1] for p in parts]),
-                    bounds=layout.bounds())
+    rows, rhs = _stack(parts)
+    model = LpModel(layout.objective(), rows, rhs, bounds=layout.bounds())
     capped = model.solve()
     model.set_bounds(layout.bounds(capped=False))
     sol = model.solve()
     mech = layout.unpack(sol.x)
-    ev = evaluate_mechanism(layout.inst, mech)
-    worst = max(ev.ic1_violation, ev.ic2_violation, ev.ir_violation)
-    if worst > tol:
-        raise ConvergenceError(
-            f"{layout.regime} LP optimum fails its independent re-check: "
-            f"violation {worst:.3g} > {tol:g}"
-        )
+    _recheck(layout.inst, mech, tol)
     return SolveReport(
         value=sol.value,
         mechanism=mech,
@@ -364,7 +380,6 @@ def _solve_exact(layout: _Layout, parts, tol: float) -> SolveReport:
         rows=rows.shape[0],
         cols=rows.shape[1],
         nnz=rows.nnz,
-        status="optimal",
     )
 
 
@@ -392,7 +407,7 @@ def _sim_cell_rows(layout: _Layout):
     a, b = np.nonzero(~np.eye(c_count, dtype=bool))
     m = np.repeat(np.arange(m_count), len(a))
     a, b = np.tile(a, m_count), np.tile(b, m_count)
-    theta_a = layout.theta[a]
+    theta_a = layout.theta[m, a]
     blocks = [
         (layout.qcol[m, b], theta_a),
         (layout.qcol[m, a], -theta_a),
@@ -408,8 +423,7 @@ def _sim_type_rows(layout: _Layout):
     valuations, and on such a menu the identity map is a best misreport,
     so these rows complete the joint misreport constraints."""
     m, r = np.nonzero(~np.eye(layout.inst.n_types, dtype=bool))
-    truth = np.broadcast_to(np.arange(layout.inst.n_cells), (len(m), layout.inst.n_cells))
-    blocks = layout._interim(m, r, truth) + layout.truth_blocks(m)
+    blocks = layout._interim(m, r) + layout.truth_blocks(m)
     return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
 
 
@@ -478,10 +492,10 @@ def _seq_stage_rows(layout: _Layout, j: int):
     dims, n, m_count = inst.dims, inst.n_goods, inst.n_types
     last = j == n - 1
     size = int(np.prod(dims[: j + 1]))
-    m, r, a, b = (g.ravel() for g in np.meshgrid(
+    m, r, a, b = tensor_points([
         np.arange(1 if last else m_count), np.arange(m_count),
-        np.arange(dims[j] if last else size), np.arange(size), indexing="ij",
-    ))
+        np.arange(dims[j] if last else size), np.arange(size),
+    ]).T
     blocks = [
         (layout.wcol[j][m, r, a, b // dims[j]], -1.0),
         (layout.qcol[r, b * int(np.prod(dims[j + 1:])), j], inst.theta_grids[j][a % dims[j]]),
@@ -642,35 +656,33 @@ def build_relaxed_tables(instance: DiscreteInstance, tol: float = 1e-13) -> Rela
     return RelaxedTables(masses=masses, cell_of=cell_of, values=values)
 
 
-def solve_relaxed(instance: DiscreteInstance, tables: Optional[RelaxedTables] = None) -> SolveReport:
-    """One-transfer screening with the shock publicly observed: pure LP,
-    type misreports only."""
+def solve_relaxed(instance: DiscreteInstance, tables: Optional[RelaxedTables] = None,
+                  tol: float = DEFAULT_TOL) -> SolveReport:
+    """One-transfer screening with the shock publicly observed.
+
+    The program is the simultaneous regime's participation and
+    type-misreport rows on the shock cells, where each type values a cell
+    by its own valuation; there is no settling transfer, so no cell rows.
+    Its one capped optimum is re-checked in shock space (``_recheck``).
+    """
     if tables is None:
         tables = build_relaxed_tables(instance)
     m_count, n = instance.n_types, instance.n_goods
     z_count = len(tables.masses)
     nq = m_count * z_count * n
-    nvar = nq + m_count
+    layout = _Layout(
+        instance,
+        qcol=np.arange(nq).reshape(m_count, z_count, n),
+        t2col=None,
+        t1col=nq + np.arange(m_count),
+        regime="relaxed",
+        pmf=np.broadcast_to(tables.masses, (m_count, z_count)),
+        theta=tables.values.transpose(1, 0, 2),
+    )
+    a_ub, b_ub = _stack([layout.participation_rows(), _sim_type_rows(layout)])
+    sol = lp_solve(layout.objective(), a_ub=a_ub, b_ub=b_ub, bounds=layout.bounds())
 
-    obj = np.zeros(nvar)
-    obj[nq:] = instance.gamma_probs
-    cap = CAP_FACTOR * max(1.0, abs(full_surplus(instance)))
-    bounds = [(0.0, 1.0)] * nq + [(-cap, cap)] * m_count
-
-    qcol = np.arange(nq).reshape(m_count, z_count, n)
-    tcol = nq + np.arange(m_count)
-    # mv[m, z, j]: mass of z cell times type m's valuation of good j
-    mv = tables.masses[None, :, None] * tables.values.transpose(1, 0, 2)
-    # participation: that_m <= E_z[qhat(m,z).v(m,z)]
-    part = _block_rows([(tcol, 1.0), (qcol, -mv)], m_count, nvar)
-    # type misreports: menu m_rep valued with type m's valuation map
-    m, m_rep = np.nonzero(~np.eye(m_count, dtype=bool))
-    blocks = [(qcol[m_rep], mv[m]), (qcol[m], -mv[m]), (tcol[m_rep], -1.0), (tcol[m], 1.0)]
-    a_ub = sp.vstack([part, _block_rows(blocks, len(m), nvar)]).tocsr()
-    sol = lp_solve(obj, a_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]), bounds=bounds)
-
-    qhat = sol.x[:nq].reshape(m_count, z_count, n)
-    that = sol.x[nq:]
+    qhat = sol.x[layout.qcol]
     # conditional-average allocation per valuation cell, for reporting
     q_cells = np.zeros((m_count, instance.n_cells, n))
     for m in range(m_count):
@@ -682,20 +694,20 @@ def solve_relaxed(instance: DiscreteInstance, tables: Optional[RelaxedTables] = 
             q_cells[m, :, j] = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0)
     mech = DiscreteMechanism(
         q=q_cells,
-        t1=that.copy(),
+        t1=sol.x[layout.t1col],
         t2=np.zeros((m_count, instance.n_cells)),
         regime="relaxed",
         aux={"qhat": qhat, "masses": tables.masses, "cell_of": tables.cell_of},
     )
+    _recheck(instance, mech, tol)
     return SolveReport(
         value=sol.value,
         mechanism=mech,
         iterations=1,
         solve_values=[sol.value],
         rows=a_ub.shape[0],
-        cols=nvar,
+        cols=layout.nvar,
         nnz=a_ub.nnz,
-        status="optimal",
     )
 
 
@@ -834,62 +846,36 @@ def brute_force_value(instance: DiscreteInstance) -> float:
         raise InvalidIntervalError("instance too large for exhaustive search")
 
     maps = np.array(list(np.ndindex(*([c_count] * c_count))), dtype=int)  # (n_maps, C)
-    nvar = m_count * c_count + m_count  # t2 then t1
+    t2 = np.arange(m_count * c_count).reshape(m_count, c_count)
+    t1 = m_count * c_count + np.arange(m_count)
+    nvar = m_count * (c_count + 1)
     obj = np.zeros(nvar)
-    for m in range(m_count):
-        obj[m_count * c_count + m] = instance.gamma_probs[m]
-        obj[m * c_count: (m + 1) * c_count] = instance.gamma_probs[m] * instance.pmf[m]
+    obj[t2] = instance.gamma_probs[:, None] * instance.pmf
+    obj[t1] = instance.gamma_probs
 
-    rows, cols, data = [], [], []
-    r = 0
-    # cell-misreport rows: t2(m,a) - t2(m,b) <= value difference (rhs)
-    for m in range(m_count):
-        for a in range(c_count):
-            for b in range(c_count):
-                if a == b:
-                    continue
-                rows += [r, r]
-                cols += [m * c_count + a, m * c_count + b]
-                data += [1.0, -1.0]
-                r += 1
-    # participation rows: sum_c f t2 + t1 <= E[q.theta] (rhs)
-    for m in range(m_count):
-        for cell in range(c_count):
-            rows.append(r)
-            cols.append(m * c_count + cell)
-            data.append(float(instance.pmf[m, cell]))
-        rows.append(r)
-        cols.append(m_count * c_count + m)
-        data.append(1.0)
-        r += 1
-    # joint-map rows per ordered pair: transfer coefficients are fixed
-    for m in range(m_count):
-        for m_rep in range(m_count):
-            if m == m_rep:
-                continue
-            for mp_row in maps:
-                coeff = np.zeros(nvar)
-                for cell in range(c_count):
-                    coeff[m_rep * c_count + mp_row[cell]] -= instance.pmf[m, cell]
-                coeff[m * c_count: (m + 1) * c_count] += instance.pmf[m]
-                coeff[m_count * c_count + m_rep] -= 1.0
-                coeff[m_count * c_count + m] += 1.0
-                for col in np.nonzero(coeff)[0]:
-                    rows.append(r)
-                    cols.append(int(col))
-                    data.append(float(coeff[col]))
-                r += 1
-    a_ub = sp.csr_matrix((data, (rows, cols)), shape=(r, nvar))
-    model = LpModel(obj, a_ub, np.zeros(r), bounds=(None, None))
+    # rows in right-hand-side order: cell misreports t2(m,a) - t2(m,b),
+    # participation sum_c f t2 + t1, then every joint map of every ordered
+    # type pair; the coefficients do not depend on the allocation
+    true_cell, reported_cell = np.nonzero(~np.eye(c_count, dtype=bool))
+    cm = np.repeat(np.arange(m_count), len(true_cell))
+    ca, cb = np.tile(true_cell, m_count), np.tile(reported_cell, m_count)
+    pair_m, pair_rep = np.nonzero(~np.eye(m_count, dtype=bool))  # map-block order
+    pm, pr = np.repeat(pair_m, len(maps)), np.repeat(pair_rep, len(maps))
+    f = instance.pmf[pm]
+    a_ub = sp.vstack([
+        _block_rows([(t2[cm, ca], 1.0), (t2[cm, cb], -1.0)], len(cm), nvar),
+        _block_rows([(t2, instance.pmf), (t1[:, None], 1.0)], m_count, nvar),
+        _block_rows([(t2[pr[:, None], np.tile(maps, (len(pair_m), 1))], -f), (t2[pm], f),
+                     (t1[pr, None], -1.0), (t1[pm, None], 1.0)], len(pm), nvar),
+    ]).tocsr()
+    model = LpModel(obj, a_ub, np.zeros(a_ub.shape[0]), bounds=(None, None))
 
     # right-hand-side tables per allocation k: qtheta[k, a, c] is the value
     # of report c at true cell a; surplus[m, k] = E[q.theta | m]
     qtheta = np.einsum("kcn,an->kac", np.stack(allocs), theta)
     surplus = instance.pmf @ np.einsum("kaa->ka", qtheta).T
-    true_cell, reported_cell = np.nonzero(~np.eye(c_count, dtype=bool))
     cell_gain = qtheta[:, true_cell, true_cell] - qtheta[:, true_cell, reported_cell]
     map_gain = np.einsum("kpc,mc->mkp", qtheta[:, np.arange(c_count), maps], instance.pmf)
-    pair_m, pair_rep = np.nonzero(~np.eye(m_count, dtype=bool))  # map-block order
 
     shape = (len(allocs),) * m_count
     bound = sum(np.ix_(*(instance.gamma_probs[:, None] * surplus))).ravel()  # C order
@@ -960,7 +946,7 @@ def regime_row(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> RegimeRo
     reports = {
         "simultaneous": solve_simultaneous(instance, tol=tol),
         "sequential": solve_sequential(instance, tol=tol),
-        "relaxed": solve_relaxed(instance),
+        "relaxed": solve_relaxed(instance, tol=tol),
     }
     return RegimeRow(reports, separate_selling_value(instance, tol=tol), full_surplus(instance))
 

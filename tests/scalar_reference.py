@@ -267,8 +267,8 @@ def _deviation_row(layout, m, m_rep, report):
     for c in range(inst.n_cells):
         f = inst.pmf[m, c]
         for j in range(inst.n_goods):
-            row[layout.qcol[m_rep, report[c], j]] += f * layout.theta[c, j]
-            row[layout.qcol[m, c, j]] -= f * layout.theta[c, j]
+            row[layout.qcol[m_rep, report[c], j]] += f * inst.cell_values[c, j]
+            row[layout.qcol[m, c, j]] -= f * inst.cell_values[c, j]
         row[layout.t2col[m_rep, report[c]]] -= f
         row[layout.t2col[m, c]] += f
     return row

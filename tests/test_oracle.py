@@ -162,6 +162,12 @@ class TestSimultaneous:
             rep = O.solve_simultaneous(inst)
             assert rep.value <= O.full_surplus(inst) + 1e-9
 
+    def test_tiny_cell_masses_are_kept(self):
+        # cell masses down to 3.8e-11 in the logistic tails; HiGHS used to
+        # drop matrix entries below 1e-9 and then reject the cap-free run
+        inst = O.discretize(M.build_model(DRIFTING_LOGI), 6, [6, 6])
+        assert abs(O.solve_simultaneous(inst).value - 1.4503106396842755) <= 1e-9
+
     def test_deterministic_reruns(self):
         inst = O.discretize(cl_model(2), 3, [3, 3])
         a = O.solve_simultaneous(inst)
@@ -393,6 +399,30 @@ class TestRelaxed:
     def test_revenue_matches_report(self):
         rep = O.solve_relaxed(HAND)
         assert abs(O.mechanism_revenue(HAND, rep.mechanism) - rep.value) < 1e-9
+
+    def test_small_coefficients_pass_the_recheck(self):
+        # the smallest coefficient is 8.08e-10, by which the optimum broke
+        # its type row while HiGHS dropped entries below 1e-9
+        inst = O.discretize(M.build_model(
+            {"name": "logistic_shift", "goods": 3, "copula": {"name": "clayton", "alpha": 2.0}}),
+            3, [3, 3, 3])
+        ev = O.evaluate_mechanism(inst, O.solve_relaxed(inst).mechanism)
+        assert max(ev.ic1_violation, ev.ir_violation) <= 1e-10
+
+    def test_perturbed_fees_fail_the_recheck(self, monkeypatch):
+        # raising every fee breaks the lowest type's participation, which
+        # only the independent re-audit can notice
+        solve = O.lp_solve
+
+        def raise_fees(c, **kwargs):
+            sol = solve(c, **kwargs)
+            x = sol.x.copy()
+            x[-HAND.n_types:] += 1e-3
+            return type(sol)(x=x, value=sol.value)
+
+        monkeypatch.setattr(O, "lp_solve", raise_fees)
+        with pytest.raises(ConvergenceError, match="relaxed LP optimum fails"):
+            O.solve_relaxed(HAND)
 
     def test_self_consistency_in_shock_space(self):
         inst = O.discretize(cl_model(2), 3, [3, 3])
