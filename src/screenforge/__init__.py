@@ -16,13 +16,16 @@ from .mech import (  # noqa: F401
 )
 from .model import JointModel, build_model  # noqa: F401
 from .numerics import RngStream, uniform_draws  # noqa: F401
-from .oracle import (  # noqa: F401
-    DiscreteInstance,
-    DiscreteMechanism,
-    SolveReport,
-    compare_regimes,
-    discretize,
-    solve_relaxed,
-    solve_sequential,
-    solve_simultaneous,
-)
+
+# The oracle loads HiGHS and scipy.sparse; it is imported on first use
+# (PEP 562) so that the continuum solver starts with numpy alone.
+_ORACLE_NAMES = ("DiscreteInstance", "DiscreteMechanism", "SolveReport", "compare_regimes",
+                 "discretize", "solve_relaxed", "solve_sequential", "solve_simultaneous")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

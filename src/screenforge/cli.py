@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from . import mech as mechmod
 from . import model as modelmod
-from . import oracle as oraclemod
 from .errors import ConfigError, RegularityError, ScreenforgeError
 from .numerics import RngStream, gauss_rule, tensor_points, uniform_draws
 
@@ -136,8 +135,8 @@ def _write_csv(path: str, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS].tolist()
-            fh.write("".join([row_fmt % tuple(row) for row in block]))
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _write_json(path: str, payload: dict, cfg: RunConfig):
@@ -311,6 +310,8 @@ def cmd_identity(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
+    from . import oracle as oraclemod  # loads HiGHS; no other verb needs it
+
     sec = cfg.section
     gcells = int(sec.get("gamma_cells", 3))
     ladder = sec.get("theta_cells", [2, 3, 4])

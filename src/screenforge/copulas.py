@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import InvalidIntervalError
 from .numerics import gauss_rule, tensor_points
@@ -201,6 +200,8 @@ def bvn_upper(dh: float, dk: float, r: float) -> float:
     integral, with the classic tail expansion for |r| >= 0.925; absolute
     accuracy around 5e-16.
     """
+    from scipy.special import ndtr  # only the Gaussian copula loads scipy
+
     if math.isinf(dh) or math.isinf(dk):
         if dh == math.inf or dk == math.inf:
             return 0.0
@@ -276,6 +277,8 @@ def bvn_upper(dh: float, dk: float, r: float) -> float:
 
 
 def _normal_scores(u):
+    from scipy.special import ndtri
+
     return ndtri(np.clip(np.asarray(u, dtype=float), _Z_CLIP, 1.0 - _Z_CLIP))
 
 
@@ -343,6 +346,8 @@ class GaussianCopula(_Copula):
         return np.linalg.cholesky(corr)
 
     def conditional_chain(self, z, gamma=0.0):
+        from scipy.special import ndtr
+
         z = np.asarray(z, dtype=float)
         chol = self._cholesky(gamma)
         xi = _normal_scores(z)
@@ -359,6 +364,8 @@ class GaussianCopula(_Copula):
         return out.reshape(u.shape[:-1])
 
     def _cdf_point(self, u, r, order: int = 48):
+        from scipy.special import ndtr, ndtri
+
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         if np.any(u <= 0.0):
             return 0.0

@@ -457,9 +457,10 @@ def build_model(config: dict) -> JointModel:
     Expected keys: ``name``, ``goods``, optional ``copula`` block and
     family-specific parameters.
     """
-    if "name" not in config:
-        raise ConfigError("family config needs a 'name'")
-    name = str(config["name"]).lower()
+    name = config.get("name")
+    if not isinstance(name, str):
+        raise ConfigError(f"family.name must be a string, got {name!r}")
+    name = name.lower()
     goods = config.get("goods", 1)
     if isinstance(goods, bool) or not isinstance(goods, int) or goods < 1:
         raise ConfigError(f"goods must be a positive integer, got {goods!r}")
@@ -469,6 +470,8 @@ def build_model(config: dict) -> JointModel:
     try:
         cop_cfg = dict(config.get("copula", {"name": "independence"}))
         cop_name = cop_cfg.pop("name", "independence")
+        if not isinstance(cop_name, str):
+            raise ConfigError(f"family.copula.name must be a string, got {cop_name!r}")
         copula = copulas.make_copula(cop_name, max(goods, 2), **cop_cfg)
         copula.check_path(prior.lo, prior.hi)
         if name == "cl_uniform":

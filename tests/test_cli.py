@@ -92,6 +92,8 @@ class TestSolveCommand:
         {"family": {"name": "cl_uniform", "goods": "two"}},
         {"family": {"name": "cl_uniform", "goods": 2.5}},
         {"family": {"name": "cl_uniform", "goods": 2, "copula": 5}},
+        {"family": {"name": 5, "goods": 2}},
+        {"family": {"name": "cl_uniform", "goods": 2, "copula": {"name": 5}}},
         {"family": {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": "x"}}},
         {"family": {"name": "cl_uniform", "goods": 2, "width": "abc"}},
         {"family": {"name": "cl_uniform", "goods": 1, "width": 0}},
@@ -101,8 +103,8 @@ class TestSolveCommand:
         {"seed": "abc"},
         {"seed": 4.5},
     ], ids=["section-int", "section-list", "family-int", "goods-str", "goods-float",
-            "copula-int", "copula-param-str", "width-str", "width-zero", "width-negative",
-            "width-wide", "scale-negative", "seed-str", "seed-float"])
+            "copula-int", "name-int", "copula-name-int", "copula-param-str", "width-str",
+            "width-zero", "width-negative", "width-wide", "scale-negative", "seed-str", "seed-float"])
     def test_malformed_config_exits_2(self, tmp_path, overrides, capsys):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -300,13 +302,13 @@ class TestOracleCommand:
         assert [[r[k] for k in keys] for r in table] == [[getattr(r, k) for k in keys] for r in rows]
 
     def test_lp_failure_exits_4_and_dumps_instance(self, tmp_path, monkeypatch):
-        from screenforge import cli as climod
+        from screenforge import oracle as O
         from screenforge.errors import LpInfeasibleError
 
         def boom(instance, tol=0.0):
             raise LpInfeasibleError("forced failure")
 
-        monkeypatch.setattr(climod.oraclemod, "solve_simultaneous", boom)
+        monkeypatch.setattr(O, "solve_simultaneous", boom)
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         assert run("oracle", "--config", cfg, "--out", out, "--quiet") == 4
