@@ -1,15 +1,16 @@
 """Thin deterministic layer over the HiGHS linear-programming solver.
 
 All callers express problems as maximization with rows in
-``A_ub x <= b_ub`` form.  Determinism contract: identical inputs (same
-row ordering) produce identical solutions.
+``A_ub x <= b_ub`` form, plus optional equality rows ``A_eq x = b_eq``.
+Determinism contract: identical inputs (same row ordering) produce
+identical solutions.
 
 There is one engine: ``LpModel`` keeps one HiGHS model alive so that
-appended rows, moved right-hand sides and switched column bounds are
-re-solved by the dual simplex from the last basis, and ``lp_solve`` is a
-single solve on a fresh ``LpModel``.  Every model is built under the one
-option table ``_OPTIONS``.  Replaying the same calls on an ``LpModel``
-gives the same bytes.
+appended rows and switched column bounds are re-solved by the dual
+simplex from the last basis, and a moved objective by the primal
+simplex; ``lp_solve`` is a single solve on a fresh ``LpModel``.  Every
+model is built under the one option table ``_OPTIONS``.  Replaying the
+same calls on an ``LpModel`` gives the same bytes.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ try:
     # private module: the only import of it in the package
     from scipy.optimize._highspy import _core as _highs
 
-    for _method in ("addRows", "changeRowBounds", "changeColsBounds"):
+    for _method in ("addRows", "changeColsCost", "changeColsBounds"):
         getattr(_highs._Highs, _method)
 except (ImportError, AttributeError) as exc:  # pragma: no cover - old scipy
     raise ImportError(
         "screenforge needs scipy >= 1.17: its bundled HiGHS binding "
         "(scipy.optimize._highspy._core._Highs) must provide addRows, "
-        "changeRowBounds and changeColsBounds"
+        "changeColsCost and changeColsBounds"
     ) from exc
 
 _INF = _highs.kHighsInf
@@ -76,28 +77,38 @@ def _bound_arrays(bounds, n: int):
     return lower, upper
 
 
-class LpModel:
-    """A persistent HiGHS model of max c.x s.t. A_ub x <= b_ub.
+def _row_block(a, b, n: int, what: str):
+    """(CSR rows, right-hand side) of one row block; None is no rows."""
+    a = _as_sparse(a) if a is not None else sp.csr_matrix((0, n))
+    b = np.asarray(b if b is not None else [], dtype=float)
+    if a.shape != (len(b), n):
+        raise ValueError(f"{what} does not match c")
+    return a, b
 
-    Built once from CSC.  ``add_rows`` appends constraint rows,
-    ``set_rhs`` moves right-hand sides and ``set_bounds`` replaces the
-    column bounds; each ``solve`` re-runs the dual simplex from the last
-    basis, with presolve off.  ``bounds`` follow scipy conventions
+
+class LpModel:
+    """A persistent HiGHS model of max c.x s.t. A_ub x <= b_ub, A_eq x = b_eq.
+
+    Built once from CSC.  ``add_rows`` appends inequality rows and
+    ``set_bounds`` replaces the column bounds; the next ``solve`` re-runs
+    the dual simplex from the last basis, with presolve off.
+    ``set_cost`` moves the objective: the last basis stays primal
+    feasible, so from then on the model re-solves by the primal simplex
+    (HiGHS ``simplex_strategy`` 4).  ``bounds`` follow scipy conventions
     (default x >= 0, None is unbounded).  A solve raises
     :class:`LpInfeasibleError` or :class:`LpUnboundedError` on those
     verdicts and :class:`LpSolverError` when HiGHS stops without either.
     A solve that ends without an optimum clears the solver before it
-    raises, so the solve after an infeasible verdict starts from scratch
-    rather than from a stale basis.
+    raises, so the next solve starts from scratch rather than from a
+    stale basis.
     """
 
-    def __init__(self, c, a_ub, b_ub, bounds=None):
+    def __init__(self, c, a_ub, b_ub, bounds=None, a_eq=None, b_eq=None):
         self._c = np.asarray(c, dtype=float)
         n = len(self._c)
-        a = sp.csc_matrix(_as_sparse(a_ub)) if a_ub is not None else sp.csc_matrix((0, n))
-        self._rhs = np.asarray(b_ub if b_ub is not None else [], dtype=float).copy()
-        if a.shape != (len(self._rhs), n):
-            raise ValueError("constraint matrix does not match c and b_ub")
+        a_ub, b_ub = _row_block(a_ub, b_ub, n, "inequality rows")
+        a_eq, b_eq = _row_block(a_eq, b_eq, n, "equality rows")
+        a = sp.vstack([a_ub, a_eq], format="csc")
         self._lower, self._upper = _bound_arrays(bounds, n)
         self._highs = _highs._Highs()
         for key, value in _OPTIONS.items():
@@ -109,8 +120,8 @@ class LpModel:
         lp.col_cost_ = self._c
         lp.col_lower_ = self._lower
         lp.col_upper_ = self._upper
-        lp.row_lower_ = np.full(a.shape[0], -_INF)
-        lp.row_upper_ = self._rhs
+        lp.row_lower_ = np.concatenate([np.full(len(b_ub), -_INF), b_eq])
+        lp.row_upper_ = np.concatenate([b_ub, b_eq])
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
         lp.a_matrix_.num_col_ = n
         lp.a_matrix_.num_row_ = a.shape[0]
@@ -126,10 +137,7 @@ class LpModel:
 
     def add_rows(self, a_rows, b_rows):
         """Append the rows ``a_rows x <= b_rows``."""
-        a = _as_sparse(a_rows)
-        b = np.asarray(b_rows, dtype=float)
-        if a.shape != (len(b), len(self._c)):
-            raise ValueError("appended rows do not match the model")
+        a, b = _row_block(a_rows, b_rows, len(self._c), "appended rows")
         self._check(
             self._highs.addRows(
                 len(b), np.full(len(b), -_INF), b, a.nnz,
@@ -138,19 +146,19 @@ class LpModel:
             ),
             "addRows",
         )
-        self._rhs = np.concatenate([self._rhs, b])
 
-    def set_rhs(self, b_ub):
-        """Move the right-hand sides; only rows whose value changed are sent."""
-        b = np.asarray(b_ub, dtype=float)
-        if b.shape != self._rhs.shape:
-            raise ValueError("right-hand side does not match the model")
-        rows = np.flatnonzero(b != self._rhs)
-        change = self._highs.changeRowBounds
-        statuses = [change(i, -_INF, v) for i, v in zip(rows.tolist(), b[rows].tolist())]
-        if _highs.HighsStatus.kError in statuses:
-            raise LpSolverError("HiGHS rejected changeRowBounds")
-        self._rhs = b.copy()
+    def set_cost(self, c):
+        """Move the objective in one batched call; only changed columns
+        are sent.  The next solve runs the primal simplex."""
+        c = np.asarray(c, dtype=float)
+        if c.shape != self._c.shape:
+            raise ValueError("objective does not match the model")
+        cols = np.flatnonzero(c != self._c)
+        if len(cols):
+            self._check(self._highs.changeColsCost(len(cols), cols.astype(np.int32), c[cols]),
+                        "changeColsCost")
+        self._check(self._highs.setOptionValue("simplex_strategy", 4), "option simplex_strategy")
+        self._c = c.copy()
 
     def set_bounds(self, bounds):
         """Replace the column bounds (scipy convention, as in the constructor)."""

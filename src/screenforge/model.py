@@ -449,6 +449,8 @@ def boundary_residual(model: JointModel, gamma: float, use_fd: bool = False) -> 
 # ---------------------------------------------------------------------------
 
 FAMILY_NAMES = ("cl_uniform", "uniform_iid", "logistic_shift")
+# identity's invariance check builds a 9**goods tensor grid: 140 MB at 6 goods
+MAX_GOODS = 6
 
 
 def build_model(config: dict) -> JointModel:
@@ -462,8 +464,8 @@ def build_model(config: dict) -> JointModel:
         raise ConfigError(f"family.name must be a string, got {name!r}")
     name = name.lower()
     goods = config.get("goods", 1)
-    if isinstance(goods, bool) or not isinstance(goods, int) or goods < 1:
-        raise ConfigError(f"goods must be a positive integer, got {goods!r}")
+    if isinstance(goods, bool) or not isinstance(goods, int) or not 1 <= goods <= MAX_GOODS:
+        raise ConfigError(f"goods must be an integer from 1 to {MAX_GOODS}, got {goods!r}")
     if name not in FAMILY_NAMES:
         raise ConfigError(f"unknown family '{name}' (known: {FAMILY_NAMES})")
     prior = uniform_prior(0.0, 1.0)

@@ -34,7 +34,7 @@ from .errors import (
     ConvergenceError,
     DegenerateCellError,
     InvalidIntervalError,
-    LpInfeasibleError,
+    LpUnboundedError,
     ShapeMismatchError,
 )
 from .lp import LpModel, lp_solve
@@ -44,6 +44,7 @@ from .numerics import tensor_points
 
 DEFAULT_TOL = 1e-10
 CAP_FACTOR = 10.0
+MASS_FLOOR = 1e-9  # discretized cell masses below this are set to 0
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +124,11 @@ def discretize(model: JointModel, gamma_cells: int, theta_cells) -> DiscreteInst
     """Cell-midpoint discretization of a continuum model.
 
     Type masses come from prior cdf differences; joint cell masses from
-    inclusion-exclusion differences of the joint cdf at cell corners,
-    renormalized exactly.
+    inclusion-exclusion differences of the joint cdf at cell corners.
+    A cell whose mass is below ``MASS_FLOOR`` gets mass 0, and each
+    type's cell masses are renormalized exactly: a coefficient that small
+    sits at HiGHS's feasibility tolerance, where a correct optimum can
+    fail its independent re-check.
     """
     if gamma_cells < 1:
         raise InvalidIntervalError("need at least one type cell")
@@ -168,7 +172,7 @@ def discretize(model: JointModel, gamma_cells: int, theta_cells) -> DiscreteInst
             raise DegenerateCellError(
                 f"negative cell mass {mass.min()} at type {g}; cdf is not a distribution"
             )
-        mass = np.maximum(mass, 0.0)
+        mass = np.where(mass < MASS_FLOOR, 0.0, mass)
         pmf[mi] = mass / mass.sum()
 
     return DiscreteInstance(
@@ -819,9 +823,17 @@ def brute_force_value(instance: DiscreteInstance) -> float:
     Every 0/1 allocation table per type is enumerated (non-implementable
     ones pruned by the negative-cycle test), and the transfers solve an
     LP carrying the complete deviation set: all cell misreport pairs and
-    every joint misreporting map for every ordered type pair.  The
-    constraint matrix over transfers does not depend on the allocation,
-    so it is assembled once and only the right-hand side moves.
+    every joint misreporting map for every ordered type pair.
+
+    That transfer LP, max c.x s.t. A x <= b(k) over free transfers x, is
+    solved in its dual form min b(k).y s.t. A^T y = c, y >= 0; strong
+    duality gives the same value.  The dual's feasible set does not
+    depend on the allocation profile k, so one model is built once and
+    each profile only moves its objective, re-solved by the primal
+    simplex from the last basis.  The dual is never infeasible
+    (y = ``gamma_probs`` on the participation rows and 0 elsewhere is
+    feasible), so an unbounded dual is exactly a profile that admits no
+    transfers and is skipped; every other verdict is an error.
 
     Allocation profiles are solved best-first by the bound
     ``sum_m P(m) E[q.theta | m]``.  The participation rows cap each
@@ -853,22 +865,23 @@ def brute_force_value(instance: DiscreteInstance) -> float:
     obj[t2] = instance.gamma_probs[:, None] * instance.pmf
     obj[t1] = instance.gamma_probs
 
-    # rows in right-hand-side order: cell misreports t2(m,a) - t2(m,b),
-    # participation sum_c f t2 + t1, then every joint map of every ordered
-    # type pair; the coefficients do not depend on the allocation
+    # primal rows, one dual column each, in right-hand-side order: cell
+    # misreports t2(m,a) - t2(m,b), participation sum_c f t2 + t1, then
+    # every joint map of every ordered type pair; the coefficients do not
+    # depend on the allocation
     true_cell, reported_cell = np.nonzero(~np.eye(c_count, dtype=bool))
     cm = np.repeat(np.arange(m_count), len(true_cell))
     ca, cb = np.tile(true_cell, m_count), np.tile(reported_cell, m_count)
     pair_m, pair_rep = np.nonzero(~np.eye(m_count, dtype=bool))  # map-block order
     pm, pr = np.repeat(pair_m, len(maps)), np.repeat(pair_rep, len(maps))
     f = instance.pmf[pm]
-    a_ub = sp.vstack([
+    primal = sp.vstack([
         _block_rows([(t2[cm, ca], 1.0), (t2[cm, cb], -1.0)], len(cm), nvar),
         _block_rows([(t2, instance.pmf), (t1[:, None], 1.0)], m_count, nvar),
         _block_rows([(t2[pr[:, None], np.tile(maps, (len(pair_m), 1))], -f), (t2[pm], f),
                      (t1[pr, None], -1.0), (t1[pm, None], 1.0)], len(pm), nvar),
     ]).tocsr()
-    model = LpModel(obj, a_ub, np.zeros(a_ub.shape[0]), bounds=(None, None))
+    model = LpModel(np.zeros(primal.shape[0]), None, None, a_eq=primal.T, b_eq=obj)
 
     # right-hand-side tables per allocation k: qtheta[k, a, c] is the value
     # of report c at true cell a; surplus[m, k] = E[q.theta | m]
@@ -886,15 +899,15 @@ def brute_force_value(instance: DiscreteInstance) -> float:
             break
         k = np.array(np.unravel_index(p, shape))
         own = surplus[types, k]
-        model.set_rhs(np.concatenate([
+        model.set_cost(-np.concatenate([
             cell_gain[k].ravel(), own,
             (own[pair_m, None] - map_gain[pair_m, k[pair_rep]]).ravel(),
         ]))
         try:
             sol = model.solve()
-        except LpInfeasibleError:  # allocation profile admits no transfers
+        except LpUnboundedError:  # allocation profile admits no transfers
             continue
-        best = max(best, sol.value)
+        best = max(best, -sol.value)
     return float(best)
 
 

@@ -5,7 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from screenforge import cli as climod
+from screenforge import model as modelmod
 from screenforge.cli import main, read_mechanism_csv
+from screenforge.errors import ConfigError
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -111,6 +114,35 @@ class TestSolveCommand:
         assert run("solve", "--config", cfg, "--out", str(out), "--quiet") == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"family": {"name": "cl_uniform", "goods": 1099511627776}}, "from 1 to 6"),
+        ({"solve": {"gamma_grid": 10 ** 12}}, "solve.gamma_grid must hold integers from 1 to 2000"),
+    ], ids=["goods", "gamma-grid"])
+    def test_size_over_a_guard_exits_2(self, tmp_path, overrides, message, capsys):
+        # both used to end in a MemoryError traceback
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert run("solve", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "audit"])
+    def test_size_guards_admit_their_limits(self, tmp_path, command):
+        # load_config allocates nothing per grid point or good, so the
+        # limits themselves are checked here without solving anything
+        at_limit = write_config(tmp_path, "at.json",
+                                family={"name": "cl_uniform", "goods": modelmod.MAX_GOODS},
+                                **{command: {"gamma_grid": climod.MAX_GAMMA_GRID}})
+        cfg = climod.load_config(at_limit, command)
+        assert cfg.model.n == modelmod.MAX_GOODS
+        assert cfg.section["gamma_grid"] == climod.MAX_GAMMA_GRID
+        for name, overrides in [
+            ("goods.json", {"family": {"name": "cl_uniform", "goods": modelmod.MAX_GOODS + 1}}),
+            ("grid.json", {command: {"gamma_grid": climod.MAX_GAMMA_GRID + 1}}),
+        ]:
+            with pytest.raises(ConfigError):
+                climod.load_config(write_config(tmp_path, name, **overrides), command)
 
     @pytest.mark.parametrize("copula,message", [
         ({"name": "gaussian", "rho": -0.6}, "equicorrelation rho -0.6 invalid for dim 3"),
@@ -345,6 +377,18 @@ class TestOracleCommand:
             assert r["v_relaxed"] >= r["v_simultaneous"] - 1e-9
             assert r["v_simultaneous"] >= r["v_separate"] - 1e-9
             assert r["v_sequential"] >= r["v_simultaneous"] - 1e-9
+
+    def test_drifting_six_cell_rung_solves(self, tmp_path):
+        # one cell of 3.8e-11 made the sequential optimum fail its re-check
+        # by 2.3e-10 (exit 4); the mass floor sets it to 0
+        family = {"name": "logistic_shift", "goods": 2,
+                  "copula": {"name": "gaussian", "rho": -0.8, "rho_slope": 1.6}}
+        cfg = write_config(tmp_path, family=family, oracle={"gamma_cells": 6, "theta_cells": [6]})
+        assert run("oracle", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
+        row = json.loads((tmp_path / "out" / "oracle.json").read_text())["refinements"][0]
+        # 1.4503106396842755 without the floor
+        assert abs(row["v_simultaneous"] - 1.4503106394562535) < 1e-11
+        assert row["v_sequential"] >= row["v_simultaneous"] - 1e-9
 
     @pytest.mark.parametrize("section", [
         {"gamma_cells": 0, "theta_cells": [2]},

@@ -7,11 +7,12 @@ from screenforge.errors import LpInfeasibleError, LpUnboundedError
 from screenforge.lp import LpModel, lp_solve
 
 
-def _reference(c, a, b, bounds):
-    """Cold solve of max c.x s.t. a x <= b by scipy's linprog, an engine
-    independent of ``LpModel`` (status 0 optimal, 2 infeasible, 3
-    unbounded; ``value`` is the maximum)."""
-    res = linprog(-np.asarray(c, dtype=float), A_ub=a, b_ub=b, bounds=bounds, method="highs")
+def _reference(c, a, b, bounds, a_eq=None, b_eq=None):
+    """Cold solve of max c.x s.t. a x <= b, a_eq x = b_eq by scipy's
+    linprog, an engine independent of ``LpModel`` (status 0 optimal,
+    2 infeasible, 3 unbounded; ``value`` is the maximum)."""
+    res = linprog(-np.asarray(c, dtype=float), A_ub=a, b_ub=b, A_eq=a_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
     res.value = -res.fun if res.status == 0 else None
     return res
 
@@ -99,6 +100,30 @@ def _random_program(seed, n=6, rows=5):
     return rng, c, a, b
 
 
+def _dual_program(seed):
+    """The dual of ``_random_program``, min b.y s.t. A^T y = c, y >= 0,
+    as a model of max -b.y; its box rows make it feasible for every c.
+    Returns (rng, model, its cost -b, cold) where ``cold(cost)`` solves
+    the dual under another cost by the reference engine."""
+    rng, c, a, b = _random_program(seed)
+
+    def cold(cost):
+        return _reference(cost, None, None, (0, None), a.T, c)
+
+    return rng, LpModel(-b, None, None, a_eq=a.T, b_eq=c), -b, cold
+
+
+def _dual_replay(seed):
+    """Move the dual's cost three times on one warm model; [(warm, cold)]."""
+    rng, model, cost, cold = _dual_program(seed)
+    steps = [(model.solve(), cold(cost))]
+    for _ in range(3):
+        moved = cost * (rng.random(len(cost)) + 0.5)
+        model.set_cost(moved)
+        steps.append((model.solve(), cold(moved)))
+    return steps
+
+
 def _replay(seed):
     """Edit one warm model step by step; after each step solve it and
     the same program from scratch by the reference engine.  Returns
@@ -118,9 +143,8 @@ def _replay(seed):
         model.add_rows(sp.csr_matrix(extra), extra_b)
         a, b = np.vstack([a, extra]), np.concatenate([b, extra_b])
         check(CAPPED)
-    b = b.copy()
-    b[: len(b) // 2] *= rng.random(len(b) // 2) + 0.5
-    model.set_rhs(b)
+    c = c + rng.normal(size=n)
+    model.set_cost(c)
     check(CAPPED)
     model.set_bounds(FREE)
     check(FREE)
@@ -141,37 +165,59 @@ class TestLpModel:
         for (a, _), (b, _) in zip(first, second):
             assert a.x.tobytes() == b.x.tobytes()
 
-    def test_infeasible_rhs_then_recovery(self):
-        _, c, a, b = _random_program(11)
-        model = LpModel(c, a, b, bounds=CAPPED)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_moved_costs_of_the_dual_form(self, seed):
+        # the dual keeps its feasible set while its cost moves; each warm
+        # re-solve by the primal simplex matches a cold solve
+        for warm, cold in _dual_replay(seed):
+            assert abs(warm.value - cold.value) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dual_replay_is_byte_identical(self, seed):
+        for (a, _), (b, _) in zip(_dual_replay(seed), _dual_replay(seed)):
+            assert a.x.tobytes() == b.x.tobytes()
+
+    def test_cost_shape_mismatch(self):
+        _, model, cost, _ = _dual_program(0)
+        with pytest.raises(ValueError):
+            model.set_cost(cost[:-1])
+
+    def test_unbounded_cost_then_recovery(self):
+        _, model, cost, cold = _dual_program(11)
         before = model.solve().value
-        bad = b.copy()
-        bad[-1] = -5.0  # -x_n <= -5 against x_n <= 1
-        model.set_rhs(bad)
-        with pytest.raises(LpInfeasibleError):
+        bad = cost.copy()
+        bad[-1] = 5.0  # the dual of -x_n <= -5 against x_n <= 2
+        model.set_cost(bad)
+        with pytest.raises(LpUnboundedError):
             model.solve()
-        assert _reference(c, a, bad, CAPPED).status == 2
-        model.set_rhs(b)
+        assert cold(bad).status == 3
+        model.set_cost(cost)
         assert abs(model.solve().value - before) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_two_infeasible_rhs_then_feasible(self, seed):
-        # a warm start from the basis an infeasible verdict leaves behind
-        # can end in status "Unknown"; the model clears its solver instead
-        _, c, a, b = _random_program(seed)
-        model = LpModel(c, a, b, bounds=CAPPED)
+    def test_two_unbounded_costs_then_bounded(self, seed):
+        # an unbounded verdict clears the solver: no stale basis is kept
+        _, model, cost, cold = _dual_program(seed)
         model.solve()
-        for cut in (-5.0, -3.0):
-            bad = b.copy()
-            bad[-1] = cut  # -x_n <= cut against x_n <= 1
-            model.set_rhs(bad)
-            with pytest.raises(LpInfeasibleError):
+        for cut in (5.0, 3.0):
+            bad = cost.copy()
+            bad[-1] = cut
+            model.set_cost(bad)
+            with pytest.raises(LpUnboundedError):
                 model.solve()
-            assert _reference(c, a, bad, CAPPED).status == 2
-            assert not model._highs.getBasis().valid  # no stale basis kept
-        model.set_rhs(b)
-        cold = _reference(c, a, b, CAPPED)
-        assert abs(model.solve().value - cold.value) <= 1e-9
+            assert cold(bad).status == 3
+            assert not model._highs.getBasis().valid
+        model.set_cost(cost)
+        assert abs(model.solve().value - cold(cost).value) <= 1e-9
+
+    def test_equality_rows(self):
+        # min x_1 + 2 x_2 + 4 x_3 s.t. x_1 + x_2 + x_3 = 1, x_1 - x_3 = 0.2,
+        # x >= 0: with x_3 = t the cost is 1.8 + t, so x = (0.2, 0.8, 0)
+        c, a_eq, b_eq = [-1.0, -2.0, -4.0], [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]], [1.0, 0.2]
+        sol = LpModel(c, None, None, a_eq=a_eq, b_eq=b_eq).solve()
+        np.testing.assert_allclose(sol.x, [0.2, 0.8, 0.0], atol=1e-12)
+        assert abs(sol.value + 1.8) <= 1e-12
+        assert abs(_reference(c, None, None, (0, None), a_eq, b_eq).value + 1.8) <= 1e-12
 
     def test_unbounded_after_dropping_bounds(self):
         # max x_1 subject to x_1 - x_2 <= 0: bounded only by the caps

@@ -11,6 +11,7 @@ from screenforge.errors import (
     ConvergenceError,
     DegenerateCellError,
     InvalidIntervalError,
+    LpInfeasibleError,
     LpSolverError,
     LpUnboundedError,
 )
@@ -90,6 +91,17 @@ class TestDiscretize:
                     )
             ref = np.asarray(ref)
             np.testing.assert_allclose(inst.pmf[mi], ref / ref.sum(), atol=1e-10)
+
+    def test_mass_floor(self):
+        # the drifting logistic + Gaussian 6x6x6 instance has one cell of
+        # 3.8e-11; it gets mass 0 and its type's pmf still sums to one
+        model = M.build_model({"name": "logistic_shift", "goods": 2,
+                               "copula": {"name": "gaussian", "rho": -0.8, "rho_slope": 1.6}})
+        inst = O.discretize(model, 6, 6)
+        positive = inst.pmf[inst.pmf > 0]
+        assert np.count_nonzero(inst.pmf == 0) == 1
+        assert positive.min() >= O.MASS_FLOOR
+        np.testing.assert_allclose(inst.pmf.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_marginal_instance_sums_out(self):
         inst = O.discretize(cl_model(2), 3, [3, 4])
@@ -516,16 +528,41 @@ class TestBruteForceAgreement:
         assert abs(O.brute_force_value(inst) - 1.625) < 1e-9
         assert len(calls) < 500
 
-    @pytest.mark.parametrize("error", [LpUnboundedError, LpSolverError])
-    def test_non_infeasibility_failure_propagates(self, monkeypatch, error):
-        # only an infeasible profile is skipped; any other LP failure is
-        # an error of the oracle itself
+    def test_round_number_instance(self):
+        # a warm dual-simplex re-solve of the transfer LP stopped in
+        # "Unknown" on a profile that a cold solve reports infeasible
+        inst = O.DiscreteInstance(
+            gamma_values=[0.0, 1.0],
+            gamma_probs=[0.5, 0.5],
+            theta_grids=[np.array([1.0, 4.0])] * 2,
+            pmf=np.array([[1.0, 2.0, 1.0, 4.0], [4.0, 4.0, 4.0, 2.0]]) / [[8.0], [14.0]],
+        )
+        assert abs(O.solve_simultaneous(inst).value - 535 / 112) < 1e-8
+        assert abs(O.brute_force_value(inst) - 535 / 112) < 1e-8
+
+    @pytest.mark.parametrize("error", [LpInfeasibleError, LpSolverError])
+    def test_failure_other_than_unbounded_propagates(self, monkeypatch, error):
+        # the dual is never infeasible, so only an unbounded dual (a profile
+        # without transfers) is skipped; any other verdict is an oracle error
         def fail(model):
             raise error("forced")
 
         monkeypatch.setattr(O.LpModel, "solve", fail)
         with pytest.raises(error):
             O.brute_force_value(HAND)
+
+    def test_unbounded_profile_is_skipped(self, monkeypatch):
+        # HAND has 3 implementable tables per type; with every profile
+        # skipped nothing beats -inf, so all 9 are visited
+        calls = []
+
+        def unbounded(model):
+            calls.append(None)
+            raise LpUnboundedError("forced")
+
+        monkeypatch.setattr(O.LpModel, "solve", unbounded)
+        assert O.brute_force_value(HAND) == -np.inf
+        assert len(calls) == 9
 
     @pytest.mark.parametrize("gamma_cells,theta_cells", [(2, [4, 4]), (5, [2, 2])])
     def test_guard_on_large_instances(self, gamma_cells, theta_cells):
