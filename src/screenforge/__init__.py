@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .mech import (  # noqa: F401
     InterimUtilityCurve,
-    QuadSpec,
     ThresholdMechanism,
     ic_audit,
     revenue_direct,

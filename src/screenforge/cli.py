@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -51,17 +52,36 @@ def _hash_config(raw: dict, command: str, seed: int) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+# Size limits; the README's limits table gives the cost of a run at each.
 # audit's cost grows about quadratically in its type grid: 2,000 points
 # take about 20 s and 180 MB on the logistic family
 MAX_GAMMA_GRID = 2000
+MAX_SAMPLE_COUNT = 1_000_000     # draws per type
+MAX_CYCLE_POINTS = 1_000_000     # audit.cycles * cycle_length
+MAX_IDENTITY_POINTS = 100_000    # points per family
+# rows of each oracle rung's simultaneous LP: 247,248 at 12 x 12 x 12
+MAX_SIMULTANEOUS_ROWS = 250_000
+# solve on a smooth family with a dependent copula integrates rents on a
+# joint grid of about 130**goods points: one of its arrays is 2.1 GiB at 4
+MAX_JOINT_SCORE_GOODS = 3
+
+
+def _upto(limit: int, name: str):
+    return (f"integers from 1 to {limit} (cli.{name})",
+            lambda v: isinstance(v, int) and 1 <= v <= limit)
+
+
 _COUNT = ("positive integers", lambda v: isinstance(v, int) and v >= 1)
-_GRID = (f"integers from 1 to {MAX_GAMMA_GRID}",
-         lambda v: isinstance(v, int) and 1 <= v <= MAX_GAMMA_GRID)
 _TOLERANCE = ("finite numbers >= 0", lambda v: 0 <= v < np.inf)
-_SECTION_KEYS = {"gamma_grid": _GRID, "count": _COUNT, "cycles": _COUNT, "cycle_length": _COUNT,
-                 "points": _COUNT, "gamma_cells": _COUNT, "divergence_tol": _TOLERANCE,
+_SECTION_KEYS = {"gamma_grid": _upto(MAX_GAMMA_GRID, "MAX_GAMMA_GRID"),
+                 "count": _upto(MAX_SAMPLE_COUNT, "MAX_SAMPLE_COUNT"),
+                 "cycles": _COUNT, "cycle_length": _COUNT,
+                 "points": _upto(MAX_IDENTITY_POINTS, "MAX_IDENTITY_POINTS"),
+                 "gamma_cells": _COUNT, "divergence_tol": _TOLERANCE,
                  "boundary_tol": _TOLERANCE, "invariance_tol": _TOLERANCE,
                  "tolerance_gain_rel": _TOLERANCE, "ir_tol": _TOLERANCE}
+# section defaults that the size checks read as well as the commands
+_DEFAULTS = {"cycles": 1000, "cycle_length": 5, "gamma_cells": 3, "theta_cells": [2, 3, 4]}
 
 
 def load_config(path: str, command: str, out_override=None, seed_override=None,
@@ -92,9 +112,8 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
                                          for key, rule in _SECTION_KEYS.items() if key in section]
     if command == "oracle":
         checks += [("oracle.theta_cells", k, _COUNT) for k in _theta_cell_counts(section, cfg.model.n)]
-    for name, value, (what, valid) in checks:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not valid(value):
-            raise ConfigError(f"{name} must hold {what}, got {value!r}")
+    _check_values(checks)
+    _check_values(_size_checks(command, section, cfg.model))
     if command == "identity":
         fams = section.get("families")
         if fams is not None and not (isinstance(fams, list) and all(isinstance(f, dict) for f in fams)):
@@ -105,6 +124,35 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
     if command == "sample":
         _check_types("sample.gammas", section.get("gammas", []), [cfg.model])
     return cfg
+
+
+def _check_values(checks):
+    for name, value, (what, valid) in checks:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not valid(value):
+            raise ConfigError(f"{name} must hold {what}, got {value!r}")
+
+
+def _size_checks(command: str, section: dict, model) -> list:
+    """(name, size, rule) of each size that several keys or the family set
+    together, from a section whose keys passed their own checks."""
+    if command == "audit":
+        points = (section.get("cycles", _DEFAULTS["cycles"])
+                  * section.get("cycle_length", _DEFAULTS["cycle_length"]))
+        return [("audit.cycles * audit.cycle_length", points,
+                 _upto(MAX_CYCLE_POINTS, "MAX_CYCLE_POINTS"))]
+    if command == "oracle":
+        types = section.get("gamma_cells", _DEFAULTS["gamma_cells"])
+        rows = []
+        for entry in _ladder(section):
+            cells = math.prod(entry) if isinstance(entry, list) else entry ** model.n
+            rows.append((f"oracle.theta_cells {entry!r}: simultaneous LP rows",
+                         types * cells * (cells - 1) + types * types,
+                         _upto(MAX_SIMULTANEOUS_ROWS, "MAX_SIMULTANEOUS_ROWS")))
+        return rows
+    if command == "solve" and mechmod.uses_joint_score(model):
+        return [("family.goods of a smooth family with a dependent copula", model.n,
+                 _upto(MAX_JOINT_SCORE_GOODS, "MAX_JOINT_SCORE_GOODS"))]
+    return []
 
 
 def _check_types(name: str, values, models, count=None):
@@ -118,11 +166,16 @@ def _check_types(name: str, values, models, count=None):
                           f"got {values!r}")
 
 
+def _ladder(section: dict) -> list:
+    """The oracle.theta_cells entries, one per rung."""
+    ladder = section.get("theta_cells", _DEFAULTS["theta_cells"])
+    return ladder if isinstance(ladder, list) else [ladder]
+
+
 def _theta_cell_counts(section: dict, n_goods: int) -> list:
     """Each oracle.theta_cells entry: one count, or one count per good."""
     counts = []
-    ladder = section.get("theta_cells", [])
-    for entry in ladder if isinstance(ladder, list) else [ladder]:
+    for entry in _ladder(section):
         if isinstance(entry, list) and len(entry) != n_goods:
             raise ConfigError(f"oracle.theta_cells entry {entry!r} needs {n_goods} counts")
         counts += entry if isinstance(entry, list) else [entry]
@@ -233,8 +286,8 @@ def cmd_audit(cfg: RunConfig) -> int:
     surplus = _continuum_surplus(cfg.model)
     gain_tol = float(sec.get("tolerance_gain_rel", 1e-6)) * max(surplus, 1e-12)
     ir_tol = float(sec.get("ir_tol", 1e-8))
-    n_cycles = int(sec.get("cycles", 1000))
-    cyc_len = int(sec.get("cycle_length", 5))
+    n_cycles = int(sec.get("cycles", _DEFAULTS["cycles"]))
+    cyc_len = int(sec.get("cycle_length", _DEFAULTS["cycle_length"]))
     stream = RngStream(seed=cfg.seed, stream_id=2)
     cycles = mechmod.random_cycles(cfg.model.box, n_cycles, cyc_len, stream)
     gammas = mech.gamma_grid[:: max(1, len(mech.gamma_grid) // 8)]
@@ -318,12 +371,11 @@ def cmd_oracle(cfg: RunConfig) -> int:
     from . import oracle as oraclemod  # loads HiGHS; no other verb needs it
 
     sec = cfg.section
-    gcells = int(sec.get("gamma_cells", 3))
-    ladder = sec.get("theta_cells", [2, 3, 4])
+    gcells = int(sec.get("gamma_cells", _DEFAULTS["gamma_cells"]))
     table = []
     inst = None
     try:
-        for cells in ladder if isinstance(ladder, list) else [ladder]:
+        for cells in _ladder(sec):
             inst = oraclemod.discretize(cfg.model, gcells, cells)
             row = oraclemod.regime_row(inst)
             for regime, rep in row.reports.items():

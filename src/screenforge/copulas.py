@@ -34,6 +34,8 @@ from .errors import InvalidIntervalError
 from .numerics import gauss_rule, tensor_points
 
 _Z_CLIP = 1e-15
+# Gauss nodes per conditioning step of the Gaussian cdf beyond two goods
+_CDF_ORDER = 48
 
 
 def _goods_axis(param):
@@ -363,7 +365,7 @@ class GaussianCopula(_Copula):
         out = np.array([self._cdf_point(row, r) for row in flat])
         return out.reshape(u.shape[:-1])
 
-    def _cdf_point(self, u, r, order: int = 48):
+    def _cdf_point(self, u, r):
         from scipy.special import ndtr, ndtri
 
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
@@ -380,7 +382,7 @@ class GaussianCopula(_Copula):
             return bvn_upper(-x[0], -x[1], r)
         # condition on the first coordinate and recurse on the
         # equicorrelated remainder (conditional correlation r/(1+r))
-        rule = gauss_rule(order, 0.0, float(vals[0]))
+        rule = gauss_rule(_CDF_ORDER, 0.0, float(vals[0]))
         rcond = r / (1.0 + r)
         scale = math.sqrt(1.0 - r * r)
         total = 0.0

@@ -6,11 +6,11 @@ Determinism contract: identical inputs (same row ordering) produce
 identical solutions.
 
 There is one engine: ``LpModel`` keeps one HiGHS model alive so that
-appended rows and switched column bounds are re-solved by the dual
-simplex from the last basis, and a moved objective by the primal
-simplex; ``lp_solve`` is a single solve on a fresh ``LpModel``.  Every
-model is built under the one option table ``_OPTIONS``.  Replaying the
-same calls on an ``LpModel`` gives the same bytes.
+switched column bounds are re-solved by the dual simplex from the last
+basis, and a moved objective by the primal simplex; ``lp_solve`` is a
+single solve on a fresh ``LpModel``.  Every model is built under the one
+option table ``_OPTIONS``.  Replaying the same calls on an ``LpModel``
+gives the same bytes.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ try:
     # private module: the only import of it in the package
     from scipy.optimize._highspy import _core as _highs
 
-    for _method in ("addRows", "changeColsCost", "changeColsBounds"):
+    for _method in ("changeColsCost", "changeColsBounds"):
         getattr(_highs._Highs, _method)
 except (ImportError, AttributeError) as exc:  # pragma: no cover - old scipy
     raise ImportError(
         "screenforge needs scipy >= 1.17: its bundled HiGHS binding "
-        "(scipy.optimize._highspy._core._Highs) must provide addRows, "
+        "(scipy.optimize._highspy._core._Highs) must provide "
         "changeColsCost and changeColsBounds"
     ) from exc
 
@@ -89,9 +89,9 @@ def _row_block(a, b, n: int, what: str):
 class LpModel:
     """A persistent HiGHS model of max c.x s.t. A_ub x <= b_ub, A_eq x = b_eq.
 
-    Built once from CSC.  ``add_rows`` appends inequality rows and
-    ``set_bounds`` replaces the column bounds; the next ``solve`` re-runs
-    the dual simplex from the last basis, with presolve off.
+    Built once from CSC; its rows are fixed.  ``set_bounds`` replaces
+    the column bounds; the next ``solve`` re-runs the dual simplex from
+    the last basis, with presolve off.
     ``set_cost`` moves the objective: the last basis stays primal
     feasible, so from then on the model re-solves by the primal simplex
     (HiGHS ``simplex_strategy`` 4).  ``bounds`` follow scipy conventions
@@ -134,18 +134,6 @@ class LpModel:
     def _check(status, what: str):
         if status == _highs.HighsStatus.kError:
             raise LpSolverError(f"HiGHS rejected {what}")
-
-    def add_rows(self, a_rows, b_rows):
-        """Append the rows ``a_rows x <= b_rows``."""
-        a, b = _row_block(a_rows, b_rows, len(self._c), "appended rows")
-        self._check(
-            self._highs.addRows(
-                len(b), np.full(len(b), -_INF), b, a.nnz,
-                a.indptr.astype(np.int32), a.indices.astype(np.int32),
-                a.data.astype(float),
-            ),
-            "addRows",
-        )
 
     def set_cost(self, c):
         """Move the objective in one batched call; only changed columns

@@ -35,20 +35,18 @@ from .numerics import bisect_root, composite_rule, gauss_rule, geometric_breaks,
 
 DEFAULT_GRID_SIZE = 101
 _SCAN_POINTS = 257
+_REGULARITY_POINTS = 129  # theta points per good in regularity_report
 # points per batched marginal evaluation: bounds the temporaries of the
 # marginal callables and of the audit's cross tensor
 _CHUNK_POINTS = 1 << 12
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Quadrature orders used by the continuum solver."""
-
-    marginal_order: int = 48     # per-good percentile integrals
-    gamma_cell_order: int = 8    # per menu cell in gamma
-    joint_order: int = 10        # per axis segment of joint score integrals
-    corner_depth: int = 4        # grading depth toward percentile corners
-    root_tol: float = 1e-12
+# quadrature of the continuum solver, read at call time
+MARGINAL_ORDER = 48    # per-good percentile integrals
+GAMMA_CELL_ORDER = 8   # per menu cell in gamma
+JOINT_ORDER = 10       # per axis segment of joint score integrals
+CORNER_DEPTH = 4       # grading depth toward percentile corners
+ROOT_TOL = 1e-12       # strike bisection
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ def _sign_scan(phi: np.ndarray):
     return first, np.where(back.any(axis=-1), np.argmax(back, axis=-1), -1)
 
 
-def _strike_path(model: JointModel, j: int, gammas: np.ndarray, tol: float) -> np.ndarray:
+def _strike_path(model: JointModel, j: int, gammas: np.ndarray) -> np.ndarray:
     """Zero of good j's virtual value for every type: one scan over a
     (types x _SCAN_POINTS) array, then one batched bisection."""
     lo, hi = model.marginals[j].support
@@ -185,15 +183,11 @@ def _strike_path(model: JointModel, j: int, gammas: np.ndarray, tol: float) -> n
     if np.any(cut):
         g = gammas[cut]
         out[cut] = bisect_root(lambda t: virtual_value(model, j, g, t),
-                               thetas[first[cut] - 1], thetas[first[cut]], tol=tol)
+                               thetas[first[cut] - 1], thetas[first[cut]], tol=ROOT_TOL)
     return out
 
 
-def solve_thresholds(
-    model: JointModel,
-    gamma_grid=None,
-    quad: QuadSpec = QuadSpec(),
-) -> ThresholdMechanism:
+def solve_thresholds(model: JointModel, gamma_grid=None) -> ThresholdMechanism:
     """Strike prices per grid type: the zero of each good's virtual value
     over the enclosing box, clipped to a box endpoint when the sign is
     constant.  Fees are left unfilled.  Goods sharing one marginal share
@@ -211,7 +205,7 @@ def solve_thresholds(
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     strikes = np.empty((len(gamma_grid), model.n))
     for _, goods in _marginal_groups(model):
-        strikes[:, goods] = _strike_path(model, goods[0], gamma_grid, quad.root_tol)[:, None]
+        strikes[:, goods] = _strike_path(model, goods[0], gamma_grid)[:, None]
     return ThresholdMechanism(
         gamma_grid=gamma_grid,
         strikes=strikes,
@@ -278,7 +272,7 @@ class PercentileRule:
 
     @cached_property
     def impulse(self) -> np.ndarray:
-        """F_gamma/f at the quantile nodes."""
+        """The impulse F^j_gamma / f^j at the quantile nodes."""
         return self.per_row("impulse")
 
     @property
@@ -287,7 +281,7 @@ class PercentileRule:
         return self.integrate(self.q - self.p)
 
 
-def _panels(model: JointModel, mech: ThresholdMechanism, quad: QuadSpec, order: int):
+def _panels(model: JointModel, mech: ThresholdMechanism, order: int):
     """Gauss nodes and dgamma weights, ``order`` per menu cell, and the
     percentile rule of each node facing its cell's strikes.
 
@@ -295,38 +289,34 @@ def _panels(model: JointModel, mech: ThresholdMechanism, quad: QuadSpec, order: 
     one menu build each node set's rule once.
     """
     grid = mech.gamma_grid
-    key = (id(model), order, quad.marginal_order, grid.tobytes(), mech.strikes.tobytes())
+    key = (id(model), order, grid.tobytes(), mech.strikes.tobytes())
     hit = mech._rules.get(key)
     if hit is None or hit[0] is not model:
         cells = gauss_rule(order, grid[:-1], grid[1:])
         nodes = cells.nodes.ravel()
         strikes = mech.strikes[np.repeat(np.arange(len(grid) - 1), order)]
-        rule = PercentileRule(model, nodes, strikes, quad.marginal_order)
+        rule = PercentileRule(model, nodes, strikes, MARGINAL_ORDER)
         mech._rules[key] = hit = (model, (nodes, cells.weights.ravel(), rule))
     return hit[1]
 
 
-def _rent_curve(model: JointModel, mech: ThresholdMechanism, quad: QuadSpec) -> np.ndarray:
+def _rent_curve(model: JointModel, mech: ThresholdMechanism) -> np.ndarray:
     """Cumulative envelope integral of the rent slope along the grid."""
-    _, weights, rule = _panels(model, mech, quad, quad.gamma_cell_order)
+    _, weights, rule = _panels(model, mech, GAMMA_CELL_ORDER)
     # rent slope: -E[sum_j q_j F^j_gamma / f^j | gamma]
-    inc = -np.sum((weights * rule.integrate(rule.impulse)).reshape(-1, quad.gamma_cell_order), axis=1)
+    inc = -np.sum((weights * rule.integrate(rule.impulse)).reshape(-1, GAMMA_CELL_ORDER), axis=1)
     return np.concatenate([[0.0], np.cumsum(inc)])
 
 
-def upfront_t1(
-    model: JointModel, mech: ThresholdMechanism, quad: QuadSpec = QuadSpec()
-) -> ThresholdMechanism:
+def upfront_t1(model: JointModel, mech: ThresholdMechanism) -> ThresholdMechanism:
     """Fees leaving the bottom type zero rent and local truth-telling
     binding: expected option value minus the accumulated rent."""
-    e_u = PercentileRule(model, mech.gamma_grid, mech.strikes, quad.marginal_order).expected_u
-    return replace(mech, upfront=e_u - _rent_curve(model, mech, quad))
+    e_u = PercentileRule(model, mech.gamma_grid, mech.strikes, MARGINAL_ORDER).expected_u
+    return replace(mech, upfront=e_u - _rent_curve(model, mech))
 
 
-def rent_curve(
-    model: JointModel, mech: ThresholdMechanism, quad: QuadSpec = QuadSpec()
-) -> InterimUtilityCurve:
-    return InterimUtilityCurve(mech.gamma_grid.copy(), _rent_curve(model, mech, quad))
+def rent_curve(model: JointModel, mech: ThresholdMechanism) -> InterimUtilityCurve:
+    return InterimUtilityCurve(mech.gamma_grid.copy(), _rent_curve(model, mech))
 
 
 # ---------------------------------------------------------------------------
@@ -334,31 +324,37 @@ def rent_curve(
 # ---------------------------------------------------------------------------
 
 
-def revenue_direct(model: JointModel, mech: ThresholdMechanism, quad: QuadSpec = QuadSpec()) -> float:
+def revenue_direct(model: JointModel, mech: ThresholdMechanism) -> float:
     """Expected fee plus expected exercise payments."""
     if mech.upfront is None:
         raise InvalidIntervalError("fill upfront fees before computing revenue")
     gmass = np.diff(np.asarray(model.prior.cdf(mech.gamma_grid), dtype=float))
-    nodes, weights, rule = _panels(model, mech, quad, quad.gamma_cell_order)
+    nodes, weights, rule = _panels(model, mech, GAMMA_CELL_ORDER)
     dens = np.asarray(model.prior.pdf(nodes), dtype=float)
     e_t2 = np.sum(rule.strikes * (1.0 - rule.s), axis=1)
     return float(np.dot(mech.upfront[:-1], gmass) + np.sum(weights * dens * e_t2))
 
 
-def revenue_impulse_form(
-    model: JointModel, mech: ThresholdMechanism, quad: QuadSpec = QuadSpec()
-) -> float:
+def revenue_impulse_form(model: JointModel, mech: ThresholdMechanism) -> float:
     """Per-good integral of allocated virtual values; valid only when the
     dependency structure is invariant in the type."""
     if not model.invariant_flag:
         raise InvarianceRequiredError("impulse-form revenue needs invariant dependencies")
-    nodes, weights, rule = _panels(model, mech, quad, quad.gamma_cell_order)
+    nodes, weights, rule = _panels(model, mech, GAMMA_CELL_ORDER)
     dens = np.asarray(model.prior.pdf(nodes), dtype=float)
     hz = np.asarray(hazard(model.prior, nodes), dtype=float)[rule.rows, None]
     return float(np.sum(weights * dens * rule.integrate(rule.q + rule.impulse * hz)))
 
 
-def _score_rents(model: JointModel, rule: PercentileRule, quad: QuadSpec) -> np.ndarray:
+def uses_joint_score(model: JointModel) -> bool:
+    """Whether ``revenue_functional`` integrates each type's rents on a
+    joint grid of about 130**goods points: smooth marginals, several
+    goods and a dependent copula."""
+    return (all(m.smooth_in_gamma for m in model.marginals) and model.n > 1
+            and not isinstance(model.copula, IndependenceCopula))
+
+
+def _score_rents(model: JointModel, rule: PercentileRule) -> np.ndarray:
     """E[u * score | gamma] per type of ``rule``, for its strikes.
 
     Pointwise score integrals need the density to be differentiable in
@@ -369,21 +365,18 @@ def _score_rents(model: JointModel, rule: PercentileRule, quad: QuadSpec) -> np.
     """
     if not all(m.smooth_in_gamma for m in model.marginals):
         h = 1e-6 * (model.prior.hi - model.prior.lo)
-        up, dn = (PercentileRule(model, rule.gamma + d, rule.strikes, quad.marginal_order)
+        up, dn = (PercentileRule(model, rule.gamma + d, rule.strikes, MARGINAL_ORDER)
                   for d in (h, -h))
         return (up.expected_u - dn.expected_u) / (2.0 * h)
-    derivs = all(m.dcdf_dgamma is not None and m.dpdf_dgamma is not None
-                 for m in model.marginals)
-    if derivs and (model.n == 1 or isinstance(model.copula, IndependenceCopula)):
+    if not uses_joint_score(model):
         # cross terms E[u_j] E[score_k] vanish since each marginal score
         # integrates to zero; only matched-good terms remain
         ratio = rule.per_row("dpdf_dgamma") / rule.per_row("pdf")
         return rule.integrate((rule.q - rule.p) * ratio)
-    return _joint_score_rents(model, rule, quad, derivs and model.invariant_flag)
+    return _joint_score_rents(model, rule, model.invariant_flag)
 
 
-def _joint_score_rents(model: JointModel, rule: PercentileRule, quad: QuadSpec,
-                       analytic: bool) -> np.ndarray:
+def _joint_score_rents(model: JointModel, rule: PercentileRule, analytic: bool) -> np.ndarray:
     """Joint percentile-space score integrals, one tensor grid per type,
     graded toward the cube corners and split at the strike percentiles.
 
@@ -393,13 +386,13 @@ def _joint_score_rents(model: JointModel, rule: PercentileRule, quad: QuadSpec,
     (when ``analytic`` is False) sees materialized grid points.
     """
     n, copula = model.n, model.copula
-    graded = list(geometric_breaks(depth=quad.corner_depth))
+    graded = list(geometric_breaks(depth=CORNER_DEPTH))
     rents = np.empty(len(rule.gamma))
     # types per batch of axis evaluations, each axis about (len(graded) + 2) * order nodes
-    step = max(1, _CHUNK_POINTS // (n * (len(graded) + 2) * quad.joint_order))
+    step = max(1, _CHUNK_POINTS // (n * (len(graded) + 2) * JOINT_ORDER))
     for start in range(0, len(rule.gamma), step):
         ks = range(start, min(start + step, len(rule.gamma)))
-        axes = [composite_rule(0.0, 1.0, quad.joint_order, graded + [s] if 0.0 < s < 1.0 else graded)
+        axes = [composite_rule(0.0, 1.0, JOINT_ORDER, graded + [s] if 0.0 < s < 1.0 else graded)
                 for k in ks for s in rule.s[k]]
         sizes = [a.nodes.size for a in axes]
         goods = np.repeat(np.tile(np.arange(n), len(ks)), sizes)
@@ -430,25 +423,17 @@ def _joint_score_rents(model: JointModel, rule: PercentileRule, quad: QuadSpec,
     return rents
 
 
-def revenue_functional(
-    model: JointModel, mech: ThresholdMechanism, quad: QuadSpec = QuadSpec()
-) -> float:
+def revenue_functional(model: JointModel, mech: ThresholdMechanism) -> float:
     """Allocated surplus minus score-weighted, hazard-weighted rents."""
-    nodes, weights, rule = _panels(model, mech, quad, quad.gamma_cell_order)
+    nodes, weights, rule = _panels(model, mech, GAMMA_CELL_ORDER)
     dens = np.asarray(model.prior.pdf(nodes), dtype=float)
     surplus = np.sum(weights * dens * rule.integrate(rule.q))
-    # The rent term is smooth on each menu cell, and the expensive joint
-    # score integral is only needed for smooth dependent families, so a
-    # low-order panel per cell is enough.
-    joint_path = (
-        all(m.smooth_in_gamma for m in model.marginals)
-        and model.n > 1
-        and not isinstance(model.copula, IndependenceCopula)
-    )
-    rent_order = 2 if joint_path else quad.gamma_cell_order
-    nodes, weights, rule = _panels(model, mech, quad, rent_order)
+    # The rent term is smooth on each menu cell, so the expensive joint
+    # score integral gets a low-order panel per cell.
+    rent_order = 2 if uses_joint_score(model) else GAMMA_CELL_ORDER
+    nodes, weights, rule = _panels(model, mech, rent_order)
     surv = 1.0 - np.asarray(model.prior.cdf(nodes), dtype=float)
-    return float(surplus - np.sum(weights * surv * _score_rents(model, rule, quad)))
+    return float(surplus - np.sum(weights * surv * _score_rents(model, rule)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +450,7 @@ class AuditReport:
     gain_matrix: np.ndarray
 
 
-def ic_audit(
-    model: JointModel,
-    mech: ThresholdMechanism,
-    gamma_grid=None,
-    quad: QuadSpec = QuadSpec(),
-) -> AuditReport:
+def ic_audit(model: JointModel, mech: ThresholdMechanism, gamma_grid=None) -> AuditReport:
     """Cross-report rents over all grid pairs.
 
     For type gamma_i facing menu entry j the rent is the expected option
@@ -483,10 +463,10 @@ def ic_audit(
     menus = np.array([mech.menu_index(g) for g in grid])
     m_count = len(grid)
     # one (types x menus x goods x nodes) tensor, built a block of types at a time
-    step = max(1, _CHUNK_POINTS // (m_count * model.n * quad.marginal_order))
+    step = max(1, _CHUNK_POINTS // (m_count * model.n * MARGINAL_ORDER))
     e_u = [PercentileRule(model, np.repeat(grid[i:i + step], m_count),
                           mech.strikes[np.tile(menus, len(grid[i:i + step]))],
-                          quad.marginal_order).expected_u for i in range(0, m_count, step)]
+                          MARGINAL_ORDER).expected_u for i in range(0, m_count, step)]
     # cross[i, j] = rent of type i reporting entry j
     cross = np.concatenate(e_u).reshape(m_count, m_count) - mech.upfront[menus]
     truthful = np.diag(cross).copy()
@@ -511,7 +491,7 @@ class RegularityReport:
     locations: dict
 
 
-def regularity_report(model: JointModel, gamma_grid=None, theta_points: int = 129) -> RegularityReport:
+def regularity_report(model: JointModel, gamma_grid=None) -> RegularityReport:
     """Grid checks of the standing assumptions: nonpositive cdf response
     to the type, virtual values rising in the type, single crossing."""
     if gamma_grid is None:
@@ -523,8 +503,8 @@ def regularity_report(model: JointModel, gamma_grid=None, theta_points: int = 12
     locations = {}
     for j, m in enumerate(model.marginals):
         lo, hi = m.support
-        thetas = np.linspace(lo, hi, theta_points)
-        fg = np.asarray(m.F_gamma(thetas, gamma_grid[:, None]), dtype=float)
+        thetas = np.linspace(lo, hi, _REGULARITY_POINTS)
+        fg = np.asarray(m.dcdf_dgamma(thetas, gamma_grid[:, None]), dtype=float)
         i, k = np.unravel_index(np.argmax(fg), fg.shape)
         if fg[i, k] > worst_fg:
             worst_fg = float(fg[i, k])

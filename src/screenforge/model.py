@@ -81,20 +81,21 @@ def hazard(prior: GammaPrior, gamma):
 class ConditionalMarginal:
     """One good's valuation distribution conditional on the type.
 
-    ``cdf``, ``pdf``, ``quantile_fn`` and the optional derivative
-    callables take ``(theta, gamma)`` (``(p, gamma)`` for the quantile)
-    and broadcast: ``gamma`` may be an array of types shaped to broadcast
-    against ``theta``, e.g. (T, 1) against (T, K) or (K,).
-    ``impulse_fn`` supplies F_gamma/f extended continuously to the whole
-    box (needed where the density vanishes off a moving support).
+    ``cdf``, ``pdf``, ``quantile_fn`` and the type-derivatives
+    ``dcdf_dgamma`` and ``dpdf_dgamma`` take ``(theta, gamma)``
+    (``(p, gamma)`` for the quantile) and broadcast: ``gamma`` may be an
+    array of types shaped to broadcast against ``theta``, e.g. (T, 1)
+    against (T, K) or (K,).  ``impulse_fn`` supplies the impulse
+    dcdf_dgamma / pdf extended continuously to the whole box (needed
+    where the density vanishes off a moving support).
     """
 
     support: tuple
     cdf: Callable
     pdf: Callable
     quantile_fn: Callable
-    dcdf_dgamma: Optional[Callable] = None
-    dpdf_dgamma: Optional[Callable] = None
+    dcdf_dgamma: Callable
+    dpdf_dgamma: Callable
     effective_fn: Optional[Callable] = None
     impulse_fn: Optional[Callable] = None
     # True when the density is differentiable in gamma pointwise on the
@@ -114,22 +115,14 @@ class ConditionalMarginal:
             return self.support
         return self.effective_fn(gamma)
 
-    def F_gamma(self, theta, gamma):
-        """Type-derivative of the conditional cdf (analytic or central FD)."""
-        if self.dcdf_dgamma is not None:
-            return self.dcdf_dgamma(theta, gamma)
-        h = _FD_GAMMA_STEP
-        return (np.asarray(self.cdf(theta, gamma + h), dtype=float)
-                - np.asarray(self.cdf(theta, gamma - h), dtype=float)) / (2.0 * h)
-
     def impulse(self, theta, gamma):
-        """F_gamma/f, the valuation response to a type shift."""
+        """dcdf_dgamma / pdf, the valuation response to a type shift."""
         if self.impulse_fn is not None:
             return self.impulse_fn(theta, gamma)
         dens = np.asarray(self.pdf(theta, gamma), dtype=float)
         if np.any(dens <= 0.0):
             raise DensityZeroError("impulse requested where the density vanishes")
-        return np.asarray(self.F_gamma(theta, gamma), dtype=float) / dens
+        return np.asarray(self.dcdf_dgamma(theta, gamma), dtype=float) / dens
 
     def quantile(self, p, gamma):
         """Inverse conditional cdf; p = 0/1 map to the box endpoints."""
@@ -329,17 +322,11 @@ def score(model: JointModel, gamma: float, theta, force_fd: bool = False) -> np.
     """Likelihood sensitivity d ln f(theta|gamma) / d gamma.
 
     Uses the analytic composition through the marginals when the
-    dependency structure is invariant and the marginals carry analytic
-    derivatives; otherwise falls back to a central difference in gamma.
+    dependency structure is invariant, and a central difference in gamma
+    when it drifts or ``force_fd`` is set.
     """
     theta = np.asarray(theta, dtype=float)
-    analytic = (
-        not force_fd
-        and model.invariant_flag
-        and all(m.dcdf_dgamma is not None and m.dpdf_dgamma is not None
-                for m in model.marginals)
-    )
-    if analytic:
+    if model.invariant_flag and not force_fd:
         total = np.zeros(theta.shape[:-1], dtype=float)
         if model.n > 1:
             u = model.percentiles(gamma, theta)
@@ -396,8 +383,7 @@ def invariance_residual(model: JointModel, grid, gamma_pair) -> float:
     return float(np.max(np.abs(c1 - c2)))
 
 
-def divergence_residual(model: JointModel, gamma, theta,
-                        step: float = DEFAULT_FD_STEP_FRACTION):
+def divergence_residual(model: JointModel, gamma, theta):
     """Continuity-equation defect: a float at one point, N residuals for
     gamma of shape (N,) and theta of shape (N, n).
 
@@ -416,32 +402,23 @@ def divergence_residual(model: JointModel, gamma, theta,
     div = 0.0
     for j, m in enumerate(model.marginals):
         lo, hi = m.effective_support(gamma)
-        h = step * (m.support[1] - m.support[0])
+        h = DEFAULT_FD_STEP_FRACTION * (m.support[1] - m.support[0])
         tj = theta[..., j]
         if np.any((tj - h < lo) | (tj + h > hi)):
             raise InvalidIntervalError("divergence stencil leaves the support interior")
         div += (vf_component(j, tj + h) - vf_component(j, tj - h)) / (2.0 * h)
-    hg = step * (model.prior.hi - model.prior.lo)
+    hg = DEFAULT_FD_STEP_FRACTION * (model.prior.hi - model.prior.lo)
     f_up = joint_density(model, gamma + hg, theta)
     f_dn = joint_density(model, gamma - hg, theta)
     out = np.abs(div - (f_up - f_dn) / (2.0 * hg))
     return out if out.ndim else float(out)
 
 
-def boundary_residual(model: JointModel, gamma: float, use_fd: bool = False) -> float:
-    """Max |F^j_gamma| over the box faces; must vanish for the divergence
-    rewriting to drop its boundary term."""
-    worst = 0.0
-    for m in model.marginals:
-        lo, hi = m.support
-        for edge in (lo, hi):
-            if use_fd or m.dcdf_dgamma is None:
-                h = _FD_GAMMA_STEP
-                val = (float(m.cdf(edge, gamma + h)) - float(m.cdf(edge, gamma - h))) / (2 * h)
-            else:
-                val = float(m.dcdf_dgamma(edge, gamma))
-            worst = max(worst, abs(val))
-    return worst
+def boundary_residual(model: JointModel, gamma: float) -> float:
+    """Max |dcdf_dgamma| over the box faces; must vanish for the
+    divergence rewriting to drop its boundary term."""
+    return max(abs(float(m.dcdf_dgamma(edge, gamma)))
+               for m in model.marginals for edge in m.support)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,6 +45,7 @@ from .numerics import tensor_points
 DEFAULT_TOL = 1e-10
 CAP_FACTOR = 10.0
 MASS_FLOOR = 1e-9  # discretized cell masses below this are set to 0
+_BREAK_TOL = 1e-13  # cdf breakpoints closer than this share one shock cell
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +604,7 @@ class RelaxedTables:
     values: np.ndarray       # (Z, M, n) valuation vectors per type
 
 
-def build_relaxed_tables(instance: DiscreteInstance, tol: float = 1e-13) -> RelaxedTables:
+def build_relaxed_tables(instance: DiscreteInstance) -> RelaxedTables:
     dims = instance.dims
     m_count, n = instance.n_types, instance.n_goods
     pmfs = [instance.pmf[m].reshape(dims) for m in range(m_count)]
@@ -634,7 +635,7 @@ def build_relaxed_tables(instance: DiscreteInstance, tol: float = 1e-13) -> Rela
         breaks = np.unique(np.concatenate(cums))
         keep = [0.0]
         for b in breaks[1:]:
-            if b - keep[-1] > tol:
+            if b - keep[-1] > _BREAK_TOL:
                 keep.append(float(b))
         keep[-1] = 1.0
         for a, b in zip(keep[:-1], keep[1:]):
@@ -660,8 +661,7 @@ def build_relaxed_tables(instance: DiscreteInstance, tol: float = 1e-13) -> Rela
     return RelaxedTables(masses=masses, cell_of=cell_of, values=values)
 
 
-def solve_relaxed(instance: DiscreteInstance, tables: Optional[RelaxedTables] = None,
-                  tol: float = DEFAULT_TOL) -> SolveReport:
+def solve_relaxed(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> SolveReport:
     """One-transfer screening with the shock publicly observed.
 
     The program is the simultaneous regime's participation and
@@ -669,8 +669,7 @@ def solve_relaxed(instance: DiscreteInstance, tables: Optional[RelaxedTables] = 
     by its own valuation; there is no settling transfer, so no cell rows.
     Its one capped optimum is re-checked in shock space (``_recheck``).
     """
-    if tables is None:
-        tables = build_relaxed_tables(instance)
+    tables = build_relaxed_tables(instance)
     m_count, n = instance.n_types, instance.n_goods
     z_count = len(tables.masses)
     nq = m_count * z_count * n

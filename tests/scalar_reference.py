@@ -86,42 +86,43 @@ def _panel_sum(model, grid, strike_rows, order, fn):
     return total
 
 
-def rent_curve(model, grid, strike_rows, quad=X.QuadSpec()):
+def rent_curve(model, grid, strike_rows):
     values = np.zeros(len(grid))
     for i in range(len(grid) - 1):
         values[i + 1] = values[i] + _panel_sum(
-            model, grid[i:i + 2], strike_rows[i:i + 1], quad.gamma_cell_order,
+            model, grid[i:i + 2], strike_rows[i:i + 1], X.GAMMA_CELL_ORDER,
             lambda g, p: marginal_integrals(model, g, p)["slope"])
     return values
 
 
-def fees(model, grid, strike_rows, quad=X.QuadSpec()):
-    rents = rent_curve(model, grid, strike_rows, quad)
+def fees(model, grid, strike_rows):
+    rents = rent_curve(model, grid, strike_rows)
     return np.array([menu_expected_u(model, g, p) for g, p in zip(grid, strike_rows)]) - rents
 
 
-def revenue_direct(model, mech, quad=X.QuadSpec()):
+def revenue_direct(model, mech):
     grid = mech.gamma_grid
     gmass = np.diff(np.asarray(model.prior.cdf(grid), dtype=float))
     return float(np.dot(mech.upfront[:-1], gmass)) + _panel_sum(
-        model, grid, mech.strikes, quad.gamma_cell_order,
+        model, grid, mech.strikes, X.GAMMA_CELL_ORDER,
         lambda g, p: float(model.prior.pdf(g)) * marginal_integrals(model, g, p)["e_t2"])
 
 
-def revenue_impulse_form(model, mech, quad=X.QuadSpec()):
+def revenue_impulse_form(model, mech):
     return _panel_sum(
-        model, mech.gamma_grid, mech.strikes, quad.gamma_cell_order,
+        model, mech.gamma_grid, mech.strikes, X.GAMMA_CELL_ORDER,
         lambda g, p: float(model.prior.pdf(g)) * marginal_integrals(model, g, p)["virtual"])
 
 
-def expected_u_score(model, gamma, strike_vec, quad=X.QuadSpec()):
+def expected_u_score(model, gamma, strike_vec, joint_order, corner_depth):
     """E[u * score | gamma]: a gamma difference of E[u] for moving
     supports, matched-good terms for independent goods, otherwise a
-    joint percentile-space tensor integral."""
+    joint percentile-space tensor integral of ``joint_order`` nodes per
+    segment, graded ``corner_depth`` deep toward the corners."""
     if not all(m.smooth_in_gamma for m in model.marginals):
         h = 1e-6 * (model.prior.hi - model.prior.lo)
-        up = menu_expected_u(model, gamma + h, strike_vec, quad.marginal_order)
-        dn = menu_expected_u(model, gamma - h, strike_vec, quad.marginal_order)
+        up = menu_expected_u(model, gamma + h, strike_vec, X.MARGINAL_ORDER)
+        dn = menu_expected_u(model, gamma - h, strike_vec, X.MARGINAL_ORDER)
         return (up - dn) / (2.0 * h)
     if model.n == 1 or isinstance(model.copula, IndependenceCopula):
         total = 0.0
@@ -130,7 +131,7 @@ def expected_u_score(model, gamma, strike_vec, quad=X.QuadSpec()):
             s = float(np.clip(m.cdf(p, gamma), 0.0, 1.0))
             if s >= 1.0 - 1e-14:
                 continue
-            rule = gauss_rule(quad.marginal_order, s, 1.0)
+            rule = gauss_rule(X.MARGINAL_ORDER, s, 1.0)
             q = np.asarray(m.quantile(rule.nodes, gamma), dtype=float)
             sj = np.asarray(m.dpdf_dgamma(q, gamma)) / np.asarray(m.pdf(q, gamma))
             total += float(np.dot(rule.weights, (q - p) * sj))
@@ -138,11 +139,11 @@ def expected_u_score(model, gamma, strike_vec, quad=X.QuadSpec()):
     breaks = []
     for j, m in enumerate(model.marginals):
         s = float(np.clip(m.cdf(float(strike_vec[j]), gamma), 0.0, 1.0))
-        pts = list(geometric_breaks(depth=quad.corner_depth))
+        pts = list(geometric_breaks(depth=corner_depth))
         if 0.0 < s < 1.0:
             pts.append(s)
         breaks.append(pts)
-    pts, wts = tensor_rule([(0.0, 1.0)] * model.n, [quad.joint_order] * model.n, breaks)
+    pts, wts = tensor_rule([(0.0, 1.0)] * model.n, [joint_order] * model.n, breaks)
     theta = np.stack([np.asarray(model.marginals[j].quantile(pts[:, j], gamma), dtype=float)
                       for j in range(model.n)], axis=-1)
     u_util = np.sum(np.maximum(theta - np.asarray(strike_vec, dtype=float), 0.0), axis=-1)
@@ -151,16 +152,17 @@ def expected_u_score(model, gamma, strike_vec, quad=X.QuadSpec()):
     return float(np.dot(wts, u_util * svals * cvals))
 
 
-def revenue_functional(model, mech, quad=X.QuadSpec()):
+def revenue_functional(model, mech, joint_order=X.JOINT_ORDER, corner_depth=X.CORNER_DEPTH):
     grid = mech.gamma_grid
     surplus = _panel_sum(
-        model, grid, mech.strikes, quad.gamma_cell_order,
+        model, grid, mech.strikes, X.GAMMA_CELL_ORDER,
         lambda g, p: float(model.prior.pdf(g)) * marginal_integrals(model, g, p)["e_thq"])
     joint = (all(m.smooth_in_gamma for m in model.marginals) and model.n > 1
              and not isinstance(model.copula, IndependenceCopula))
     rents = _panel_sum(
-        model, grid, mech.strikes, 2 if joint else quad.gamma_cell_order,
-        lambda g, p: (1.0 - float(model.prior.cdf(g))) * expected_u_score(model, g, p, quad))
+        model, grid, mech.strikes, 2 if joint else X.GAMMA_CELL_ORDER,
+        lambda g, p: (1.0 - float(model.prior.cdf(g)))
+        * expected_u_score(model, g, p, joint_order, corner_depth))
     return surplus - rents
 
 
@@ -290,14 +292,14 @@ def _adapted_cuts(inst, mech, tol):
 def kelley_sequential(inst, tol=1e-10, max_rounds=200):
     """Optimal value of the sequential LP by Kelley's cutting planes.
 
-    Only participation is imposed up front.  Each round appends the
-    violated adapted deviations as rows and re-solves from the last
-    basis; a clean round is re-solved without the transfer caps and
+    Only participation is imposed up front.  Each round builds a fresh
+    model from participation and every violated adapted deviation found
+    so far; a clean round is re-solved without the transfer caps and
     separated once more.
     """
     seq = O._seq_layout(inst)
     layout = O._Layout(inst, seq.qcol, seq.t2col, None, "sequential")
-    model = LpModel(layout.objective(), *layout.participation_rows(), bounds=layout.bounds())
+    rows = [layout.participation_rows()[0].toarray()]
     seen = set()
 
     def add(cuts):
@@ -305,17 +307,16 @@ def kelley_sequential(inst, tol=1e-10, max_rounds=200):
         if cuts and not new:
             raise ConvergenceError("a violated deviation is already in the program")
         seen.update(new)
-        if new:
-            rows = np.array([_deviation_row(layout, *cut) for cut in new])
-            model.add_rows(rows, np.zeros(len(new)))
+        rows.extend(_deviation_row(layout, *cut)[None] for cut in new)
         return bool(new)
 
     for _ in range(max_rounds):
+        a = np.vstack(rows)
+        model = LpModel(layout.objective(), a, np.zeros(len(a)), bounds=layout.bounds())
         if add(_adapted_cuts(inst, layout.unpack(model.solve().x), tol)):
             continue
         model.set_bounds(layout.bounds(capped=False))
         sol = model.solve()
         if not add(_adapted_cuts(inst, layout.unpack(sol.x), tol)):
             return sol.value
-        model.set_bounds(layout.bounds())
     raise ConvergenceError(f"no clean adapted separation within {max_rounds} rounds")

@@ -115,17 +115,65 @@ class TestSolveCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("overrides,message", [
-        ({"family": {"name": "cl_uniform", "goods": 1099511627776}}, "from 1 to 6"),
-        ({"solve": {"gamma_grid": 10 ** 12}}, "solve.gamma_grid must hold integers from 1 to 2000"),
-    ], ids=["goods", "gamma-grid"])
-    def test_size_over_a_guard_exits_2(self, tmp_path, overrides, message, capsys):
-        # both used to end in a MemoryError traceback
+    @pytest.mark.parametrize("command,overrides,message", [
+        ("solve", {"family": {"name": "cl_uniform", "goods": 1099511627776}}, "from 1 to 6"),
+        ("solve", {"solve": {"gamma_grid": 10 ** 12}},
+         "solve.gamma_grid must hold integers from 1 to 2000 (cli.MAX_GAMMA_GRID)"),
+        ("sample", {"sample": {"count": climod.MAX_SAMPLE_COUNT + 1}},
+         "sample.count must hold integers from 1 to 1000000 (cli.MAX_SAMPLE_COUNT)"),
+        # cycle_length takes its default of 5
+        ("audit", {"audit": {"cycles": climod.MAX_CYCLE_POINTS // 5 + 1}},
+         "audit.cycles * audit.cycle_length must hold integers from 1 to 1000000 "
+         "(cli.MAX_CYCLE_POINTS), got 1000005"),
+        ("identity", {"identity": {"points": climod.MAX_IDENTITY_POINTS + 1}},
+         "identity.points must hold integers from 1 to 100000 (cli.MAX_IDENTITY_POINTS)"),
+        # 13 types x 144 cells: 13 * 144 * 143 + 13 * 13 rows
+        ("oracle", {"family": {"name": "cl_uniform", "goods": 2},
+                    "oracle": {"gamma_cells": 13, "theta_cells": [2, 12]}},
+         "oracle.theta_cells 12: simultaneous LP rows must hold integers from 1 to 250000 "
+         "(cli.MAX_SIMULTANEOUS_ROWS), got 267865"),
+        ("solve", {"family": {"name": "logistic_shift", "goods": 4,
+                              "copula": {"name": "gaussian", "rho": 0.3}}},
+         "family.goods of a smooth family with a dependent copula must hold integers "
+         "from 1 to 3 (cli.MAX_JOINT_SCORE_GOODS), got 4"),
+    ], ids=["goods", "gamma-grid", "sample-count", "cycle-points", "identity-points",
+            "simultaneous-rows", "joint-score-goods"])
+    def test_size_over_a_guard_exits_2(self, tmp_path, command, overrides, message, capsys):
+        # each used to end in a MemoryError traceback or a run of hours;
+        # load_config rejects them before anything is allocated
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
-        assert run("solve", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("family", [
+        {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": 2.0}},
+        {"name": "logistic_shift", "goods": 2, "copula": {"name": "gaussian", "rho": 0.5}},
+    ], ids=["readme", "logi"])
+    def test_size_guards_admit_the_benchmark_configs(self, tmp_path, family):
+        cfg = write_config(tmp_path, family=family,
+                           audit={"gamma_grid": 51, "cycles": 1000, "cycle_length": 5},
+                           identity={"points": 1000}, sample={"count": 100_000, "gammas": [0.3]},
+                           oracle={"gamma_cells": 3, "theta_cells": [2, 3, 4, 5]})
+        for command in ("solve", "audit", "identity", "oracle", "sample"):
+            climod.load_config(cfg, command)
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("sample", {"sample": {"count": climod.MAX_SAMPLE_COUNT}}),
+        ("audit", {"audit": {"cycles": climod.MAX_CYCLE_POINTS // 5}}),
+        ("audit", {"audit": {"cycles": 1, "cycle_length": climod.MAX_CYCLE_POINTS}}),
+        ("identity", {"identity": {"points": climod.MAX_IDENTITY_POINTS}}),
+        # the joint 12 x 12 x 12 rung: 247,248 rows
+        ("oracle", {"family": {"name": "cl_uniform", "goods": 2},
+                    "oracle": {"gamma_cells": 12, "theta_cells": [[12, 12]]}}),
+        ("solve", {"family": {"name": "logistic_shift", "goods": 3,
+                              "copula": {"name": "gaussian", "rho": 0.3}}}),
+        ("solve", {"family": {"name": "logistic_shift", "goods": modelmod.MAX_GOODS}}),
+    ], ids=["sample-count", "cycles", "cycle-length", "identity-points", "joint-12",
+            "joint-score-3-goods", "independent-6-goods"])
+    def test_size_guards_admit_their_limits_without_running(self, tmp_path, command, overrides):
+        climod.load_config(write_config(tmp_path, **overrides), command)
 
     @pytest.mark.parametrize("command", ["solve", "audit"])
     def test_size_guards_admit_their_limits(self, tmp_path, command):

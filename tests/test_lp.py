@@ -137,12 +137,6 @@ def _replay(seed):
         steps.append((model.solve(), _reference(c, a, b, bounds)))
 
     check(CAPPED)
-    for _ in range(3):
-        extra = rng.normal(size=(2, n))
-        extra_b = rng.random(2) + 0.1
-        model.add_rows(sp.csr_matrix(extra), extra_b)
-        a, b = np.vstack([a, extra]), np.concatenate([b, extra_b])
-        check(CAPPED)
     c = c + rng.normal(size=n)
     model.set_cost(c)
     check(CAPPED)
@@ -229,10 +223,15 @@ class TestLpModel:
             model.solve()
         assert _reference(c, a, b, FREE).status == 3
 
-    def test_infeasible_appended_row(self):
+    def test_infeasible_bounds_then_recovery(self):
+        # raising both lower bounds to 1 asks x_1 + x_2 >= 2 against x_1 + x_2 <= 1
         c, a, b = [1.0, 1.0], [[1.0, 1.0]], [1.0]
         model = LpModel(c, a, b, bounds=(0.0, None))
-        model.solve()
-        model.add_rows([[-1.0, -1.0]], [-2.0])  # x_1 + x_2 >= 2
+        before = model.solve().value
+        model.set_bounds((1.0, None))
         with pytest.raises(LpInfeasibleError):
             model.solve()
+        assert _reference(c, a, b, (1.0, None)).status == 2
+        assert not model._highs.getBasis().valid
+        model.set_bounds((0.0, None))
+        assert abs(model.solve().value - before) <= 1e-9

@@ -461,16 +461,18 @@ class TestAgainstScalarReference:
         ({"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}, None),
         ({"name": "gaussian", "rho": 0.3}, (1.0, 0.6, 1.4)),
     ], ids=["gaussian", "clayton", "gaussian-drift", "gaussian-unequal-goods"])
-    def test_three_good_joint_score_integral(self, copula, shifts):
+    def test_three_good_joint_score_integral(self, copula, shifts, monkeypatch):
         # three axes check the broadcast order of the per-axis terms on the
         # tensor grid; goods with unequal marginals make every axis differ
         mdl = M.build_model({"name": "logistic_shift", "goods": 3, "copula": copula})
         if shifts:
             mdl = replace(mdl, marginals=[M.truncated_logistic_marginal(shift=s) for s in shifts])
-        quad = X.QuadSpec(joint_order=4, corner_depth=2)
-        mech = X.upfront_t1(mdl, X.solve_thresholds(mdl, np.linspace(0.0, 1.0, 3), quad), quad)
-        functional = X.revenue_functional(mdl, mech, quad)
-        assert abs(functional - scalar.revenue_functional(mdl, mech, quad)) < 1e-12
+        monkeypatch.setattr(X, "JOINT_ORDER", 4)
+        monkeypatch.setattr(X, "CORNER_DEPTH", 2)
+        mech = X.upfront_t1(mdl, X.solve_thresholds(mdl, np.linspace(0.0, 1.0, 3)))
+        functional = X.revenue_functional(mdl, mech)
+        expected = scalar.revenue_functional(mdl, mech, joint_order=4, corner_depth=2)
+        assert abs(functional - expected) < 1e-12
 
     def test_ic_audit_gain_matrix(self, solved):
         mdl, mech = solved
@@ -482,5 +484,5 @@ class TestAgainstScalarReference:
         mdl, _ = solved
         rep = X.regularity_report(mdl, self.GRID)
         thetas = np.linspace(*mdl.marginals[0].support, 129)
-        fg = max(float(np.max(mdl.marginals[0].F_gamma(thetas, g))) for g in self.GRID)
+        fg = max(float(np.max(mdl.marginals[0].dcdf_dgamma(thetas, g))) for g in self.GRID)
         assert rep.ok and rep.worst_f_gamma == pytest.approx(fg, abs=1e-15)
