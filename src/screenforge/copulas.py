@@ -196,7 +196,8 @@ _GL20_X = np.array(
 
 
 def bvn_upper(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk) for a standard bivariate normal with correlation r.
+    """P(X > dh, Y > dk) for a standard bivariate normal with correlation r
+    and finite dh, dk.
 
     Deterministic Gauss-Legendre evaluation of the angle-parameterized
     integral, with the classic tail expansion for |r| >= 0.925; absolute
@@ -204,12 +205,6 @@ def bvn_upper(dh: float, dk: float, r: float) -> float:
     """
     from scipy.special import ndtr  # only the Gaussian copula loads scipy
 
-    if math.isinf(dh) or math.isinf(dk):
-        if dh == math.inf or dk == math.inf:
-            return 0.0
-        if dh == -math.inf:
-            return 1.0 if dk == -math.inf else float(ndtr(-dk))
-        return float(ndtr(-dh))
     if r == 0.0:
         return float(ndtr(-dh) * ndtr(-dk))
 

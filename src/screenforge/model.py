@@ -15,6 +15,7 @@ at 0/1 on the box boundary for all gamma.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -40,7 +41,6 @@ class GammaPrior:
     hi: float
     cdf: Callable
     pdf: Callable
-    label: str = ""
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -57,7 +57,7 @@ def uniform_prior(lo: float = 0.0, hi: float = 1.0) -> GammaPrior:
         g = np.asarray(g, dtype=float)
         return np.where((g >= lo) & (g <= hi), 1.0 / width, 0.0)
 
-    return GammaPrior(lo, hi, cdf, pdf, label=f"uniform[{lo},{hi}]")
+    return GammaPrior(lo, hi, cdf, pdf)
 
 
 def hazard(prior: GammaPrior, gamma):
@@ -102,7 +102,6 @@ class ConditionalMarginal:
     # whole box; moving supports concentrate the derivative on their
     # edges and must say False so score-based integrals are avoided
     smooth_in_gamma: bool = False
-    label: str = ""
 
     def __post_init__(self):
         lo, hi = self.support
@@ -163,7 +162,6 @@ def shifted_uniform_marginal(width: float = 1.0, box: tuple = (0.0, 2.0)) -> Con
         quantile_fn=quant,
         effective_fn=lambda g: (g, g + width),
         impulse_fn=lambda t, g: _zeros(t, g) - 1.0,
-        label=f"uniform-shift(w={width})",
     )
 
 
@@ -187,7 +185,6 @@ def fixed_uniform_marginal(lo: float = 0.0, hi: float = 1.0) -> ConditionalMargi
         quantile_fn=lambda p, g: lo + width * np.asarray(p, dtype=float) + _zeros(p, g),
         impulse_fn=_zeros,
         smooth_in_gamma=True,
-        label=f"uniform[{lo},{hi}]",
     )
 
 
@@ -252,7 +249,6 @@ def truncated_logistic_marginal(
         dpdf_dgamma=dpdf,
         quantile_fn=quant,
         smooth_in_gamma=True,
-        label=f"logistic(loc={loc},shift={shift},s={scale})",
     )
 
 
@@ -428,6 +424,16 @@ def boundary_residual(model: JointModel, gamma: float) -> float:
 FAMILY_NAMES = ("cl_uniform", "uniform_iid", "logistic_shift")
 # identity's invariance check builds a 9**goods tensor grid: 140 MB at 6 goods
 MAX_GOODS = 6
+_COPULA_PARAMS = ("alpha", "alpha_slope", "rho", "rho_slope")
+_FLOAT_MAX = sys.float_info.max
+
+
+def _finite(value, name: str) -> float:
+    """``value`` as a float; ConfigError unless it is a finite number (an
+    int is compared exactly, so one past the float range is refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def build_model(config: dict) -> JointModel:
@@ -451,25 +457,40 @@ def build_model(config: dict) -> JointModel:
         cop_name = cop_cfg.pop("name", "independence")
         if not isinstance(cop_name, str):
             raise ConfigError(f"family.copula.name must be a string, got {cop_name!r}")
+        for key in _COPULA_PARAMS:
+            if key in cop_cfg:
+                _finite(cop_cfg[key], f"family.copula.{key}")
         copula = copulas.make_copula(cop_name, max(goods, 2), **cop_cfg)
         copula.check_path(prior.lo, prior.hi)
+        params = {key: _finite(config[key], f"family.{key}")
+                  for key in ("width", "loc", "shift", "scale") if key in config}
+        if "box" in config:
+            params["box"] = tuple(_finite(v, "each family.box entry") for v in config["box"])
         if name == "cl_uniform":
-            width = float(config.get("width", 1.0))
+            width = params.get("width", 1.0)
             if not 0.0 < width <= 1.0:  # keeps [gamma, gamma + width] in the box
                 raise ConfigError(f"width must lie in (0, 1], got {width!r}")
             marg = shifted_uniform_marginal(width=width)
         elif name == "uniform_iid":
-            lo, hi = config.get("box", (0.0, 1.0))
-            marg = fixed_uniform_marginal(float(lo), float(hi))
+            lo, hi = params.get("box", (0.0, 1.0))
+            marg = fixed_uniform_marginal(lo, hi)
         else:
             marg = truncated_logistic_marginal(
-                box=tuple(config.get("box", (-4.0, 5.0))),
-                loc=float(config.get("loc", 0.0)),
-                shift=float(config.get("shift", 1.0)),
-                scale=float(config.get("scale", 0.7)),
+                box=params.get("box", (-4.0, 5.0)),
+                loc=params.get("loc", 0.0),
+                shift=params.get("shift", 1.0),
+                scale=params.get("scale", 0.7),
             )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad family config: {exc}") from exc
+    # finite parameters can still overflow the marginal's arithmetic (a
+    # logistic location far outside its box) and turn every report to NaN
+    probe = (np.linspace(*marg.support, 9), np.array([[prior.lo], [prior.hi]]))
+    with np.errstate(all="ignore"):
+        if not all(np.all(np.isfinite(fn(*probe)))
+                   for fn in (marg.cdf, marg.pdf, marg.dcdf_dgamma, marg.dpdf_dgamma)):
+            raise ConfigError("bad family config: the marginal overflows on its box "
+                              "at an end of the type range")
 
     return JointModel(
         prior=prior,

@@ -2,8 +2,8 @@
 counter-based random streams.
 
 Everything here is a pure function of its inputs.  In particular the
-random streams are keyed by ``(seed, stream_id, counter)``, so a draw
-depends on its key alone and never on what was drawn before it.
+random streams are keyed by ``(seed, stream_id)``, so a draw depends on
+its key alone and never on what was drawn before it.
 """
 
 from __future__ import annotations
@@ -90,26 +90,6 @@ def geometric_breaks(depth: int = 6, coarse=(0.1, 0.5, 0.9)) -> np.ndarray:
     return np.asarray(pts, dtype=float)
 
 
-def tensor_rule(box, orders, breaks=None):
-    """Tensor product of per-axis composite rules.
-
-    Returns ``(points, weights)`` with points of shape (N, d).
-    """
-    box = [tuple(map(float, ab)) for ab in box]
-    d = len(box)
-    orders = [int(o) for o in (orders if np.ndim(orders) else [orders] * d)]
-    if len(orders) != d:
-        raise InvalidIntervalError("orders must match the box dimension")
-    if breaks is None:
-        breaks = [()] * d
-    axes = [
-        composite_rule(lo, hi, orders[k], breaks[k])
-        for k, (lo, hi) in enumerate(box)
-    ]
-    weights = np.prod(tensor_points([r.weights for r in axes]), axis=-1)
-    return tensor_points([r.nodes for r in axes]), weights
-
-
 def tensor_points(axes) -> np.ndarray:
     """Tensor product of the 1-D arrays ``axes`` as points of shape (N, d),
     in C order (the last axis varies fastest)."""
@@ -156,7 +136,7 @@ def bisect_root(g, lo, hi, tol: float = DEFAULT_ROOT_TOL):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream keyed by (seed, stream_id, counter).
+    """Counter-based (Philox) random stream keyed by (seed, stream_id).
 
     The output is a pure function of the key, so distinct stream ids give
     each caller its own reproducible draws with no shared state.
@@ -164,14 +144,11 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
-    counter: int = 0
 
     def generator(self) -> np.random.Generator:
         bg = np.random.Philox(
             key=np.array([self.seed, self.stream_id], dtype=np.uint64)
         )
-        if self.counter:
-            bg.advance(int(self.counter))
         return np.random.Generator(bg)
 
 

@@ -349,20 +349,20 @@ def _stack(parts):
     return sp.vstack([p[0] for p in parts]).tocsr(), np.concatenate([p[1] for p in parts])
 
 
-def _recheck(instance: DiscreteInstance, mech: DiscreteMechanism, tol: float):
+def _recheck(instance: DiscreteInstance, mech: DiscreteMechanism):
     """Re-audit an LP optimum with ``evaluate_mechanism``, whose best
-    responses share no rows with the program; a violation above ``tol``
-    is an error."""
+    responses share no rows with the program; a violation above
+    ``DEFAULT_TOL`` is an error."""
     ev = evaluate_mechanism(instance, mech)
     worst = max(ev.ic1_violation, ev.ic2_violation, ev.ir_violation)
-    if worst > tol:
+    if worst > DEFAULT_TOL:
         raise ConvergenceError(
             f"{mech.regime} LP optimum fails its independent re-check: "
-            f"violation {worst:.3g} > {tol:g}"
+            f"violation {worst:.3g} > {DEFAULT_TOL:g}"
         )
 
 
-def _solve_exact(layout: _Layout, parts, tol: float) -> SolveReport:
+def _solve_exact(layout: _Layout, parts) -> SolveReport:
     """Solve a regime's complete LP on one HiGHS model, then re-check it.
 
     ``parts`` are the (rows, rhs) blocks of ``rows x <= rhs``.  The first
@@ -376,7 +376,7 @@ def _solve_exact(layout: _Layout, parts, tol: float) -> SolveReport:
     model.set_bounds(layout.bounds(capped=False))
     sol = model.solve()
     mech = layout.unpack(sol.x)
-    _recheck(layout.inst, mech, tol)
+    _recheck(layout.inst, mech)
     return SolveReport(
         value=sol.value,
         mechanism=mech,
@@ -432,14 +432,12 @@ def _sim_type_rows(layout: _Layout):
     return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
 
 
-def solve_simultaneous(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> SolveReport:
+def solve_simultaneous(instance: DiscreteInstance) -> SolveReport:
     """Exact LP of the one-shot screening problem: cell rows, participation
     and type-misreport rows, re-checked against every joint misreport map."""
     layout = _sim_layout(instance)
     return _solve_exact(
-        layout,
-        [_sim_cell_rows(layout), layout.participation_rows(), _sim_type_rows(layout)],
-        tol,
+        layout, [_sim_cell_rows(layout), layout.participation_rows(), _sim_type_rows(layout)]
     )
 
 
@@ -570,7 +568,7 @@ def _seq_best_response(instance: DiscreteInstance, mech: DiscreteMechanism, m: i
     return dev_value, np.ravel_multi_index(rep_hist, dims)
 
 
-def solve_sequential(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> SolveReport:
+def solve_sequential(instance: DiscreteInstance) -> SolveReport:
     """Exact LP of period-by-period selling.
 
     Adapted truth-telling is written out in its one-shot-deviation form:
@@ -581,7 +579,7 @@ def solve_sequential(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> So
     """
     layout = _seq_layout(instance)
     stages = [_seq_stage_rows(layout, j) for j in range(instance.n_goods)]
-    return _solve_exact(layout, stages + [_seq_top_rows(layout), layout.participation_rows()], tol)
+    return _solve_exact(layout, stages + [_seq_top_rows(layout), layout.participation_rows()])
 
 
 # ---------------------------------------------------------------------------
@@ -607,61 +605,47 @@ class RelaxedTables:
 def build_relaxed_tables(instance: DiscreteInstance) -> RelaxedTables:
     dims = instance.dims
     m_count, n = instance.n_types, instance.n_goods
-    pmfs = [instance.pmf[m].reshape(dims) for m in range(m_count)]
-    cells: list = []
-
-    def conditional(m, chosen):
-        slab = pmfs[m][tuple(chosen)] if chosen else pmfs[m]
-        axes = tuple(range(1, n - len(chosen)))
-        cond = slab.sum(axis=axes) if axes else slab
-        total = cond.sum()
-        if total <= 0.0:
-            return np.full(dims[len(chosen)], 1.0 / dims[len(chosen)])
-        return cond / total
-
-    def recurse(depth, mass, chosen):
-        if depth == n:
-            flat = np.array(
-                [np.ravel_multi_index(tuple(chosen[m]), dims) for m in range(m_count)],
-                dtype=int,
-            )
-            cells.append((mass, flat))
-            return
-        cums = []
-        for m in range(m_count):
-            cum = np.concatenate([[0.0], np.cumsum(conditional(m, chosen[m]))])
-            cum[-1] = 1.0
-            cums.append(cum)
-        breaks = np.unique(np.concatenate(cums))
-        keep = [0.0]
-        for b in breaks[1:]:
-            if b - keep[-1] > _BREAK_TOL:
-                keep.append(float(b))
-        keep[-1] = 1.0
-        for a, b in zip(keep[:-1], keep[1:]):
-            mid = 0.5 * (a + b)
-            nxt = [
-                chosen[m] + [int(np.searchsorted(cums[m], mid, side="right") - 1)]
-                for m in range(m_count)
-            ]
-            recurse(depth + 1, mass * (b - a), nxt)
-
-    recurse(0, 1.0, [[] for _ in range(m_count)])
-    masses = np.array([c[0] for c in cells])
-    cell_of = np.vstack([c[1] for c in cells])
-    reps = instance.cell_values
-    values = reps[cell_of]  # (Z, M, n)
+    pmf = instance.pmf.reshape((m_count,) + dims)
+    types = np.arange(m_count)
+    # one z cell per row: its mass and each type's valuation cell prefix,
+    # flat in C order over the goods cut so far
+    masses = np.ones(1)
+    cell_of = np.zeros((1, m_count), dtype=int)
+    for j, d in enumerate(dims):
+        # each type's law of good j's cell given its prefix; uniform on a
+        # zero-mass prefix
+        joint = pmf.sum(axis=tuple(range(j + 2, n + 1))).reshape(m_count, -1, d)
+        cond = joint[types, cell_of]  # (Z, M, d)
+        total = cond.sum(axis=-1, keepdims=True)
+        cond = np.divide(cond, total, out=np.full(cond.shape, 1.0 / d), where=total > 0.0)
+        cums = np.cumsum(np.concatenate([np.zeros_like(total), cond], axis=-1), axis=-1)
+        cums[..., -1] = 1.0
+        # cut each z cell at every type's breakpoints, merging those
+        # closer than _BREAK_TOL
+        new_masses, new_cells = [], []
+        for z in range(len(masses)):
+            keep = [0.0]
+            for b in np.unique(cums[z])[1:]:
+                if b - keep[-1] > _BREAK_TOL:
+                    keep.append(float(b))
+            keep[-1] = 1.0
+            keep = np.array(keep)
+            mid = 0.5 * (keep[:-1] + keep[1:])
+            idx = [np.searchsorted(cums[z, m], mid, side="right") - 1 for m in range(m_count)]
+            new_masses.append(masses[z] * np.diff(keep))
+            new_cells.append(cell_of[z] * d + np.stack(idx, axis=1))
+        masses, cell_of = np.concatenate(new_masses), np.concatenate(new_cells)
+    values = instance.cell_values[cell_of]  # (Z, M, n)
 
     # the pushforward must reproduce each type's pmf
-    for m in range(m_count):
-        agg = np.zeros(instance.n_cells)
-        np.add.at(agg, cell_of[:, m], masses)
-        if np.max(np.abs(agg - instance.pmf[m])) > 1e-9:
-            raise DegenerateCellError("z rectangulation does not reproduce the pmf")
+    agg = np.zeros((m_count, instance.n_cells))
+    np.add.at(agg, (types[:, None], cell_of.T), masses)
+    if np.max(np.abs(agg - instance.pmf)) > 1e-9:
+        raise DegenerateCellError("z rectangulation does not reproduce the pmf")
     return RelaxedTables(masses=masses, cell_of=cell_of, values=values)
 
 
-def solve_relaxed(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> SolveReport:
+def solve_relaxed(instance: DiscreteInstance) -> SolveReport:
     """One-transfer screening with the shock publicly observed.
 
     The program is the simultaneous regime's participation and
@@ -686,15 +670,14 @@ def solve_relaxed(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> Solve
     sol = lp_solve(layout.objective(), a_ub=a_ub, b_ub=b_ub, bounds=layout.bounds())
 
     qhat = sol.x[layout.qcol]
-    # conditional-average allocation per valuation cell, for reporting
-    q_cells = np.zeros((m_count, instance.n_cells, n))
-    for m in range(m_count):
-        wsum = np.zeros(instance.n_cells)
-        np.add.at(wsum, tables.cell_of[:, m], tables.masses)
-        for j in range(n):
-            acc = np.zeros(instance.n_cells)
-            np.add.at(acc, tables.cell_of[:, m], tables.masses * qhat[m, :, j])
-            q_cells[m, :, j] = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0)
+    # conditional-average allocation per valuation cell, for reporting;
+    # each cell's sums run in z order
+    at = (np.arange(m_count)[:, None], tables.cell_of.T)
+    wsum = np.zeros((m_count, instance.n_cells, 1))
+    np.add.at(wsum, at, tables.masses[:, None])
+    acc = np.zeros((m_count, instance.n_cells, n))
+    np.add.at(acc, at, tables.masses[:, None] * qhat)
+    q_cells = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0)
     mech = DiscreteMechanism(
         q=q_cells,
         t1=sol.x[layout.t1col],
@@ -702,7 +685,7 @@ def solve_relaxed(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> Solve
         regime="relaxed",
         aux={"qhat": qhat, "masses": tables.masses, "cell_of": tables.cell_of},
     )
-    _recheck(instance, mech, tol)
+    _recheck(instance, mech)
     return SolveReport(
         value=sol.value,
         mechanism=mech,
@@ -719,13 +702,12 @@ def solve_relaxed(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> Solve
 # ---------------------------------------------------------------------------
 
 
-def separate_selling_value(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> float:
+def separate_selling_value(instance: DiscreteInstance) -> float:
     """Sum of one-good optima on the marginal instances; a feasible
     (separable) mechanism of the joint problem, hence a lower bound."""
     total = 0.0
     for j in range(instance.n_goods):
-        rep = solve_simultaneous(marginal_instance(instance, j), tol=tol)
-        total += rep.value
+        total += solve_simultaneous(marginal_instance(instance, j)).value
     return total
 
 
@@ -952,21 +934,21 @@ class RegimeRow:
         return self.v_relaxed - self.v_simultaneous
 
 
-def regime_row(instance: DiscreteInstance, tol: float = DEFAULT_TOL) -> RegimeRow:
+def regime_row(instance: DiscreteInstance) -> RegimeRow:
     """Solve the simultaneous, sequential and relaxed LPs and the
     separate-selling value of one instance, in that order."""
     reports = {
-        "simultaneous": solve_simultaneous(instance, tol=tol),
-        "sequential": solve_sequential(instance, tol=tol),
-        "relaxed": solve_relaxed(instance, tol=tol),
+        "simultaneous": solve_simultaneous(instance),
+        "sequential": solve_sequential(instance),
+        "relaxed": solve_relaxed(instance),
     }
-    return RegimeRow(reports, separate_selling_value(instance, tol=tol), full_surplus(instance))
+    return RegimeRow(reports, separate_selling_value(instance), full_surplus(instance))
 
 
-def compare_regimes(model: JointModel, grid_specs: Sequence[dict], tol: float = DEFAULT_TOL) -> list:
+def compare_regimes(model: JointModel, grid_specs: Sequence[dict]) -> list:
     """Solve all four values per refinement spec.
 
     Each spec is ``{"gamma_cells": int, "theta_cells": int | list}``.
     """
-    return [regime_row(discretize(model, int(spec["gamma_cells"]), spec["theta_cells"]), tol)
+    return [regime_row(discretize(model, int(spec["gamma_cells"]), spec["theta_cells"]))
             for spec in grid_specs]

@@ -5,8 +5,10 @@ the solver did before its quadrature was batched over types.  The same
 goes for the identity check (one point at a time), the copulas (one
 scalar parameter) and the CSV writer (one value at a time), and for the
 sequential LP, solved by cutting planes the way the oracle did before
-its adapted constraints were written out.  The tests check the batched
-code against them.
+its adapted constraints were written out.  The relaxed regime's shock
+rectangulation is built by recursion over the goods and its per-cell
+report by one loop per type and good, as before both were batched.  The
+tests check the batched code against them.
 """
 
 import math
@@ -23,13 +25,23 @@ from screenforge.model import divergence_residual, hazard, sample_theta, score
 from screenforge.numerics import (
     RngStream,
     bisect_root,
+    composite_rule,
     gauss_rule,
     geometric_breaks,
-    tensor_rule,
+    tensor_points,
     uniform_draws,
 )
 
 SCAN_POINTS = 257
+
+
+def tensor_rule(box, orders, breaks):
+    """Tensor product of per-axis composite rules on ``box``: points of
+    shape (N, d) and their weights."""
+    axes = [composite_rule(lo, hi, order, cuts)
+            for (lo, hi), order, cuts in zip(box, orders, breaks)]
+    weights = np.prod(tensor_points([r.weights for r in axes]), axis=-1)
+    return tensor_points([r.nodes for r in axes]), weights
 
 
 def solve_strike(model, j, gamma, tol=1e-12):
@@ -320,3 +332,57 @@ def kelley_sequential(inst, tol=1e-10, max_rounds=200):
         if not add(_adapted_cuts(inst, layout.unpack(sol.x), tol)):
             return sol.value
     raise ConvergenceError(f"no clean adapted separation within {max_rounds} rounds")
+
+
+def relaxed_tables(inst):
+    """(masses, cell_of) of the relaxed regime's shock rectangulation, one
+    shock cell at a time by depth-first recursion over the goods."""
+    dims, m_count, n = inst.dims, inst.n_types, inst.n_goods
+    pmfs = [inst.pmf[m].reshape(dims) for m in range(m_count)]
+    cells = []
+
+    def conditional(m, chosen):
+        slab = pmfs[m][tuple(chosen)] if chosen else pmfs[m]
+        axes = tuple(range(1, n - len(chosen)))
+        cond = slab.sum(axis=axes) if axes else slab
+        total = cond.sum()
+        if total <= 0.0:
+            return np.full(dims[len(chosen)], 1.0 / dims[len(chosen)])
+        return cond / total
+
+    def recurse(depth, mass, chosen):
+        if depth == n:
+            cells.append((mass, [np.ravel_multi_index(tuple(c), dims) for c in chosen]))
+            return
+        cums = []
+        for m in range(m_count):
+            cum = np.concatenate([[0.0], np.cumsum(conditional(m, chosen[m]))])
+            cum[-1] = 1.0
+            cums.append(cum)
+        keep = [0.0]
+        for b in np.unique(np.concatenate(cums))[1:]:
+            if b - keep[-1] > O._BREAK_TOL:
+                keep.append(float(b))
+        keep[-1] = 1.0
+        for a, b in zip(keep[:-1], keep[1:]):
+            mid = 0.5 * (a + b)
+            nxt = [chosen[m] + [int(np.searchsorted(cums[m], mid, side="right") - 1)]
+                   for m in range(m_count)]
+            recurse(depth + 1, mass * (b - a), nxt)
+
+    recurse(0, 1.0, [[] for _ in range(m_count)])
+    return np.array([c[0] for c in cells]), np.array([c[1] for c in cells], dtype=int)
+
+
+def relaxed_cell_allocation(inst, masses, cell_of, qhat):
+    """Mass-weighted average of the shock-cell allocation ``qhat``
+    (M, Z, n) over each type's valuation cell."""
+    q = np.zeros((inst.n_types, inst.n_cells, inst.n_goods))
+    for m in range(inst.n_types):
+        wsum = np.zeros(inst.n_cells)
+        np.add.at(wsum, cell_of[:, m], masses)
+        for j in range(inst.n_goods):
+            acc = np.zeros(inst.n_cells)
+            np.add.at(acc, cell_of[:, m], masses * qhat[m, :, j])
+            q[m, :, j] = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0)
+    return q

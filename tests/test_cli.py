@@ -88,30 +88,44 @@ class TestSolveCommand:
         assert run("solve", "--config", str(neg), "--quiet") == 2
 
 
-    @pytest.mark.parametrize("overrides", [
-        {"solve": 5},
-        {"solve": [101]},
-        {"family": 5},
-        {"family": {"name": "cl_uniform", "goods": "two"}},
-        {"family": {"name": "cl_uniform", "goods": 2.5}},
-        {"family": {"name": "cl_uniform", "goods": 2, "copula": 5}},
-        {"family": {"name": 5, "goods": 2}},
-        {"family": {"name": "cl_uniform", "goods": 2, "copula": {"name": 5}}},
-        {"family": {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": "x"}}},
-        {"family": {"name": "cl_uniform", "goods": 2, "width": "abc"}},
-        {"family": {"name": "cl_uniform", "goods": 1, "width": 0}},
-        {"family": {"name": "cl_uniform", "goods": 1, "width": -1}},
-        {"family": {"name": "cl_uniform", "goods": 1, "width": 5}},
-        {"family": {"name": "logistic_shift", "goods": 2, "scale": -1}},
-        {"seed": "abc"},
-        {"seed": 4.5},
+    @pytest.mark.parametrize("command,overrides", [
+        ("solve", {"solve": 5}),
+        ("solve", {"solve": [101]}),
+        ("solve", {"family": 5}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": "two"}}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": 2.5}}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": 2, "copula": 5}}),
+        ("solve", {"family": {"name": 5, "goods": 2}}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": 2, "copula": {"name": 5}}}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": 2,
+                              "copula": {"name": "clayton", "alpha": "x"}}}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": 2, "width": "abc"}}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": 1, "width": 0}}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": 1, "width": -1}}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": 1, "width": 5}}),
+        ("solve", {"family": {"name": "logistic_shift", "goods": 2, "scale": -1}}),
+        ("solve", {"seed": "abc"}),
+        ("solve", {"seed": 4.5}),
+        ("solve", {"family": {"name": "logistic_shift", "goods": 1, "shift": "nan"}}),
+        ("solve", {"family": {"name": "logistic_shift", "goods": 1, "loc": "inf"}}),
+        ("solve", {"family": {"name": "logistic_shift", "goods": 1, "scale": float("nan")}}),
+        ("oracle", {"family": {"name": "logistic_shift", "goods": 1, "shift": "nan"}}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": 2,
+                              "copula": {"name": "clayton", "alpha": "inf"}}}),
+        ("solve", {"family": {"name": "cl_uniform", "goods": 2,
+                              "copula": {"name": "clayton", "alpha": 2.0,
+                                         "alpha_slope": "nan"}}}),
+        ("solve", {"family": {"name": "uniform_iid", "goods": 1, "box": [0, "inf"]}}),
+        ("solve", {"family": {"name": "logistic_shift", "goods": 1, "box": "ab"}}),
     ], ids=["section-int", "section-list", "family-int", "goods-str", "goods-float",
             "copula-int", "name-int", "copula-name-int", "copula-param-str", "width-str",
-            "width-zero", "width-negative", "width-wide", "scale-negative", "seed-str", "seed-float"])
-    def test_malformed_config_exits_2(self, tmp_path, overrides, capsys):
+            "width-zero", "width-negative", "width-wide", "scale-negative", "seed-str", "seed-float",
+            "shift-nan", "loc-inf", "scale-nan", "oracle-shift-nan", "alpha-inf", "alpha-slope-nan",
+            "box-inf", "box-str"])
+    def test_malformed_config_exits_2(self, tmp_path, command, overrides, capsys):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
-        assert run("solve", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -385,7 +399,7 @@ class TestOracleCommand:
         from screenforge import oracle as O
         from screenforge.errors import LpInfeasibleError
 
-        def boom(instance, tol=0.0):
+        def boom(instance):
             raise LpInfeasibleError("forced failure")
 
         monkeypatch.setattr(O, "solve_simultaneous", boom)

@@ -14,11 +14,11 @@ from screenforge.copulas import (
     make_copula,
 )
 from screenforge.errors import InvalidIntervalError
-from screenforge.numerics import geometric_breaks, tensor_points, tensor_rule
+from screenforge.numerics import gauss_rule, geometric_breaks, tensor_points
 
 
 def copula_mass(cop, gamma=0.0, order=16):
-    pts, wts = tensor_rule(
+    pts, wts = scalar.tensor_rule(
         [(0.0, 1.0)] * cop.dim, [order] * cop.dim, [geometric_breaks(8)] * cop.dim
     )
     return float(np.dot(wts, cop.density(pts, gamma)))
@@ -106,6 +106,25 @@ class TestGaussianAgainstReferences:
             mvn = multivariate_normal(mean=[0, 0], cov=[[1, rho], [rho, 1]])
             ref = 1 - ndtr(h) - ndtr(k) + mvn.cdf([h, k])
             assert abs(bvn_upper(h, k, rho) - ref) < 5e-8
+
+    def test_bvn_against_the_angle_integral(self):
+        # P(X > h, Y > k) = Phi(-h) Phi(-k) + (1/2pi) int_0^asin(r)
+        # exp(-(h^2 - 2hk sin t + k^2) / (2 cos^2 t)) dt; the grid covers
+        # bvn_upper's tail expansion for |r| >= 0.925
+        from scipy.special import ndtr
+
+        scores = np.array([-5.0, -3.0, -1.5, -0.5, 0.0, 0.3, 1.0, 2.5, 4.0])
+        h, k = (a[..., None] for a in np.meshgrid(scores, scores, indexing="ij"))
+        for r in (0.0, 0.2, -0.2, 0.6, -0.6, 0.93, -0.93, 0.95, -0.95, 0.99, -0.99):
+            angle = 0.0
+            if r:
+                rule = gauss_rule(400, *sorted((0.0, math.asin(r))))
+                t = rule.nodes
+                expo = -(h * h - 2.0 * h * k * np.sin(t) + k * k) / (2.0 * np.cos(t) ** 2)
+                angle = math.copysign(1.0, r) * (np.exp(expo) @ rule.weights)
+            ref = ndtr(-h[..., 0]) * ndtr(-k[..., 0]) + angle / (2.0 * math.pi)
+            got = [[bvn_upper(a, b, r) for b in scores] for a in scores]
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14, err_msg=f"r={r}")
 
     def test_cdf_dim3_against_scipy(self):
         cop = GaussianCopula(3, rho=0.5)

@@ -4,7 +4,7 @@ import pytest
 import scalar_reference as scalar
 from screenforge import model as M
 from screenforge.errors import ConfigError, DensityZeroError, InvalidIntervalError
-from screenforge.numerics import RngStream, tensor_rule, uniform_draws
+from screenforge.numerics import RngStream, uniform_draws
 
 
 def cl_model(goods=1, copula=None):
@@ -111,7 +111,7 @@ class TestJointDensity:
                     for eps in (1e-6, 1e-4, 1e-2, 0.1):
                         pts += [float(m.quantile(eps, g)), float(m.quantile(1.0 - eps, g))]
                     breaks.append(pts)
-                points, weights = tensor_rule(mdl.box, [24] * mdl.n, breaks)
+                points, weights = scalar.tensor_rule(mdl.box, [24] * mdl.n, breaks)
                 mass = float(np.dot(weights, M.joint_density(mdl, g, points)))
                 assert abs(mass - 1.0) < 1e-6, (name, g)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scalar_reference as scalar
 from scalar_reference import kelley_sequential
 
 from screenforge import mech as X
@@ -132,6 +133,35 @@ class TestRelaxedTables:
         for z in range(len(tabs.masses)):
             for m in range(inst.n_types):
                 np.testing.assert_array_equal(tabs.values[z, m], reps[tabs.cell_of[z, m]])
+
+
+    @staticmethod
+    def reference_instances():
+        yield O.discretize(cl_model(2), 3, [3, 3])
+        yield O.discretize(M.build_model({"name": "logistic_shift", "goods": 2, "copula": {
+            "name": "gaussian", "rho": 0.5}}), 3, [4, 4])
+        yield O.discretize(cl_model(3, {"name": "clayton", "alpha": 1.0}), 2, [2, 3, 2])
+        rng = np.random.default_rng(3)
+        for dims in [(3,), (2, 3), (3, 2, 2), (4, 4)]:
+            # zeroed cells leave some prefixes without mass
+            pmf = rng.random((3, int(np.prod(dims)))) * (rng.random((3, int(np.prod(dims)))) > 0.4)
+            pmf[:, -1] += 0.1
+            yield O.DiscreteInstance(np.linspace(0.0, 1.0, 3), np.full(3, 1.0 / 3),
+                                     [np.linspace(0.0, 1.0, d) for d in dims],
+                                     pmf / pmf.sum(axis=1, keepdims=True))
+
+    def test_matches_the_recursive_reference(self):
+        for inst in self.reference_instances():
+            tabs = O.build_relaxed_tables(inst)
+            masses, cell_of = scalar.relaxed_tables(inst)
+            np.testing.assert_array_equal(tabs.masses, masses)
+            np.testing.assert_array_equal(tabs.cell_of, cell_of)
+
+    def test_cell_report_matches_the_loop_reference(self):
+        for inst in self.reference_instances():
+            mech = O.solve_relaxed(inst).mechanism
+            np.testing.assert_array_equal(mech.q, scalar.relaxed_cell_allocation(
+                inst, mech.aux["masses"], mech.aux["cell_of"], mech.aux["qhat"]))
 
 
 class TestSimultaneous:
