@@ -56,7 +56,7 @@ def _hash_config(raw: dict, command: str, seed: int) -> str:
 # audit's cost grows about quadratically in its type grid: 2,000 points
 # take about 20 s and 180 MB on the logistic family
 MAX_GAMMA_GRID = 2000
-MAX_SAMPLE_COUNT = 1_000_000     # draws per type
+MAX_SAMPLE_COUNT = 1_000_000     # rows of draws.csv, over all types
 MAX_CYCLE_POINTS = 1_000_000     # audit.cycles * cycle_length
 MAX_IDENTITY_POINTS = 100_000    # points per family
 # rows of each oracle rung's simultaneous LP: 247,248 at 12 x 12 x 12
@@ -81,7 +81,8 @@ _SECTION_KEYS = {"gamma_grid": _upto(MAX_GAMMA_GRID, "MAX_GAMMA_GRID"),
                  "boundary_tol": _TOLERANCE, "invariance_tol": _TOLERANCE,
                  "tolerance_gain_rel": _TOLERANCE, "ir_tol": _TOLERANCE}
 # section defaults that the size checks read as well as the commands
-_DEFAULTS = {"cycles": 1000, "cycle_length": 5, "gamma_cells": 3, "theta_cells": [2, 3, 4]}
+_DEFAULTS = {"cycles": 1000, "cycle_length": 5, "gamma_cells": 3, "theta_cells": [2, 3, 4],
+             "count": 1000}
 
 
 def load_config(path: str, command: str, out_override=None, seed_override=None,
@@ -113,6 +114,12 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
     if command == "oracle":
         checks += [("oracle.theta_cells", k, _COUNT) for k in _theta_cell_counts(section, cfg.model.n)]
     _check_values(checks)
+    if command == "sample":
+        _check_types("sample.gammas", section.get("gammas", []), [cfg.model])
+    if command == "audit" and "mechanism_csv" in section:
+        csv_path = section["mechanism_csv"]
+        if not isinstance(csv_path, str) or not csv_path:
+            raise ConfigError(f"audit.mechanism_csv must be a non-empty path, got {csv_path!r}")
     _check_values(_size_checks(command, section, cfg.model))
     if command == "identity":
         fams = section.get("families")
@@ -121,8 +128,6 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
         cfg.families = [modelmod.build_model(dict(f)) for f in fams] if fams else [cfg.model]
         if section.get("gamma_pair") is not None:
             _check_types("identity.gamma_pair", section["gamma_pair"], cfg.families, count=2)
-    if command == "sample":
-        _check_types("sample.gammas", section.get("gammas", []), [cfg.model])
     return cfg
 
 
@@ -149,6 +154,12 @@ def _size_checks(command: str, section: dict, model) -> list:
                          types * cells * (cells - 1) + types * types,
                          _upto(MAX_SIMULTANEOUS_ROWS, "MAX_SIMULTANEOUS_ROWS")))
         return rows
+    if command == "sample":
+        corners = 2 ** model.n if section.get("corners", False) else 0
+        rows = len(section.get("gammas", [None])) * (section.get("count", _DEFAULTS["count"])
+                                                      + corners)
+        return [("len(sample.gammas) * (sample.count + corner rows)", rows,
+                 _upto(MAX_SAMPLE_COUNT, "MAX_SAMPLE_COUNT"))]
     if command == "solve" and mechmod.uses_joint_score(model):
         return [("family.goods of a smooth family with a dependent copula", model.n,
                  _upto(MAX_JOINT_SCORE_GOODS, "MAX_JOINT_SCORE_GOODS"))]
@@ -277,7 +288,7 @@ def cmd_audit(cfg: RunConfig) -> int:
     sec = cfg.section
     grid_size = int(sec.get("gamma_grid", 51))
     csv_path = sec.get("mechanism_csv")
-    if csv_path:
+    if csv_path is not None:
         box_top = np.array([m.support[1] for m in cfg.model.marginals])
         mech = read_mechanism_csv(csv_path, box_top=box_top)
     else:
@@ -423,7 +434,7 @@ def _write_mech_table(path: str, inst, mech):
 
 def cmd_sample(cfg: RunConfig) -> int:
     sec = cfg.section
-    count = int(sec.get("count", 1000))
+    count = int(sec.get("count", _DEFAULTS["count"]))
     gammas = sec.get("gammas", [0.5 * (cfg.model.prior.lo + cfg.model.prior.hi)])
     corners = bool(sec.get("corners", False))
     n = cfg.model.n

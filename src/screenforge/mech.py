@@ -485,15 +485,20 @@ def ic_audit(model: JointModel, mech: ThresholdMechanism, gamma_grid=None) -> Au
 @dataclass(frozen=True)
 class RegularityReport:
     ok: bool
-    worst_f_gamma: float
-    worst_gamma_monotonicity: float
+    worst_f_gamma: float | None
+    worst_gamma_monotonicity: float | None
     crossing_violations: list
     locations: dict
 
 
 def regularity_report(model: JointModel, gamma_grid=None) -> RegularityReport:
     """Grid checks of the standing assumptions: nonpositive cdf response
-    to the type, virtual values rising in the type, single crossing."""
+    to the type, virtual values rising in the type, single crossing.
+
+    A non-finite cdf response or virtual value fails the report; the
+    first one found is located under ``non_finite_f_gamma`` or
+    ``non_finite_virtual_value``, and the worst values are taken over
+    the finite entries (None when there are none)."""
     if gamma_grid is None:
         gamma_grid = np.linspace(model.prior.lo, model.prior.hi, 21)
     gamma_grid = np.asarray(gamma_grid, dtype=float)
@@ -505,18 +510,26 @@ def regularity_report(model: JointModel, gamma_grid=None) -> RegularityReport:
         lo, hi = m.support
         thetas = np.linspace(lo, hi, _REGULARITY_POINTS)
         fg = np.asarray(m.dcdf_dgamma(thetas, gamma_grid[:, None]), dtype=float)
+        phi = np.asarray(virtual_value(model, j, gamma_grid[:, None], thetas), dtype=float)
+        for name, values in (("f_gamma", fg), ("virtual_value", phi)):
+            bad = ~np.isfinite(values)
+            if bad.any() and f"non_finite_{name}" not in locations:
+                i, k = np.unravel_index(np.argmax(bad), bad.shape)
+                locations[f"non_finite_{name}"] = {"good": j, "gamma": float(gamma_grid[i]),
+                                                   "theta": float(thetas[k])}
+        fg = np.where(np.isfinite(fg), fg, -np.inf)
         i, k = np.unravel_index(np.argmax(fg), fg.shape)
         if fg[i, k] > worst_fg:
             worst_fg = float(fg[i, k])
             locations["f_gamma"] = {"good": j, "gamma": float(gamma_grid[i]),
                                     "theta": float(thetas[k])}
-        phi = np.asarray(virtual_value(model, j, gamma_grid[:, None], thetas), dtype=float)
         _, back = _sign_scan(phi)
         for i in np.flatnonzero(back >= 0):
             crossings.append({"good": j, "gamma": float(gamma_grid[i]),
                               "theta": float(thetas[back[i]]), "value": float(phi[i, back[i]])})
         if len(gamma_grid) > 1:
             rise = phi[1:] - phi[:-1]
+            rise = np.where(np.isfinite(rise), rise, np.inf)
             i, k = np.unravel_index(np.argmin(rise), rise.shape)
             if rise[i, k] < worst_mono:
                 worst_mono = float(rise[i, k])
@@ -524,11 +537,12 @@ def regularity_report(model: JointModel, gamma_grid=None) -> RegularityReport:
                     "good": j, "gamma": float(gamma_grid[i + 1]), "theta": float(thetas[k])
                 }
     tol = 1e-9
-    ok = worst_fg <= tol and worst_mono >= -tol and not crossings
+    ok = (worst_fg <= tol and worst_mono >= -tol and not crossings
+          and not any(key.startswith("non_finite") for key in locations))
     return RegularityReport(
         ok=ok,
-        worst_f_gamma=float(worst_fg),
-        worst_gamma_monotonicity=float(worst_mono),
+        worst_f_gamma=float(worst_fg) if np.isfinite(worst_fg) else None,
+        worst_gamma_monotonicity=float(worst_mono) if np.isfinite(worst_mono) else None,
         crossing_violations=crossings,
         locations=locations,
     )

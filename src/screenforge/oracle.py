@@ -785,17 +785,18 @@ def project_mechanism(
     return DiscreteMechanism(q=q, t1=t1, t2=t2, regime="simultaneous")
 
 
-def _cyclically_monotone(theta: np.ndarray, alloc: np.ndarray) -> bool:
-    """Feasibility of valuation truth-telling for a fixed 0/1 allocation:
-    the misreport graph may not contain a negative cycle."""
-    c_count = theta.shape[0]
-    w = np.empty((c_count, c_count))
-    for a in range(c_count):
-        w[a] = (alloc[a] - alloc) @ theta[a]
-    dist = w.copy()
+def _implementable_tables(theta: np.ndarray) -> np.ndarray:
+    """Every 0/1 allocation table (C, n) that valuation truth-telling can
+    implement, in bit-mask order: its misreport graph, with edge a -> b
+    weighing (q(a) - q(b)).theta(a), has no negative cycle.  One
+    Floyd-Warshall pass runs over all 2^(C n) tables at once."""
+    c_count, n = theta.shape
+    masks = np.arange(2 ** (c_count * n))[:, None] >> np.arange(c_count * n)
+    tables = (masks & 1).astype(float).reshape(-1, c_count, n)
+    dist = np.einsum("tabn,an->tab", tables[:, :, None, :] - tables[:, None, :, :], theta)
     for k in range(c_count):
-        dist = np.minimum(dist, dist[:, k][:, None] + dist[k][None, :])
-    return not np.any(np.diag(dist) < -1e-12)
+        dist = np.minimum(dist, dist[:, :, k, None] + dist[:, None, k, :])
+    return tables[~np.any(np.diagonal(dist, axis1=1, axis2=2) < -1e-12, axis=1)]
 
 
 def brute_force_value(instance: DiscreteInstance) -> float:
@@ -803,18 +804,26 @@ def brute_force_value(instance: DiscreteInstance) -> float:
 
     Every 0/1 allocation table per type is enumerated (non-implementable
     ones pruned by the negative-cycle test), and the transfers solve an
-    LP carrying the complete deviation set: all cell misreport pairs and
-    every joint misreporting map for every ordered type pair.
+    LP carrying the complete deviation set: all cell misreport pairs and,
+    for every ordered type pair (m, r), every joint misreporting map.
+    The maps are not enumerated.  A free column v[p, c] per pair p and
+    true cell c bounds, by one row per reported cell d, the value
+    theta_c.q_r(d) - t2_r(d) of reporting d at c under menu r; one row per
+    pair then caps sum_c f_m(c) v[p, c] - t1_r at U_m(truth).  Since
+    f_m >= 0, the best map's value sum_c f_m(c) max_d (...) is the least
+    that sum can be, so the rows admit exactly the transfers that the
+    C^C map rows of each pair admit, and the LP value is the same.
 
-    That transfer LP, max c.x s.t. A x <= b(k) over free transfers x, is
-    solved in its dual form min b(k).y s.t. A^T y = c, y >= 0; strong
-    duality gives the same value.  The dual's feasible set does not
-    depend on the allocation profile k, so one model is built once and
-    each profile only moves its objective, re-solved by the primal
-    simplex from the last basis.  The dual is never infeasible
+    That transfer LP, max c.x s.t. A x <= b(k) over free transfers and
+    v columns x, is solved in its dual form min b(k).y s.t. A^T y = c,
+    y >= 0; strong duality gives the same value.  The dual's feasible set
+    does not depend on the allocation profile k, so one model is built
+    once and each profile only moves its objective, re-solved by the
+    primal simplex from the last basis.  The dual is never infeasible
     (y = ``gamma_probs`` on the participation rows and 0 elsewhere is
-    feasible), so an unbounded dual is exactly a profile that admits no
-    transfers and is skipped; every other verdict is an error.
+    feasible: the v columns have zero cost), so an unbounded dual is
+    exactly a profile that admits no transfers and is skipped; every
+    other verdict is an error.
 
     Allocation profiles are solved best-first by the bound
     ``sum_m P(m) E[q.theta | m]``.  The participation rows cap each
@@ -825,51 +834,50 @@ def brute_force_value(instance: DiscreteInstance) -> float:
     handful of cells and types.
     """
     m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
-    if c_count ** c_count > 100_000 or 2 ** (c_count * n) > 4096:
+    if 2 ** (c_count * n) > 4096:
         raise InvalidIntervalError("instance too large for exhaustive search")
     theta = instance.cell_values
-
-    allocs = []
-    for mask in range(2 ** (c_count * n)):
-        a = np.array([(mask >> k) & 1 for k in range(c_count * n)], dtype=float)
-        a = a.reshape(c_count, n)
-        if _cyclically_monotone(theta, a):
-            allocs.append(a)
+    allocs = _implementable_tables(theta)
     if len(allocs) ** m_count > 10_000_000:
         raise InvalidIntervalError("instance too large for exhaustive search")
 
-    maps = np.array(list(np.ndindex(*([c_count] * c_count))), dtype=int)  # (n_maps, C)
+    pair_m, pair_rep = np.nonzero(~np.eye(m_count, dtype=bool))
+    pairs = len(pair_m)
     t2 = np.arange(m_count * c_count).reshape(m_count, c_count)
     t1 = m_count * c_count + np.arange(m_count)
-    nvar = m_count * (c_count + 1)
+    v = m_count * (c_count + 1) + np.arange(pairs * c_count).reshape(pairs, c_count)
+    nvar = m_count * (c_count + 1) + pairs * c_count
     obj = np.zeros(nvar)
     obj[t2] = instance.gamma_probs[:, None] * instance.pmf
     obj[t1] = instance.gamma_probs
 
     # primal rows, one dual column each, in right-hand-side order: cell
-    # misreports t2(m,a) - t2(m,b), participation sum_c f t2 + t1, then
-    # every joint map of every ordered type pair; the coefficients do not
-    # depend on the allocation
+    # misreports t2(m,a) - t2(m,b), participation sum_c f t2 + t1, the
+    # epigraph rows -v[p,c] - t2(r,d), then each pair's top row; the
+    # coefficients do not depend on the allocation
     true_cell, reported_cell = np.nonzero(~np.eye(c_count, dtype=bool))
     cm = np.repeat(np.arange(m_count), len(true_cell))
     ca, cb = np.tile(true_cell, m_count), np.tile(reported_cell, m_count)
-    pair_m, pair_rep = np.nonzero(~np.eye(m_count, dtype=bool))  # map-block order
-    pm, pr = np.repeat(pair_m, len(maps)), np.repeat(pair_rep, len(maps))
-    f = instance.pmf[pm]
+    # clipped: a mass of -1e-12 passes DiscreteInstance, but a negative
+    # weight would let its v column grow without bound
+    f = np.maximum(instance.pmf[pair_m], 0.0)
+    square = (pairs, c_count, c_count)
     primal = sp.vstack([
         _block_rows([(t2[cm, ca], 1.0), (t2[cm, cb], -1.0)], len(cm), nvar),
         _block_rows([(t2, instance.pmf), (t1[:, None], 1.0)], m_count, nvar),
-        _block_rows([(t2[pr[:, None], np.tile(maps, (len(pair_m), 1))], -f), (t2[pm], f),
-                     (t1[pr, None], -1.0), (t1[pm, None], 1.0)], len(pm), nvar),
+        _block_rows([(np.broadcast_to(v[:, :, None], square), -1.0),
+                     (np.broadcast_to(t2[pair_rep, None, :], square), -1.0)],
+                    pairs * c_count * c_count, nvar),
+        _block_rows([(v, f), (t2[pair_m], f), (t1[pair_rep, None], -1.0),
+                     (t1[pair_m, None], 1.0)], pairs, nvar),
     ]).tocsr()
     model = LpModel(np.zeros(primal.shape[0]), None, None, a_eq=primal.T, b_eq=obj)
 
     # right-hand-side tables per allocation k: qtheta[k, a, c] is the value
     # of report c at true cell a; surplus[m, k] = E[q.theta | m]
-    qtheta = np.einsum("kcn,an->kac", np.stack(allocs), theta)
+    qtheta = np.einsum("kcn,an->kac", allocs, theta)
     surplus = instance.pmf @ np.einsum("kaa->ka", qtheta).T
     cell_gain = qtheta[:, true_cell, true_cell] - qtheta[:, true_cell, reported_cell]
-    map_gain = np.einsum("kpc,mc->mkp", qtheta[:, np.arange(c_count), maps], instance.pmf)
 
     shape = (len(allocs),) * m_count
     bound = sum(np.ix_(*(instance.gamma_probs[:, None] * surplus))).ravel()  # C order
@@ -881,8 +889,7 @@ def brute_force_value(instance: DiscreteInstance) -> float:
         k = np.array(np.unravel_index(p, shape))
         own = surplus[types, k]
         model.set_cost(-np.concatenate([
-            cell_gain[k].ravel(), own,
-            (own[pair_m, None] - map_gain[pair_m, k[pair_rep]]).ravel(),
+            cell_gain[k].ravel(), own, -qtheta[k[pair_rep]].ravel(), own[pair_m],
         ]))
         try:
             sol = model.solve()

@@ -8,18 +8,21 @@ sequential LP, solved by cutting planes the way the oracle did before
 its adapted constraints were written out.  The relaxed regime's shock
 rectangulation is built by recursion over the goods and its per-cell
 report by one loop per type and good, as before both were batched.  The
-tests check the batched code against them.
+exhaustive oracle tests one allocation table at a time and writes one
+transfer-LP row per joint misreport map, as before it used per-cell
+epigraph rows.  The tests check the batched code against them.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import ndtr, ndtri
 
 from screenforge import mech as X
 from screenforge import oracle as O
 from screenforge.copulas import IndependenceCopula
-from screenforge.errors import ConvergenceError
+from screenforge.errors import ConvergenceError, LpUnboundedError
 from screenforge.lp import LpModel
 from screenforge.model import divergence_residual, hazard, sample_theta, score
 from screenforge.numerics import (
@@ -386,3 +389,87 @@ def relaxed_cell_allocation(inst, masses, cell_of, qhat):
             np.add.at(acc, cell_of[:, m], masses * qhat[m, :, j])
             q[m, :, j] = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0)
     return q
+
+
+# --- exhaustive oracle with one row per joint misreport map ---------------
+
+def cyclically_monotone(theta, alloc):
+    """Feasibility of valuation truth-telling for a fixed 0/1 allocation:
+    the misreport graph may not contain a negative cycle."""
+    c_count = theta.shape[0]
+    w = np.empty((c_count, c_count))
+    for a in range(c_count):
+        w[a] = (alloc[a] - alloc) @ theta[a]
+    dist = w.copy()
+    for k in range(c_count):
+        dist = np.minimum(dist, dist[:, k][:, None] + dist[k][None, :])
+    return not np.any(np.diag(dist) < -1e-12)
+
+
+def implementable_tables(theta, n):
+    """The 0/1 allocation tables that pass ``cyclically_monotone``, in
+    bit-mask order, one table at a time."""
+    c_count = theta.shape[0]
+    allocs = []
+    for mask in range(2 ** (c_count * n)):
+        a = np.array([(mask >> k) & 1 for k in range(c_count * n)], dtype=float)
+        a = a.reshape(c_count, n)
+        if cyclically_monotone(theta, a):
+            allocs.append(a)
+    return allocs
+
+
+def map_enumeration_value(instance):
+    """``brute_force_value`` with one transfer-LP row for every joint
+    misreporting map (C^C per ordered type pair) in place of the per-cell
+    epigraph rows; same dual form and best-first search."""
+    m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
+    theta = instance.cell_values
+    allocs = implementable_tables(theta, n)
+
+    maps = np.array(list(np.ndindex(*([c_count] * c_count))), dtype=int)  # (n_maps, C)
+    t2 = np.arange(m_count * c_count).reshape(m_count, c_count)
+    t1 = m_count * c_count + np.arange(m_count)
+    nvar = m_count * (c_count + 1)
+    obj = np.zeros(nvar)
+    obj[t2] = instance.gamma_probs[:, None] * instance.pmf
+    obj[t1] = instance.gamma_probs
+
+    true_cell, reported_cell = np.nonzero(~np.eye(c_count, dtype=bool))
+    cm = np.repeat(np.arange(m_count), len(true_cell))
+    ca, cb = np.tile(true_cell, m_count), np.tile(reported_cell, m_count)
+    pair_m, pair_rep = np.nonzero(~np.eye(m_count, dtype=bool))  # map-block order
+    pm, pr = np.repeat(pair_m, len(maps)), np.repeat(pair_rep, len(maps))
+    f = instance.pmf[pm]
+    primal = sp.vstack([
+        O._block_rows([(t2[cm, ca], 1.0), (t2[cm, cb], -1.0)], len(cm), nvar),
+        O._block_rows([(t2, instance.pmf), (t1[:, None], 1.0)], m_count, nvar),
+        O._block_rows([(t2[pr[:, None], np.tile(maps, (len(pair_m), 1))], -f), (t2[pm], f),
+                       (t1[pr, None], -1.0), (t1[pm, None], 1.0)], len(pm), nvar),
+    ]).tocsr()
+    model = LpModel(np.zeros(primal.shape[0]), None, None, a_eq=primal.T, b_eq=obj)
+
+    qtheta = np.einsum("kcn,an->kac", np.stack(allocs), theta)
+    surplus = instance.pmf @ np.einsum("kaa->ka", qtheta).T
+    cell_gain = qtheta[:, true_cell, true_cell] - qtheta[:, true_cell, reported_cell]
+    map_gain = np.einsum("kpc,mc->mkp", qtheta[:, np.arange(c_count), maps], instance.pmf)
+
+    shape = (len(allocs),) * m_count
+    bound = sum(np.ix_(*(instance.gamma_probs[:, None] * surplus))).ravel()
+    types = np.arange(m_count)
+    best = -np.inf
+    for p in np.argsort(-bound, kind="stable"):
+        if bound[p] <= best:
+            break
+        k = np.array(np.unravel_index(p, shape))
+        own = surplus[types, k]
+        model.set_cost(-np.concatenate([
+            cell_gain[k].ravel(), own,
+            (own[pair_m, None] - map_gain[pair_m, k[pair_rep]]).ravel(),
+        ]))
+        try:
+            sol = model.solve()
+        except LpUnboundedError:
+            continue
+        best = max(best, -sol.value)
+    return float(best)

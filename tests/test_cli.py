@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,12 +64,41 @@ class TestSolveCommand:
         rep = json.loads((tmp_path / "out" / "regularity.json").read_text())
         assert not rep["ok"]
 
+    def test_non_finite_cdf_response_exits_3_with_strict_json(self, tmp_path, monkeypatch):
+        build = modelmod.build_model
+
+        def nan_at_one_point(family):
+            # NaN at regularity grid point gamma = 0.35, theta = 9/64 on [0, 2]
+            mdl = build(family)
+            marg = mdl.marginals[0]
+
+            def dcdf(theta, gamma):
+                out = np.array(marg.dcdf_dgamma(theta, gamma), dtype=float)
+                hit = (np.asarray(theta) == 9 / 64) & (np.asarray(gamma) == np.linspace(0, 1, 21)[7])
+                out[np.broadcast_to(hit, out.shape)] = np.nan
+                return out
+
+            return replace(mdl, marginals=(replace(marg, dcdf_dgamma=dcdf),))
+
+        monkeypatch.setattr(climod.modelmod, "build_model", nan_at_one_point)
+        out = tmp_path / "out"
+        assert run("solve", "--config", write_config(tmp_path), "--out", str(out), "--quiet") == 3
+
+        def refuse(constant):
+            raise AssertionError(f"regularity.json holds {constant}")
+
+        rep = json.loads((out / "regularity.json").read_text(), parse_constant=refuse)
+        assert not rep["ok"]
+        assert rep["locations"]["non_finite_f_gamma"] == {
+            "good": 0, "gamma": np.linspace(0, 1, 21)[7], "theta": 9 / 64}
+
     @pytest.mark.parametrize("command,section", [
         ("solve", {"gamma_grid": "abc"}),
         ("sample", {"count": "many"}),
         ("audit", {"cycles": [5]}),
         ("audit", {"cycle_length": 2.5}),
         ("identity", {"points": None}),
+        ("sample", {"count": 5, "gammas": []}),
     ])
     def test_bad_counts_exit_2(self, tmp_path, command, section, capsys):
         cfg = write_config(tmp_path, **{command: section})
@@ -150,8 +180,13 @@ class TestSolveCommand:
                               "copula": {"name": "gaussian", "rho": 0.3}}},
          "family.goods of a smooth family with a dependent copula must hold integers "
          "from 1 to 3 (cli.MAX_JOINT_SCORE_GOODS), got 4"),
+        # one good: 2 corner rows per type, 2 * (499,999 + 2) rows
+        ("sample", {"sample": {"count": climod.MAX_SAMPLE_COUNT // 2 - 1, "gammas": [0.3, 0.7],
+                               "corners": True}},
+         "len(sample.gammas) * (sample.count + corner rows) must hold integers from 1 to "
+         "1000000 (cli.MAX_SAMPLE_COUNT), got 1000002"),
     ], ids=["goods", "gamma-grid", "sample-count", "cycle-points", "identity-points",
-            "simultaneous-rows", "joint-score-goods"])
+            "simultaneous-rows", "joint-score-goods", "sample-rows"])
     def test_size_over_a_guard_exits_2(self, tmp_path, command, overrides, message, capsys):
         # each used to end in a MemoryError traceback or a run of hours;
         # load_config rejects them before anything is allocated
@@ -184,8 +219,12 @@ class TestSolveCommand:
         ("solve", {"family": {"name": "logistic_shift", "goods": 3,
                               "copula": {"name": "gaussian", "rho": 0.3}}}),
         ("solve", {"family": {"name": "logistic_shift", "goods": modelmod.MAX_GOODS}}),
+        ("sample", {"sample": {"count": climod.MAX_SAMPLE_COUNT // 2 - 2, "gammas": [0.3, 0.7],
+                               "corners": True}}),
+        ("sample", {"sample": {"count": climod.MAX_SAMPLE_COUNT // 4, "gammas": [0.1] * 4}}),
     ], ids=["sample-count", "cycles", "cycle-length", "identity-points", "joint-12",
-            "joint-score-3-goods", "independent-6-goods"])
+            "joint-score-3-goods", "independent-6-goods", "sample-rows-corners",
+            "sample-rows"])
     def test_size_guards_admit_their_limits_without_running(self, tmp_path, command, overrides):
         climod.load_config(write_config(tmp_path, **overrides), command)
 
@@ -280,6 +319,17 @@ class TestAuditCommand:
         assert run("audit", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 2
         err = capsys.readouterr().err
         assert "config error" in err and "menu.csv" in err
+
+    @pytest.mark.parametrize("value", [[1, 2], 5, "", None, True],
+                             ids=["list", "int", "empty", "null", "bool"])
+    def test_malformed_menu_path_exits_2(self, tmp_path, value, capsys):
+        # a list used to end in a TypeError traceback, and an int was
+        # opened as a file descriptor
+        cfg = write_config(tmp_path, audit={"mechanism_csv": value, "cycles": 5})
+        out = tmp_path / "out"
+        assert run("audit", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert "audit.mechanism_csv must be a non-empty path" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIdentityCommand:

@@ -309,6 +309,44 @@ class TestRegularity:
         assert rep.worst_f_gamma > 1e-3
         assert "f_gamma" in rep.locations
 
+    @staticmethod
+    def nan_mask(model, i, k, theta, gamma):
+        """True where (theta, gamma) is regularity grid point (theta_k, gamma_i)."""
+        g0 = np.linspace(model.prior.lo, model.prior.hi, 21)[i]
+        t0 = np.linspace(*model.marginals[0].support, X._REGULARITY_POINTS)[k]
+        return (np.asarray(theta) == t0) & (np.asarray(gamma) == g0)
+
+    def test_non_finite_cdf_response_fails_with_location(self):
+        mdl = cl_model(1)
+        marg = mdl.marginals[0]
+
+        def dcdf(theta, gamma):
+            out = np.array(marg.dcdf_dgamma(theta, gamma), dtype=float)
+            out[np.broadcast_to(self.nan_mask(mdl, 3, 5, theta, gamma), out.shape)] = np.nan
+            return out
+
+        rep = X.regularity_report(replace(mdl, marginals=(replace(marg, dcdf_dgamma=dcdf),)))
+        assert not rep.ok
+        assert rep.locations["non_finite_f_gamma"] == {
+            "good": 0, "gamma": np.linspace(0.0, 1.0, 21)[3],
+            "theta": np.linspace(*marg.support, X._REGULARITY_POINTS)[5]}
+        assert np.isfinite(rep.worst_f_gamma) and np.isfinite(rep.worst_gamma_monotonicity)
+
+    def test_non_finite_virtual_value_fails_with_location(self, monkeypatch):
+        mdl = cl_model(1)
+        clean = X.virtual_value
+
+        def virtual_value(model, j, gamma, theta):
+            out = np.array(clean(model, j, gamma, theta), dtype=float)
+            out[np.broadcast_to(self.nan_mask(mdl, 7, 2, theta, gamma), out.shape)] = np.nan
+            return out
+
+        monkeypatch.setattr(X, "virtual_value", virtual_value)
+        rep = X.regularity_report(mdl)
+        assert not rep.ok
+        assert rep.locations["non_finite_virtual_value"]["gamma"] == np.linspace(0.0, 1.0, 21)[7]
+        assert np.isfinite(rep.worst_gamma_monotonicity)
+
     def test_solver_raises_on_recrossing(self):
         bad = M.build_model({"name": "logistic_shift", "goods": 1, "shift": -1.0})
         grid = np.linspace(0, 1, 11)

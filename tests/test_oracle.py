@@ -39,6 +39,14 @@ SINGLE = O.DiscreteInstance(
     pmf=np.array([[0.5, 0.5]]),
 )
 
+# round-number 2 x 2 x 2 instance with optimum 535/112
+ROUND = O.DiscreteInstance(
+    gamma_values=[0.0, 1.0],
+    gamma_probs=[0.5, 0.5],
+    theta_grids=[np.array([1.0, 4.0])] * 2,
+    pmf=np.array([[1.0, 2.0, 1.0, 4.0], [4.0, 4.0, 4.0, 2.0]]) / [[8.0], [14.0]],
+)
+
 IDENTICAL = O.DiscreteInstance(
     gamma_values=[0.2, 0.8],
     gamma_probs=[0.5, 0.5],
@@ -561,14 +569,42 @@ class TestBruteForceAgreement:
     def test_round_number_instance(self):
         # a warm dual-simplex re-solve of the transfer LP stopped in
         # "Unknown" on a profile that a cold solve reports infeasible
-        inst = O.DiscreteInstance(
-            gamma_values=[0.0, 1.0],
-            gamma_probs=[0.5, 0.5],
-            theta_grids=[np.array([1.0, 4.0])] * 2,
-            pmf=np.array([[1.0, 2.0, 1.0, 4.0], [4.0, 4.0, 4.0, 2.0]]) / [[8.0], [14.0]],
-        )
-        assert abs(O.solve_simultaneous(inst).value - 535 / 112) < 1e-8
-        assert abs(O.brute_force_value(inst) - 535 / 112) < 1e-8
+        assert abs(O.solve_simultaneous(ROUND).value - 535 / 112) < 1e-8
+        assert abs(O.brute_force_value(ROUND) - 535 / 112) < 1e-8
+
+    @pytest.mark.parametrize("make", [
+        lambda: O.discretize(cl_model(2, {"name": "clayton", "alpha": 2.0}), 2, [2, 2]),
+        lambda: O.discretize(cl_model(2, {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}),
+                             2, [2, 2]),
+        lambda: HAND,
+        lambda: ROUND,
+    ], ids=["readme", "drifting-clayton", "hand", "round-number"])
+    def test_epigraph_rows_match_map_enumeration(self, make):
+        # per-cell epigraph rows against one row per joint misreport map
+        inst = make()
+        assert abs(O.brute_force_value(inst) - scalar.map_enumeration_value(inst)) <= 1e-12
+
+    @pytest.mark.parametrize("grids", [
+        [np.array([1.0, 2.0])],
+        [np.array([1.0, 4.0])] * 2,
+        [np.array([0.25, 0.75])] * 2,
+        [np.array([0.1, 0.5, 0.7]), np.array([0.2, 0.9])],
+        [np.array([0.0, 0.3, 1.1, 2.0])],
+    ])
+    def test_batched_tables_match_the_loop_reference(self, grids):
+        theta = O.tensor_points(grids)
+        got = O._implementable_tables(theta)
+        want = np.array(scalar.implementable_tables(theta, len(grids)))
+        np.testing.assert_array_equal(got, want)
+
+    def test_seven_cells_one_good(self):
+        # 7**7 joint misreport maps per type pair, too many to write one
+        # row each; the simultaneous optimum here is deterministic, so the
+        # exhaustive search must reach it
+        inst = O.discretize(cl_model(1), 2, 7)
+        rep = O.solve_simultaneous(inst)
+        assert np.all(np.minimum(rep.mechanism.q, 1.0 - rep.mechanism.q) < 1e-7)
+        assert abs(O.brute_force_value(inst) - rep.value) < 1e-8
 
     @pytest.mark.parametrize("error", [LpInfeasibleError, LpSolverError])
     def test_failure_other_than_unbounded_propagates(self, monkeypatch, error):
