@@ -8,16 +8,22 @@ of ``solve``, ``audit``, ``identity``, ``oracle`` and ``sample`` runs in
 a fresh interpreter on each tree, on the benchmark's full-size README
 and logistic configs (``sample`` with ``corners: true``).  The script
 lists every output file that differs or exists on one side only, and
-every differing exit code; it exits 1 if there is any.
+every differing exit code; it exits 1 if there is any.  For a differing
+CSV or JSON file it also prints the largest absolute difference between
+the numbers the two files hold in the same places, or says that the
+text around the numbers differs.
 """
 
 import argparse
 import filecmp
 import json
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 VERBS = ["solve", "audit", "identity", "oracle", "sample"]
 FAMILIES = {
@@ -32,6 +38,23 @@ sys.path.insert(0, sys.argv[1])
 from screenforge import cli
 print(cli.main([sys.argv[2], "--config", sys.argv[3], "--out", sys.argv[4], "--quiet"]))
 """
+
+# a number standing on its own: not the digit of a name such as theta_1
+_NUMBER = re.compile(r"(?<![\w.])(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     r"|[-+]?(?:nan|inf(?:inity)?))(?![\w.])", re.IGNORECASE)
+
+
+def moved(a: Path, b: Path) -> str:
+    """How far a differing CSV or JSON file moved: the largest absolute
+    difference between numbers in the same places of A and B."""
+    text_a, text_b = a.read_text(), b.read_text()
+    if _NUMBER.split(text_a) != _NUMBER.split(text_b):
+        return "text around the numbers differs"
+    x, y = (np.array(_NUMBER.findall(t), dtype=float) for t in (text_a, text_b))
+    with np.errstate(invalid="ignore"):  # inf - inf; equal entries are zeroed next
+        diff = np.abs(x - y)
+    diff[(x == y) | (np.isnan(x) & np.isnan(y))] = 0.0
+    return f"largest |difference| {diff.max(initial=0.0):.3g} over {len(x)} numbers"
 
 
 def make_config(family: str) -> dict:
@@ -84,7 +107,8 @@ def main() -> int:
                 if not (a.exists() and b.exists()):
                     differ.append(f"{family}/{verb}/{name}: only in {'A' if a.exists() else 'B'}")
                 elif not filecmp.cmp(a, b, shallow=False):
-                    differ.append(f"{family}/{verb}/{name}: differs")
+                    how = f", {moved(a, b)}" if a.suffix in (".csv", ".json") else ""
+                    differ.append(f"{family}/{verb}/{name}: differs{how}")
             print(f"{family:6s} {verb:8s} exit {code}: {len(names)} files")
     for line in differ:
         print(line)

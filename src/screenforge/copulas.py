@@ -170,106 +170,26 @@ class ClaytonCopula(_Copula):
         return np.where(corner, np.clip(z, 0.0, 1.0), u)
 
 
-# Kept as typed, not numerics._leggauss: its last-digit differences move the Gaussian-copula oracle values.
-_GL6_W = np.array([0.1713244923791705, 0.3607615730481384, 0.4679139345726904])
-_GL6_X = np.array([0.9324695142031522, 0.6612093864662647, 0.2386191860831970])
-_GL12_W = np.array(
-    [0.04717533638651177, 0.1069393259953183, 0.1600783285433464,
-     0.2031674267230659, 0.2334925365383547, 0.2491470458134029]
-)
-_GL12_X = np.array(
-    [0.9815606342467191, 0.9041172563704750, 0.7699026741943050,
-     0.5873179542866171, 0.3678314989981802, 0.1252334085114692]
-)
-_GL20_W = np.array(
-    [0.01761400713915212, 0.04060142980038694, 0.06267204833410906,
-     0.08327674157670475, 0.1019301198172404, 0.1181945319615184,
-     0.1316886384491766, 0.1420961093183821, 0.1491729864726037,
-     0.1527533871307259]
-)
-_GL20_X = np.array(
-    [0.9931285991850949, 0.9639719272779138, 0.9122344282513259,
-     0.8391169718222188, 0.7463319064601508, 0.6360536807265150,
-     0.5108670019508271, 0.3737060887154196, 0.2277858511416451,
-     0.07652652113349733]
-)
-
-
 def bvn_upper(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk) for a standard bivariate normal with correlation r
-    and finite dh, dk.
+    """P(X > dh, Y > dk) for a standard bivariate normal with correlation r.
 
-    Deterministic Gauss-Legendre evaluation of the angle-parameterized
-    integral, with the classic tail expansion for |r| >= 0.925; absolute
-    accuracy around 5e-16.
+    Owen's (1956) T-function form of the lower orthant Phi2(h, k; r) at
+    h = -dh, k = -dk: Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta,
+    with a_h = (k - r h) / (h sqrt(1 - r^2)) and beta = 1/2 when hk < 0,
+    or hk = 0 and h + k < 0.
     """
-    from scipy.special import ndtr  # only the Gaussian copula loads scipy
+    from scipy.special import ndtr, owens_t  # only the Gaussian copula loads scipy
 
-    if r == 0.0:
-        return float(ndtr(-dh) * ndtr(-dk))
+    h, k = -float(dh), -float(dk)
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(r) / (2.0 * math.pi)
+    s = math.sqrt((1.0 - r) * (1.0 + r))
 
-    tp = 2.0 * math.pi
-    h, k, hk = float(dh), float(dk), float(dh) * float(dk)
-    if abs(r) < 0.3:
-        w, x = _GL6_W, _GL6_X
-    elif abs(r) < 0.75:
-        w, x = _GL12_W, _GL12_X
-    else:
-        w, x = _GL20_W, _GL20_X
-    w = np.concatenate([w, w])
-    x = np.concatenate([1.0 - x, 1.0 + x])
+    def t(x, y):  # a zero x has slope +-inf, signed by y - r x
+        return float(owens_t(x, (y - r * x) / (x * s) if x else math.copysign(math.inf, y)))
 
-    if abs(r) < 0.925:
-        hs = 0.5 * (h * h + k * k)
-        asr = math.asin(r)
-        sn = np.sin(0.5 * asr * x)
-        bvn = float(np.dot(np.exp((sn * hk - hs) / (1.0 - sn * sn)), w))
-        return max(0.0, min(1.0, bvn * asr / (2.0 * tp) + float(ndtr(-h) * ndtr(-k))))
-
-    if r < 0.0:
-        k, hk = -k, -hk
-    bvn = 0.0
-    if abs(r) < 1.0:
-        a_s = (1.0 - r) * (1.0 + r)
-        a = math.sqrt(a_s)
-        bs = (h - k) ** 2
-        c = (4.0 - hk) / 8.0
-        d = (12.0 - hk) / 16.0
-        asr = -0.5 * (bs / a_s + hk)
-        if asr > -100.0:
-            bvn = a * math.exp(asr) * (
-                1.0 - c * (bs - a_s) * (1.0 - d * bs / 5.0) / 3.0
-                + c * d * a_s * a_s / 5.0
-            )
-        if -hk < 100.0:
-            b = math.sqrt(bs)
-            bvn -= (
-                math.exp(-0.5 * hk)
-                * math.sqrt(tp)
-                * float(ndtr(-b / a))
-                * b
-                * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0)
-            )
-        a *= 0.5
-        xs = (a * x) ** 2
-        rs = np.sqrt(1.0 - xs)
-        asr_v = -0.5 * (bs / xs + hk)
-        ix = asr_v > -100.0
-        if np.any(ix):
-            term = np.exp(-0.5 * hk * (1.0 - rs[ix]) / (1.0 + rs[ix])) / rs[ix] - (
-                1.0 + c * xs[ix] * (1.0 + d * xs[ix])
-            )
-            bvn += a * float(np.dot(np.exp(asr_v[ix]) * term, w[ix]))
-        bvn = -bvn / tp
-    if r > 0.0:
-        bvn += float(ndtr(-max(h, k)))
-    else:
-        bvn = -bvn
-        if k > h:
-            if h < 0.0:
-                bvn += float(ndtr(k) - ndtr(h))
-            else:
-                bvn += float(ndtr(-h) - ndtr(-k))
+    beta = 0.5 if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0) else 0.0
+    bvn = 0.5 * float(ndtr(h) + ndtr(k)) - t(h, k) - t(k, h) - beta
     return max(0.0, min(1.0, bvn))
 
 

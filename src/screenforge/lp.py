@@ -8,7 +8,8 @@ identical solutions.
 There is one engine: ``LpModel`` keeps one HiGHS model alive so that
 switched column bounds are re-solved by the dual simplex from the last
 basis, and a moved objective by the primal simplex; ``lp_solve`` is a
-single solve on a fresh ``LpModel``.  Every model is built under the one
+single solve on a fresh ``LpModel``.  ``LpModel.polish`` recomputes the
+last optimum from its basis.  Every model is built under the one
 option table ``_OPTIONS``.  Replaying the same calls on an ``LpModel``
 gives the same bytes.
 """
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import LpInfeasibleError, LpSolverError, LpUnboundedError
 
@@ -108,8 +110,9 @@ class LpModel:
         n = len(self._c)
         a_ub, b_ub = _row_block(a_ub, b_ub, n, "inequality rows")
         a_eq, b_eq = _row_block(a_eq, b_eq, n, "equality rows")
-        a = sp.vstack([a_ub, a_eq], format="csc")
+        self._a = a = sp.vstack([a_ub, a_eq], format="csc")
         self._lower, self._upper = _bound_arrays(bounds, n)
+        self._row_upper = np.concatenate([b_ub, b_eq])
         self._highs = _highs._Highs()
         for key, value in _OPTIONS.items():
             self._check(self._highs.setOptionValue(key, value), f"option {key}")
@@ -121,7 +124,7 @@ class LpModel:
         lp.col_lower_ = self._lower
         lp.col_upper_ = self._upper
         lp.row_lower_ = np.concatenate([np.full(len(b_ub), -_INF), b_eq])
-        lp.row_upper_ = np.concatenate([b_ub, b_eq])
+        lp.row_upper_ = self._row_upper
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
         lp.a_matrix_.num_col_ = n
         lp.a_matrix_.num_row_ = a.shape[0]
@@ -177,3 +180,34 @@ class LpModel:
         if status == _highs.HighsModelStatus.kUnbounded:
             raise LpUnboundedError(message)
         raise LpSolverError(f"solver failure: {message}")
+
+    def polish(self) -> LpSolution:
+        """The last optimum recomputed from its final basis, to round-off.
+
+        Nonbasic columns go on their bounds (a free one at zero), and the
+        basic columns solve the square system of tight rows by one sparse
+        LU: one step of iterative refinement (Gleixner, Steffy & Wolter
+        2016).  A basis whose basic columns do not match its tight rows
+        in number, or whose matrix is singular, raises
+        :class:`LpSolverError`.
+        """
+        basis = self._highs.getBasis()
+        if not basis.valid:
+            raise LpSolverError("no valid basis to polish")
+        col = np.fromiter(map(int, basis.col_status), dtype=np.int8)
+        row = np.fromiter(map(int, basis.row_status), dtype=np.int8)
+        status = _highs.HighsBasisStatus
+        lower, upper, basic = int(status.kLower), int(status.kUpper), int(status.kBasic)
+        x = np.where(col == lower, self._lower, np.where(col == upper, self._upper, 0.0))
+        cols, tight = np.flatnonzero(col == basic), np.flatnonzero(row != basic)
+        if len(cols) != len(tight):
+            raise LpSolverError(f"basis of {len(cols)} columns on {len(tight)} tight rows")
+        try:
+            lu = splu(self._a[:, cols][tight])
+        except RuntimeError as exc:
+            raise LpSolverError(f"basis factorization failed: {exc}") from exc
+        # every row is A_ub x <= b_ub or A_eq x = b_eq: a tight row is at its upper bound
+        x[cols] = lu.solve(self._row_upper[tight] - (self._a @ x)[tight])
+        if not np.all(np.isfinite(x)):
+            raise LpSolverError("basis solve is not finite")
+        return LpSolution(x=x, value=float(np.dot(self._c, x)))

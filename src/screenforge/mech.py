@@ -315,10 +315,6 @@ def upfront_t1(model: JointModel, mech: ThresholdMechanism) -> ThresholdMechanis
     return replace(mech, upfront=e_u - _rent_curve(model, mech))
 
 
-def rent_curve(model: JointModel, mech: ThresholdMechanism) -> InterimUtilityCurve:
-    return InterimUtilityCurve(mech.gamma_grid.copy(), _rent_curve(model, mech))
-
-
 # ---------------------------------------------------------------------------
 # revenue forms
 # ---------------------------------------------------------------------------

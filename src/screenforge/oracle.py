@@ -110,16 +110,6 @@ class DiscreteInstance:
             "lineage": self.lineage,
         }
 
-    @staticmethod
-    def from_jsonable(data: dict) -> "DiscreteInstance":
-        return DiscreteInstance(
-            gamma_values=np.asarray(data["gamma_values"], dtype=float),
-            gamma_probs=np.asarray(data["gamma_probs"], dtype=float),
-            theta_grids=tuple(np.asarray(t, dtype=float) for t in data["theta_grids"]),
-            pmf=np.asarray(data["pmf"], dtype=float),
-            lineage=dict(data.get("lineage", {})),
-        )
-
 
 def discretize(model: JointModel, gamma_cells: int, theta_cells) -> DiscreteInstance:
     """Cell-midpoint discretization of a continuum model.
@@ -227,8 +217,9 @@ class DiscreteMechanism:
 @dataclass(frozen=True)
 class SolveReport:
     """One regime solve: ``solve_values`` holds the objective of each
-    HiGHS solve in order (capped, then cap-free); ``rows``, ``cols`` and
-    ``nnz`` size the program."""
+    HiGHS solve in order (capped, then cap-free); the last entry is the
+    cap-free vertex polished from its basis, so it equals ``value``.
+    ``rows``, ``cols`` and ``nnz`` size the program."""
 
     value: float
     mechanism: DiscreteMechanism
@@ -367,14 +358,16 @@ def _solve_exact(layout: _Layout, parts) -> SolveReport:
 
     ``parts`` are the (rows, rhs) blocks of ``rows x <= rhs``.  The first
     solve caps the transfers; the cap-free re-solve starts from its basis
-    and can end at another vertex of the optimal face.  That optimum is
-    then re-checked (``_recheck``).
+    and can end at another vertex of the optimal face.  That vertex is
+    recomputed from its basis (``LpModel.polish``), and the polished
+    optimum is re-checked (``_recheck``).
     """
     rows, rhs = _stack(parts)
     model = LpModel(layout.objective(), rows, rhs, bounds=layout.bounds())
     capped = model.solve()
     model.set_bounds(layout.bounds(capped=False))
-    sol = model.solve()
+    model.solve()
+    sol = model.polish()
     mech = layout.unpack(sol.x)
     _recheck(layout.inst, mech)
     return SolveReport(

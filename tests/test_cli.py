@@ -459,6 +459,20 @@ class TestOracleCommand:
         dump = json.loads((tmp_path / "out" / "instance_fail.json").read_text())
         assert "instance" in dump and dump["error"] == "forced failure"
 
+    def test_singular_final_basis_exits_4_and_dumps_instance(self, tmp_path, monkeypatch):
+        from screenforge import lp
+
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(lp, "splu", singular)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("oracle", "--config", cfg, "--out", str(out), "--quiet") == 4
+        dump = json.loads((out / "instance_fail.json").read_text())
+        assert "instance" in dump and "exactly singular" in dump["error"]
+        assert not (out / "oracle.json").exists()
+
     def test_failed_recheck_exits_4_and_dumps_instance(self, tmp_path, monkeypatch):
         # the sequential LP without its stage-0 epigraph rows is not
         # incentive compatible; the re-check must stop the verb

@@ -109,8 +109,8 @@ class TestGaussianAgainstReferences:
 
     def test_bvn_against_the_angle_integral(self):
         # P(X > h, Y > k) = Phi(-h) Phi(-k) + (1/2pi) int_0^asin(r)
-        # exp(-(h^2 - 2hk sin t + k^2) / (2 cos^2 t)) dt; the grid covers
-        # bvn_upper's tail expansion for |r| >= 0.925
+        # exp(-(h^2 - 2hk sin t + k^2) / (2 cos^2 t)) dt; the grid reaches
+        # the strong correlations |r| = 0.93 to 0.99
         from scipy.special import ndtr
 
         scores = np.array([-5.0, -3.0, -1.5, -0.5, 0.0, 0.3, 1.0, 2.5, 4.0])

@@ -1,9 +1,12 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from screenforge.errors import LpInfeasibleError, LpUnboundedError
+from screenforge import lp
+from screenforge.errors import LpInfeasibleError, LpSolverError, LpUnboundedError
 from screenforge.lp import LpModel, lp_solve
 
 
@@ -235,3 +238,51 @@ class TestLpModel:
         assert not model._highs.getBasis().valid
         model.set_bounds((0.0, None))
         assert abs(model.solve().value - before) <= 1e-9
+
+
+class TestPolish:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_recomputes_the_same_vertex(self, seed):
+        _, c, a, b = _random_program(seed)
+        model = LpModel(c, a, b, bounds=FREE)
+        sol = model.solve()
+        polished = model.polish()
+        np.testing.assert_allclose(polished.x, sol.x, rtol=0, atol=1e-9)
+        assert polished.value == float(np.dot(c, polished.x))
+        assert np.max(a @ polished.x - b) <= 1e-12
+
+    def test_dual_form_with_equality_rows(self):
+        _, model, cost, cold = _dual_program(2)
+        model.solve()
+        polished = model.polish()
+        assert abs(polished.value - cold(cost).value) <= 1e-9
+        assert polished.x.min() >= 0.0
+
+    def test_no_basis_raises(self):
+        model = LpModel([1.0, 1.0], [[1.0, 1.0]], [1.0], bounds=(1.0, None))
+        with pytest.raises(LpInfeasibleError):
+            model.solve()
+        with pytest.raises(LpSolverError):
+            model.polish()
+
+    def test_singular_factor_raises_solver_error(self, monkeypatch):
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        _, c, a, b = _random_program(0)
+        model = LpModel(c, a, b, bounds=FREE)
+        model.solve()
+        monkeypatch.setattr(lp, "splu", singular)
+        with pytest.raises(LpSolverError, match="exactly singular"):
+            model.polish()
+
+    def test_non_square_basis_raises(self):
+        _, c, a, b = _random_program(0)
+        model = LpModel(c, a, b, bounds=FREE)
+        model.solve()
+        basis = model._highs.getBasis()
+        basis.col_status = [lp._highs.HighsBasisStatus.kBasic] * len(c)
+        basis.row_status = [lp._highs.HighsBasisStatus.kBasic] * len(b)
+        model._highs = types.SimpleNamespace(getBasis=lambda: basis)
+        with pytest.raises(LpSolverError, match="columns on 0 tight rows"):
+            model.polish()

@@ -186,7 +186,7 @@ class TestUpfrontFees:
     def test_full_extraction_when_type_independent(self, iid2):
         mdl, mech = iid2
         np.testing.assert_allclose(mech.upfront, 1.0, atol=1e-10)  # E[theta1+theta2]
-        np.testing.assert_allclose(X.rent_curve(mdl, mech).values, 0.0, atol=1e-10)
+        np.testing.assert_allclose(X._rent_curve(mdl, mech), 0.0, atol=1e-10)
 
     def test_bottom_type_fee_equals_expected_option_value(self, cl1, logi2):
         for mdl, mech in (cl1, logi2):
@@ -195,20 +195,20 @@ class TestUpfrontFees:
 
     def test_rent_recomputation_matches_envelope_integral(self, cl1):
         mdl, mech = cl1
-        curve = X.rent_curve(mdl, mech)
+        curve = X._rent_curve(mdl, mech)
         for i in (0, 10, 50, 77, 100):
             g = mech.gamma_grid[i]
             direct = scalar.menu_expected_u(mdl, g, mech.strikes[i], 48) - mech.upfront[i]
-            assert abs(direct - curve.values[i]) < 1e-6
+            assert abs(direct - curve[i]) < 1e-6
 
     def test_interim_utility_zero_at_bottom(self, cl1, cl2, logi2):
         for mdl, mech in (cl1, cl2, logi2):
-            assert abs(X.rent_curve(mdl, mech).values[0]) < 1e-8
+            assert abs(X._rent_curve(mdl, mech)[0]) < 1e-8
 
     def test_rents_nondecreasing(self, cl1, logi2):
         for mdl, mech in (cl1, logi2):
-            curve = X.rent_curve(mdl, mech)
-            assert np.all(np.diff(curve.values) >= -1e-10)
+            curve = X._rent_curve(mdl, mech)
+            assert np.all(np.diff(curve) >= -1e-10)
 
     def test_fees_nondecreasing_on_regular_families(self, cl1, logi2):
         for _, mech in (cl1, logi2):
@@ -478,7 +478,7 @@ class TestAgainstScalarReference:
 
     def test_fees_and_rent_curve(self, solved):
         mdl, mech = solved
-        np.testing.assert_allclose(X.rent_curve(mdl, mech).values,
+        np.testing.assert_allclose(X._rent_curve(mdl, mech),
                                    scalar.rent_curve(mdl, self.GRID, mech.strikes), rtol=0, atol=1e-12)
         np.testing.assert_allclose(mech.upfront, scalar.fees(mdl, self.GRID, mech.strikes),
                                    rtol=0, atol=1e-12)
