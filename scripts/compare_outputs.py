@@ -6,7 +6,8 @@
 A and B are checkouts of this repository (each with a ``src/``).  Each
 of ``solve``, ``audit``, ``identity``, ``oracle`` and ``sample`` runs in
 a fresh interpreter on each tree, on the benchmark's full-size README
-and logistic configs (``sample`` with ``corners: true``).  The script
+and logistic configs and on a one-good drifting Clayton config
+(``sample`` with ``corners: true``).  The script
 lists every output file that differs or exists on one side only, and
 every differing exit code; it exits 1 if there is any.  For a differing
 CSV or JSON file it also prints the largest absolute difference between
@@ -31,7 +32,11 @@ FAMILIES = {
     "logi": {"name": "logistic_shift", "goods": 2, "copula": {"name": "gaussian", "rho": 0.5}},
     "drift": {"name": "cl_uniform", "goods": 2,
               "copula": {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}},
+    "drift1g": {"name": "cl_uniform", "goods": 1,
+                "copula": {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}},
 }
+# identity checks these on every config, then the config's own family
+IDENTITY_FAMILIES = ("readme", "logi", "drift")
 _CHILD = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -63,7 +68,8 @@ def make_config(family: str) -> dict:
         "seed": 7,
         "solve": {"gamma_grid": 101},
         "audit": {"gamma_grid": 51, "cycles": 1000, "cycle_length": 5},
-        "identity": {"points": 1000, "families": list(FAMILIES.values())},
+        "identity": {"points": 1000, "families": [
+            FAMILIES[f] for f in dict.fromkeys(IDENTITY_FAMILIES + (family,))]},
         "oracle": {"gamma_cells": 3, "theta_cells": [2, 3, 4, 5]},
         "sample": {"count": 100_000, "gammas": [0.3], "corners": True},
     }
@@ -72,7 +78,7 @@ def make_config(family: str) -> dict:
 def run_all(tree: Path, work: Path) -> dict:
     """{(config, verb): exit code}, outputs under work/<config>/<verb>."""
     codes = {}
-    for family in ("readme", "logi"):
+    for family in ("readme", "logi", "drift1g"):
         cfg = work / f"{family}.json"
         cfg.write_text(json.dumps(make_config(family)))
         for verb in VERBS:
@@ -109,7 +115,7 @@ def main() -> int:
                 elif not filecmp.cmp(a, b, shallow=False):
                     how = f", {moved(a, b)}" if a.suffix in (".csv", ".json") else ""
                     differ.append(f"{family}/{verb}/{name}: differs{how}")
-            print(f"{family:6s} {verb:8s} exit {code}: {len(names)} files")
+            print(f"{family:7s} {verb:8s} exit {code}: {len(names)} files")
     for line in differ:
         print(line)
     print(f"{compared} files compared, {len(differ)} differences")

@@ -35,8 +35,6 @@ _CSV_BLOCK_ROWS = 4096
 
 @dataclass
 class RunConfig:
-    raw: dict
-    command: str
     out_dir: str
     seed: int
     quiet: bool
@@ -64,6 +62,8 @@ MAX_SIMULTANEOUS_ROWS = 250_000
 # solve on a smooth family with a dependent copula integrates rents on a
 # joint grid of about 130**goods points: one of its arrays is 2.1 GiB at 4
 MAX_JOINT_SCORE_GOODS = 3
+# the Philox key that numerics.RngStream builds from the seed is uint64
+MAX_SEED = 2**64 - 1
 
 
 def _upto(limit: int, name: str):
@@ -100,8 +100,6 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
     if not isinstance(section, dict):
         raise ConfigError(f"'{command}' must be a JSON object, got {section!r}")
     cfg = RunConfig(
-        raw=raw,
-        command=command,
         out_dir=out_dir,
         seed=seed,
         quiet=quiet,
@@ -109,13 +107,16 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
         section=section,
     )
     cfg.model = modelmod.build_model(dict(raw["family"]))
-    checks = [("seed", seed, _COUNT)] + [(f"{command}.{key}", section[key], rule)
-                                         for key, rule in _SECTION_KEYS.items() if key in section]
+    checks = [("seed", seed, _upto(MAX_SEED, "MAX_SEED"))]
+    checks += [(f"{command}.{key}", section[key], rule)
+               for key, rule in _SECTION_KEYS.items() if key in section]
     if command == "oracle":
         checks += [("oracle.theta_cells", k, _COUNT) for k in _theta_cell_counts(section, cfg.model.n)]
     _check_values(checks)
     if command == "sample":
         _check_types("sample.gammas", section.get("gammas", []), [cfg.model])
+        if not isinstance(section.get("corners", False), bool):
+            raise ConfigError(f"sample.corners must be true or false, got {section['corners']!r}")
     if command == "audit" and "mechanism_csv" in section:
         csv_path = section["mechanism_csv"]
         if not isinstance(csv_path, str) or not csv_path:
@@ -436,7 +437,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     sec = cfg.section
     count = int(sec.get("count", _DEFAULTS["count"]))
     gammas = sec.get("gammas", [0.5 * (cfg.model.prior.lo + cfg.model.prior.hi)])
-    corners = bool(sec.get("corners", False))
+    corners = sec.get("corners", False)
     n = cfg.model.n
     blocks = []
     ks_rows = []

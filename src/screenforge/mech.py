@@ -344,9 +344,9 @@ def revenue_impulse_form(model: JointModel, mech: ThresholdMechanism) -> float:
 
 def uses_joint_score(model: JointModel) -> bool:
     """Whether ``revenue_functional`` integrates each type's rents on a
-    joint grid of about 130**goods points: smooth marginals, several
-    goods and a dependent copula."""
-    return (all(m.smooth_in_gamma for m in model.marginals) and model.n > 1
+    joint grid of about 130**goods points: smooth marginals and a
+    dependent copula (one good always has the independence copula)."""
+    return (all(m.smooth_in_gamma for m in model.marginals)
             and not isinstance(model.copula, IndependenceCopula))
 
 

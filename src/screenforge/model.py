@@ -8,6 +8,9 @@ joint density factorizes as
     f(theta | gamma) = c(F^1(theta^1|gamma), ..., F^n(theta^n|gamma))
                        * prod_j f^j(theta^j|gamma)
 
+One good has nothing to couple: its copula is the 1-D independence
+copula, so c = 1 when n = 1.
+
 Marginals with moving supports are embedded in a fixed enclosing box
 with the density extended by zero, so every conditional cdf is pinned
 at 0/1 on the box boundary for all gamma.
@@ -278,7 +281,7 @@ class JointModel:
 
     def __post_init__(self):
         object.__setattr__(self, "marginals", tuple(self.marginals))
-        if self.copula.dim != len(self.marginals) and len(self.marginals) > 1:
+        if self.copula.dim != len(self.marginals):
             raise ConfigError("copula dimension must match the number of goods")
 
     @property
@@ -305,12 +308,11 @@ def joint_density(model: JointModel, gamma: float, theta) -> np.ndarray:
     dens = np.ones(theta.shape[:-1], dtype=float)
     for j, m in enumerate(model.marginals):
         dens = dens * np.asarray(m.pdf(theta[..., j], gamma), dtype=float)
-    if model.n > 1:
-        pos = dens > 0.0
-        if np.any(pos):
-            u = model.percentiles(gamma, theta)
-            cvals = np.asarray(model.copula.density(u, gamma), dtype=float)
-            dens = np.where(pos, dens * np.where(pos, cvals, 1.0), 0.0)
+    pos = dens > 0.0
+    if np.any(pos):
+        u = model.percentiles(gamma, theta)
+        cvals = np.asarray(model.copula.density(u, gamma), dtype=float)
+        dens = np.where(pos, dens * np.where(pos, cvals, 1.0), 0.0)
     return dens
 
 
@@ -324,17 +326,15 @@ def score(model: JointModel, gamma: float, theta, force_fd: bool = False) -> np.
     theta = np.asarray(theta, dtype=float)
     if model.invariant_flag and not force_fd:
         total = np.zeros(theta.shape[:-1], dtype=float)
-        if model.n > 1:
-            u = model.percentiles(gamma, theta)
-            dlogc = np.asarray(model.copula.partial_log_density(u, gamma), dtype=float)
+        u = model.percentiles(gamma, theta)
+        dlogc = np.asarray(model.copula.partial_log_density(u, gamma), dtype=float)
         for j, m in enumerate(model.marginals):
             tj = theta[..., j]
             fj = np.asarray(m.pdf(tj, gamma), dtype=float)
             if np.any(fj <= 0.0):
                 raise DensityZeroError("score requested where the density vanishes")
             total = total + np.asarray(m.dpdf_dgamma(tj, gamma), dtype=float) / fj
-            if model.n > 1:
-                total = total + np.asarray(m.dcdf_dgamma(tj, gamma), dtype=float) * dlogc[..., j]
+            total = total + np.asarray(m.dcdf_dgamma(tj, gamma), dtype=float) * dlogc[..., j]
         return total
     h = max(_FD_GAMMA_STEP, 1e-7 * (model.prior.hi - model.prior.lo))
     g0 = max(gamma - h, model.prior.lo)
@@ -355,7 +355,7 @@ def sample_theta(model: JointModel, gamma, z) -> np.ndarray:
     ``gamma`` may also hold one type per draw: shape (N,) with z (N, n).
     """
     z = np.asarray(z, dtype=float)
-    u = model.copula.conditional_chain(z, gamma) if model.n > 1 else z.copy()
+    u = model.copula.conditional_chain(z, gamma)
     cols = [
         np.asarray(model.marginals[j].quantile(u[..., j], gamma), dtype=float)
         for j in range(model.n)
@@ -460,8 +460,11 @@ def build_model(config: dict) -> JointModel:
         for key in _COPULA_PARAMS:
             if key in cop_cfg:
                 _finite(cop_cfg[key], f"family.copula.{key}")
+        # checked as for two goods, so one good refuses the same blocks
         copula = copulas.make_copula(cop_name, max(goods, 2), **cop_cfg)
         copula.check_path(prior.lo, prior.hi)
+        if goods == 1:
+            copula = copulas.IndependenceCopula(1)
         params = {key: _finite(config[key], f"family.{key}")
                   for key in ("width", "loc", "shift", "scale") if key in config}
         if "box" in config:

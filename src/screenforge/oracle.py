@@ -145,17 +145,12 @@ def discretize(model: JointModel, gamma_cells: int, theta_cells) -> DiscreteInst
     pmf = np.empty((gamma_cells, int(np.prod(dims))))
     corners = tensor_points(edges)
     for mi, g in enumerate(gvals):
-        if model.n == 1:
-            cdf_tab = np.asarray(model.marginals[0].cdf(edges[0], g), dtype=float)
-        else:
-            u = np.stack(
-                [np.asarray(model.marginals[j].cdf(corners[:, j], g), dtype=float)
-                 for j in range(model.n)],
-                axis=-1,
-            )
-            cdf_tab = np.asarray(model.copula.cdf(u, g), dtype=float)
-            cdf_tab = cdf_tab.reshape([len(e) for e in edges])
-        mass = cdf_tab
+        u = np.stack(
+            [np.asarray(model.marginals[j].cdf(corners[:, j], g), dtype=float)
+             for j in range(model.n)],
+            axis=-1,
+        )
+        mass = np.asarray(model.copula.cdf(u, g), dtype=float).reshape([len(e) for e in edges])
         for ax in range(model.n):
             mass = np.diff(mass, axis=ax)
         mass = mass.reshape(-1)

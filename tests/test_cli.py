@@ -147,15 +147,21 @@ class TestSolveCommand:
                                          "alpha_slope": "nan"}}}),
         ("solve", {"family": {"name": "uniform_iid", "goods": 1, "box": [0, "inf"]}}),
         ("solve", {"family": {"name": "logistic_shift", "goods": 1, "box": "ab"}}),
+        ("identity", {"seed": 2 ** 64}),
+        (f"sample --seed {2 ** 64}", {}),
+        ("sample", {"sample": {"count": 10, "corners": "false"}}),
+        ("sample", {"sample": {"count": 10, "corners": 1}}),
+        ("sample", {"sample": {"count": 10, "corners": None}}),
     ], ids=["section-int", "section-list", "family-int", "goods-str", "goods-float",
             "copula-int", "name-int", "copula-name-int", "copula-param-str", "width-str",
             "width-zero", "width-negative", "width-wide", "scale-negative", "seed-str", "seed-float",
             "shift-nan", "loc-inf", "scale-nan", "oracle-shift-nan", "alpha-inf", "alpha-slope-nan",
-            "box-inf", "box-str"])
+            "box-inf", "box-str", "seed-over-uint64", "seed-flag-over-uint64", "corners-str",
+            "corners-int", "corners-null"])
     def test_malformed_config_exits_2(self, tmp_path, command, overrides, capsys):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
-        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert run(*command.split(), "--config", cfg, "--out", str(out), "--quiet") == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -373,6 +379,23 @@ class TestIdentityCommand:
         assert rep["tolerances"]["invariance"] == 1e-8
         cfg = write_config(tmp_path, identity={**section, "invariance_tol": 1e-5})
         assert run("identity", "--config", cfg, "--out", str(tmp_path / "b"), "--quiet") == 0
+
+    def test_one_good_gaussian_family_passes(self, tmp_path):
+        family = {"name": "uniform_iid", "goods": 1, "copula": {"name": "gaussian", "rho": 0.5}}
+        cfg = write_config(tmp_path, family=family)
+        assert run("identity", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
+
+    def test_one_good_drifting_copula_is_invariant(self, tmp_path):
+        # one good has nothing to couple, so a drifting block cannot drift
+        family = {"name": "cl_uniform", "goods": 1,
+                  "copula": {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}}
+        cfg = write_config(tmp_path, family=family)
+        assert run("identity", "--config", cfg, "--out", str(tmp_path / "id"), "--quiet") == 0
+        row = json.loads((tmp_path / "id" / "identity.json").read_text())["families"][0]
+        assert row["invariant_flag"] and row["invariance_residual"] == 0.0
+        assert run("solve", "--config", cfg, "--out", str(tmp_path / "rev"), "--quiet") == 0
+        rev = json.loads((tmp_path / "rev" / "revenue.json").read_text())
+        assert rev["residual_impulse_rel"] <= 1e-5
 
     def test_drifting_copula_reported_but_exit_zero(self, tmp_path):
         cfg = write_config(tmp_path, identity={
@@ -619,6 +642,10 @@ class TestDeterminism:
         np.testing.assert_allclose(mech.strikes, strikes, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mech.upfront, scalar.fees(model, mech.gamma_grid, strikes),
                                    rtol=0, atol=1e-12)
+
+    def test_largest_seed_runs(self, tmp_path):
+        cfg = write_config(tmp_path, seed=climod.MAX_SEED, sample={"count": 10, "gammas": [0.4]})
+        assert run("sample", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
 
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write_config(tmp_path, sample={"count": 100, "gammas": [0.4]})

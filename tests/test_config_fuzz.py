@@ -32,7 +32,10 @@ FAMILIES = [
      "box": [-4.0, 5.0]},
     {"name": "uniform_iid", "goods": 2, "box": [0.0, 1.0],
      "copula": {"name": "gaussian", "rho": 0.3, "rho_slope": 0.0}},
+    {"name": "uniform_iid", "goods": 1, "box": [0.0, 1.0],
+     "copula": {"name": "gaussian", "rho": 0.5, "rho_slope": 0.0}},
 ]
+FAMILY_IDS = ["cl_uniform", "logistic_shift", "uniform_iid", "uniform_iid_one_good_gaussian"]
 BIG = 2 ** 40
 BAD_VALUES = ["x", True, None, [1, 2], math.nan, math.inf, -math.inf, 0, -1, BIG]
 # keys that size an allocation: a value past the limit is only loaded,
@@ -86,7 +89,7 @@ def run_all_verbs(config: dict):
                     _finite_json(report)
 
 
-@pytest.mark.parametrize("family", FAMILIES, ids=[f["name"] for f in FAMILIES])
+@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
 def test_base_configs_run_clean(family):
     run_all_verbs(base_config(family))
 

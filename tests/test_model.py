@@ -3,6 +3,7 @@ import pytest
 
 import scalar_reference as scalar
 from screenforge import model as M
+from screenforge.copulas import ClaytonCopula, IndependenceCopula
 from screenforge.errors import ConfigError, DensityZeroError, InvalidIntervalError
 from screenforge.numerics import RngStream, uniform_draws
 
@@ -368,3 +369,30 @@ class TestRegistry:
         # the bounds are open: a path that reaches one at an end fails
         with pytest.raises(ConfigError):
             M.build_model({"name": "logistic_shift", "goods": 3, "copula": copula})
+
+    @pytest.mark.parametrize("name", M.FAMILY_NAMES)
+    def test_one_good_gets_the_1d_independence_copula(self, name):
+        # one good has nothing to couple: any valid block leaves it invariant
+        for copula in ({"name": "independence"}, {"name": "clayton", "alpha": 2.0},
+                       {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0},
+                       {"name": "gaussian", "rho": 0.5, "rho_slope": 0.3}):
+            mdl = M.build_model({"name": name, "goods": 1, "copula": copula})
+            assert isinstance(mdl.copula, IndependenceCopula) and mdl.copula.dim == 1
+            assert mdl.invariant_flag
+            assert mdl.label == f"{name}/1g/{copula['name']}"
+
+    @pytest.mark.parametrize("copula", [
+        {"name": "gaussian", "rho": -1.0},
+        {"name": "clayton", "alpha": 1.0, "alpha_slope": -1.0},
+    ])
+    def test_one_good_copula_block_is_checked_as_for_two_goods(self, copula):
+        with pytest.raises(ConfigError):
+            M.build_model({"name": "cl_uniform", "goods": 1, "copula": copula})
+
+    @pytest.mark.parametrize("goods,copula", [
+        (1, ClaytonCopula(2, 2.0)), (2, IndependenceCopula(1)), (2, IndependenceCopula(3)),
+    ], ids=["one-good-2d", "two-goods-1d", "two-goods-3d"])
+    def test_copula_dimension_must_match_the_goods(self, goods, copula):
+        mdl = cl_model(goods)
+        with pytest.raises(ConfigError):
+            M.JointModel(mdl.prior, mdl.marginals, copula, True)
