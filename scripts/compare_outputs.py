@@ -6,8 +6,9 @@
 A and B are checkouts of this repository (each with a ``src/``).  Each
 of ``solve``, ``audit``, ``identity``, ``oracle`` and ``sample`` runs in
 a fresh interpreter on each tree, on the benchmark's full-size README
-and logistic configs and on a one-good drifting Clayton config
-(``sample`` with ``corners: true``).  The script
+and logistic configs, on a one-good drifting Clayton config and on a
+two-good logistic config under a drifting Gaussian copula (``sample``
+with ``corners: true``).  The script
 lists every output file that differs or exists on one side only, and
 every differing exit code; it exits 1 if there is any.  For a differing
 CSV or JSON file it also prints the largest absolute difference between
@@ -34,7 +35,11 @@ FAMILIES = {
               "copula": {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}},
     "drift1g": {"name": "cl_uniform", "goods": 1,
                 "copula": {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}},
+    "driftlogi": {"name": "logistic_shift", "goods": 2,
+                  "copula": {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}},
 }
+# the configs run, each under its own family
+CONFIGS = ("readme", "logi", "drift1g", "driftlogi")
 # identity checks these on every config, then the config's own family
 IDENTITY_FAMILIES = ("readme", "logi", "drift")
 _CHILD = """
@@ -78,7 +83,7 @@ def make_config(family: str) -> dict:
 def run_all(tree: Path, work: Path) -> dict:
     """{(config, verb): exit code}, outputs under work/<config>/<verb>."""
     codes = {}
-    for family in ("readme", "logi", "drift1g"):
+    for family in CONFIGS:
         cfg = work / f"{family}.json"
         cfg.write_text(json.dumps(make_config(family)))
         for verb in VERBS:
@@ -115,7 +120,7 @@ def main() -> int:
                 elif not filecmp.cmp(a, b, shallow=False):
                     how = f", {moved(a, b)}" if a.suffix in (".csv", ".json") else ""
                     differ.append(f"{family}/{verb}/{name}: differs{how}")
-            print(f"{family:7s} {verb:8s} exit {code}: {len(names)} files")
+            print(f"{family:9s} {verb:8s} exit {code}: {len(names)} files")
     for line in differ:
         print(line)
     print(f"{compared} files compared, {len(differ)} differences")

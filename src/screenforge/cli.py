@@ -59,8 +59,9 @@ MAX_CYCLE_POINTS = 1_000_000     # audit.cycles * cycle_length
 MAX_IDENTITY_POINTS = 100_000    # points per family
 # rows of each oracle rung's simultaneous LP: 247,248 at 12 x 12 x 12
 MAX_SIMULTANEOUS_ROWS = 250_000
-# solve on a smooth family with a dependent copula integrates rents on a
-# joint grid of about 130**goods points: one of its arrays is 2.1 GiB at 4
+# solve on a smooth family with an invariant dependent copula integrates
+# rents on a joint grid of about 130**goods points: one of its arrays is
+# 2.1 GiB at 4 (a drifting copula takes the per-good score)
 MAX_JOINT_SCORE_GOODS = 3
 # the Philox key that numerics.RngStream builds from the seed is uint64
 MAX_SEED = 2**64 - 1
@@ -162,7 +163,7 @@ def _size_checks(command: str, section: dict, model) -> list:
         return [("len(sample.gammas) * (sample.count + corner rows)", rows,
                  _upto(MAX_SAMPLE_COUNT, "MAX_SAMPLE_COUNT"))]
     if command == "solve" and mechmod.uses_joint_score(model):
-        return [("family.goods of a smooth family with a dependent copula", model.n,
+        return [("family.goods of a smooth family with an invariant dependent copula", model.n,
                  _upto(MAX_JOINT_SCORE_GOODS, "MAX_JOINT_SCORE_GOODS"))]
     return []
 
@@ -225,7 +226,10 @@ def write_mechanism_csv(path: str, mech: mechmod.ThresholdMechanism):
     _write_csv(path, header, np.column_stack([mech.gamma_grid, fees, mech.strikes]))
 
 
-def read_mechanism_csv(path: str, box_top=None) -> mechmod.ThresholdMechanism:
+def read_mechanism_csv(path: str, goods: int, box_top=None) -> mechmod.ThresholdMechanism:
+    """The menu table at ``path`` for a family of ``goods`` goods.  The
+    table is outside input: another goods count, a non-finite entry or a
+    gamma column that is not strictly increasing raises ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -233,11 +237,16 @@ def read_mechanism_csv(path: str, box_top=None) -> mechmod.ThresholdMechanism:
         arr = np.asarray(data, dtype=float).reshape(len(data), len(header))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read mechanism table {path}: {exc}") from exc
-    n = len(header) - 2
-    if n < 1 or header[:2] != ["gamma", "t1"] or not data:
+    if header[:2] != ["gamma", "t1"] or not data:
         raise ConfigError(f"{path} is not a mechanism table")
+    if len(header) - 2 != goods:
+        raise ConfigError(f"{path} prices {len(header) - 2} goods; the family has {goods}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{path} holds a non-finite entry")
+    if np.any(np.diff(arr[:, 0]) <= 0.0):
+        raise ConfigError(f"{path}: the gamma column must be strictly increasing")
     return mechmod.ThresholdMechanism(
-        gamma_grid=arr[:, 0], strikes=arr[:, 2:2 + n], upfront=arr[:, 1], box_top=box_top
+        gamma_grid=arr[:, 0], strikes=arr[:, 2:], upfront=arr[:, 1], box_top=box_top
     )
 
 
@@ -269,17 +278,16 @@ def cmd_solve(cfg: RunConfig) -> int:
     write_mechanism_csv(os.path.join(cfg.out_dir, "mechanism.csv"), mech)
     direct = mechmod.revenue_direct(cfg.model, mech)
     functional = mechmod.revenue_functional(cfg.model, mech)
+    impulse = mechmod.revenue_impulse_form(cfg.model, mech)
     payload = {
         "revenue_direct": direct,
         "revenue_functional": functional,
         "residual_functional_rel": abs(functional - direct) / max(abs(direct), 1e-300),
+        "revenue_impulse": impulse,
+        "residual_impulse_rel": abs(impulse - direct) / max(abs(direct), 1e-300),
         "gamma_grid": grid_size,
         "family": cfg.model.label,
     }
-    if cfg.model.invariant_flag:
-        impulse = mechmod.revenue_impulse_form(cfg.model, mech)
-        payload["revenue_impulse"] = impulse
-        payload["residual_impulse_rel"] = abs(impulse - direct) / max(abs(direct), 1e-300)
     _write_json(os.path.join(cfg.out_dir, "revenue.json"), payload, cfg)
     _say(cfg, f"revenue {direct:.9g}; files in {cfg.out_dir}")
     return 0
@@ -291,7 +299,7 @@ def cmd_audit(cfg: RunConfig) -> int:
     csv_path = sec.get("mechanism_csv")
     if csv_path is not None:
         box_top = np.array([m.support[1] for m in cfg.model.marginals])
-        mech = read_mechanism_csv(csv_path, box_top=box_top)
+        mech = read_mechanism_csv(csv_path, cfg.model.n, box_top=box_top)
     else:
         mech = _solved_mechanism(cfg, grid_size)
     audit = mechmod.ic_audit(cfg.model, mech)

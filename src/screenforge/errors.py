@@ -17,11 +17,6 @@ class DensityZeroError(ScreenforgeError, ZeroDivisionError):
     """A density is zero at a point where a ratio is required."""
 
 
-class InvarianceRequiredError(ScreenforgeError, ValueError):
-    """Operation is only valid when the dependency structure is
-    invariant in the pre-contract type."""
-
-
 class RegularityError(ScreenforgeError, ValueError):
     """A regularity condition (single crossing, monotone virtual value)
     failed on the evaluation grid."""

@@ -11,8 +11,14 @@ quadrature) for any menu, which is the main internal consistency check:
 
 * ``revenue_direct``        expected fee plus expected exercise payments,
 * ``revenue_functional``    surplus minus score-weighted information rents,
-* ``revenue_impulse_form``  per-good virtual-value integrals (needs an
-  invariant dependency structure).
+* ``revenue_impulse_form``  per-good virtual-value integrals.
+
+The option value sum_j max(0, theta_j - p_j) is a sum over goods, so its
+expectation and that expectation's type-derivative depend on the
+marginals alone, whatever the copula and whether or not it drifts with
+the type.  The last two forms are therefore valid for every option menu;
+invariance is what makes such a menu optimal, not what makes its revenue
+accountable.
 """
 
 from __future__ import annotations
@@ -24,14 +30,9 @@ from typing import Optional
 import numpy as np
 
 from .copulas import IndependenceCopula
-from .errors import (
-    DensityZeroError,
-    InvalidIntervalError,
-    InvarianceRequiredError,
-    RegularityError,
-)
-from .model import JointModel, hazard, score
-from .numerics import bisect_root, composite_rule, gauss_rule, geometric_breaks, tensor_points
+from .errors import DensityZeroError, InvalidIntervalError, RegularityError
+from .model import JointModel, hazard
+from .numerics import bisect_root, composite_rule, gauss_rule, geometric_breaks
 
 DEFAULT_GRID_SIZE = 101
 _SCAN_POINTS = 257
@@ -332,10 +333,9 @@ def revenue_direct(model: JointModel, mech: ThresholdMechanism) -> float:
 
 
 def revenue_impulse_form(model: JointModel, mech: ThresholdMechanism) -> float:
-    """Per-good integral of allocated virtual values; valid only when the
-    dependency structure is invariant in the type."""
-    if not model.invariant_flag:
-        raise InvarianceRequiredError("impulse-form revenue needs invariant dependencies")
+    """Per-good integral of allocated virtual values; valid for every
+    copula, drifting or not, since an option menu's rents depend on the
+    marginals only."""
     nodes, weights, rule = _panels(model, mech, GAMMA_CELL_ORDER)
     dens = np.asarray(model.prior.pdf(nodes), dtype=float)
     hz = np.asarray(hazard(model.prior, nodes), dtype=float)[rule.rows, None]
@@ -344,9 +344,10 @@ def revenue_impulse_form(model: JointModel, mech: ThresholdMechanism) -> float:
 
 def uses_joint_score(model: JointModel) -> bool:
     """Whether ``revenue_functional`` integrates each type's rents on a
-    joint grid of about 130**goods points: smooth marginals and a
-    dependent copula (one good always has the independence copula)."""
-    return (all(m.smooth_in_gamma for m in model.marginals)
+    joint grid of about 130**goods points: smooth marginals and an
+    invariant dependent copula (one good always has the independence
+    copula).  A drifting copula takes the per-good score."""
+    return (all(m.smooth_in_gamma for m in model.marginals) and model.invariant_flag
             and not isinstance(model.copula, IndependenceCopula))
 
 
@@ -365,21 +366,20 @@ def _score_rents(model: JointModel, rule: PercentileRule) -> np.ndarray:
                   for d in (h, -h))
         return (up.expected_u - dn.expected_u) / (2.0 * h)
     if not uses_joint_score(model):
-        # cross terms E[u_j] E[score_k] vanish since each marginal score
-        # integrates to zero; only matched-good terms remain
+        # E[u_j * score] = int u_j d_gamma f_j under any copula, since a
+        # copula's marginals are uniform: only the marginal scores remain
         ratio = rule.per_row("dpdf_dgamma") / rule.per_row("pdf")
         return rule.integrate((rule.q - rule.p) * ratio)
-    return _joint_score_rents(model, rule, model.invariant_flag)
+    return _joint_score_rents(model, rule)
 
 
-def _joint_score_rents(model: JointModel, rule: PercentileRule, analytic: bool) -> np.ndarray:
+def _joint_score_rents(model: JointModel, rule: PercentileRule) -> np.ndarray:
     """Joint percentile-space score integrals, one tensor grid per type,
     graded toward the cube corners and split at the strike percentiles.
 
     The marginal quantities are evaluated once per axis and broadcast
     onto the grid (``np.ix_``), and the copula terms go through the
-    copula's grid entry point, so only the likelihood difference quotient
-    (when ``analytic`` is False) sees materialized grid points.
+    copula's grid entry point, so no grid point is materialized.
     """
     n, copula = model.n, model.copula
     graded = list(geometric_breaks(depth=CORNER_DEPTH))
@@ -394,26 +394,20 @@ def _joint_score_rents(model: JointModel, rule: PercentileRule, analytic: bool) 
         goods = np.repeat(np.tile(np.arange(n), len(ks)), sizes)
         gam = np.repeat(np.repeat(rule.gamma[ks.start:ks.stop], n), sizes)
         theta = _by_marginal(model, goods, "quantile", np.concatenate([a.nodes for a in axes]), gam)
-        fields = [theta]
-        if analytic:
-            cdf, f, df, dcdf = (_by_marginal(model, goods, name, theta, gam)
-                                for name in ("cdf", "pdf", "dpdf_dgamma", "dcdf_dgamma"))
-            if np.any(f <= 0.0):
-                raise DensityZeroError("score requested where the density vanishes")
-            fields += [cdf, df / f, dcdf]
-        per_axis = [np.split(f, np.cumsum(sizes)[:-1]) for f in fields]
+        cdf, f, df, dcdf = (_by_marginal(model, goods, name, theta, gam)
+                            for name in ("cdf", "pdf", "dpdf_dgamma", "dcdf_dgamma"))
+        if np.any(f <= 0.0):
+            raise DensityZeroError("score requested where the density vanishes")
+        per_axis = [np.split(f, np.cumsum(sizes)[:-1]) for f in (theta, cdf, df / f, dcdf)]
         for i, k in enumerate(ks):
             ax, g = slice(i * n, (i + 1) * n), rule.gamma[k]
             wts = reduce(np.multiply, np.ix_(*[a.weights for a in axes[ax]]))
             util = reduce(np.add, np.ix_(*[np.maximum(t - p, 0.0)
                                            for t, p in zip(per_axis[0][ax], rule.strikes[k])]))
-            if analytic:
-                dlogf, dcdf = (np.ix_(*f[ax]) for f in per_axis[2:])
-                dlogc = np.asarray(copula.on_grid("partial_log_density", per_axis[1][ax], g),
-                                   dtype=float).reshape(wts.shape + (n,))
-                svals = reduce(np.add, (dlogf[j] + dcdf[j] * dlogc[..., j] for j in range(n)))
-            else:
-                svals = np.asarray(score(model, g, tensor_points(per_axis[0][ax])), dtype=float)
+            dlogf, dcdf = (np.ix_(*f[ax]) for f in per_axis[2:])
+            dlogc = np.asarray(copula.on_grid("partial_log_density", per_axis[1][ax], g),
+                               dtype=float).reshape(wts.shape + (n,))
+            svals = reduce(np.add, (dlogf[j] + dcdf[j] * dlogc[..., j] for j in range(n)))
             cvals = np.asarray(copula.on_grid("density", [a.nodes for a in axes[ax]], g), dtype=float)
             rents[k] = np.dot(wts.ravel(), (util * svals.reshape(wts.shape)).ravel() * cvals)
     return rents

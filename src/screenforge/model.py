@@ -28,8 +28,6 @@ from . import copulas
 from .errors import ConfigError, DensityZeroError, InvalidIntervalError
 from .numerics import DEFAULT_FD_STEP_FRACTION, tensor_points
 
-_FD_GAMMA_STEP = 1e-6
-
 
 # ---------------------------------------------------------------------------
 # prior over the pre-contract type
@@ -314,36 +312,6 @@ def joint_density(model: JointModel, gamma: float, theta) -> np.ndarray:
         cvals = np.asarray(model.copula.density(u, gamma), dtype=float)
         dens = np.where(pos, dens * np.where(pos, cvals, 1.0), 0.0)
     return dens
-
-
-def score(model: JointModel, gamma: float, theta, force_fd: bool = False) -> np.ndarray:
-    """Likelihood sensitivity d ln f(theta|gamma) / d gamma.
-
-    Uses the analytic composition through the marginals when the
-    dependency structure is invariant, and a central difference in gamma
-    when it drifts or ``force_fd`` is set.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if model.invariant_flag and not force_fd:
-        total = np.zeros(theta.shape[:-1], dtype=float)
-        u = model.percentiles(gamma, theta)
-        dlogc = np.asarray(model.copula.partial_log_density(u, gamma), dtype=float)
-        for j, m in enumerate(model.marginals):
-            tj = theta[..., j]
-            fj = np.asarray(m.pdf(tj, gamma), dtype=float)
-            if np.any(fj <= 0.0):
-                raise DensityZeroError("score requested where the density vanishes")
-            total = total + np.asarray(m.dpdf_dgamma(tj, gamma), dtype=float) / fj
-            total = total + np.asarray(m.dcdf_dgamma(tj, gamma), dtype=float) * dlogc[..., j]
-        return total
-    h = max(_FD_GAMMA_STEP, 1e-7 * (model.prior.hi - model.prior.lo))
-    g0 = max(gamma - h, model.prior.lo)
-    g1 = min(gamma + h, model.prior.hi)
-    f0 = joint_density(model, g0, theta)
-    f1 = joint_density(model, g1, theta)
-    if np.any(f0 <= 0.0) or np.any(f1 <= 0.0):
-        raise DensityZeroError("score stencil left the support")
-    return (np.log(f1) - np.log(f0)) / (g1 - g0)
 
 
 def sample_theta(model: JointModel, gamma, z) -> np.ndarray:

@@ -10,7 +10,11 @@ rectangulation is built by recursion over the goods and its per-cell
 report by one loop per type and good, as before both were batched.  The
 exhaustive oracle tests one allocation table at a time and writes one
 transfer-LP row per joint misreport map, as before it used per-cell
-epigraph rows.  The tests check the batched code against them.
+epigraph rows.  The joint likelihood score, analytic for an invariant
+copula and a central difference in gamma otherwise, integrates the rents
+of every dependent smooth family on a joint grid, drifting ones included,
+as the solver did before a drifting copula took the per-good score.  The
+tests check the batched code against them.
 """
 
 import math
@@ -22,9 +26,9 @@ from scipy.special import ndtr, ndtri
 from screenforge import mech as X
 from screenforge import oracle as O
 from screenforge.copulas import IndependenceCopula
-from screenforge.errors import ConvergenceError, LpUnboundedError
+from screenforge.errors import ConvergenceError, DensityZeroError, LpUnboundedError
 from screenforge.lp import LpModel
-from screenforge.model import divergence_residual, hazard, sample_theta, score
+from screenforge.model import divergence_residual, hazard, joint_density, sample_theta
 from screenforge.numerics import (
     RngStream,
     bisect_root,
@@ -129,17 +133,44 @@ def revenue_impulse_form(model, mech):
         lambda g, p: float(model.prior.pdf(g)) * marginal_integrals(model, g, p)["virtual"])
 
 
-def expected_u_score(model, gamma, strike_vec, joint_order, corner_depth):
+def score(model, gamma, theta, force_fd=False):
+    """Likelihood sensitivity d ln f(theta|gamma) / d gamma: the analytic
+    composition through the marginals for an invariant copula, a central
+    difference in gamma when it drifts or ``force_fd`` is set."""
+    theta = np.asarray(theta, dtype=float)
+    if model.invariant_flag and not force_fd:
+        total = np.zeros(theta.shape[:-1], dtype=float)
+        u = model.percentiles(gamma, theta)
+        dlogc = np.asarray(model.copula.partial_log_density(u, gamma), dtype=float)
+        for j, m in enumerate(model.marginals):
+            tj = theta[..., j]
+            fj = np.asarray(m.pdf(tj, gamma), dtype=float)
+            if np.any(fj <= 0.0):
+                raise DensityZeroError("score requested where the density vanishes")
+            total = total + np.asarray(m.dpdf_dgamma(tj, gamma), dtype=float) / fj
+            total = total + np.asarray(m.dcdf_dgamma(tj, gamma), dtype=float) * dlogc[..., j]
+        return total
+    h = max(1e-6, 1e-7 * (model.prior.hi - model.prior.lo))
+    g0 = max(gamma - h, model.prior.lo)
+    g1 = min(gamma + h, model.prior.hi)
+    f0 = joint_density(model, g0, theta)
+    f1 = joint_density(model, g1, theta)
+    if np.any(f0 <= 0.0) or np.any(f1 <= 0.0):
+        raise DensityZeroError("score stencil left the support")
+    return (np.log(f1) - np.log(f0)) / (g1 - g0)
+
+
+def expected_u_score(model, gamma, strike_vec, joint_order, corner_depth, joint):
     """E[u * score | gamma]: a gamma difference of E[u] for moving
-    supports, matched-good terms for independent goods, otherwise a
-    joint percentile-space tensor integral of ``joint_order`` nodes per
+    supports, matched-good terms unless ``joint``, otherwise a joint
+    percentile-space tensor integral of ``joint_order`` nodes per
     segment, graded ``corner_depth`` deep toward the corners."""
     if not all(m.smooth_in_gamma for m in model.marginals):
         h = 1e-6 * (model.prior.hi - model.prior.lo)
         up = menu_expected_u(model, gamma + h, strike_vec, X.MARGINAL_ORDER)
         dn = menu_expected_u(model, gamma - h, strike_vec, X.MARGINAL_ORDER)
         return (up - dn) / (2.0 * h)
-    if model.n == 1 or isinstance(model.copula, IndependenceCopula):
+    if not joint:
         total = 0.0
         for j, m in enumerate(model.marginals):
             p = float(strike_vec[j])
@@ -167,17 +198,24 @@ def expected_u_score(model, gamma, strike_vec, joint_order, corner_depth):
     return float(np.dot(wts, u_util * svals * cvals))
 
 
-def revenue_functional(model, mech, joint_order=X.JOINT_ORDER, corner_depth=X.CORNER_DEPTH):
+def revenue_functional(model, mech, joint_order=X.JOINT_ORDER, corner_depth=X.CORNER_DEPTH,
+                       joint=None, rent_order=None):
+    """Surplus minus rents.  ``joint`` defaults to the solver's choice: the
+    joint score for an invariant dependent smooth family, with 2 nodes per
+    menu cell in gamma (``rent_order``), and the per-good score otherwise."""
     grid = mech.gamma_grid
     surplus = _panel_sum(
         model, grid, mech.strikes, X.GAMMA_CELL_ORDER,
         lambda g, p: float(model.prior.pdf(g)) * marginal_integrals(model, g, p)["e_thq"])
-    joint = (all(m.smooth_in_gamma for m in model.marginals) and model.n > 1
-             and not isinstance(model.copula, IndependenceCopula))
+    if joint is None:
+        joint = (all(m.smooth_in_gamma for m in model.marginals) and model.n > 1
+                 and model.invariant_flag and not isinstance(model.copula, IndependenceCopula))
+    if rent_order is None:
+        rent_order = 2 if joint else X.GAMMA_CELL_ORDER
     rents = _panel_sum(
-        model, grid, mech.strikes, 2 if joint else X.GAMMA_CELL_ORDER,
+        model, grid, mech.strikes, rent_order,
         lambda g, p: (1.0 - float(model.prior.cdf(g)))
-        * expected_u_score(model, g, p, joint_order, corner_depth))
+        * expected_u_score(model, g, p, joint_order, corner_depth, joint))
     return surplus - rents
 
 

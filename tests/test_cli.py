@@ -37,7 +37,7 @@ class TestSolveCommand:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "out")
         assert run("solve", "--config", cfg, "--out", out, "--quiet") == 0
-        mech = read_mechanism_csv(os.path.join(out, "mechanism.csv"))
+        mech = read_mechanism_csv(os.path.join(out, "mechanism.csv"), 1)
         grid = mech.gamma_grid
         np.testing.assert_allclose(mech.strikes[:, 0], 1.0 - grid, atol=1e-8)
         rev = json.loads((tmp_path / "out" / "revenue.json").read_text())
@@ -51,9 +51,21 @@ class TestSolveCommand:
         )
         out = str(tmp_path / "out")
         assert run("solve", "--config", cfg, "--out", out, "--quiet") == 0
-        mech = read_mechanism_csv(os.path.join(out, "mechanism.csv"))
+        mech = read_mechanism_csv(os.path.join(out, "mechanism.csv"), 2)
         np.testing.assert_allclose(mech.upfront, 1.0, atol=1e-9)
         np.testing.assert_allclose(mech.strikes, 0.0, atol=1e-12)
+
+    def test_drifting_smooth_family_past_the_joint_limit_solves(self, tmp_path):
+        # a drifting copula takes the per-good score, so the joint-score
+        # goods limit does not apply and the impulse form is written
+        family = {"name": "logistic_shift", "goods": climod.MAX_JOINT_SCORE_GOODS + 1,
+                  "copula": {"name": "gaussian", "rho": 0.3, "rho_slope": 0.2}}
+        cfg = write_config(tmp_path, family=family)
+        out = str(tmp_path / "out")
+        assert run("solve", "--config", cfg, "--out", out, "--quiet") == 0
+        rev = json.loads((tmp_path / "out" / "revenue.json").read_text())
+        assert rev["residual_functional_rel"] < 1e-5
+        assert rev["residual_impulse_rel"] < 1e-5
 
     def test_regularity_violation_exits_3(self, tmp_path):
         cfg = write_config(
@@ -184,7 +196,8 @@ class TestSolveCommand:
          "(cli.MAX_SIMULTANEOUS_ROWS), got 267865"),
         ("solve", {"family": {"name": "logistic_shift", "goods": 4,
                               "copula": {"name": "gaussian", "rho": 0.3}}},
-         "family.goods of a smooth family with a dependent copula must hold integers "
+         "family.goods of a smooth family with an invariant dependent copula must hold "
+         "integers "
          "from 1 to 3 (cli.MAX_JOINT_SCORE_GOODS), got 4"),
         # one good: 2 corner rows per type, 2 * (499,999 + 2) rows
         ("sample", {"sample": {"count": climod.MAX_SAMPLE_COUNT // 2 - 1, "gammas": [0.3, 0.7],
@@ -325,6 +338,23 @@ class TestAuditCommand:
         assert run("audit", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 2
         err = capsys.readouterr().err
         assert "config error" in err and "menu.csv" in err
+
+    @pytest.mark.parametrize("table,message", [
+        ("gamma,t1,p_1,p_2\n0,0.5,1,1\n0.5,0.2,0.5,0.5\n", "prices 2 goods; the family has 1"),
+        ("gamma,t1,p_1\n0,nan,1\n0.5,0.2,0.5\n", "non-finite entry"),
+        ("gamma,t1,p_1\n0,0.5,1\nnan,0.2,0.5\n", "non-finite entry"),
+        ("gamma,t1,p_1\n0.5,0.1,0.5\n0.4,0.2,0.6\n", "strictly increasing"),
+    ], ids=["goods-count", "nan-fee", "nan-gamma", "decreasing-gamma"])
+    def test_menu_outside_input_exits_2(self, tmp_path, table, message, capsys):
+        # each used to be audited (exit 3, NaN in audit.json) or end in a
+        # solver failure (exit 4)
+        path = tmp_path / "menu.csv"
+        path.write_text(table)
+        cfg = write_config(tmp_path, audit={"mechanism_csv": str(path), "cycles": 5})
+        out = tmp_path / "out"
+        assert run("audit", "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "audit.json").exists()
 
     @pytest.mark.parametrize("value", [[1, 2], 5, "", None, True],
                              ids=["list", "int", "empty", "null", "bool"])
@@ -636,7 +666,7 @@ class TestDeterminism:
         cfg = write_config(tmp_path, family=family, solve={"gamma_grid": 11})
         out = str(tmp_path / "out")
         assert run("solve", "--config", cfg, "--out", out, "--quiet") == 0
-        mech = read_mechanism_csv(os.path.join(out, "mechanism.csv"))
+        mech = read_mechanism_csv(os.path.join(out, "mechanism.csv"), 2)
         model = M.build_model(family)
         strikes = scalar.strikes(model, mech.gamma_grid)
         np.testing.assert_allclose(mech.strikes, strikes, rtol=0, atol=1e-12)

@@ -34,8 +34,12 @@ FAMILIES = [
      "copula": {"name": "gaussian", "rho": 0.3, "rho_slope": 0.0}},
     {"name": "uniform_iid", "goods": 1, "box": [0.0, 1.0],
      "copula": {"name": "gaussian", "rho": 0.5, "rho_slope": 0.0}},
+    # a smooth family under a drifting copula: solve takes the per-good score
+    {"name": "logistic_shift", "goods": 2, "loc": 0.0, "shift": 1.0, "scale": 0.7,
+     "box": [-4.0, 5.0], "copula": {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}},
 ]
-FAMILY_IDS = ["cl_uniform", "logistic_shift", "uniform_iid", "uniform_iid_one_good_gaussian"]
+FAMILY_IDS = ["cl_uniform", "logistic_shift", "uniform_iid", "uniform_iid_one_good_gaussian",
+              "logistic_shift_drifting_gaussian"]
 BIG = 2 ** 40
 BAD_VALUES = ["x", True, None, [1, 2], math.nan, math.inf, -math.inf, 0, -1, BIG]
 # keys that size an allocation: a value past the limit is only loaded,

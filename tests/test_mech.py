@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import scalar_reference as scalar
 from screenforge import mech as X
 from screenforge import model as M
-from screenforge.errors import InvarianceRequiredError, RegularityError
+from screenforge.errors import RegularityError
 from screenforge.numerics import RngStream, gauss_rule
 
 GRID = np.linspace(0.0, 1.0, 101)
@@ -260,18 +260,16 @@ class TestRevenues:
         assert abs(X.revenue_direct(mdl, never)) < 1e-12
         assert abs(X.revenue_functional(mdl, never)) < 1e-12
 
-    def test_impulse_form_requires_invariance(self):
-        mdl = cl_model(2, {"name": "gaussian", "rho": 0.2, "rho_slope": 0.6})
-        mech = X.upfront_t1(mdl, X.solve_thresholds(mdl, GRID))
-        with pytest.raises(InvarianceRequiredError):
-            X.revenue_impulse_form(mdl, mech)
-
 
 class TestDependencyIrrelevance:
+    # the drifting copulas check that all three accountings, the impulse
+    # form included, hold for a copula that is not invariant
     COPULAS = (
         None,
         {"name": "clayton", "alpha": 2.0},
         {"name": "gaussian", "rho": 0.5},
+        {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0},
+        {"name": "gaussian", "rho": 0.2, "rho_slope": 0.6},
     )
 
     def test_strikes_and_revenues_copula_free(self):
@@ -496,9 +494,8 @@ class TestAgainstScalarReference:
     @pytest.mark.parametrize("copula,shifts", [
         ({"name": "gaussian", "rho": 0.3}, None),
         ({"name": "clayton", "alpha": 2.0}, None),
-        ({"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}, None),
         ({"name": "gaussian", "rho": 0.3}, (1.0, 0.6, 1.4)),
-    ], ids=["gaussian", "clayton", "gaussian-drift", "gaussian-unequal-goods"])
+    ], ids=["gaussian", "clayton", "gaussian-unequal-goods"])
     def test_three_good_joint_score_integral(self, copula, shifts, monkeypatch):
         # three axes check the broadcast order of the per-axis terms on the
         # tensor grid; goods with unequal marginals make every axis differ
@@ -511,6 +508,21 @@ class TestAgainstScalarReference:
         functional = X.revenue_functional(mdl, mech)
         expected = scalar.revenue_functional(mdl, mech, joint_order=4, corner_depth=2)
         assert abs(functional - expected) < 1e-12
+
+    @pytest.mark.parametrize("copula", [
+        {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2},
+        {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0},
+    ], ids=["gaussian-drift", "clayton-drift"])
+    def test_drifting_per_good_score_matches_joint_integral(self, copula):
+        # a drifting copula's rents come from the per-good score; the
+        # reference integrates the joint likelihood score (a difference in
+        # gamma of the joint density) over the percentile cube instead
+        mdl = M.build_model({"name": "logistic_shift", "goods": 2, "copula": copula})
+        assert not X.uses_joint_score(mdl)
+        mech = X.upfront_t1(mdl, X.solve_thresholds(mdl, np.linspace(0.0, 1.0, 3)))
+        expected = scalar.revenue_functional(mdl, mech, joint_order=10, corner_depth=4,
+                                             joint=True, rent_order=X.GAMMA_CELL_ORDER)
+        assert abs(X.revenue_functional(mdl, mech) - expected) < 2e-8
 
     def test_ic_audit_gain_matrix(self, solved):
         mdl, mech = solved

@@ -118,27 +118,29 @@ class TestJointDensity:
 
 
 class TestScore:
+    """The reference likelihood score, analytic and by a difference in gamma."""
+
     def test_type_independent_model_is_zero(self):
         mdl = M.build_model({"name": "uniform_iid", "goods": 2})
-        assert abs(float(M.score(mdl, 0.4, np.array([0.3, 0.8])))) < 1e-12
+        assert abs(float(scalar.score(mdl, 0.4, np.array([0.3, 0.8])))) < 1e-12
 
     def test_cl_interior_zero_and_fd_agrees(self):
         mdl = cl_model(2)
         theta = np.array([0.55, 0.9])
-        assert abs(float(M.score(mdl, 0.4, theta))) < 1e-12
-        assert abs(float(M.score(mdl, 0.4, theta, force_fd=True))) < 1e-8
+        assert abs(float(scalar.score(mdl, 0.4, theta))) < 1e-12
+        assert abs(float(scalar.score(mdl, 0.4, theta, force_fd=True))) < 1e-8
 
     def test_smooth_family_analytic_vs_fd(self):
         mdl = logistic_model(copula={"name": "clayton", "alpha": 2.0})
         for theta in (np.array([0.3, 1.2]), np.array([-1.0, 2.5])):
-            analytic = float(M.score(mdl, 0.5, theta))
-            fd = float(M.score(mdl, 0.5, theta, force_fd=True))
+            analytic = float(scalar.score(mdl, 0.5, theta))
+            fd = float(scalar.score(mdl, 0.5, theta, force_fd=True))
             assert abs(analytic - fd) < 1e-5
 
     def test_zero_density_raises(self):
         mdl = cl_model(1)
         with pytest.raises(DensityZeroError):
-            M.score(mdl, 0.5, np.array([0.1]))
+            scalar.score(mdl, 0.5, np.array([0.1]))
 
 
 class TestImpulseResponse:
