@@ -6,9 +6,11 @@
 A and B are checkouts of this repository (each with a ``src/``).  Each
 of ``solve``, ``audit``, ``identity``, ``oracle`` and ``sample`` runs in
 a fresh interpreter on each tree, on the benchmark's full-size README
-and logistic configs, on a one-good drifting Clayton config and on a
-two-good logistic config under a drifting Gaussian copula (``sample``
-with ``corners: true``).  The script
+and logistic configs, on a one-good drifting Clayton config, on a
+two-good logistic config under a drifting Gaussian copula, and on a
+three-good uniform config under a Gaussian copula, which puts the
+copula paths beyond two goods under comparison (``sample`` with
+``corners: true``).  The script
 lists every output file that differs or exists on one side only, and
 every differing exit code; it exits 1 if there is any.  For a differing
 CSV or JSON file it also prints the largest absolute difference between
@@ -37,9 +39,10 @@ FAMILIES = {
                 "copula": {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}},
     "driftlogi": {"name": "logistic_shift", "goods": 2,
                   "copula": {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}},
+    "gauss3": {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
 }
 # the configs run, each under its own family
-CONFIGS = ("readme", "logi", "drift1g", "driftlogi")
+CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "gauss3")
 # identity checks these on every config, then the config's own family
 IDENTITY_FAMILIES = ("readme", "logi", "drift")
 _CHILD = """

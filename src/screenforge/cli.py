@@ -52,7 +52,9 @@ def _hash_config(raw: dict, command: str, seed: int) -> str:
 
 # Size limits; the README's limits table gives the cost of a run at each.
 # audit's cost grows about quadratically in its type grid: 2,000 points
-# take about 20 s and 180 MB on the logistic family
+# take about 20 s and 180 MB on the logistic family.  The revenue
+# accountings integrate over the cells between grid points, so a grid
+# needs at least two
 MAX_GAMMA_GRID = 2000
 MAX_SAMPLE_COUNT = 1_000_000     # rows of draws.csv, over all types
 MAX_CYCLE_POINTS = 1_000_000     # audit.cycles * cycle_length
@@ -63,18 +65,22 @@ MAX_SIMULTANEOUS_ROWS = 250_000
 # rents on a joint grid of about 130**goods points: one of its arrays is
 # 2.1 GiB at 4 (a drifting copula takes the per-good score)
 MAX_JOINT_SCORE_GOODS = 3
+# each good past two nests one more conditioning level in the Gaussian
+# cdf that oracle's discretization takes at every cell corner: a 4-good,
+# 3-type, 4-cell rung discretizes in about 110 s
+MAX_GAUSSIAN_ORACLE_GOODS = 4
 # the Philox key that numerics.RngStream builds from the seed is uint64
 MAX_SEED = 2**64 - 1
 
 
-def _upto(limit: int, name: str):
-    return (f"integers from 1 to {limit} (cli.{name})",
-            lambda v: isinstance(v, int) and 1 <= v <= limit)
+def _upto(limit: int, name: str, least: int = 1):
+    return (f"integers from {least} to {limit} (cli.{name})",
+            lambda v: isinstance(v, int) and least <= v <= limit)
 
 
 _COUNT = ("positive integers", lambda v: isinstance(v, int) and v >= 1)
 _TOLERANCE = ("finite numbers >= 0", lambda v: 0 <= v < np.inf)
-_SECTION_KEYS = {"gamma_grid": _upto(MAX_GAMMA_GRID, "MAX_GAMMA_GRID"),
+_SECTION_KEYS = {"gamma_grid": _upto(MAX_GAMMA_GRID, "MAX_GAMMA_GRID", least=2),
                  "count": _upto(MAX_SAMPLE_COUNT, "MAX_SAMPLE_COUNT"),
                  "cycles": _COUNT, "cycle_length": _COUNT,
                  "points": _upto(MAX_IDENTITY_POINTS, "MAX_IDENTITY_POINTS"),
@@ -149,13 +155,15 @@ def _size_checks(command: str, section: dict, model) -> list:
                  _upto(MAX_CYCLE_POINTS, "MAX_CYCLE_POINTS"))]
     if command == "oracle":
         types = section.get("gamma_cells", _DEFAULTS["gamma_cells"])
-        rows = []
+        checks = [("family.goods of a Gaussian family", model.n,
+                   _upto(MAX_GAUSSIAN_ORACLE_GOODS, "MAX_GAUSSIAN_ORACLE_GOODS"))
+                  ] if model.copula.name == "gaussian" else []
         for entry in _ladder(section):
             cells = math.prod(entry) if isinstance(entry, list) else entry ** model.n
-            rows.append((f"oracle.theta_cells {entry!r}: simultaneous LP rows",
-                         types * cells * (cells - 1) + types * types,
-                         _upto(MAX_SIMULTANEOUS_ROWS, "MAX_SIMULTANEOUS_ROWS")))
-        return rows
+            checks.append((f"oracle.theta_cells {entry!r}: simultaneous LP rows",
+                           types * cells * (cells - 1) + types * types,
+                           _upto(MAX_SIMULTANEOUS_ROWS, "MAX_SIMULTANEOUS_ROWS")))
+        return checks
     if command == "sample":
         corners = 2 ** model.n if section.get("corners", False) else 0
         rows = len(section.get("gammas", [None])) * (section.get("count", _DEFAULTS["count"])

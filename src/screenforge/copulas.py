@@ -31,11 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidIntervalError
-from .numerics import gauss_rule, tensor_points
+from .numerics import composite_rule, tensor_points
 
 _Z_CLIP = 1e-15
-# Gauss nodes per conditioning step of the Gaussian cdf beyond two goods
-_CDF_ORDER = 48
+# the Gaussian cdf beyond two goods: Gauss nodes per panel of each
+# conditioning step, and the normal score where its integral starts
+_CDF_ORDER = 32
+_CDF_SCORE_LO = -9.0
 
 
 def _goods_axis(param):
@@ -295,17 +297,23 @@ class GaussianCopula(_Copula):
         x = ndtri(vals)
         if vals.size == 2:
             return bvn_upper(-x[0], -x[1], r)
-        # condition on the first coordinate and recurse on the
-        # equicorrelated remainder (conditional correlation r/(1+r))
-        rule = gauss_rule(_CDF_ORDER, 0.0, float(vals[0]))
-        rcond = r / (1.0 + r)
+        # condition on the first normal score s (density phi(s)) and recurse
+        # on the equicorrelated remainder (conditional correlation r/(1+r));
+        # coordinate j's conditional cdf turns from 0 to 1 around s = x_j/r
+        # over a width sqrt(1-r^2)/|r|: the panels split there and at 2 and
+        # 6 widths on either side (no split when r = 0)
+        if x[0] <= _CDF_SCORE_LO:
+            return 0.0
         scale = math.sqrt(1.0 - r * r)
-        total = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            breaks = (x[1:, None] + scale * np.array([-6.0, -2.0, 0.0, 2.0, 6.0])) / r
+        rule = composite_rule(_CDF_SCORE_LO, float(x[0]), _CDF_ORDER, breaks.ravel())
+        rcond = r / (1.0 + r)
         sub = GaussianCopula(vals.size - 1, rcond)
-        for t, wt in zip(rule.nodes, rule.weights):
-            xt = ndtri(t)
-            cond_u = ndtr((x[1:] - r * xt) / scale)
-            total += wt * sub._cdf_point(cond_u, rcond)
+        total = 0.0
+        for s, wt in zip(rule.nodes, rule.weights):
+            cond = sub._cdf_point(ndtr((x[1:] - r * s) / scale), rcond)
+            total += wt * math.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi) * cond
         return total
 
 

@@ -56,12 +56,6 @@ class LpSolution:
     value: float
 
 
-def _as_sparse(a):
-    if sp.issparse(a):
-        return a.tocsr()
-    return sp.csr_matrix(np.atleast_2d(np.asarray(a, dtype=float)))
-
-
 def lp_solve(c, a_ub=None, b_ub=None, bounds=None) -> LpSolution:
     """Solve max c.x subject to A_ub x <= b_ub once, on a fresh
     :class:`LpModel` (bounds and errors as there)."""
@@ -81,7 +75,7 @@ def _bound_arrays(bounds, n: int):
 
 def _row_block(a, b, n: int, what: str):
     """(CSR rows, right-hand side) of one row block; None is no rows."""
-    a = _as_sparse(a) if a is not None else sp.csr_matrix((0, n))
+    a = sp.csr_matrix(a, dtype=float) if a is not None else sp.csr_matrix((0, n))
     b = np.asarray(b if b is not None else [], dtype=float)
     if a.shape != (len(b), n):
         raise ValueError(f"{what} does not match c")

@@ -86,9 +86,10 @@ class ThresholdMechanism:
     def n_goods(self) -> int:
         return self.strikes.shape[1]
 
-    def menu_index(self, gamma: float) -> int:
-        i = int(np.searchsorted(self.gamma_grid, gamma, side="right")) - 1
-        return min(max(i, 0), len(self.gamma_grid) - 1)
+    def menu_index(self, gamma):
+        """Entry of each type in ``gamma``: the last grid point at or below it."""
+        i = np.searchsorted(self.gamma_grid, gamma, side="right") - 1
+        return np.clip(i, 0, len(self.gamma_grid) - 1)
 
     def strikes_at(self, gamma: float) -> np.ndarray:
         return self.strikes[self.menu_index(gamma)]
@@ -126,12 +127,14 @@ def virtual_value(model: JointModel, j: int, gamma, theta_j):
     """Pointwise marginal revenue of good j: theta plus the rent distortion.
 
     Equals theta at the top type (zero hazard) and for type-independent
-    marginals (zero impulse).  An array ``gamma`` broadcasts against
-    ``theta_j``.
+    marginals (zero impulse).  ``gamma`` broadcasts against ``theta_j``;
+    an array ``j`` gives one good per row, with one type per row.
     """
     h = hazard(model.prior, gamma)
     t = np.asarray(theta_j, dtype=float)
-    return t + np.asarray(model.marginals[j].impulse(t, gamma), dtype=float) * h
+    imp = (model.marginals[j].impulse(t, gamma) if np.ndim(j) == 0
+           else _by_marginal(model, j, "impulse", t, gamma))
+    return t + np.asarray(imp, dtype=float) * h
 
 
 def _marginal_groups(model: JointModel) -> list:
@@ -450,7 +453,7 @@ def ic_audit(model: JointModel, mech: ThresholdMechanism, gamma_grid=None) -> Au
     if mech.upfront is None:
         raise InvalidIntervalError("fill upfront fees before auditing")
     grid = mech.gamma_grid if gamma_grid is None else np.asarray(gamma_grid, dtype=float)
-    menus = np.array([mech.menu_index(g) for g in grid])
+    menus = mech.menu_index(grid)
     m_count = len(grid)
     # one (types x menus x goods x nodes) tensor, built a block of types at a time
     step = max(1, _CHUNK_POINTS // (m_count * model.n * MARGINAL_ORDER))
@@ -492,40 +495,36 @@ def regularity_report(model: JointModel, gamma_grid=None) -> RegularityReport:
     if gamma_grid is None:
         gamma_grid = np.linspace(model.prior.lo, model.prior.hi, 21)
     gamma_grid = np.asarray(gamma_grid, dtype=float)
-    worst_fg = -np.inf
-    worst_mono = np.inf
-    crossings = []
+    shape = (model.n, len(gamma_grid), _REGULARITY_POINTS)
+    thetas = np.linspace(*np.array(model.box).T, _REGULARITY_POINTS, axis=-1)
+    # one row per (good, type), each on its good's theta points
+    goods, types = np.divmod(np.arange(shape[0] * shape[1]), shape[1])
+    x, gam = thetas[goods], gamma_grid[types, None]
+    fg = _by_marginal(model, goods, "dcdf_dgamma", x, gam).reshape(shape)
+    phi = virtual_value(model, goods, gam, x).reshape(shape)
+
+    def at(j, i, k):
+        return {"good": int(j), "gamma": float(gamma_grid[i]), "theta": float(thetas[j, k])}
+
+    # every location is the first one found in (good, type, theta) order
     locations = {}
-    for j, m in enumerate(model.marginals):
-        lo, hi = m.support
-        thetas = np.linspace(lo, hi, _REGULARITY_POINTS)
-        fg = np.asarray(m.dcdf_dgamma(thetas, gamma_grid[:, None]), dtype=float)
-        phi = np.asarray(virtual_value(model, j, gamma_grid[:, None], thetas), dtype=float)
-        for name, values in (("f_gamma", fg), ("virtual_value", phi)):
-            bad = ~np.isfinite(values)
-            if bad.any() and f"non_finite_{name}" not in locations:
-                i, k = np.unravel_index(np.argmax(bad), bad.shape)
-                locations[f"non_finite_{name}"] = {"good": j, "gamma": float(gamma_grid[i]),
-                                                   "theta": float(thetas[k])}
-        fg = np.where(np.isfinite(fg), fg, -np.inf)
-        i, k = np.unravel_index(np.argmax(fg), fg.shape)
-        if fg[i, k] > worst_fg:
-            worst_fg = float(fg[i, k])
-            locations["f_gamma"] = {"good": j, "gamma": float(gamma_grid[i]),
-                                    "theta": float(thetas[k])}
-        _, back = _sign_scan(phi)
-        for i in np.flatnonzero(back >= 0):
-            crossings.append({"good": j, "gamma": float(gamma_grid[i]),
-                              "theta": float(thetas[back[i]]), "value": float(phi[i, back[i]])})
-        if len(gamma_grid) > 1:
-            rise = phi[1:] - phi[:-1]
-            rise = np.where(np.isfinite(rise), rise, np.inf)
-            i, k = np.unravel_index(np.argmin(rise), rise.shape)
-            if rise[i, k] < worst_mono:
-                worst_mono = float(rise[i, k])
-                locations["gamma_monotonicity"] = {
-                    "good": j, "gamma": float(gamma_grid[i + 1]), "theta": float(thetas[k])
-                }
+    for name, values in (("f_gamma", fg), ("virtual_value", phi)):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            locations[f"non_finite_{name}"] = at(*np.unravel_index(np.argmax(bad), bad.shape))
+    fg = np.where(np.isfinite(fg), fg, -np.inf)
+    worst_fg = float(np.max(fg))
+    if np.isfinite(worst_fg):
+        locations["f_gamma"] = at(*np.unravel_index(np.argmax(fg), fg.shape))
+    _, back = _sign_scan(phi)
+    crossings = [{**at(j, i, back[j, i]), "value": float(phi[j, i, back[j, i]])}
+                 for j, i in zip(*np.nonzero(back >= 0))]
+    rise = np.diff(phi, axis=1)
+    rise = np.where(np.isfinite(rise), rise, np.inf)
+    worst_mono = float(np.min(rise, initial=np.inf))
+    if np.isfinite(worst_mono):
+        j, i, k = np.unravel_index(np.argmin(rise), rise.shape)
+        locations["gamma_monotonicity"] = at(j, i + 1, k)
     tol = 1e-9
     ok = (worst_fg <= tol and worst_mono >= -tol and not crossings
           and not any(key.startswith("non_finite") for key in locations))

@@ -273,7 +273,6 @@ class JointModel:
     prior: GammaPrior
     marginals: tuple
     copula: object
-    invariant_flag: bool
     label: str = ""
     config: dict = field(default_factory=dict)
 
@@ -285,6 +284,10 @@ class JointModel:
     @property
     def n(self) -> int:
         return len(self.marginals)
+
+    @property
+    def invariant_flag(self) -> bool:
+        return bool(self.copula.is_gamma_invariant)
 
     @property
     def box(self):
@@ -331,17 +334,15 @@ def sample_theta(model: JointModel, gamma, z) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def invariance_residual(model: JointModel, grid, gamma_pair) -> float:
-    """Max copula-density discrepancy between two types over a percentile grid.
+def invariance_residual(model: JointModel, grid: int, gamma_pair) -> float:
+    """Max copula-density discrepancy between two types over the tensor
+    grid of ``grid`` percentiles per good, evenly spaced on [0.1, 0.9].
 
     Zero (up to roundoff) exactly when the dependency structure does not
     drift between the two types on the grid.
     """
     g1, g2 = gamma_pair
-    if np.isscalar(grid):
-        pts = tensor_points([np.linspace(0.1, 0.9, int(grid))] * model.n)
-    else:
-        pts = np.asarray(grid, dtype=float)
+    pts = tensor_points([np.linspace(0.1, 0.9, grid)] * model.n)
     c1 = np.asarray(model.copula.density(pts, g1), dtype=float)
     c2 = np.asarray(model.copula.density(pts, g2), dtype=float)
     return float(np.max(np.abs(c1 - c2)))
@@ -467,7 +468,6 @@ def build_model(config: dict) -> JointModel:
         prior=prior,
         marginals=(marg,) * goods,
         copula=copula,
-        invariant_flag=bool(copula.is_gamma_invariant),
         label=f"{name}/{goods}g/{cop_name}",
         config={"name": name, "goods": goods, "copula": {"name": cop_name, **cop_cfg},
                 **{k: v for k, v in config.items() if k not in ("name", "goods", "copula")}},

@@ -32,10 +32,6 @@ class QuadratureRule:
         if self.nodes.shape != self.weights.shape:
             raise InvalidIntervalError("nodes and weights must have the same length")
 
-    def integrate(self, f) -> float:
-        """Apply the rule to a vectorized callable."""
-        return float(np.dot(self.weights, np.asarray(f(self.nodes), dtype=float)))
-
 
 @lru_cache(maxsize=64)
 def _leggauss(order: int):
@@ -103,16 +99,14 @@ def bisect_root(g, lo, hi, tol: float = DEFAULT_ROOT_TOL):
     :class:`BracketError` when both endpoints have the same strict sign.
     Stops when g is exactly zero or the bracket width falls below tol.
 
-    Array ``lo``/``hi`` bisect many brackets at once: ``g`` then maps an
-    array of points (one per bracket) to their values, and each bracket
-    follows exactly the steps it would take alone.
+    ``lo``/``hi`` broadcast to an array of brackets, bisected at once:
+    ``g`` maps an array of points (one per bracket) to their values, and
+    each bracket follows exactly the steps it would take alone.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    ev = (lambda t: g(float(t))) if scalar else g
     a, b = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi))
     if not np.all(a < b):
         raise InvalidIntervalError(f"need lo < hi, got [{lo}, {hi}]")
-    ga, gb = (np.asarray(ev(v), dtype=float) for v in (a, b))
+    ga, gb = (np.asarray(g(v), dtype=float) for v in (a, b))
     done = (ga == 0.0) | (gb == 0.0)
     root = np.where(ga == 0.0, a, b)
     if np.any(~done & (ga * gb > 0.0)):
@@ -122,7 +116,7 @@ def bisect_root(g, lo, hi, tol: float = DEFAULT_ROOT_TOL):
     live = ~done & (b - a > tol)
     while np.any(live):
         m = 0.5 * (a + b)
-        gm = np.asarray(ev(m), dtype=float)
+        gm = np.asarray(g(m), dtype=float)
         hit = live & (gm == 0.0)
         root, done = np.where(hit, m, root), done | hit
         left = live & ~hit & (ga * gm < 0.0)
@@ -130,8 +124,7 @@ def bisect_root(g, lo, hi, tol: float = DEFAULT_ROOT_TOL):
         b = np.where(left, m, b)
         a, ga = np.where(right, m, a), np.where(right, gm, ga)
         live = ~done & (b - a > tol)
-    root = np.where(done, root, 0.5 * (a + b))
-    return float(root) if scalar else root
+    return np.where(done, root, 0.5 * (a + b))
 
 
 @dataclass(frozen=True)

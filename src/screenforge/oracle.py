@@ -608,21 +608,16 @@ def build_relaxed_tables(instance: DiscreteInstance) -> RelaxedTables:
         cond = np.divide(cond, total, out=np.full(cond.shape, 1.0 / d), where=total > 0.0)
         cums = np.cumsum(np.concatenate([np.zeros_like(total), cond], axis=-1), axis=-1)
         cums[..., -1] = 1.0
-        # cut each z cell at every type's breakpoints, merging those
-        # closer than _BREAK_TOL
-        new_masses, new_cells = [], []
-        for z in range(len(masses)):
-            keep = [0.0]
-            for b in np.unique(cums[z])[1:]:
-                if b - keep[-1] > _BREAK_TOL:
-                    keep.append(float(b))
-            keep[-1] = 1.0
-            keep = np.array(keep)
-            mid = 0.5 * (keep[:-1] + keep[1:])
-            idx = [np.searchsorted(cums[z, m], mid, side="right") - 1 for m in range(m_count)]
-            new_masses.append(masses[z] * np.diff(keep))
-            new_cells.append(cell_of[z] * d + np.stack(idx, axis=1))
-        masses, cell_of = np.concatenate(new_masses), np.concatenate(new_cells)
+        # cut each z cell where a type's breakpoint lies more than
+        # _BREAK_TOL past the one before it; each cell's last cut is 1
+        ends = np.sort(cums.reshape(len(masses), -1), axis=-1)
+        z, k = np.nonzero(np.diff(ends, axis=-1) > _BREAK_TOL)
+        first = np.insert(z[1:] != z[:-1], 0, True)
+        hi = np.where(np.append(first[1:], True), 1.0, ends[z, k + 1])
+        lo = np.where(first, 0.0, np.roll(hi, 1))
+        # a type's valuation cell: its interior breakpoints at or below the midpoint
+        idx = np.sum(cums[z, :, 1:-1] <= 0.5 * (lo + hi)[:, None, None], axis=-1)
+        masses, cell_of = masses[z] * (hi - lo), cell_of[z] * d + idx
     values = instance.cell_values[cell_of]  # (Z, M, n)
 
     # the pushforward must reproduce each type's pmf
@@ -743,14 +738,8 @@ def _evaluate_relaxed(instance: DiscreteInstance, mech: DiscreteMechanism, reven
     qhat = np.asarray(mech.aux["qhat"], dtype=float)
     masses = np.asarray(mech.aux["masses"], dtype=float)
     cell_of = np.asarray(mech.aux["cell_of"], dtype=int)
-    reps = instance.cell_values
-    m_count = instance.n_types
     # value[m, m_rep] = E_z[qhat(m_rep, z) . v(m, z)] - that(m_rep)
-    value = np.empty((m_count, m_count))
-    for m in range(m_count):
-        v_m = reps[cell_of[:, m]]  # (Z, n)
-        for m_rep in range(m_count):
-            value[m, m_rep] = float(np.dot(masses, np.sum(qhat[m_rep] * v_m, axis=1))) - mech.t1[m_rep]
+    value = np.einsum("z,rzn,zmn->mr", masses, qhat, instance.cell_values[cell_of]) - mech.t1
     truthful = np.diag(value)
     ic1 = float(np.max(value - truthful[:, None]))
     ir = float(np.maximum(-truthful, 0.0).max())

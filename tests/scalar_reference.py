@@ -429,6 +429,17 @@ def relaxed_cell_allocation(inst, masses, cell_of, qhat):
     return q
 
 
+def relaxed_values(inst, masses, cell_of, qhat, t1):
+    """value[m, r]: type m's expected payoff from menu r in shock space,
+    E_z[qhat(r, z) . v(m, z)] - t1(r), one type pair at a time."""
+    value = np.empty((inst.n_types, inst.n_types))
+    for m in range(inst.n_types):
+        v_m = inst.cell_values[cell_of[:, m]]  # (Z, n)
+        for r in range(inst.n_types):
+            value[m, r] = float(np.dot(masses, np.sum(qhat[r] * v_m, axis=1))) - t1[r]
+    return value
+
+
 # --- exhaustive oracle with one row per joint misreport map ---------------
 
 def cyclically_monotone(theta, alloc):

@@ -164,12 +164,14 @@ class TestSolveCommand:
         ("sample", {"sample": {"count": 10, "corners": "false"}}),
         ("sample", {"sample": {"count": 10, "corners": 1}}),
         ("sample", {"sample": {"count": 10, "corners": None}}),
+        ("solve", {"solve": {"gamma_grid": 1}}),
+        ("audit", {"audit": {"gamma_grid": 1}}),
     ], ids=["section-int", "section-list", "family-int", "goods-str", "goods-float",
             "copula-int", "name-int", "copula-name-int", "copula-param-str", "width-str",
             "width-zero", "width-negative", "width-wide", "scale-negative", "seed-str", "seed-float",
             "shift-nan", "loc-inf", "scale-nan", "oracle-shift-nan", "alpha-inf", "alpha-slope-nan",
             "box-inf", "box-str", "seed-over-uint64", "seed-flag-over-uint64", "corners-str",
-            "corners-int", "corners-null"])
+            "corners-int", "corners-null", "solve-grid-one", "audit-grid-one"])
     def test_malformed_config_exits_2(self, tmp_path, command, overrides, capsys):
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "out"
@@ -180,7 +182,7 @@ class TestSolveCommand:
     @pytest.mark.parametrize("command,overrides,message", [
         ("solve", {"family": {"name": "cl_uniform", "goods": 1099511627776}}, "from 1 to 6"),
         ("solve", {"solve": {"gamma_grid": 10 ** 12}},
-         "solve.gamma_grid must hold integers from 1 to 2000 (cli.MAX_GAMMA_GRID)"),
+         "solve.gamma_grid must hold integers from 2 to 2000 (cli.MAX_GAMMA_GRID)"),
         ("sample", {"sample": {"count": climod.MAX_SAMPLE_COUNT + 1}},
          "sample.count must hold integers from 1 to 1000000 (cli.MAX_SAMPLE_COUNT)"),
         # cycle_length takes its default of 5
@@ -204,8 +206,13 @@ class TestSolveCommand:
                                "corners": True}},
          "len(sample.gammas) * (sample.count + corner rows) must hold integers from 1 to "
          "1000000 (cli.MAX_SAMPLE_COUNT), got 1000002"),
+        ("oracle", {"family": {"name": "cl_uniform", "goods": 5,
+                               "copula": {"name": "gaussian", "rho": 0.5}},
+                    "oracle": {"gamma_cells": 3, "theta_cells": [2]}},
+         "family.goods of a Gaussian family must hold integers from 1 to 4 "
+         "(cli.MAX_GAUSSIAN_ORACLE_GOODS), got 5"),
     ], ids=["goods", "gamma-grid", "sample-count", "cycle-points", "identity-points",
-            "simultaneous-rows", "joint-score-goods", "sample-rows"])
+            "simultaneous-rows", "joint-score-goods", "sample-rows", "gaussian-oracle-goods"])
     def test_size_over_a_guard_exits_2(self, tmp_path, command, overrides, message, capsys):
         # each used to end in a MemoryError traceback or a run of hours;
         # load_config rejects them before anything is allocated
@@ -241,9 +248,13 @@ class TestSolveCommand:
         ("sample", {"sample": {"count": climod.MAX_SAMPLE_COUNT // 2 - 2, "gammas": [0.3, 0.7],
                                "corners": True}}),
         ("sample", {"sample": {"count": climod.MAX_SAMPLE_COUNT // 4, "gammas": [0.1] * 4}}),
+        # the largest rung the row limit admits at 4 goods: 195,849 rows
+        ("oracle", {"family": {"name": "logistic_shift", "goods": climod.MAX_GAUSSIAN_ORACLE_GOODS,
+                               "copula": {"name": "gaussian", "rho": 0.5}},
+                    "oracle": {"gamma_cells": 3, "theta_cells": [4]}}),
     ], ids=["sample-count", "cycles", "cycle-length", "identity-points", "joint-12",
             "joint-score-3-goods", "independent-6-goods", "sample-rows-corners",
-            "sample-rows"])
+            "sample-rows", "gaussian-oracle-goods"])
     def test_size_guards_admit_their_limits_without_running(self, tmp_path, command, overrides):
         climod.load_config(write_config(tmp_path, **overrides), command)
 
@@ -582,6 +593,18 @@ class TestOracleCommand:
         assert run("oracle", "--config", cfg, "--out", str(out), "--quiet") == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_three_good_gaussian_ladder_sells_separately(self, tmp_path):
+        # the paper's theorem at three goods: the Gaussian cdf used to be
+        # 1.6e-5 off beyond two goods and left a negative cell mass (exit 4)
+        family = {"name": "logistic_shift", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}}
+        cfg = write_config(tmp_path, family=family,
+                           oracle={"gamma_cells": 3, "theta_cells": [2, 3, 4]})
+        assert run("oracle", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
+        rows = json.loads((tmp_path / "out" / "oracle.json").read_text())["refinements"]
+        assert [r["theta_cells"] for r in rows] == [2, 3, 4]
+        for r in rows:
+            assert abs(r["gap_separate"]) <= 1e-9
 
     def test_single_type_all_efficient(self, tmp_path):
         cfg = write_config(

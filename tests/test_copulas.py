@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal
 
 import scalar_reference as scalar
@@ -133,6 +134,41 @@ class TestGaussianAgainstReferences:
         np.fill_diagonal(cov, 1.0)
         ref = multivariate_normal(mean=np.zeros(3), cov=cov).cdf(ndtri(u))
         assert abs(float(cop.cdf(u, 0.0)) - ref) < 5e-6
+
+    @staticmethod
+    def one_factor_cdf(u, rho):
+        """P(X <= ndtri(u)) for X_j = sqrt(rho) T + sqrt(1 - rho) E_j with T
+        and E standard normal: one integral over T, rho >= 0 only."""
+        x = ndtri(np.asarray(u, dtype=float))
+        a, b = math.sqrt(rho), math.sqrt(1.0 - rho)
+
+        def integrand(t):
+            dens = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+            return dens * float(np.prod(ndtr((x - a * t) / b)))
+
+        return quad(integrand, -12.0, 12.0, epsabs=1e-14, epsrel=1e-13, limit=500,
+                    points=[float(v) for v in x / a])[0]
+
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.9, 0.99])
+    def test_cdf_dim3_against_the_one_factor_integral(self, rho):
+        # conditioning in percentile space was up to 1.6e-5 off (rho 0.5)
+        cop = GaussianCopula(3, rho=rho)
+        pts = tensor_points([[0.01, 0.3, 0.7, 0.99]] * 3)
+        got = cop.cdf(pts, 0.0)
+        for u, value in zip(pts, got):
+            assert abs(value - self.one_factor_cdf(u, rho)) < 1e-12, u
+
+    @pytest.mark.parametrize("rho", [0.5, 0.99])
+    def test_cdf_dim4_against_the_one_factor_integral(self, rho):
+        cop = GaussianCopula(4, rho=rho)
+        for u in ([0.3, 0.6, 0.8, 0.9], [0.5, 0.5, 0.5, 0.5]):
+            assert abs(float(cop.cdf(np.array(u), 0.0)) - self.one_factor_cdf(u, rho)) < 1e-12, u
+
+    @pytest.mark.parametrize("rho", [-0.3, -0.4, -0.48])
+    def test_cdf_dim3_negative_rho_median_orthant(self, rho):
+        # P(X1, X2, X3 <= 0) = 1/8 + 3 asin(rho) / (4 pi) for equicorrelation rho
+        want = 0.125 + 3.0 * math.asin(rho) / (4.0 * math.pi)
+        assert abs(float(GaussianCopula(3, rho=rho).cdf(np.full(3, 0.5), 0.0)) - want) < 1e-14
 
 
 class TestParameterPaths:

@@ -237,7 +237,7 @@ class TestInvarianceResidual:
 
     def test_drifting_gaussian_detected(self):
         mdl = cl_model(2, {"name": "gaussian", "rho": 0.2, "rho_slope": 0.6})
-        res = M.invariance_residual(mdl, np.array([[0.3, 0.3]]), (0.0, 1.0))
+        res = M.invariance_residual(mdl, 9, (0.0, 1.0))
         assert res > 0.05
 
     def test_flagged_families_have_tiny_residuals(self):
@@ -397,4 +397,4 @@ class TestRegistry:
     def test_copula_dimension_must_match_the_goods(self, goods, copula):
         mdl = cl_model(goods)
         with pytest.raises(ConfigError):
-            M.JointModel(mdl.prior, mdl.marginals, copula, True)
+            M.JointModel(mdl.prior, mdl.marginals, copula)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +172,19 @@ class TestRelaxedTables:
             mech = O.solve_relaxed(inst).mechanism
             np.testing.assert_array_equal(mech.q, scalar.relaxed_cell_allocation(
                 inst, mech.aux["masses"], mech.aux["cell_of"], mech.aux["qhat"]))
+
+    def test_shock_space_audit_matches_the_loop_reference(self):
+        # the audit sums over shock cells in another order than the loop,
+        # so the two agree to round-off; shifted fees give real violations
+        for inst in self.reference_instances():
+            mech = O.solve_relaxed(inst).mechanism
+            mech = replace(mech, t1=mech.t1 + np.array([0.1, -0.05, 0.2])[:inst.n_types])
+            value = scalar.relaxed_values(inst, mech.aux["masses"], mech.aux["cell_of"],
+                                          mech.aux["qhat"], mech.t1)
+            truthful = np.diag(value)
+            ev = O.evaluate_mechanism(inst, mech)
+            assert abs(ev.ic1_violation - np.max(value - truthful[:, None])) <= 1e-12
+            assert abs(ev.ir_violation - np.max(np.maximum(-truthful, 0.0))) <= 1e-12
 
 
 class TestSimultaneous:
