@@ -7,9 +7,10 @@ A and B are checkouts of this repository (each with a ``src/``).  Each
 of ``solve``, ``audit``, ``identity``, ``oracle`` and ``sample`` runs in
 a fresh interpreter on each tree, on the benchmark's full-size README
 and logistic configs, on a one-good drifting Clayton config, on a
-two-good logistic config under a drifting Gaussian copula, and on a
-three-good uniform config under a Gaussian copula, which puts the
-copula paths beyond two goods under comparison (``sample`` with
+two-good logistic config under a drifting Gaussian copula, on a
+three-good uniform config under a Gaussian copula, and on a three-good
+logistic config whose Gaussian rho drifts from -0.3 to 0.2; the last two
+put the copula paths beyond two goods under comparison (``sample`` with
 ``corners: true``).  The script
 lists every output file that differs or exists on one side only, and
 every differing exit code; it exits 1 if there is any.  For a differing
@@ -40,9 +41,12 @@ FAMILIES = {
     "driftlogi": {"name": "logistic_shift", "goods": 2,
                   "copula": {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}},
     "gauss3": {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
+    # the per-type rho crosses 0, so both loadings of the Gaussian cdf run
+    "drift3": {"name": "logistic_shift", "goods": 3,
+               "copula": {"name": "gaussian", "rho": -0.3, "rho_slope": 0.5}},
 }
 # the configs run, each under its own family
-CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "gauss3")
+CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "gauss3", "drift3")
 # identity checks these on every config, then the config's own family
 IDENTITY_FAMILIES = ("readme", "logi", "drift")
 _CHILD = """

@@ -65,10 +65,6 @@ MAX_SIMULTANEOUS_ROWS = 250_000
 # rents on a joint grid of about 130**goods points: one of its arrays is
 # 2.1 GiB at 4 (a drifting copula takes the per-good score)
 MAX_JOINT_SCORE_GOODS = 3
-# each good past two nests one more conditioning level in the Gaussian
-# cdf that oracle's discretization takes at every cell corner: a 4-good,
-# 3-type, 4-cell rung discretizes in about 110 s
-MAX_GAUSSIAN_ORACLE_GOODS = 4
 # the Philox key that numerics.RngStream builds from the seed is uint64
 MAX_SEED = 2**64 - 1
 
@@ -155,9 +151,7 @@ def _size_checks(command: str, section: dict, model) -> list:
                  _upto(MAX_CYCLE_POINTS, "MAX_CYCLE_POINTS"))]
     if command == "oracle":
         types = section.get("gamma_cells", _DEFAULTS["gamma_cells"])
-        checks = [("family.goods of a Gaussian family", model.n,
-                   _upto(MAX_GAUSSIAN_ORACLE_GOODS, "MAX_GAUSSIAN_ORACLE_GOODS"))
-                  ] if model.copula.name == "gaussian" else []
+        checks = []
         for entry in _ladder(section):
             cells = math.prod(entry) if isinstance(entry, list) else entry ** model.n
             checks.append((f"oracle.theta_cells {entry!r}: simultaneous LP rows",

@@ -48,6 +48,8 @@ _OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
     "small_matrix_value": 1e-12,
 }
+_VERDICTS = (_highs.HighsModelStatus.kOptimal, _highs.HighsModelStatus.kInfeasible,
+             _highs.HighsModelStatus.kUnbounded)
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ class LpModel:
     (default x >= 0, None is unbounded).  A solve raises
     :class:`LpInfeasibleError` or :class:`LpUnboundedError` on those
     verdicts and :class:`LpSolverError` when HiGHS stops without either.
+    A run that HiGHS rejects or that stops without a verdict is retried
+    once, from scratch, by the primal simplex, which the model then keeps.
     A solve that ends without an optimum clears the solver before it
     raises, so the next solve starts from scratch rather than from a
     stale basis.
@@ -160,14 +164,17 @@ class LpModel:
 
     def solve(self) -> LpSolution:
         """Re-optimize from the last basis."""
-        self._check(self._highs.run(), "run")
+        rejected = self._highs.run() == _highs.HighsStatus.kError
+        if rejected or self._highs.getModelStatus() not in _VERDICTS:
+            # at HiGHS's numerical edge the dual simplex can fail where the primal does not
+            self._highs.clearSolver()
+            self._check(self._highs.setOptionValue("simplex_strategy", 4), "option simplex_strategy")
+            self._check(self._highs.run(), "run")
         status = self._highs.getModelStatus()
         if status == _highs.HighsModelStatus.kOptimal:
             x = np.array(self._highs.getSolution().col_value, dtype=float)
             return LpSolution(x=x, value=float(np.dot(self._c, x)))
         message = self._highs.modelStatusToString(status)
-        # a warm start from the basis HiGHS leaves behind can end in status
-        # "Unknown" on a feasible model; the next solve starts cold instead
         self._highs.clearSolver()
         if status == _highs.HighsModelStatus.kInfeasible:
             raise LpInfeasibleError(message)

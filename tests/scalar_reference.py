@@ -8,6 +8,8 @@ sequential LP, solved by cutting planes the way the oracle did before
 its adapted constraints were written out.  The relaxed regime's shock
 rectangulation is built by recursion over the goods and its per-cell
 report by one loop per type and good, as before both were batched.  The
+Gaussian cdf beyond two goods recurses by conditioning, one point and
+one node at a time, as before it took the one-factor integral.  The
 exhaustive oracle tests one allocation table at a time and writes one
 transfer-LP row per joint misreport map, as before it used per-cell
 epigraph rows.  The joint likelihood score, analytic for an invariant
@@ -25,7 +27,7 @@ from scipy.special import ndtr, ndtri
 
 from screenforge import mech as X
 from screenforge import oracle as O
-from screenforge.copulas import IndependenceCopula
+from screenforge.copulas import IndependenceCopula, bvn_upper
 from screenforge.errors import ConvergenceError, DensityZeroError, LpUnboundedError
 from screenforge.lp import LpModel
 from screenforge.model import divergence_residual, hazard, joint_density, sample_theta
@@ -289,6 +291,36 @@ def gaussian_chain(z, r, n):
     np.fill_diagonal(corr, 1.0)
     x = ndtri(np.clip(z, Z_CLIP, 1.0 - Z_CLIP)) @ np.linalg.cholesky(corr).T
     return np.where((z <= 0.0) | (z >= 1.0), np.clip(z, 0.0, 1.0), ndtr(x))
+
+
+def gaussian_cdf(u, r):
+    """Equicorrelated Gaussian copula cdf at one point u for r != 0, by
+    conditioning on one normal score per good past two, down to the
+    bivariate ``bvn_upper``.
+
+    Conditioning on the first score s (density phi(s), s from -9 up)
+    leaves the other goods equicorrelated with r / (1 + r); coordinate j's
+    conditional cdf turns from 0 to 1 around s = x_j / r over a width
+    sqrt(1 - r^2) / |r|, and 32-node panels split there and at 2 and 6
+    widths on either side.
+    """
+    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    if np.any(u <= 0.0):
+        return 0.0
+    vals = u[u < 1.0]
+    if vals.size <= 1:
+        return float(np.prod(vals))
+    x = ndtri(vals)
+    if vals.size == 2:
+        return bvn_upper(-x[0], -x[1], r)
+    if x[0] <= -9.0:
+        return 0.0
+    scale = math.sqrt(1.0 - r * r)
+    breaks = (x[1:, None] + scale * np.array([-6.0, -2.0, 0.0, 2.0, 6.0])) / r
+    rule = composite_rule(-9.0, float(x[0]), 32, breaks.ravel())
+    cond = [gaussian_cdf(ndtr((x[1:] - r * s) / scale), r / (1.0 + r)) for s in rule.nodes]
+    return float(rule.weights @ (np.exp(-0.5 * rule.nodes ** 2) / math.sqrt(2.0 * math.pi)
+                                 * np.array(cond)))
 
 
 # --- report writer, one value at a time ------------------------------------

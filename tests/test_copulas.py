@@ -164,11 +164,41 @@ class TestGaussianAgainstReferences:
         for u in ([0.3, 0.6, 0.8, 0.9], [0.5, 0.5, 0.5, 0.5]):
             assert abs(float(cop.cdf(np.array(u), 0.0)) - self.one_factor_cdf(u, rho)) < 1e-12, u
 
-    @pytest.mark.parametrize("rho", [-0.3, -0.4, -0.48])
+    @pytest.mark.parametrize("dim,rho", [(3, 0.9999), (5, 0.5), (5, 0.95), (6, 0.5), (6, 0.95)])
+    def test_cdf_against_the_one_factor_integral_up_to_six_goods(self, dim, rho):
+        # 6-wide panels: 8-wide ones were 1.1e-13 off at the 6-good median, rho 0.5
+        rng = np.random.default_rng(dim)
+        pts = np.vstack([np.full(dim, 0.5), np.full(dim, 0.97), np.full(dim, 0.03),
+                         rng.uniform(0.01, 0.99, size=(5, dim))])
+        for u, value in zip(pts, GaussianCopula(dim, rho=rho).cdf(pts, 0.0)):
+            assert abs(value - self.one_factor_cdf(u, rho)) < 1e-13, u
+
+    @pytest.mark.parametrize("rho", [-0.3, -0.4, -0.48, -0.499, -0.4999])
     def test_cdf_dim3_negative_rho_median_orthant(self, rho):
         # P(X1, X2, X3 <= 0) = 1/8 + 3 asin(rho) / (4 pi) for equicorrelation rho
         want = 0.125 + 3.0 * math.asin(rho) / (4.0 * math.pi)
         assert abs(float(GaussianCopula(3, rho=rho).cdf(np.full(3, 0.5), 0.0)) - want) < 1e-14
+
+    @pytest.mark.parametrize("dim,rho,pts", [
+        (3, -0.3, [[0.3, 0.6, 0.8], [0.05, 0.95, 0.5], [0.2, 1.0, 0.4]]),
+        (3, -0.45, [[0.3, 0.6, 0.8], [0.9, 0.9, 0.99]]),
+        (4, -0.3, [[0.3, 0.6, 0.8, 0.9], [0.1, 0.5, 1.0, 0.7]]),
+    ])
+    def test_cdf_negative_rho_against_the_conditioning_recursion(self, dim, rho, pts):
+        got = GaussianCopula(dim, rho=rho).cdf(np.array(pts), 0.0)
+        for u, value in zip(pts, got):
+            assert abs(value - scalar.gaussian_cdf(u, rho)) < 1e-13, u
+
+    @pytest.mark.parametrize("dim,rho", [(3, 0.5), (3, -0.4999), (4, 0.99), (6, -0.15), (6, 0.5)])
+    def test_cdf_edge_rows_are_exact(self, dim, rho):
+        # all ones, a zero coordinate, and one coordinate below 1: the
+        # one-factor integral would leave round-off (and NaN at infinite scores)
+        rows = np.ones((4, dim))
+        rows[1, 0] = rows[1, 1] = 0.4
+        rows[1, -1] = 0.0
+        rows[2, 1] = 0.37
+        rows[3, -1] = 1e-300
+        assert GaussianCopula(dim, rho=rho).cdf(rows, 0.0).tolist() == [1.0, 0.0, 0.37, 1e-300]
 
 
 class TestParameterPaths:

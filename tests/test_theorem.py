@@ -14,6 +14,7 @@ from screenforge import model as M
 from screenforge import oracle as O
 
 CLAYTON = {"name": "clayton", "alpha": 2.0}
+GAUSSIAN = {"name": "gaussian", "rho": 0.5}
 
 INVARIANT = [
     ({"name": "cl_uniform", "goods": 2}, 3, [3, 3]),
@@ -25,6 +26,9 @@ INVARIANT = [
     ({"name": "logistic_shift", "goods": 2, "copula": CLAYTON}, 3, [3, 3]),
     ({"name": "logistic_shift", "goods": 2, "copula": CLAYTON}, 4, [4, 4]),
     ({"name": "logistic_shift", "goods": 3, "copula": CLAYTON}, 2, [3, 3, 3]),
+    ({"name": "logistic_shift", "goods": 4, "copula": GAUSSIAN}, 3, [3] * 4),
+    ({"name": "logistic_shift", "goods": 4, "copula": {"name": "gaussian", "rho": -0.3}}, 3, [3] * 4),
+    ({"name": "logistic_shift", "goods": 6, "copula": GAUSSIAN}, 3, [2] * 6),
 ]
 
 DRIFTING = {"name": "logistic_shift", "goods": 2,
@@ -37,9 +41,11 @@ def _gap(family, gamma_cells, theta_cells):
 
 
 def _label(family, gamma_cells, theta_cells):
-    copula = family.get("copula", {"name": "independence"})["name"]
+    copula = family.get("copula", {"name": "independence"})
+    # a negative rho is named: two 4-good Gaussian rows differ in nothing else
+    name = copula["name"] + (f"_rho{copula['rho']}" if copula.get("rho", 0.0) < 0.0 else "")
     cells = "x".join(str(c) for c in [gamma_cells, *theta_cells])
-    return f"{family['name']}-{copula}-{cells}"
+    return f"{family['name']}-{name}-{cells}"
 
 
 @pytest.mark.parametrize("family,gamma_cells,theta_cells", INVARIANT,
