@@ -8,10 +8,12 @@ of ``solve``, ``audit``, ``identity``, ``oracle`` and ``sample`` runs in
 a fresh interpreter on each tree, on the benchmark's full-size README
 and logistic configs, on a one-good drifting Clayton config, on a
 two-good logistic config under a drifting Gaussian copula, on a
-three-good uniform config under a Gaussian copula, and on a three-good
-logistic config whose Gaussian rho drifts from -0.3 to 0.2; the last two
-put the copula paths beyond two goods under comparison (``sample`` with
-``corners: true``).  The script
+three-good uniform config under a Gaussian copula, on a three-good
+logistic config under a Gaussian copula (its ``solve`` integrates the
+joint score on 3-D grids), and on a three-good logistic config whose
+Gaussian rho drifts from -0.3 to 0.2; the last three put the copula paths
+beyond two goods under comparison (``sample`` with ``corners: true``).
+The script
 lists every output file that differs or exists on one side only, and
 every differing exit code; it exits 1 if there is any.  For a differing
 CSV or JSON file it also prints the largest absolute difference between
@@ -41,12 +43,14 @@ FAMILIES = {
     "driftlogi": {"name": "logistic_shift", "goods": 2,
                   "copula": {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}},
     "gauss3": {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
+    # smooth and invariant: solve integrates the joint score on 3-D grids
+    "logi3": {"name": "logistic_shift", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
     # the per-type rho crosses 0, so both loadings of the Gaussian cdf run
     "drift3": {"name": "logistic_shift", "goods": 3,
                "copula": {"name": "gaussian", "rho": -0.3, "rho_slope": 0.5}},
 }
 # the configs run, each under its own family
-CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "gauss3", "drift3")
+CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "gauss3", "logi3", "drift3")
 # identity checks these on every config, then the config's own family
 IDENTITY_FAMILIES = ("readme", "logi", "drift")
 _CHILD = """

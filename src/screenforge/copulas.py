@@ -8,12 +8,13 @@ Each copula exposes, for a pre-contract type ``gamma``:
 * ``conditional_chain``    the inverse Rosenblatt map z -> u used for
   sequential sampling (z uniform on the cube gives u distributed as the
   copula),
-* ``on_grid(method, axes, gamma)``  ``density`` or ``partial_log_density``
-  on the tensor product of n per-axis 1-D arrays, flattened in C order
-  like ``numerics.tensor_points(axes)``.  The Gaussian copula takes its
-  normal scores once per axis there and broadcasts them; the others call
-  the point form on the tensor points.  The values equal the point form's
-  bit for bit.
+* ``score_on_grid(axes, v, gamma)``  the density c and the directional
+  term sum_j v_j(u_j) d ln c / d u_j on the tensor grid of n per-axis 1-D
+  arrays, in grid shape, for one type; ``v`` holds one 1-D array per
+  axis.  The Gaussian copula computes both in closed form from its normal
+  scores, taken once per axis, with outer sums of per-axis terms and one
+  grid-shaped square; the others evaluate the point form on
+  ``numerics.tensor_points(axes)``.
 
 Parameters may drift with ``gamma`` through a linear path ``base +
 slope * gamma``; a copula is invariant exactly when every slope is zero.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidIntervalError
-from .numerics import composite_rule, tensor_points
+from .numerics import composite_rule, outer_sum, tensor_points
 
 _Z_CLIP = 1e-15
 _CDF_CHUNK = 1 << 18  # points x nodes of one chunk of the Gaussian cdf beyond two goods
@@ -62,10 +63,15 @@ class ParamPath:
 class _Copula:
     """Shared grid entry point; see the module docstring."""
 
-    def on_grid(self, method: str, axes, gamma: float = 0.0):
-        """``method`` (``density`` or ``partial_log_density``) on the tensor
-        product of the per-axis 1-D arrays ``axes``, for one type."""
-        return getattr(self, method)(tensor_points(axes), gamma)
+    def score_on_grid(self, axes, v, gamma: float = 0.0):
+        """The density c and the directional term sum_j v_j d ln c / d u_j
+        on the tensor grid of the per-axis 1-D arrays ``axes``, for one
+        type; ``v`` holds one 1-D array per axis, like ``axes``.  Both come
+        back in grid shape.  This is the point form on the tensor points."""
+        shape = tuple(len(a) for a in axes)
+        u = tensor_points(axes)
+        slope = self.partial_log_density(u, gamma) * tensor_points(v)
+        return self.density(u, gamma).reshape(shape), (slope @ np.ones(len(axes))).reshape(shape)
 
     def check_path(self, lo: float, hi: float) -> None:
         """Raise InvalidIntervalError unless the parameter path is valid for
@@ -238,24 +244,39 @@ class GaussianCopula(_Copula):
         return (x - r / (1.0 + (n - 1) * r) * srow) / (1.0 - r)
 
     def density(self, u, gamma=0.0):
-        return self._density(_normal_scores(u), self._rho(gamma))
-
-    def partial_log_density(self, u, gamma=0.0):
-        return self._partial_log_density(_normal_scores(u), self._rho(gamma))
-
-    def on_grid(self, method: str, axes, gamma: float = 0.0):
-        x = tensor_points([_normal_scores(a) for a in axes])  # ndtri n*M times, not n*M^n
-        return getattr(self, "_" + method)(x, self._rho(gamma))
-
-    def _density(self, x, r):
-        n = self.dim
+        x, r, n = _normal_scores(u), self._rho(gamma), self.dim
         det = (1.0 - r) ** (n - 1) * (1.0 + (n - 1) * r)
         quad = (x * (self._rinv(x, r) - x)) @ np.ones(n)
         return np.exp(-0.5 * quad) / np.sqrt(det)
 
-    def _partial_log_density(self, x, r):
+    def partial_log_density(self, u, gamma=0.0):
+        x = _normal_scores(u)
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        return -(self._rinv(x, r) - x) / phi
+        return -(self._rinv(x, self._rho(gamma)) - x) / phi
+
+    def score_on_grid(self, axes, v, gamma: float = 0.0):
+        """Closed form on the grid from the normal scores x_j of each axis:
+        ln c = -b/2 sum x^2 + kappa/2 S^2 - ln(det)/2 and d ln c / d u_j =
+        (kappa S - b x_j) / phi(x_j), with b = r/(1-r), kappa =
+        b/(1+(n-1)r) and S = sum x.  Everything but S^2 is an outer sum of
+        per-axis terms, so no grid point is materialized."""
+        r, n = self._rho(gamma), self.dim
+        b = r / (1.0 - r)
+        kappa = b / (1.0 + (n - 1) * r)
+        det = (1.0 - r) ** (n - 1) * (1.0 + (n - 1) * r)
+        x = [_normal_scores(a) for a in axes]
+        w = [np.asarray(vj, dtype=float) * math.sqrt(2.0 * math.pi) * np.exp(0.5 * xj * xj)
+             for vj, xj in zip(v, x)]  # v_j / phi(x_j)
+        s = outer_sum(x)
+        c = s * s
+        c *= 0.5 * kappa
+        c += outer_sum([-0.5 * b * xj * xj for xj in x])
+        np.exp(c, out=c)
+        c /= math.sqrt(det)
+        d = outer_sum([kappa * wj for wj in w])
+        d *= s
+        d -= outer_sum([b * wj * xj for wj, xj in zip(w, x)])
+        return c, d
 
     def _cholesky(self, gamma) -> np.ndarray:
         r = np.asarray(self._rho(gamma), dtype=float)[..., None, None]

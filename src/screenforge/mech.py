@@ -24,7 +24,7 @@ accountable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,8 @@ import numpy as np
 from .copulas import IndependenceCopula
 from .errors import DensityZeroError, InvalidIntervalError, RegularityError
 from .model import JointModel, hazard
-from .numerics import bisect_root, composite_rule, gauss_rule, geometric_breaks
+from .numerics import (QuadratureRule, bisect_root, gauss_rule, geometric_breaks,
+                       outer_sum)
 
 DEFAULT_GRID_SIZE = 101
 _SCAN_POINTS = 257
@@ -349,7 +350,10 @@ def uses_joint_score(model: JointModel) -> bool:
     """Whether ``revenue_functional`` integrates each type's rents on a
     joint grid of about 130**goods points: smooth marginals and an
     invariant dependent copula (one good always has the independence
-    copula).  A drifting copula takes the per-good score."""
+    copula).  The copula's ``score_on_grid`` gives its terms in grid
+    shape, and the grid sum is contracted axis by axis by matmul; each
+    grid-shaped array takes 130**goods * 8 bytes.  A drifting copula takes
+    the per-good score."""
     return (all(m.smooth_in_gamma for m in model.marginals) and model.invariant_flag
             and not isinstance(model.copula, IndependenceCopula))
 
@@ -376,43 +380,68 @@ def _score_rents(model: JointModel, rule: PercentileRule) -> np.ndarray:
     return _joint_score_rents(model, rule)
 
 
+def _joint_axes(s) -> list:
+    """One rule on [0, 1] per strike percentile in ``s``: ``JOINT_ORDER``
+    nodes per panel, graded ``CORNER_DEPTH`` deep toward both ends and
+    split at the percentile.  These are ``composite_rule``'s rules with
+    the percentile among the breaks, bit for bit; the graded panels are
+    built once, and only the panel holding the percentile is split."""
+    edges = np.concatenate([[0.0], geometric_breaks(depth=CORNER_DEPTH), [1.0]])
+    graded = gauss_rule(JOINT_ORDER, edges[:-1], edges[1:])
+    p = np.minimum(np.searchsorted(edges, s, side="right") - 1, len(edges) - 2)
+    cut = np.flatnonzero((edges[p] < s) & (s < edges[p + 1]))
+    lo, hi = np.stack([edges[p[cut]], s[cut]], -1), np.stack([s[cut], edges[p[cut] + 1]], -1)
+    halves = gauss_rule(JOINT_ORDER, lo, hi)
+    keep = hi - lo >= 1e-15  # composite_rule drops a sliver panel
+    axes = [QuadratureRule(graded.nodes.ravel(), graded.weights.ravel())] * len(s)
+    for m, i in enumerate(cut):
+        nodes, weights = (np.concatenate([g[:p[i]], h[m][keep[m]], g[p[i] + 1:]]).ravel()
+                          for g, h in ((graded.nodes, halves.nodes),
+                                       (graded.weights, halves.weights)))
+        axes[i] = QuadratureRule(nodes, weights)
+    return axes
+
+
 def _joint_score_rents(model: JointModel, rule: PercentileRule) -> np.ndarray:
     """Joint percentile-space score integrals, one tensor grid per type,
     graded toward the cube corners and split at the strike percentiles.
 
-    The marginal quantities are evaluated once per axis and broadcast
-    onto the grid (``np.ix_``), and the copula terms go through the
-    copula's grid entry point, so no grid point is materialized.
+    The marginal quantities are evaluated once per axis, and the copula
+    gives its density and directional score term on the grid.  The
+    weighted sum over the grid is then contracted one axis at a time,
+    from the last, by matmul, carrying two partial sums (weights only,
+    and weights times the option value), so no grid of points, weights or
+    option values is built.
     """
-    n, copula = model.n, model.copula
-    graded = list(geometric_breaks(depth=CORNER_DEPTH))
+    n = model.n
     rents = np.empty(len(rule.gamma))
-    # types per batch of axis evaluations, each axis about (len(graded) + 2) * order nodes
-    step = max(1, _CHUNK_POINTS // (n * (len(graded) + 2) * JOINT_ORDER))
+    # types per batch of axis evaluations; an axis has at most (breaks + 2) * order nodes
+    step = max(1, _CHUNK_POINTS // (n * (len(geometric_breaks(depth=CORNER_DEPTH)) + 2)
+                                    * JOINT_ORDER))
     for start in range(0, len(rule.gamma), step):
-        ks = range(start, min(start + step, len(rule.gamma)))
-        axes = [composite_rule(0.0, 1.0, JOINT_ORDER, graded + [s] if 0.0 < s < 1.0 else graded)
-                for k in ks for s in rule.s[k]]
+        ks = slice(start, start + step)
+        axes = _joint_axes(rule.s[ks].ravel())  # type k, good j at (k - start) * n + j
         sizes = [a.nodes.size for a in axes]
-        goods = np.repeat(np.tile(np.arange(n), len(ks)), sizes)
-        gam = np.repeat(np.repeat(rule.gamma[ks.start:ks.stop], n), sizes)
+        goods = np.repeat(np.tile(np.arange(n), len(axes) // n), sizes)
+        gam = np.repeat(np.repeat(rule.gamma[ks], n), sizes)
         theta = _by_marginal(model, goods, "quantile", np.concatenate([a.nodes for a in axes]), gam)
-        cdf, f, df, dcdf = (_by_marginal(model, goods, name, theta, gam)
-                            for name in ("cdf", "pdf", "dpdf_dgamma", "dcdf_dgamma"))
+        f, df, dcdf = (_by_marginal(model, goods, name, theta, gam)
+                       for name in ("pdf", "dpdf_dgamma", "dcdf_dgamma"))
         if np.any(f <= 0.0):
             raise DensityZeroError("score requested where the density vanishes")
-        per_axis = [np.split(f, np.cumsum(sizes)[:-1]) for f in (theta, cdf, df / f, dcdf)]
-        for i, k in enumerate(ks):
-            ax, g = slice(i * n, (i + 1) * n), rule.gamma[k]
-            wts = reduce(np.multiply, np.ix_(*[a.weights for a in axes[ax]]))
-            util = reduce(np.add, np.ix_(*[np.maximum(t - p, 0.0)
-                                           for t, p in zip(per_axis[0][ax], rule.strikes[k])]))
-            dlogf, dcdf = (np.ix_(*f[ax]) for f in per_axis[2:])
-            dlogc = np.asarray(copula.on_grid("partial_log_density", per_axis[1][ax], g),
-                               dtype=float).reshape(wts.shape + (n,))
-            svals = reduce(np.add, (dlogf[j] + dcdf[j] * dlogc[..., j] for j in range(n)))
-            cvals = np.asarray(copula.on_grid("density", [a.nodes for a in axes[ax]], g), dtype=float)
-            rents[k] = np.dot(wts.ravel(), (util * svals.reshape(wts.shape)).ravel() * cvals)
+        util = np.maximum(theta - np.repeat(rule.strikes[ks].ravel(), sizes), 0.0)
+        per_axis = [np.split(f, np.cumsum(sizes)[:-1]) for f in (df / f, dcdf, util)]
+        for i, g in enumerate(rule.gamma[ks]):
+            ax = slice(i * n, (i + 1) * n)
+            c, part = model.copula.score_on_grid([a.nodes for a in axes[ax]], per_axis[1][ax], g)
+            part += outer_sum(per_axis[0][ax])
+            part *= c
+            total = None  # the partial sum weighted by weights times the option value
+            for a, u in zip(axes[ax][::-1], per_axis[2][ax][::-1]):
+                both = part @ np.stack([a.weights, a.weights * u], axis=-1)
+                part, gained = both[..., 0], both[..., 1]
+                total = gained if total is None else gained + total @ a.weights
+            rents[start + i] = total
     return rents
 
 

@@ -9,7 +9,7 @@ its key alone and never on what was drawn before it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -90,6 +90,12 @@ def tensor_points(axes) -> np.ndarray:
     """Tensor product of the 1-D arrays ``axes`` as points of shape (N, d),
     in C order (the last axis varies fastest)."""
     return np.stack(np.broadcast_arrays(*np.ix_(*axes)), axis=-1).reshape(-1, len(axes))
+
+
+def outer_sum(axes) -> np.ndarray:
+    """sum_j axes[j][a_j] on the tensor grid of the 1-D arrays ``axes``,
+    in grid shape (summed from the first axis)."""
+    return reduce(np.add.outer, axes)
 
 
 def bisect_root(g, lo, hi, tol: float = DEFAULT_ROOT_TOL):

@@ -9,7 +9,7 @@ import scalar_reference as scalar
 from screenforge import mech as X
 from screenforge import model as M
 from screenforge.errors import RegularityError
-from screenforge.numerics import RngStream, gauss_rule
+from screenforge.numerics import RngStream, composite_rule, gauss_rule, geometric_breaks
 
 GRID = np.linspace(0.0, 1.0, 101)
 
@@ -457,6 +457,9 @@ REFERENCE_FAMILIES = {
     "logistic_shift": {"name": "logistic_shift", "goods": 2,
                        "copula": {"name": "gaussian", "rho": 0.5}},
     "logistic_shift-independent": {"name": "logistic_shift", "goods": 2},
+    # the copulas' point form on the grid (score_on_grid of the base class)
+    "logistic_shift-clayton": {"name": "logistic_shift", "goods": 2,
+                               "copula": {"name": "clayton", "alpha": 2.0}},
 }
 
 
@@ -508,6 +511,21 @@ class TestAgainstScalarReference:
         functional = X.revenue_functional(mdl, mech)
         expected = scalar.revenue_functional(mdl, mech, joint_order=4, corner_depth=2)
         assert abs(functional - expected) < 1e-12
+
+    def test_joint_axes_are_the_per_type_composite_rules(self):
+        # strike percentiles at the ends, on and next to every break, and
+        # within 1e-15 of one (composite_rule drops that sliver panel)
+        graded = list(geometric_breaks(depth=X.CORNER_DEPTH))
+        edges = np.array(graded)
+        s = np.concatenate([[0.0, 1.0, 0.5, 5e-16, 1.0 - 5e-16], edges, np.nextafter(edges, 0.0),
+                            np.nextafter(edges, 1.0), edges - 5e-16, edges + 5e-16,
+                            np.random.default_rng(5).uniform(size=64)])
+        axes = X._joint_axes(s)
+        assert len(axes) == len(s)
+        for si, rule in zip(s, axes):
+            expect = composite_rule(0.0, 1.0, X.JOINT_ORDER, graded + [si] if 0.0 < si < 1.0 else graded)
+            np.testing.assert_array_equal(rule.nodes, expect.nodes)
+            np.testing.assert_array_equal(rule.weights, expect.weights)
 
     @pytest.mark.parametrize("copula", [
         {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2},
