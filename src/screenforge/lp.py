@@ -10,8 +10,9 @@ switched column bounds are re-solved by the dual simplex from the last
 basis, and a moved objective by the primal simplex; ``lp_solve`` is a
 single solve on a fresh ``LpModel``.  ``LpModel.polish`` recomputes the
 last optimum from its basis.  Every model is built under the one
-option table ``_OPTIONS``.  Replaying the same calls on an ``LpModel``
-gives the same bytes.
+option table ``_OPTIONS`` and handed to HiGHS as CSC arrays in one
+``passModel`` call.  Replaying the same calls on an ``LpModel`` gives
+the same bytes.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def _bound_arrays(bounds, n: int):
 
 
 def _row_block(a, b, n: int, what: str):
-    """(CSR rows, right-hand side) of one row block; None is no rows."""
-    a = sp.csr_matrix(a, dtype=float) if a is not None else sp.csr_matrix((0, n))
+    """(CSC rows, right-hand side) of one row block; None is no rows."""
+    a = sp.csc_matrix(a, dtype=float) if a is not None else sp.csc_matrix((0, n))
     b = np.asarray(b if b is not None else [], dtype=float)
     if a.shape != (len(b), n):
         raise ValueError(f"{what} does not match c")
@@ -87,9 +88,9 @@ def _row_block(a, b, n: int, what: str):
 class LpModel:
     """A persistent HiGHS model of max c.x s.t. A_ub x <= b_ub, A_eq x = b_eq.
 
-    Built once from CSC; its rows are fixed.  ``set_bounds`` replaces
-    the column bounds; the next ``solve`` re-runs the dual simplex from
-    the last basis, with presolve off.
+    Built once, as CSC (a CSC argument is passed on as it is); its rows
+    are fixed.  ``set_bounds`` replaces the column bounds; the next
+    ``solve`` re-runs the dual simplex from the last basis, with presolve off.
     ``set_cost`` moves the objective: the last basis stays primal
     feasible, so from then on the model re-solves by the primal simplex
     (HiGHS ``simplex_strategy`` 4).  ``bounds`` follow scipy conventions
@@ -108,28 +109,19 @@ class LpModel:
         n = len(self._c)
         a_ub, b_ub = _row_block(a_ub, b_ub, n, "inequality rows")
         a_eq, b_eq = _row_block(a_eq, b_eq, n, "equality rows")
-        self._a = a = sp.vstack([a_ub, a_eq], format="csc")
+        self._a = a = sp.vstack([a_ub, a_eq], format="csc") if len(b_eq) else a_ub
         self._lower, self._upper = _bound_arrays(bounds, n)
         self._row_upper = np.concatenate([b_ub, b_eq])
         self._highs = _highs._Highs()
         for key, value in _OPTIONS.items():
             self._check(self._highs.setOptionValue(key, value), f"option {key}")
-        lp = _highs.HighsLp()
-        lp.num_col_ = n
-        lp.num_row_ = a.shape[0]
-        lp.sense_ = _highs.ObjSense.kMaximize
-        lp.col_cost_ = self._c
-        lp.col_lower_ = self._lower
-        lp.col_upper_ = self._upper
-        lp.row_lower_ = np.concatenate([np.full(len(b_ub), -_INF), b_eq])
-        lp.row_upper_ = self._row_upper
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.num_col_ = n
-        lp.a_matrix_.num_row_ = a.shape[0]
-        lp.a_matrix_.start_ = a.indptr.astype(np.int32)
-        lp.a_matrix_.index_ = a.indices.astype(np.int32)
-        lp.a_matrix_.value_ = a.data.astype(float)
-        self._check(self._highs.passModel(lp), "passModel")
+        self._check(self._highs.passModel(
+            n, a.shape[0], a.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMaximize, 0.0,
+            self._c, self._lower, self._upper,
+            np.concatenate([np.full(len(b_ub), -_INF), b_eq]), self._row_upper,
+            # integrality: all continuous; HiGHS rejects an empty array
+            a.indptr, a.indices, a.data, np.zeros(n, np.int32),
+        ), "passModel")
 
     @staticmethod
     def _check(status, what: str):

@@ -248,19 +248,16 @@ def mechanism_revenue(instance: DiscreteInstance, mech: DiscreteMechanism) -> fl
 # ---------------------------------------------------------------------------
 
 
-def _block_rows(blocks, count: int, nvar: int):
-    """CSR rows from (cols, data) blocks whose leading axis is the row;
-    repeated columns in a row are summed."""
+def _block_rows(blocks, count: int):
+    """(row, col, data) triplets of ``count`` rows from (cols, data)
+    blocks whose leading axis is the row; a row may repeat a column."""
     if count == 0:  # a single type has no type-misreport rows
-        return sp.csr_matrix((0, nvar))
+        return np.zeros(0, int), np.zeros(0, int), np.zeros(0)
     cols = np.concatenate([c.reshape(count, -1) for c, _ in blocks], axis=1)
     data = np.concatenate(
         [np.broadcast_to(d, c.shape).reshape(count, -1) for c, d in blocks], axis=1
     )
-    rows = np.repeat(np.arange(count), cols.shape[1])
-    mat = sp.csr_matrix((data.ravel(), (rows, cols.ravel())), shape=(count, nvar))
-    mat.eliminate_zeros()
-    return mat
+    return np.repeat(np.arange(count), cols.shape[1]), cols.ravel(), data.ravel()
 
 
 class _Layout:
@@ -323,16 +320,28 @@ class _Layout:
     def participation_rows(self):
         """-U_m(truth) <= 0 for every type m."""
         m = np.arange(self.inst.n_types)
-        return _block_rows(self.truth_blocks(m), len(m), self.nvar), np.zeros(len(m))
+        return _block_rows(self.truth_blocks(m), len(m)), np.zeros(len(m))
 
     def unpack(self, x: np.ndarray) -> DiscreteMechanism:
         t1 = np.zeros(self.inst.n_types) if self.t1col is None else x[self.t1col]
         return DiscreteMechanism(q=x[self.qcol], t1=t1, t2=x[self.t2col], regime=self.regime)
 
 
-def _stack(parts):
-    """One ``rows x <= rhs`` program from its (rows, rhs) blocks."""
-    return sp.vstack([p[0] for p in parts]).tocsr(), np.concatenate([p[1] for p in parts])
+def _stack(parts, nvar: int):
+    """One ``rows x <= rhs`` program, as CSC, from its (triplets, rhs) blocks.
+
+    Repeated columns of a row are summed in CSR, in the order scipy's row
+    sort leaves them.  A direct COO -> CSC build sums them in another
+    order, and the sequential regime, whose rows repeat shared allocation
+    columns, then solves to another vertex.
+    """
+    start = np.cumsum([0] + [len(b) for _, b in parts])
+    row = np.concatenate([t[0] + s for (t, _), s in zip(parts, start)])
+    col = np.concatenate([t[1] for t, _ in parts])
+    data = np.concatenate([t[2] for t, _ in parts])
+    mat = sp.csr_matrix((data, (row, col)), shape=(start[-1], nvar))
+    mat.eliminate_zeros()
+    return mat.tocsc(), np.concatenate([b for _, b in parts])
 
 
 def _recheck(instance: DiscreteInstance, mech: DiscreteMechanism):
@@ -351,13 +360,13 @@ def _recheck(instance: DiscreteInstance, mech: DiscreteMechanism):
 def _solve_exact(layout: _Layout, parts) -> SolveReport:
     """Solve a regime's complete LP on one HiGHS model, then re-check it.
 
-    ``parts`` are the (rows, rhs) blocks of ``rows x <= rhs``.  The first
+    ``parts`` are the (triplets, rhs) blocks of ``rows x <= rhs``.  The first
     solve caps the transfers; the cap-free re-solve starts from its basis
     and can end at another vertex of the optimal face.  That vertex is
     recomputed from its basis (``LpModel.polish``), and the polished
     optimum is re-checked (``_recheck``).
     """
-    rows, rhs = _stack(parts)
+    rows, rhs = _stack(parts, layout.nvar)
     model = LpModel(layout.objective(), rows, rhs, bounds=layout.bounds())
     capped = model.solve()
     model.set_bounds(layout.bounds(capped=False))
@@ -407,7 +416,7 @@ def _sim_cell_rows(layout: _Layout):
         (layout.t2col[m, b], -1.0),
         (layout.t2col[m, a], 1.0),
     ]
-    return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
+    return _block_rows(blocks, len(m)), np.zeros(len(m))
 
 
 def _sim_type_rows(layout: _Layout):
@@ -417,7 +426,7 @@ def _sim_type_rows(layout: _Layout):
     so these rows complete the joint misreport constraints."""
     m, r = np.nonzero(~np.eye(layout.inst.n_types, dtype=bool))
     blocks = layout._interim(m, r) + layout.truth_blocks(m)
-    return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
+    return _block_rows(blocks, len(m)), np.zeros(len(m))
 
 
 def solve_simultaneous(instance: DiscreteInstance) -> SolveReport:
@@ -501,7 +510,7 @@ def _seq_stage_rows(layout: _Layout, j: int):
         w = np.divide(p_joint, p_pre, out=np.zeros_like(p_joint), where=live)
         nxt = a[:, None] * dims[j + 1] + np.arange(dims[j + 1])
         blocks.append((layout.wcol[j + 1][m[:, None], r[:, None], nxt, b[:, None]], w[m, a]))
-    return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
+    return _block_rows(blocks, len(m)), np.zeros(len(m))
 
 
 def _seq_top_rows(layout: _Layout):
@@ -511,7 +520,7 @@ def _seq_top_rows(layout: _Layout):
     p0 = layout.inst.pmf.reshape(m_count, d0, -1).sum(axis=2)
     blocks = [(layout.wcol[0][m[:, None], r[:, None], np.arange(d0), 0], p0[m])]
     blocks += layout.truth_blocks(m)
-    return _block_rows(blocks, len(m), layout.nvar), np.zeros(len(m))
+    return _block_rows(blocks, len(m)), np.zeros(len(m))
 
 
 def _seq_best_response(instance: DiscreteInstance, mech: DiscreteMechanism, m: int, m_rep: int):
@@ -649,7 +658,7 @@ def solve_relaxed(instance: DiscreteInstance) -> SolveReport:
         pmf=np.broadcast_to(tables.masses, (m_count, z_count)),
         theta=tables.values.transpose(1, 0, 2),
     )
-    a_ub, b_ub = _stack([layout.participation_rows(), _sim_type_rows(layout)])
+    a_ub, b_ub = _stack([layout.participation_rows(), _sim_type_rows(layout)], layout.nvar)
     sol = lp_solve(layout.objective(), a_ub=a_ub, b_ub=b_ub, bounds=layout.bounds())
 
     qhat = sol.x[layout.qcol]
@@ -687,10 +696,15 @@ def solve_relaxed(instance: DiscreteInstance) -> SolveReport:
 
 def separate_selling_value(instance: DiscreteInstance) -> float:
     """Sum of one-good optima on the marginal instances; a feasible
-    (separable) mechanism of the joint problem, hence a lower bound."""
-    total = 0.0
+    (separable) mechanism of the joint problem, hence a lower bound.
+    Goods whose marginals have the same bytes share one solve."""
+    total, values = 0.0, {}
     for j in range(instance.n_goods):
-        total += solve_simultaneous(marginal_instance(instance, j)).value
+        marg = marginal_instance(instance, j)
+        key = (marg.theta_grids[0].tobytes(), marg.pmf.tobytes())
+        if key not in values:
+            values[key] = solve_simultaneous(marg).value
+        total += values[key]
     return total
 
 
@@ -839,15 +853,14 @@ def brute_force_value(instance: DiscreteInstance) -> float:
     # weight would let its v column grow without bound
     f = np.maximum(instance.pmf[pair_m], 0.0)
     square = (pairs, c_count, c_count)
-    primal = sp.vstack([
-        _block_rows([(t2[cm, ca], 1.0), (t2[cm, cb], -1.0)], len(cm), nvar),
-        _block_rows([(t2, instance.pmf), (t1[:, None], 1.0)], m_count, nvar),
-        _block_rows([(np.broadcast_to(v[:, :, None], square), -1.0),
-                     (np.broadcast_to(t2[pair_rep, None, :], square), -1.0)],
-                    pairs * c_count * c_count, nvar),
-        _block_rows([(v, f), (t2[pair_m], f), (t1[pair_rep, None], -1.0),
-                     (t1[pair_m, None], 1.0)], pairs, nvar),
-    ]).tocsr()
+    blocks = [
+        ([(t2[cm, ca], 1.0), (t2[cm, cb], -1.0)], len(cm)),
+        ([(t2, instance.pmf), (t1[:, None], 1.0)], m_count),
+        ([(np.broadcast_to(v[:, :, None], square), -1.0),
+          (np.broadcast_to(t2[pair_rep, None, :], square), -1.0)], pairs * c_count * c_count),
+        ([(v, f), (t2[pair_m], f), (t1[pair_rep, None], -1.0), (t1[pair_m, None], 1.0)], pairs),
+    ]
+    primal, _ = _stack([(_block_rows(b, count), np.zeros(count)) for b, count in blocks], nvar)
     model = LpModel(np.zeros(primal.shape[0]), None, None, a_eq=primal.T, b_eq=obj)
 
     # right-hand-side tables per allocation k: qtheta[k, a, c] is the value

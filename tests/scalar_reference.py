@@ -345,6 +345,28 @@ def mech_table_rows(inst, mech):
     return rows
 
 
+# --- LP rows, one CSR matrix per row block ----------------------------------
+
+def csr_rows(blocks, count, nvar):
+    """CSR rows from (cols, data) blocks whose leading axis is the row;
+    repeated columns in a row are summed."""
+    if count == 0:
+        return sp.csr_matrix((0, nvar))
+    cols = np.concatenate([c.reshape(count, -1) for c, _ in blocks], axis=1)
+    data = np.concatenate(
+        [np.broadcast_to(d, c.shape).reshape(count, -1) for c, d in blocks], axis=1
+    )
+    rows = np.repeat(np.arange(count), cols.shape[1])
+    mat = sp.csr_matrix((data.ravel(), (rows, cols.ravel())), shape=(count, nvar))
+    mat.eliminate_zeros()
+    return mat
+
+
+def csr_stack(parts):
+    """One ``rows x <= rhs`` program, as CSR, from its (CSR rows, rhs) blocks."""
+    return sp.vstack([p[0] for p in parts]).tocsr(), np.concatenate([p[1] for p in parts])
+
+
 # --- sequential LP by Kelley cutting planes --------------------------------
 
 def _deviation_row(layout, m, m_rep, report):
@@ -384,7 +406,7 @@ def kelley_sequential(inst, tol=1e-10, max_rounds=200):
     """
     seq = O._seq_layout(inst)
     layout = O._Layout(inst, seq.qcol, seq.t2col, None, "sequential")
-    rows = [layout.participation_rows()[0].toarray()]
+    rows = [O._stack([layout.participation_rows()], layout.nvar)[0].toarray()]
     seen = set()
 
     def add(cuts):
@@ -523,10 +545,10 @@ def map_enumeration_value(instance):
     pm, pr = np.repeat(pair_m, len(maps)), np.repeat(pair_rep, len(maps))
     f = instance.pmf[pm]
     primal = sp.vstack([
-        O._block_rows([(t2[cm, ca], 1.0), (t2[cm, cb], -1.0)], len(cm), nvar),
-        O._block_rows([(t2, instance.pmf), (t1[:, None], 1.0)], m_count, nvar),
-        O._block_rows([(t2[pr[:, None], np.tile(maps, (len(pair_m), 1))], -f), (t2[pm], f),
-                       (t1[pr, None], -1.0), (t1[pm, None], 1.0)], len(pm), nvar),
+        csr_rows([(t2[cm, ca], 1.0), (t2[cm, cb], -1.0)], len(cm), nvar),
+        csr_rows([(t2, instance.pmf), (t1[:, None], 1.0)], m_count, nvar),
+        csr_rows([(t2[pr[:, None], np.tile(maps, (len(pair_m), 1))], -f), (t2[pm], f),
+                  (t1[pr, None], -1.0), (t1[pm, None], 1.0)], len(pm), nvar),
     ]).tocsr()
     model = LpModel(np.zeros(primal.shape[0]), None, None, a_eq=primal.T, b_eq=obj)
 

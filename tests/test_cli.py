@@ -570,7 +570,7 @@ class TestOracleCommand:
 
         def drop_first_stage(layout, j):
             rows, rhs = build(layout, j)
-            return (rows[:0], rhs[:0]) if j == 0 else (rows, rhs)
+            return (tuple(a[:0] for a in rows), rhs[:0]) if j == 0 else (rows, rhs)
 
         monkeypatch.setattr(O, "_seq_stage_rows", drop_first_stage)
         cfg = write_config(tmp_path, family={"name": "cl_uniform", "goods": 2})

@@ -150,6 +150,33 @@ def _replay(seed):
     return steps
 
 
+class TestPassedModel:
+    """HiGHS holds exactly the program the model was given."""
+
+    @pytest.mark.parametrize("n_ub,n_eq", [(4, 0), (0, 3), (4, 3)], ids=["ub", "eq", "mixed"])
+    def test_highs_lp_equals_the_inputs(self, n_ub, n_eq):
+        rng = np.random.default_rng(n_ub + 10 * n_eq)
+        c = rng.random(5)
+        a = rng.random((n_ub + n_eq, 5)) * (rng.random((n_ub + n_eq, 5)) < 0.6)
+        b = rng.random(n_ub + n_eq)
+        bounds = [(0.0, 1.0), (None, 2.0), (-1.0, None), (None, None), (0.5, 0.5)]
+        model = LpModel(c, sp.csr_matrix(a[:n_ub]) if n_ub else None, b[:n_ub] if n_ub else None,
+                        bounds=bounds, a_eq=a[n_ub:] if n_eq else None, b_eq=b[n_ub:] if n_eq else None)
+        got = model._highs.getLp()
+        assert got.sense_ == lp._highs.ObjSense.kMaximize
+        assert (got.num_col_, got.num_row_) == (5, n_ub + n_eq)
+        assert np.asarray(got.col_cost_).tobytes() == c.tobytes()
+        np.testing.assert_array_equal(got.col_lower_, [0.0, -np.inf, -1.0, -np.inf, 0.5])
+        np.testing.assert_array_equal(got.col_upper_, [1.0, 2.0, np.inf, np.inf, 0.5])
+        np.testing.assert_array_equal(got.row_lower_, np.concatenate([[-np.inf] * n_ub, b[n_ub:]]))
+        np.testing.assert_array_equal(got.row_upper_, b)
+        csc = sp.csc_matrix(a)
+        assert got.a_matrix_.format_ == lp._highs.MatrixFormat.kColwise
+        np.testing.assert_array_equal(got.a_matrix_.start_, csc.indptr)
+        np.testing.assert_array_equal(got.a_matrix_.index_, csc.indices)
+        np.testing.assert_array_equal(got.a_matrix_.value_, csc.data)
+
+
 class TestLpModel:
     @pytest.mark.parametrize("seed", range(8))
     def test_agrees_with_lp_solve_after_edits(self, seed):

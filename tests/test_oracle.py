@@ -430,12 +430,62 @@ class TestExactSequential:
 
         def drop_first_stage(layout, j):
             rows, rhs = build(layout, j)
-            return (rows[:0], rhs[:0]) if j == 0 else (rows, rhs)
+            return (tuple(a[:0] for a in rows), rhs[:0]) if j == 0 else (rows, rhs)
 
         monkeypatch.setattr(O, "_seq_stage_rows", drop_first_stage)
         inst = O.discretize(cl_model(2, {"name": "clayton", "alpha": 2.0}), 3, 3)
         with pytest.raises(ConvergenceError, match="re-check"):
             O.solve_sequential(inst)
+
+
+GAUSS3_FAMILY = {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}}
+
+
+class TestAssembly:
+    """Every program ``_stack`` builds has the bytes of the one-CSR-per-block
+    build (``scalar_reference.csr_rows`` and ``csr_stack``) turned into CSC.
+    The sequential rows repeat shared allocation columns, so the order in
+    which the repeats are summed shows in the data."""
+
+    @staticmethod
+    def programs(monkeypatch, run):
+        """(stacked CSC, reference CSC) of every program that ``run`` stacks."""
+        block_rows, stack = O._block_rows, O._stack
+        built, pairs = {}, []
+
+        def spy_rows(blocks, count):
+            triplets = block_rows(blocks, count)
+            built[id(triplets)] = (blocks, count)
+            return triplets
+
+        def spy_stack(parts, nvar):
+            rows, rhs = stack(parts, nvar)
+            ref, ref_rhs = scalar.csr_stack(
+                [(scalar.csr_rows(*built[id(t)], nvar), b) for t, b in parts])
+            assert rhs.tobytes() == ref_rhs.tobytes()
+            pairs.append((rows, ref.tocsc()))
+            return rows, rhs
+
+        monkeypatch.setattr(O, "_block_rows", spy_rows)
+        monkeypatch.setattr(O, "_stack", spy_stack)
+        run()
+        return pairs
+
+    @pytest.mark.parametrize("family,theta_cells,run,count", [
+        (README_FAMILY, 4, O.regime_row, 4),  # both goods share one marginal
+        (LOGI_FAMILY, [3, 4], O.regime_row, 5),
+        (GAUSS3_FAMILY, 4, O.solve_sequential, 1),
+        (README_FAMILY, 2, O.brute_force_value, 1),
+    ], ids=["readme-regimes", "logi-regimes", "gauss3-sequential", "readme-brute-force"])
+    def test_matches_one_csr_per_block(self, monkeypatch, family, theta_cells, run, count):
+        inst = O.discretize(M.build_model(family), 3, theta_cells)
+        pairs = self.programs(monkeypatch, lambda: run(inst))
+        assert len(pairs) == count
+        for rows, ref in pairs:
+            assert rows.format == "csc" and rows.shape == ref.shape
+            np.testing.assert_array_equal(rows.indptr, ref.indptr)
+            np.testing.assert_array_equal(rows.indices, ref.indices)
+            assert rows.data.tobytes() == ref.data.tobytes()
 
 
 class TestAdaptedBestResponse:
@@ -518,6 +568,19 @@ class TestSeparateSelling:
     def test_single_type_independent_goods(self):
         inst = O.discretize(M.build_model({"name": "uniform_iid", "goods": 2}), 1, [2, 2])
         assert abs(O.separate_selling_value(inst) - O.full_surplus(inst)) < 1e-9
+
+    @pytest.mark.parametrize("family,theta_cells,solves", [
+        *((README_FAMILY, k, 1) for k in (2, 3, 4, 5)), (LOGI_FAMILY, 3, 2),
+    ])
+    def test_each_distinct_marginal_is_solved_once(self, monkeypatch, family, theta_cells, solves):
+        inst = O.discretize(M.build_model(family), 3, theta_cells)
+        total = 0.0
+        for j in range(inst.n_goods):
+            total += O.solve_simultaneous(O.marginal_instance(inst, j)).value
+        solve, calls = O.solve_simultaneous, []
+        monkeypatch.setattr(O, "solve_simultaneous", lambda i: calls.append(i) or solve(i))
+        assert O.separate_selling_value(inst) == total
+        assert len(calls) == solves
 
     def test_lower_bound_for_joint_problem(self):
         inst = O.discretize(cl_model(2), 3, [4, 4])
