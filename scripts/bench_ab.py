@@ -12,12 +12,13 @@ uses seed ``--seed + i``.  Nothing in either tree is changed, apart from
 the benchmark's own scratch directory ``.perfbench_work``.
 
 The output records the machine and the versions (from the benchmark's
-``env`` line), every run's end-to-end metrics, correctness and failures,
-and per workload and metric: each side's median, quartiles and IQR, the
-pairs B wins and ties, B's median relative to A's against the bound in
-``BENCHMARK.json``, and whether B's gain meets the claim rule (B wins at
-least nine tenths of the pairs and the medians differ by more than A's
-IQR).
+``env`` line), every run's end-to-end metrics, correctness, failures and
+median wall time per operation (its ``op <verb>_s`` lines), and per
+workload: each side's median of those per operation, and per metric each
+side's median, quartiles and IQR, the pairs B wins and ties, B's median
+relative to A's against the bound in ``BENCHMARK.json``, and whether B's
+gain meets the claim rule (B wins at least nine tenths of the pairs and
+the medians differ by more than A's IQR).
 """
 
 import argparse
@@ -42,9 +43,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                            f"{proc.stderr.strip()[-500:]}")
     result = json.loads(lines[-1])
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    # "op <verb>_s [s] median <t> ...": the run's median wall time of each operation
+    ops = {line.split()[1]: float(line.split()[4]) for line in lines if line.startswith("op ")}
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}, "env": env}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}, "ops": ops,
+            "env": env}
 
 
 def quartiles(values) -> dict:
@@ -67,6 +71,13 @@ def compare(runs_a, runs_b, metric: dict) -> dict:
             "b_relative_to_a": sb["median"] / sa["median"] - 1.0 if sa["median"] else None,
             "bound": metric["bound"], "within_bound": worse <= metric["bound"],
             "gain_rule_met": wins >= 0.9 * len(a) and gain > sa["iqr"]}
+
+
+def op_medians(runs) -> dict:
+    """Per operation, the median over runs of each run's median wall time."""
+    names = dict.fromkeys(name for r in runs for name in r["ops"])
+    return {name: statistics.median(r["ops"][name] for r in runs if name in r["ops"])
+            for name in names}
 
 
 def main() -> int:
@@ -101,6 +112,7 @@ def main() -> int:
         "workloads": {
             wl: {"metrics": {m["name"]: compare(sides["a"], sides["b"], m)
                              for m in bench["end_to_end"]},
+                 "op_medians_s": {s: op_medians(sides[s]) for s in "ab"},
                  "correct": {s: all(r["correct"] for r in sides[s]) for s in "ab"},
                  "failed": {s: sum(r["failed"] for r in sides[s]) for s in "ab"},
                  "attempted": {s: sum(r["attempted"] for r in sides[s]) for s in "ab"},
@@ -114,6 +126,9 @@ def main() -> int:
                   f"  b {m['b']['median']:.4g} (IQR {m['b']['iqr']:.3g})"
                   f"  b wins {m['b_wins']}/{m['pairs']}  within bound {m['within_bound']}"
                   f"  gain rule {m['gain_rule_met']}")
+        ops = rep["op_medians_s"]
+        print(f"{wl:16s} ops (median s): " + "  ".join(
+            f"{op} a {ops['a'][op]:.4g} b {ops['b'].get(op, float('nan')):.4g}" for op in ops["a"]))
     return 0
 
 

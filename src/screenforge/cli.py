@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +27,12 @@ from .numerics import RngStream, gauss_rule, tensor_points, uniform_draws
 
 _FLOAT_FMT = "%.17g"
 _CSV_BLOCK_ROWS = 4096
+# below this many fields a block's ~100 array calls cost more than %
+_CSV_VECTOR_FIELDS = 1024
+# fields per call of the array code: 32 KB per float64 temporary; at whole
+# 4096 x 5 blocks (160 KB each) the allocator handed out fresh pages on
+# every call, and a field took twice as long
+_CSV_SLICE_FIELDS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +212,155 @@ def _theta_cell_counts(section: dict, n_goods: int) -> list:
 
 
 def _write_csv(path: str, header, rows):
-    """Write a 2-D float array in row blocks, so only one block is ever Python floats."""
+    """Write a 2-D float array in blocks of ``_CSV_BLOCK_ROWS`` rows, one
+    write per block, each field as ``_FLOAT_FMT`` writes it.
+
+    A block of ``_CSV_VECTOR_FIELDS`` fields or more is formatted by array
+    code, with the same bytes as ``%.17g``.  For 1e-4 <= |x| < 1e16,
+    ``%.17g`` writes in fixed notation the 17-digit N * 10**(X - 16)
+    nearest to x, ties to even.  The array code takes |x| * 10**(16 - X)
+    exactly, as a double plus its rounding error (Dekker's two-product;
+    10**k is exact for k <= 22), and rounds N half to even from the two.
+    Every other field (0, -0, nan, inf, subnormal, |x| < 1e-4,
+    |x| >= 1e16) goes through ``%`` itself, one at a time, and so does
+    every field of a smaller block.
+    """
     row_fmt = ",".join([_FLOAT_FMT] * len(header)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    step = max(1, _CSV_SLICE_FIELDS // len(header))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = rows[start:start + _CSV_BLOCK_ROWS]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            block = np.asarray(rows[start:start + _CSV_BLOCK_ROWS], dtype=float)
+            if block.size < _CSV_VECTOR_FIELDS:
+                fh.write(((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode())
+            else:
+                fh.write(b"".join([_csv_text(block[i:i + step])
+                                   for i in range(0, len(block), step)]))
+
+
+# Array code for _FLOAT_FMT.  Each field is built in four little-endian
+# 64-bit words: bytes 0-30 hold its text padded with NUL bytes, byte 31
+# its separator, and the NULs are dropped at the end.  A field in fixed
+# notation has its sign at byte 0, a "0.000" prefix at bytes 1-5, and its
+# digits (with the point) from byte 6.
+
+_WORD = np.dtype("<u8")
+_VELTKAMP = 2.0 ** 27 + 1
+
+
+def _veltkamp(a):
+    """a = hi + lo exactly, with hi and lo on 26 bits each."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+# built by the first block that the array code writes, like _layout_table
+@lru_cache(maxsize=None)
+def _quad_table() -> np.ndarray:
+    """Word of the text "0000".."9999" at index 0..9999, and at 10000 + i
+    the text of i with its trailing zeros as NUL bytes."""
+    i = np.arange(10000, dtype=np.int16)[:, None]
+    text = (i // np.array([1000, 100, 10, 1], np.int16) % 10 + 48).astype(np.uint8)
+    kept = np.logical_or.accumulate((text != 48)[:, ::-1], axis=1)[:, ::-1]
+    return np.concatenate([text, text * kept]).view("<u4").ravel().astype(_WORD)
+
+
+@lru_cache(maxsize=None)
+def _layout_table() -> np.ndarray:
+    """Row 21 * negative + X + 4, for X in [-4, 16], of 9 words: bytes
+    0-23 of the digits that stay in place (all for X < 0, else the
+    integer digits), the bytes added (sign, then the "0.000" prefix or a
+    '0' under each integer digit) and the decimal point after the integer
+    digits; the fraction digits move up one byte, behind the point."""
+    tab = np.zeros((42, 3, 24), np.uint8)
+    for neg in (0, 1):
+        for x in range(-4, 17):
+            keep, add, point = tab[21 * neg + x + 4]
+            add[0] = ord("-") * neg
+            if x < 0:
+                keep[6:23] = 255
+                add[1:2 - x] = np.frombuffer(b"0." + b"0" * (-x - 1), np.uint8)
+            else:
+                keep[6:7 + x] = 255
+                add[6:7 + x] = ord("0")
+                if x < 16:
+                    point[7 + x] = ord(".")
+    return np.ascontiguousarray(tab.view(_WORD).reshape(42, 9).T)
+
+
+def _times_pow10(a, k):
+    """a * 10**k as the double p plus its exact rounding error."""
+    p = a * _POW10.take(k)
+    ah, al = _veltkamp(a)
+    bh, bl = _POW10_HI.take(k), _POW10_LO.take(k)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _csv_text(block) -> bytes:
+    """The CSV text of the rows of a float block."""
+    x = block.ravel()
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e16)
+    a[~fixed] = 2.0  # a stand-in off every decade; % writes these fields
+    # decimal exponent X, then N = round(|x| * 10**(16 - X)) in [10**16, 10**17)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p, err = _times_pow10(a, 16 - e)
+    edge = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    while len(edge):  # log10 rounded across a decade: step X and redo
+        pe, ee = p[edge], err[edge]
+        step = (((pe > 1e17) | ((pe == 1e17) & (ee >= 0))).astype(np.int64)
+                - ((pe < 1e16) | ((pe == 1e16) & (ee < 0))))
+        edge = edge[step != 0]
+        e[edge] += step[step != 0]
+        p[edge], err[edge] = _times_pow10(a[edge], 16 - e[edge])
+    # p >= 2**53 is an even integer, so rint's ties to even on err are N's.
+    # N never rounds up to 10**17: that takes a double within 5e-18 below
+    # a power of ten, and the one double below each of 1e-3 .. 1e16 that
+    # could be is further off (tests/test_cli.py writes each of them)
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    # N = lead digit and four 4-digit groups; a group with only zero groups
+    # after it takes its text with trailing zeros as NUL
+    hi9 = n // 10 ** 8
+    lead = hi9 // 10 ** 8
+    hi8, lo8 = hi9 - lead * 10 ** 8, n - hi9 * 10 ** 8
+    g1, g3 = hi8 // 10 ** 4, lo8 // 10 ** 4
+    g2, g4 = hi8 - g1 * 10 ** 4, lo8 - g3 * 10 ** 4
+    t3 = g4 == 0
+    t2 = t3 & (g3 == 0)
+    t1 = t2 & (g2 == 0)
+    quads = _quad_table()
+    q1 = quads.take(g1 + 10000 * t1)
+    q2 = quads.take(g2 + 10000 * t2)
+    q3 = quads.take(g3 + 10000 * t3)
+    q4 = quads.take(g4 + 10000)
+    w0 = ((lead.astype(_WORD) + 48) << 48) | (q1 << 56)
+    w1 = (q1 >> 8) | (q2 << 24) | (q3 << 56)
+    w2 = (q3 >> 8) | (q4 << 24)
+    form = e + 4 + 21 * (x < 0)
+    keep0, keep1, keep2, add0, add1, add2, pt0, pt1, pt2 = (
+        row.take(form) for row in _layout_table())
+    lo0, lo1, lo2 = w0 & keep0, w1 & keep1, w2 & keep2
+    w0 ^= lo0  # what is left of w0..w2 are the fraction digits
+    w1 ^= lo1
+    w2 ^= lo2
+    point = ((w0 | w1 | w2) != 0).astype(_WORD) * 0xFFFFFFFFFFFFFFFF
+    words = np.empty((len(x), 4), _WORD)
+    words[:, 0] = lo0 | add0 | (w0 << 8) | (pt0 & point)
+    words[:, 1] = lo1 | add1 | (w1 << 8) | (w0 >> 56) | (pt1 & point)
+    words[:, 2] = lo2 | add2 | (w2 << 8) | (w1 >> 56) | (pt2 & point)
+    seps = words.reshape(block.shape + (4,))[:, :, 3]
+    seps[:] = ord(",") << 56
+    seps[:, -1] = ord("\n") << 56
+    slow = np.flatnonzero(~fixed)
+    if len(slow):
+        text = "".join([(_FLOAT_FMT % v).ljust(31, "\0") for v in x[slow].tolist()])
+        words.view(np.uint8)[slow, :31] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 31)
+    return words.tobytes().translate(None, b"\0")
 
 
 def _write_json(path: str, payload: dict, cfg: RunConfig):
@@ -451,7 +600,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     gammas = sec.get("gammas", [0.5 * (cfg.model.prior.lo + cfg.model.prior.hi)])
     corners = sec.get("corners", False)
     n = cfg.model.n
-    blocks = []
+    rows = None
     ks_rows = []
     for gi, g in enumerate(gammas):
         stream = RngStream(seed=cfg.seed, stream_id=100 + gi)
@@ -459,7 +608,15 @@ def cmd_sample(cfg: RunConfig) -> int:
         if corners:
             z = np.vstack([tensor_points([[0.0, 1.0]] * n), z])
         theta = modelmod.sample_theta(cfg.model, float(g), z)
-        blocks.append(np.column_stack([np.full(len(z), float(g)), z, theta]))
+        if rows is None:
+            # after the first sampling: taken before it, the array pushed the
+            # sampling temporaries onto fresh pages (3.4 MB more peak memory
+            # from the second 100,000-draw run in a process)
+            rows = np.empty((len(gammas) * len(z), 1 + 2 * n))
+        block = rows[gi * len(z):(gi + 1) * len(z)]
+        block[:, 0] = float(g)
+        block[:, 1:1 + n] = z
+        block[:, 1 + n:] = theta
         for j in range(n):
             ks_rows.append({
                 "gamma": float(g),
@@ -468,7 +625,6 @@ def cmd_sample(cfg: RunConfig) -> int:
             })
     header = (["gamma"] + [f"z_{j + 1}" for j in range(n)]
               + [f"theta_{j + 1}" for j in range(n)])
-    rows = np.vstack(blocks)
     _write_csv(os.path.join(cfg.out_dir, "draws.csv"), header, rows)
     _write_json(os.path.join(cfg.out_dir, "ks.json"),
                 {"count": count, "statistics": ks_rows}, cfg)

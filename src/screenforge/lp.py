@@ -188,11 +188,16 @@ class LpModel:
         if not basis.valid:
             raise LpSolverError("no valid basis to polish")
         col = np.fromiter(map(int, basis.col_status), dtype=np.int8)
-        row = np.fromiter(map(int, basis.row_status), dtype=np.int8)
         status = _highs.HighsBasisStatus
-        lower, upper, basic = int(status.kLower), int(status.kUpper), int(status.kBasic)
+        lower, upper = int(status.kLower), int(status.kUpper)
         x = np.where(col == lower, self._lower, np.where(col == upper, self._upper, 0.0))
-        cols, tight = np.flatnonzero(col == basic), np.flatnonzero(row != basic)
+        # one basic variable per row: column j as j, the slack of row i as -1 - i
+        found, basic = self._highs.getBasicVariables()
+        self._check(found, "getBasicVariables")
+        cols = np.sort(basic[basic >= 0])
+        tight = np.ones(len(self._row_upper), bool)
+        tight[-1 - basic[basic < 0]] = False
+        tight = np.flatnonzero(tight)
         if len(cols) != len(tight):
             raise LpSolverError(f"basis of {len(cols)} columns on {len(tight)} tight rows")
         try:

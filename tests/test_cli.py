@@ -1,10 +1,15 @@
 import filecmp
 import json
 import os
+import tempfile
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from screenforge import cli as climod
 from screenforge import model as modelmod
@@ -805,3 +810,74 @@ class TestBlockWriter:
         header = ["gamma", "theta_1", "theta_2", "q_1", "q_2", "t2", "t1"]
         scalar.write_csv(str(tmp_path / "old.csv"), header, scalar.mech_table_rows(inst, mech))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _scalar_csv_matches(rows):
+    """Whether _write_csv and the one-value-at-a-time writer give the same bytes for rows."""
+    import scalar_reference as scalar
+
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        climod._write_csv(new, header, rows)
+        scalar.write_csv(old, header, rows.tolist())
+        with open(new, "rb") as fa, open(old, "rb") as fb:
+            return fa.read() == fb.read()
+
+
+def _array_table(values, cols=4):
+    """values in order, repeated to fill a table that the writer formats by array code."""
+    values = np.asarray(values, dtype=float).ravel()
+    rows = max(-(-len(values) // cols), -(-climod._CSV_VECTOR_FIELDS // cols))
+    return np.resize(values, (rows, cols))
+
+
+def _decades():
+    return [float(f"1e{x}") for x in range(-330, 309)]
+
+
+class TestFloatFormat:
+    """The array code of _write_csv writes what %.17g writes, field by field."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats()))
+    def test_any_floats(self, values):
+        assert _scalar_csv_matches(_array_table(values))
+        assert _scalar_csv_matches(values.reshape(-1, 1))
+
+    def test_next_to_every_decade(self):
+        powers = np.array(_decades())
+        values = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+        assert _scalar_csv_matches(_array_table(np.concatenate([values, -values])))
+
+    def test_ties_at_the_eighteenth_digit(self):
+        # odd m / 2**(17 - X) in [10**X, 10**(X + 1)) times 10**(16 - X) is
+        # an odd multiple of 1/2: a tie that only half-to-even settles
+        # (m stays below 2**53 up to X = 14)
+        ties = [np.arange(2**17 + 1, 4 * 2**17, 2) / 2.0**17]
+        rng = np.random.default_rng(5)
+        for x in range(-4, 15):
+            lo, hi = int(np.ceil(10.0**x * 2.0**(17 - x))), int(10.0**(x + 1) * 2.0**(17 - x))
+            m = rng.integers(lo, hi, size=2000) | 1
+            ties.append(m / 2.0**(17 - x))
+        values = np.concatenate(ties)
+        assert len(values) > 200_000
+        assert _scalar_csv_matches(_array_table(np.concatenate([values, -values])))
+
+    def test_round_up_to_the_next_decade(self):
+        # doubles below a power of ten whose 17 digits round up to it
+        powers = _decades()
+        texts = {"%.17g" % p for p in powers}
+        near = powers + [float(np.nextafter(p, d)) for p in powers for d in (0.0, np.inf)]
+        carried = [v for v in near
+                   if "%.17g" % v in texts and Fraction(v) < Fraction("%.17g" % v)]
+        assert len(carried) >= 10
+        values = np.array(carried + near)
+        assert _scalar_csv_matches(_array_table(np.concatenate([values, -values])))
+
+    def test_zeros_and_short_tables(self):
+        zeros = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
+        assert _scalar_csv_matches(_array_table(zeros))
+        assert _scalar_csv_matches(zeros.reshape(2, 3))
+        assert _scalar_csv_matches(zeros.reshape(1, 6))
+        assert _scalar_csv_matches(np.empty((0, 3)))

@@ -309,7 +309,10 @@ class TestPolish:
         model.solve()
         basis = model._highs.getBasis()
         basis.col_status = [lp._highs.HighsBasisStatus.kBasic] * len(c)
-        basis.row_status = [lp._highs.HighsBasisStatus.kBasic] * len(b)
-        model._highs = types.SimpleNamespace(getBasis=lambda: basis)
+        # every column and every row slack basic
+        basic = np.concatenate([np.arange(len(c)), -1 - np.arange(len(b))]).astype(np.int32)
+        model._highs = types.SimpleNamespace(
+            getBasis=lambda: basis,
+            getBasicVariables=lambda: (lp._highs.HighsStatus.kOk, basic))
         with pytest.raises(LpSolverError, match="columns on 0 tight rows"):
             model.polish()
