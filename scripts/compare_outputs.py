@@ -7,12 +7,14 @@ A and B are checkouts of this repository (each with a ``src/``).  Each
 of ``solve``, ``audit``, ``identity``, ``oracle`` and ``sample`` runs in
 a fresh interpreter on each tree, on the benchmark's full-size README
 and logistic configs, on a one-good drifting Clayton config, on a
-two-good logistic config under a drifting Gaussian copula, on a
-three-good uniform config under a Gaussian copula, on a three-good
-logistic config under a Gaussian copula (its ``solve`` integrates the
-joint score on 3-D grids), and on a three-good logistic config whose
-Gaussian rho drifts from -0.3 to 0.2; the last three put the copula paths
-beyond two goods under comparison (``sample`` with ``corners: true``).
+two-good logistic config under a drifting Gaussian copula, on two
+three-good uniform configs under a Gaussian copula (rho 0.5, and rho
+-0.49, whose 3x5x5x5 sequential rung writes HiGHS's own vertex because
+the polished one fails its re-check), on a three-good logistic config
+under a Gaussian copula (its ``solve`` integrates the joint score on 3-D
+grids), and on a three-good logistic config whose Gaussian rho drifts
+from -0.3 to 0.2; the three-good configs put the copula paths beyond
+two goods under comparison (``sample`` with ``corners: true``).
 The script
 lists every output file that differs or exists on one side only, and
 every differing exit code; it exits 1 if there is any.  For a differing
@@ -43,6 +45,7 @@ FAMILIES = {
     "driftlogi": {"name": "logistic_shift", "goods": 2,
                   "copula": {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}},
     "gauss3": {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
+    "gauss3neg": {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": -0.49}},
     # smooth and invariant: solve integrates the joint score on 3-D grids
     "logi3": {"name": "logistic_shift", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
     # the per-type rho crosses 0, so both loadings of the Gaussian cdf run
@@ -50,7 +53,7 @@ FAMILIES = {
                "copula": {"name": "gaussian", "rho": -0.3, "rho_slope": 0.5}},
 }
 # the configs run, each under its own family
-CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "gauss3", "logi3", "drift3")
+CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "gauss3", "gauss3neg", "logi3", "drift3")
 # identity checks these on every config, then the config's own family
 IDENTITY_FAMILIES = ("readme", "logi", "drift")
 _CHILD = """

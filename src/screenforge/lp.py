@@ -197,11 +197,18 @@ class LpModel:
         cols = np.sort(basic[basic >= 0])
         tight = np.ones(len(self._row_upper), bool)
         tight[-1 - basic[basic < 0]] = False
+        if len(cols) != tight.sum():
+            raise LpSolverError(f"basis of {len(cols)} columns on {tight.sum()} tight rows")
+        # the tight rows of the basic columns: a row mask over the CSC
+        # indices keeps each column's entries in order
+        sub = self._a[:, cols]
+        keep = tight[sub.indices]
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        sub = sp.csc_matrix((sub.data[keep], (np.cumsum(tight) - 1)[sub.indices[keep]],
+                             kept[sub.indptr]), shape=(len(cols), len(cols)))
         tight = np.flatnonzero(tight)
-        if len(cols) != len(tight):
-            raise LpSolverError(f"basis of {len(cols)} columns on {len(tight)} tight rows")
         try:
-            lu = splu(self._a[:, cols][tight])
+            lu = splu(sub)
         except RuntimeError as exc:
             raise LpSolverError(f"basis factorization failed: {exc}") from exc
         # every row is A_ub x <= b_ub or A_eq x = b_eq: a tight row is at its upper bound

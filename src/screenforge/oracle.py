@@ -46,6 +46,9 @@ DEFAULT_TOL = 1e-10
 CAP_FACTOR = 10.0
 MASS_FLOOR = 1e-9  # discretized cell masses below this are set to 0
 _BREAK_TOL = 1e-13  # cdf breakpoints closer than this share one shock cell
+# a dual cut prunes a profile only this far below the best value (relative
+# to max(1, |best|)): HiGHS meets the dual rows A^T y = c to 1e-10
+_CUT_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +367,22 @@ def _solve_exact(layout: _Layout, parts) -> SolveReport:
     solve caps the transfers; the cap-free re-solve starts from its basis
     and can end at another vertex of the optimal face.  That vertex is
     recomputed from its basis (``LpModel.polish``), and the polished
-    optimum is re-checked (``_recheck``).
+    optimum is re-checked (``_recheck``).  An ill-conditioned basis can
+    polish a correct vertex into a wrong one: if the polished optimum
+    fails, HiGHS's own vertex is re-checked and kept instead.
     """
     rows, rhs = _stack(parts, layout.nvar)
     model = LpModel(layout.objective(), rows, rhs, bounds=layout.bounds())
     capped = model.solve()
     model.set_bounds(layout.bounds(capped=False))
-    model.solve()
+    vertex = model.solve()
     sol = model.polish()
     mech = layout.unpack(sol.x)
-    _recheck(layout.inst, mech)
+    try:
+        _recheck(layout.inst, mech)
+    except ConvergenceError:
+        sol, mech = vertex, layout.unpack(vertex.x)
+        _recheck(layout.inst, mech)
     return SolveReport(
         value=sol.value,
         mechanism=mech,
@@ -817,11 +826,16 @@ def brute_force_value(instance: DiscreteInstance) -> float:
     other verdict is an error.
 
     Allocation profiles are solved best-first by the bound
-    ``sum_m P(m) E[q.theta | m]``.  The participation rows cap each
-    type's payments at the expected surplus of its allocation, so no
-    profile's LP value exceeds its bound; the search stops at the first
-    profile whose bound does not beat the best value found, and the
-    result is still the exhaustive optimum.  Only sensible for a
+    ``sum_m P(m) E[q.theta | m]``, the dual objective at that feasible y.
+    Every optimal y found is a Benders cut (Benders 1962): the dual's
+    feasible set is the same for every profile, so weak duality gives
+    value(k') <= b(k').y for every k' (Vohra 2011).  Each row of b(k)
+    depends on one type's allocation table, so one outer sum over types
+    evaluates a cut on every profile.  A profile is skipped when the
+    least of its cuts lies more than ``_CUT_MARGIN`` * max(1, |best|)
+    below the best value (y is clipped at 0), and the search stops at the
+    first profile whose bound does not beat the best value; the result is
+    still the exhaustive optimum, up to LP round-off.  Only sensible for a
     handful of cells and types.
     """
     m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
@@ -868,24 +882,40 @@ def brute_force_value(instance: DiscreteInstance) -> float:
     qtheta = np.einsum("kcn,an->kac", allocs, theta)
     surplus = instance.pmf @ np.einsum("kaa->ka", qtheta).T
     cell_gain = qtheta[:, true_cell, true_cell] - qtheta[:, true_cell, reported_cell]
+    # each right-hand-side row i reads one type's table: b(k)[i] is
+    # rhs[i, k[owner[i]]], so b(k).y is a sum of one term per type
+    types = np.arange(m_count)
+    owner = np.concatenate([cm, types, np.repeat(pair_rep, c_count * c_count), pair_m])
+    rhs = np.vstack([np.tile(cell_gain.T, (m_count, 1)), surplus,
+                     -np.tile(qtheta.reshape(len(allocs), -1).T, (pairs, 1)), surplus[pair_m]])
+    member = (owner == types[:, None]).astype(float)
+    row = np.arange(len(owner))
+
+    def cut(y):
+        """b(k).y for every profile k, in C order: the outer sum over types."""
+        return sum(np.ix_(*((member * y) @ rhs))).ravel()
 
     shape = (len(allocs),) * m_count
     bound = sum(np.ix_(*(instance.gamma_probs[:, None] * surplus))).ravel()  # C order
-    types = np.arange(m_count)
-    best = -np.inf
-    for p in np.argsort(-bound, kind="stable"):
-        if bound[p] <= best:
+    order = np.argsort(-bound, kind="stable")
+    ub = bound[order]  # least cut so far, in search order
+    best, pos = -np.inf, 0
+    while True:
+        ahead = np.flatnonzero(ub[pos:] > best - _CUT_MARGIN * max(1.0, abs(best)))
+        if not len(ahead):
             break
-        k = np.array(np.unravel_index(p, shape))
-        own = surplus[types, k]
-        model.set_cost(-np.concatenate([
-            cell_gain[k].ravel(), own, -qtheta[k[pair_rep]].ravel(), own[pair_m],
-        ]))
+        pos += ahead[0]
+        if bound[order[pos]] <= best:
+            break
+        k = np.array(np.unravel_index(order[pos], shape))
+        pos += 1
+        model.set_cost(-rhs[row, k[owner]])
         try:
             sol = model.solve()
         except LpUnboundedError:  # allocation profile admits no transfers
             continue
         best = max(best, -sol.value)
+        ub[pos:] = np.minimum(ub[pos:], cut(np.maximum(sol.x, 0.0))[order[pos:]])
     return float(best)
 
 

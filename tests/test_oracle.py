@@ -18,6 +18,7 @@ from screenforge.errors import (
     LpSolverError,
     LpUnboundedError,
 )
+from screenforge.lp import LpSolution
 
 
 def cl_model(goods=2, copula=None):
@@ -438,6 +439,51 @@ class TestExactSequential:
             O.solve_sequential(inst)
 
 
+    def test_ill_conditioned_basis_keeps_the_solver_vertex(self):
+        # this rung's final basis has a 1-norm condition number near 8e9:
+        # its polished vertex broke a row by 2.2e-7, HiGHS's own passes
+        model = M.build_model({"name": "cl_uniform", "goods": 3,
+                               "copula": {"name": "gaussian", "rho": -0.49}})
+        rep = O.solve_sequential(O.discretize(model, 3, 5))
+        assert abs(rep.value - 2.128399627771195) <= 1e-12
+
+    @pytest.mark.parametrize("solve,layout", [
+        (O.solve_simultaneous, O._sim_layout), (O.solve_sequential, O._seq_layout),
+    ], ids=["simultaneous", "sequential"])
+    def test_a_broken_polish_falls_back_to_the_solver_vertex(self, monkeypatch, solve, layout):
+        vertices, outcomes = [], []
+        lp_solve, polish, recheck = O.LpModel.solve, O.LpModel.polish, O._recheck
+
+        def recorded(model):
+            vertices.append(lp_solve(model))
+            return vertices[-1]
+
+        def nudged(model):
+            sol = polish(model)
+            x = sol.x.copy()
+            x[0] += 1e-6
+            return LpSolution(x=x, value=sol.value)
+
+        def checked(inst, mech):
+            try:
+                recheck(inst, mech)
+            except ConvergenceError:
+                outcomes.append(False)
+                raise
+            outcomes.append(True)
+
+        monkeypatch.setattr(O.LpModel, "solve", recorded)
+        monkeypatch.setattr(O.LpModel, "polish", nudged)
+        monkeypatch.setattr(O, "_recheck", checked)
+        inst = O.discretize(M.build_model(README_FAMILY), 3, 3)
+        rep = solve(inst)
+        assert outcomes == [False, True]
+        assert rep.value == rep.solve_values[-1] == vertices[-1].value
+        want = layout(inst).unpack(vertices[-1].x)
+        assert rep.mechanism.q.tobytes() == want.q.tobytes()
+        assert rep.mechanism.t1.tobytes() == want.t1.tobytes()
+
+
 GAUSS3_FAMILY = {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}}
 
 
@@ -643,8 +689,8 @@ class TestBruteForceAgreement:
         assert abs(O.solve_simultaneous(inst).value - O.brute_force_value(inst)) < 1e-8
 
     def test_bound_order_skips_most_profiles(self, monkeypatch):
-        # 2,809 implementable profiles; only those whose participation
-        # bound beats the optimum 1.625 need an LP
+        # 2,809 implementable profiles; 415 have a participation bound
+        # above the optimum 1.625, and the dual cuts leave 9 to solve
         inst = O.discretize(cl_model(2, {"name": "clayton", "alpha": 2.0}), 2, [2, 2])
         calls = []
         solve = O.LpModel.solve
@@ -655,7 +701,25 @@ class TestBruteForceAgreement:
 
         monkeypatch.setattr(O.LpModel, "solve", counted)
         assert abs(O.brute_force_value(inst) - 1.625) < 1e-9
-        assert len(calls) < 500
+        assert len(calls) <= 20
+
+    def test_three_types_two_by_two(self):
+        # 53**3 = 148,877 profiles; the dual cuts leave 27 LPs
+        inst = O.discretize(M.build_model(README_FAMILY), 3, 2)
+        assert abs(O.brute_force_value(inst) - 1.5555555555555556) <= 1e-12
+
+    def test_random_instances_match_map_enumeration(self):
+        rng = np.random.default_rng(2026)
+        for trial in range(30):
+            m, dims = [(2, [4]), (3, [4]), (2, [2, 2]), (3, [3])][trial % 4]
+            inst = O.DiscreteInstance(
+                gamma_values=np.sort(rng.random(m)),
+                gamma_probs=rng.dirichlet(np.ones(m)),
+                theta_grids=[np.cumsum(rng.uniform(0.1, 1.0, d)) for d in dims],
+                pmf=rng.dirichlet(np.ones(int(np.prod(dims))), m),
+            )
+            got, want = O.brute_force_value(inst), scalar.map_enumeration_value(inst)
+            assert abs(got - want) <= 1e-12, trial
 
     def test_round_number_instance(self):
         # a warm dual-simplex re-solve of the transfer LP stopped in
