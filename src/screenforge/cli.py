@@ -193,6 +193,8 @@ def _check_types(name: str, values, models, count=None):
 def _ladder(section: dict) -> list:
     """The oracle.theta_cells entries, one per rung."""
     ladder = section.get("theta_cells", _DEFAULTS["theta_cells"])
+    if ladder == []:
+        raise ConfigError("oracle.theta_cells must list at least one rung")
     return ladder if isinstance(ladder, list) else [ladder]
 
 

@@ -9,10 +9,10 @@ There is one engine: ``LpModel`` keeps one HiGHS model alive so that
 switched column bounds are re-solved by the dual simplex from the last
 basis, and a moved objective by the primal simplex; ``lp_solve`` is a
 single solve on a fresh ``LpModel``.  ``LpModel.polish`` recomputes the
-last optimum from its basis.  Every model is built under the one
-option table ``_OPTIONS`` and handed to HiGHS as CSC arrays in one
-``passModel`` call.  Replaying the same calls on an ``LpModel`` gives
-the same bytes.
+last optimum from its basis; one with ``integer`` columns is solved by
+branch and bound.  Every model is built under the one option table
+``_OPTIONS`` and handed to HiGHS as CSC arrays in one ``passModel``
+call.  Replaying the same calls on an ``LpModel`` gives the same bytes.
 """
 
 from __future__ import annotations
@@ -42,12 +42,18 @@ _INF = _highs.kHighsInf
 # Set before the model is passed: HiGHS drops matrix entries below
 # small_matrix_value when it receives the matrix, and its default of 1e-9
 # would silently solve another program (1e-12 is the least it accepts).
+# The mip_ options act only on integer columns: a zero gap, and no
+# feasibility-jump heuristic, which costs more than the small searches.
 _OPTIONS = {
     "output_flag": False,
     "presolve": "off",
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
     "small_matrix_value": 1e-12,
+    "mip_rel_gap": 0.0,
+    "mip_abs_gap": 0.0,
+    "mip_feasibility_tolerance": 1e-10,
+    "mip_heuristic_run_feasibility_jump": False,
 }
 _VERDICTS = (_highs.HighsModelStatus.kOptimal, _highs.HighsModelStatus.kInfeasible,
              _highs.HighsModelStatus.kUnbounded)
@@ -89,7 +95,10 @@ class LpModel:
     """A persistent HiGHS model of max c.x s.t. A_ub x <= b_ub, A_eq x = b_eq.
 
     Built once, as CSC (a CSC argument is passed on as it is); its rows
-    are fixed.  ``set_bounds`` replaces the column bounds; the next
+    are fixed.  Columns listed in ``integer`` take integer values only;
+    ``solve`` then runs branch and bound to a zero gap, and ``polish``
+    does not apply.
+    ``set_bounds`` replaces the column bounds; the next
     ``solve`` re-runs the dual simplex from the last basis, with presolve off.
     ``set_cost`` moves the objective: the last basis stays primal
     feasible, so from then on the model re-solves by the primal simplex
@@ -104,7 +113,7 @@ class LpModel:
     stale basis.
     """
 
-    def __init__(self, c, a_ub, b_ub, bounds=None, a_eq=None, b_eq=None):
+    def __init__(self, c, a_ub, b_ub, bounds=None, a_eq=None, b_eq=None, integer=()):
         self._c = np.asarray(c, dtype=float)
         n = len(self._c)
         a_ub, b_ub = _row_block(a_ub, b_ub, n, "inequality rows")
@@ -119,8 +128,8 @@ class LpModel:
             n, a.shape[0], a.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMaximize, 0.0,
             self._c, self._lower, self._upper,
             np.concatenate([np.full(len(b_ub), -_INF), b_eq]), self._row_upper,
-            # integrality: all continuous; HiGHS rejects an empty array
-            a.indptr, a.indices, a.data, np.zeros(n, np.int32),
+            # integrality: 1 (kInteger) on listed columns; HiGHS rejects an empty array
+            a.indptr, a.indices, a.data, np.isin(np.arange(n), integer).astype(np.int32),
         ), "passModel")
 
     @staticmethod

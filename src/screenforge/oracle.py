@@ -34,7 +34,7 @@ from .errors import (
     ConvergenceError,
     DegenerateCellError,
     InvalidIntervalError,
-    LpUnboundedError,
+    LpSolverError,
     ShapeMismatchError,
 )
 from .lp import LpModel, lp_solve
@@ -46,9 +46,6 @@ DEFAULT_TOL = 1e-10
 CAP_FACTOR = 10.0
 MASS_FLOOR = 1e-9  # discretized cell masses below this are set to 0
 _BREAK_TOL = 1e-13  # cdf breakpoints closer than this share one shock cell
-# a dual cut prunes a profile only this far below the best value (relative
-# to max(1, |best|)): HiGHS meets the dual rows A^T y = c to 1e-10
-_CUT_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -785,138 +782,50 @@ def project_mechanism(
     return DiscreteMechanism(q=q, t1=t1, t2=t2, regime="simultaneous")
 
 
-def _implementable_tables(theta: np.ndarray) -> np.ndarray:
-    """Every 0/1 allocation table (C, n) that valuation truth-telling can
-    implement, in bit-mask order: its misreport graph, with edge a -> b
-    weighing (q(a) - q(b)).theta(a), has no negative cycle.  One
-    Floyd-Warshall pass runs over all 2^(C n) tables at once."""
-    c_count, n = theta.shape
-    masks = np.arange(2 ** (c_count * n))[:, None] >> np.arange(c_count * n)
-    tables = (masks & 1).astype(float).reshape(-1, c_count, n)
-    dist = np.einsum("tabn,an->tab", tables[:, :, None, :] - tables[:, None, :, :], theta)
-    for k in range(c_count):
-        dist = np.minimum(dist, dist[:, :, k, None] + dist[:, None, k, :])
-    return tables[~np.any(np.diagonal(dist, axis1=1, axis2=2) < -1e-12, axis=1)]
-
-
 def brute_force_value(instance: DiscreteInstance) -> float:
-    """Exhaustive deterministic-allocation optimum with exact transfer LPs.
+    """Best mechanism with 0/1 allocations: one mixed-integer program,
+    solved by HiGHS's branch and bound (Land & Doig 1960) to a zero gap.
 
-    Every 0/1 allocation table per type is enumerated (non-implementable
-    ones pruned by the negative-cycle test), and the transfers solve an
-    LP carrying the complete deviation set: all cell misreport pairs and,
-    for every ordered type pair (m, r), every joint misreporting map.
-    The maps are not enumerated.  A free column v[p, c] per pair p and
-    true cell c bounds, by one row per reported cell d, the value
-    theta_c.q_r(d) - t2_r(d) of reporting d at c under menu r; one row per
-    pair then caps sum_c f_m(c) v[p, c] - t1_r at U_m(truth).  Since
-    f_m >= 0, the best map's value sum_c f_m(c) max_d (...) is the least
-    that sum can be, so the rows admit exactly the transfers that the
-    C^C map rows of each pair admit, and the LP value is the same.
-
-    That transfer LP, max c.x s.t. A x <= b(k) over free transfers and
-    v columns x, is solved in its dual form min b(k).y s.t. A^T y = c,
-    y >= 0; strong duality gives the same value.  The dual's feasible set
-    does not depend on the allocation profile k, so one model is built
-    once and each profile only moves its objective, re-solved by the
-    primal simplex from the last basis.  The dual is never infeasible
-    (y = ``gamma_probs`` on the participation rows and 0 elsewhere is
-    feasible: the v columns have zero cost), so an unbounded dual is
-    exactly a profile that admits no transfers and is skipped; every
-    other verdict is an error.
-
-    Allocation profiles are solved best-first by the bound
-    ``sum_m P(m) E[q.theta | m]``, the dual objective at that feasible y.
-    Every optimal y found is a Benders cut (Benders 1962): the dual's
-    feasible set is the same for every profile, so weak duality gives
-    value(k') <= b(k').y for every k' (Vohra 2011).  Each row of b(k)
-    depends on one type's allocation table, so one outer sum over types
-    evaluates a cut on every profile.  A profile is skipped when the
-    least of its cuts lies more than ``_CUT_MARGIN`` * max(1, |best|)
-    below the best value (y is clipped at 0), and the search stops at the
-    first profile whose bound does not beat the best value; the result is
-    still the exhaustive optimum, up to LP round-off.  Only sensible for a
-    handful of cells and types.
+    Binary q[m, c, j] and free t2, t1 meet the cell misreport and
+    participation rows and, for each ordered type pair p = (m, r), every
+    joint misreport map, not enumerated: v[p, c] >= theta_c.q_r(d) - t2_r(d)
+    for every reported cell d, and sum_c f_m(c) v[p, c] - t1_r <= U_m(truth)
+    with f_m >= 0.  The rows use the function's own columns, not
+    ``_Layout``: this is the reference the regime LPs are checked against.
+    The zero mechanism is feasible, so a verdict other than optimal is an
+    error, and so is a q more than 1e-9 from 0 or 1 (:class:`LpSolverError`).
     """
     m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
-    if 2 ** (c_count * n) > 4096:
-        raise InvalidIntervalError("instance too large for exhaustive search")
-    theta = instance.cell_values
-    allocs = _implementable_tables(theta)
-    if len(allocs) ** m_count > 10_000_000:
-        raise InvalidIntervalError("instance too large for exhaustive search")
-
+    theta, pmf = instance.cell_values, instance.pmf
     pair_m, pair_rep = np.nonzero(~np.eye(m_count, dtype=bool))
-    pairs = len(pair_m)
-    t2 = np.arange(m_count * c_count).reshape(m_count, c_count)
-    t1 = m_count * c_count + np.arange(m_count)
-    v = m_count * (c_count + 1) + np.arange(pairs * c_count).reshape(pairs, c_count)
-    nvar = m_count * (c_count + 1) + pairs * c_count
-    obj = np.zeros(nvar)
-    obj[t2] = instance.gamma_probs[:, None] * instance.pmf
-    obj[t1] = instance.gamma_probs
+    nq, nt = m_count * c_count * n, m_count * (c_count + 1)
+    q = np.arange(nq).reshape(m_count, c_count, n)
+    t2 = nq + np.arange(m_count * c_count).reshape(m_count, c_count)
+    t1 = nq + m_count * c_count + np.arange(m_count)
+    v = nq + nt + np.arange(len(pair_m) * c_count).reshape(-1, c_count)
+    obj = np.zeros(nq + nt + v.size)
+    obj[t2], obj[t1] = instance.gamma_probs[:, None] * pmf, instance.gamma_probs
 
-    # primal rows, one dual column each, in right-hand-side order: cell
-    # misreports t2(m,a) - t2(m,b), participation sum_c f t2 + t1, the
-    # epigraph rows -v[p,c] - t2(r,d), then each pair's top row; the
-    # coefficients do not depend on the allocation
-    true_cell, reported_cell = np.nonzero(~np.eye(c_count, dtype=bool))
-    cm = np.repeat(np.arange(m_count), len(true_cell))
-    ca, cb = np.tile(true_cell, m_count), np.tile(reported_cell, m_count)
-    # clipped: a mass of -1e-12 passes DiscreteInstance, but a negative
-    # weight would let its v column grow without bound
-    f = np.maximum(instance.pmf[pair_m], 0.0)
-    square = (pairs, c_count, c_count)
+    def minus_truth(m):  # -U_m(truth), one row per entry of m
+        return [(q[m], -pmf[m][:, :, None] * theta), (t2[m], pmf[m]), (t1[m][:, None], 1.0)]
+
+    cm, ca, cb = np.nonzero(np.tile(~np.eye(c_count, dtype=bool), (m_count, 1, 1)))
+    p, c, d = (i.ravel() for i in np.indices((len(pair_m), c_count, c_count)))
+    # all rows <= 0; f is clipped at 0, since a negative weight frees its v
     blocks = [
-        ([(t2[cm, ca], 1.0), (t2[cm, cb], -1.0)], len(cm)),
-        ([(t2, instance.pmf), (t1[:, None], 1.0)], m_count),
-        ([(np.broadcast_to(v[:, :, None], square), -1.0),
-          (np.broadcast_to(t2[pair_rep, None, :], square), -1.0)], pairs * c_count * c_count),
-        ([(v, f), (t2[pair_m], f), (t1[pair_rep, None], -1.0), (t1[pair_m, None], 1.0)], pairs),
+        ([(q[cm, cb], theta[ca]), (q[cm, ca], -theta[ca]), (t2[cm, cb], -1.0), (t2[cm, ca], 1.0)],
+         len(cm)),
+        (minus_truth(np.arange(m_count)), m_count),
+        ([(q[pair_rep[p], d], theta[c]), (t2[pair_rep[p], d], -1.0), (v[p, c], -1.0)], len(p)),
+        ([(v, np.maximum(pmf[pair_m], 0.0)), (t1[pair_rep, None], -1.0)] + minus_truth(pair_m),
+         len(pair_m)),
     ]
-    primal, _ = _stack([(_block_rows(b, count), np.zeros(count)) for b, count in blocks], nvar)
-    model = LpModel(np.zeros(primal.shape[0]), None, None, a_eq=primal.T, b_eq=obj)
-
-    # right-hand-side tables per allocation k: qtheta[k, a, c] is the value
-    # of report c at true cell a; surplus[m, k] = E[q.theta | m]
-    qtheta = np.einsum("kcn,an->kac", allocs, theta)
-    surplus = instance.pmf @ np.einsum("kaa->ka", qtheta).T
-    cell_gain = qtheta[:, true_cell, true_cell] - qtheta[:, true_cell, reported_cell]
-    # each right-hand-side row i reads one type's table: b(k)[i] is
-    # rhs[i, k[owner[i]]], so b(k).y is a sum of one term per type
-    types = np.arange(m_count)
-    owner = np.concatenate([cm, types, np.repeat(pair_rep, c_count * c_count), pair_m])
-    rhs = np.vstack([np.tile(cell_gain.T, (m_count, 1)), surplus,
-                     -np.tile(qtheta.reshape(len(allocs), -1).T, (pairs, 1)), surplus[pair_m]])
-    member = (owner == types[:, None]).astype(float)
-    row = np.arange(len(owner))
-
-    def cut(y):
-        """b(k).y for every profile k, in C order: the outer sum over types."""
-        return sum(np.ix_(*((member * y) @ rhs))).ravel()
-
-    shape = (len(allocs),) * m_count
-    bound = sum(np.ix_(*(instance.gamma_probs[:, None] * surplus))).ravel()  # C order
-    order = np.argsort(-bound, kind="stable")
-    ub = bound[order]  # least cut so far, in search order
-    best, pos = -np.inf, 0
-    while True:
-        ahead = np.flatnonzero(ub[pos:] > best - _CUT_MARGIN * max(1.0, abs(best)))
-        if not len(ahead):
-            break
-        pos += ahead[0]
-        if bound[order[pos]] <= best:
-            break
-        k = np.array(np.unravel_index(order[pos], shape))
-        pos += 1
-        model.set_cost(-rhs[row, k[owner]])
-        try:
-            sol = model.solve()
-        except LpUnboundedError:  # allocation profile admits no transfers
-            continue
-        best = max(best, -sol.value)
-        ub[pos:] = np.minimum(ub[pos:], cut(np.maximum(sol.x, 0.0))[order[pos:]])
-    return float(best)
+    rows, rhs = _stack([(_block_rows(blk, k), np.zeros(k)) for blk, k in blocks], len(obj))
+    bounds = [(0.0, 1.0)] * nq + [(None, None)] * (len(obj) - nq)
+    sol = LpModel(obj, rows, rhs, bounds=bounds, integer=q.ravel()).solve()
+    if (off := np.abs(sol.x[:nq] - np.rint(sol.x[:nq])).max()) > 1e-9:
+        raise LpSolverError(f"allocation {off:.3g} away from 0 or 1")
+    return sol.value
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ rectangulation is built by recursion over the goods and its per-cell
 report by one loop per type and good, as before both were batched.  The
 Gaussian cdf beyond two goods recurses by conditioning, one point and
 one node at a time, as before it took the one-factor integral.  The
-exhaustive oracle tests one allocation table at a time and writes one
-transfer-LP row per joint misreport map, as before it used per-cell
+exhaustive oracle enumerates the allocation profiles, tests one
+allocation table at a time and writes one transfer-LP row per joint
+misreport map, as before it was one mixed-integer program with per-cell
 epigraph rows.  The joint likelihood score, analytic for an invariant
 copula and a central difference in gamma otherwise, integrates the rents
 of every dependent smooth family on a joint grid, drifting ones included,
@@ -523,9 +524,12 @@ def implementable_tables(theta, n):
 
 
 def map_enumeration_value(instance):
-    """``brute_force_value`` with one transfer-LP row for every joint
-    misreporting map (C^C per ordered type pair) in place of the per-cell
-    epigraph rows; same dual form and best-first search."""
+    """The optimum of ``brute_force_value`` by enumeration: every
+    implementable allocation profile, best-first by its participation
+    bound, gets a transfer LP, solved in its dual form, with one row for
+    every joint misreporting map (C^C per ordered type pair) in place of
+    the per-cell epigraph rows; a profile without transfers (an unbounded
+    dual) is skipped."""
     m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
     theta = instance.cell_values
     allocs = implementable_tables(theta, n)

@@ -615,6 +615,7 @@ class TestOracleCommand:
         {"gamma_cells": 3, "theta_cells": [[2, 0]]},
         {"gamma_cells": 3, "theta_cells": [[2, 2, 2]]},
         {"gamma_cells": "three", "theta_cells": [2]},
+        {"gamma_cells": 3, "theta_cells": []},
     ])
     def test_bad_cell_counts_exit_2(self, tmp_path, section, capsys):
         cfg = write_config(tmp_path, family={"name": "cl_uniform", "goods": 2}, oracle=section)

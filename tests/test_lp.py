@@ -243,6 +243,15 @@ class TestLpModel:
         assert abs(sol.value + 1.8) <= 1e-12
         assert abs(_reference(c, None, None, (0, None), a_eq, b_eq).value + 1.8) <= 1e-12
 
+    def test_integer_columns(self):
+        # max x_1 + x_2 s.t. 2 x_1 + 2 x_2 <= 3 on [0, 1]^2: 1.5 relaxed,
+        # 1 when both columns are integer
+        c, a, b = [1.0, 1.0], [[2.0, 2.0]], [3.0]
+        assert abs(LpModel(c, a, b, bounds=(0.0, 1.0)).solve().value - 1.5) <= 1e-12
+        sol = LpModel(c, a, b, bounds=(0.0, 1.0), integer=[0, 1]).solve()
+        assert abs(sol.value - 1.0) <= 1e-12
+        np.testing.assert_allclose(np.sort(sol.x), [0.0, 1.0], rtol=0, atol=1e-12)
+
     def test_unbounded_after_dropping_bounds(self):
         # max x_1 subject to x_1 - x_2 <= 0: bounded only by the caps
         c, a, b = [1.0, 0.0], [[1.0, -1.0]], [0.0]

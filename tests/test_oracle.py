@@ -13,10 +13,8 @@ from screenforge import oracle as O
 from screenforge.errors import (
     ConvergenceError,
     DegenerateCellError,
-    InvalidIntervalError,
     LpInfeasibleError,
     LpSolverError,
-    LpUnboundedError,
 )
 from screenforge.lp import LpSolution
 
@@ -688,9 +686,9 @@ class TestBruteForceAgreement:
                             2, [2, 2])
         assert abs(O.solve_simultaneous(inst).value - O.brute_force_value(inst)) < 1e-8
 
-    def test_bound_order_skips_most_profiles(self, monkeypatch):
-        # 2,809 implementable profiles; 415 have a participation bound
-        # above the optimum 1.625, and the dual cuts leave 9 to solve
+    def test_one_mip_solve(self, monkeypatch):
+        # the 2,809 implementable allocation profiles are one
+        # mixed-integer program, solved once
         inst = O.discretize(cl_model(2, {"name": "clayton", "alpha": 2.0}), 2, [2, 2])
         calls = []
         solve = O.LpModel.solve
@@ -701,10 +699,10 @@ class TestBruteForceAgreement:
 
         monkeypatch.setattr(O.LpModel, "solve", counted)
         assert abs(O.brute_force_value(inst) - 1.625) < 1e-9
-        assert len(calls) <= 20
+        assert len(calls) == 1
 
     def test_three_types_two_by_two(self):
-        # 53**3 = 148,877 profiles; the dual cuts leave 27 LPs
+        # 53**3 = 148,877 implementable profiles, in one MIP of 36 binaries
         inst = O.discretize(M.build_model(README_FAMILY), 3, 2)
         assert abs(O.brute_force_value(inst) - 1.5555555555555556) <= 1e-12
 
@@ -743,19 +741,22 @@ class TestBruteForceAgreement:
         [np.array([1.0, 2.0])],
         [np.array([1.0, 4.0])] * 2,
         [np.array([0.25, 0.75])] * 2,
-        [np.array([0.1, 0.5, 0.7]), np.array([0.2, 0.9])],
         [np.array([0.0, 0.3, 1.1, 2.0])],
-    ])
-    def test_batched_tables_match_the_loop_reference(self, grids):
-        theta = O.tensor_points(grids)
-        got = O._implementable_tables(theta)
-        want = np.array(scalar.implementable_tables(theta, len(grids)))
-        np.testing.assert_array_equal(got, want)
+    ], ids=["1x2", "2x2-wide", "2x2-narrow", "1x4-zero"])
+    def test_tables_reach_the_loop_reference_optimum(self, grids):
+        # the one MIP reaches the optimum of the loop reference, which
+        # solves a transfer LP per profile of scalar.implementable_tables
+        cells = int(np.prod([len(g) for g in grids]))
+        pmf = np.arange(1.0, 2 * cells + 1).reshape(2, cells)
+        pmf[1] = pmf[1][::-1]
+        inst = O.DiscreteInstance([0.0, 1.0], [0.4, 0.6], grids,
+                                  pmf / pmf.sum(axis=1, keepdims=True))
+        assert abs(O.brute_force_value(inst) - scalar.map_enumeration_value(inst)) <= 1e-12
 
     def test_seven_cells_one_good(self):
         # 7**7 joint misreport maps per type pair, too many to write one
         # row each; the simultaneous optimum here is deterministic, so the
-        # exhaustive search must reach it
+        # 0/1 optimum must reach it
         inst = O.discretize(cl_model(1), 2, 7)
         rep = O.solve_simultaneous(inst)
         assert np.all(np.minimum(rep.mechanism.q, 1.0 - rep.mechanism.q) < 1e-7)
@@ -763,8 +764,8 @@ class TestBruteForceAgreement:
 
     @pytest.mark.parametrize("error", [LpInfeasibleError, LpSolverError])
     def test_failure_other_than_unbounded_propagates(self, monkeypatch, error):
-        # the dual is never infeasible, so only an unbounded dual (a profile
-        # without transfers) is skipped; any other verdict is an oracle error
+        # the zero mechanism is feasible, so every verdict other than an
+        # optimum is an oracle error
         def fail(model):
             raise error("forced")
 
@@ -772,25 +773,29 @@ class TestBruteForceAgreement:
         with pytest.raises(error):
             O.brute_force_value(HAND)
 
-    def test_unbounded_profile_is_skipped(self, monkeypatch):
-        # HAND has 3 implementable tables per type; with every profile
-        # skipped nothing beats -inf, so all 9 are visited
-        calls = []
+    def test_fractional_allocation_raises(self, monkeypatch):
+        solve = O.LpModel.solve
 
-        def unbounded(model):
-            calls.append(None)
-            raise LpUnboundedError("forced")
+        def fractional(model):
+            sol = solve(model)
+            x = sol.x.copy()
+            x[0] = 0.5  # q[0, 0, 0]
+            return LpSolution(x=x, value=sol.value)
 
-        monkeypatch.setattr(O.LpModel, "solve", unbounded)
-        assert O.brute_force_value(HAND) == -np.inf
-        assert len(calls) == 9
+        monkeypatch.setattr(O.LpModel, "solve", fractional)
+        with pytest.raises(LpSolverError, match="away from 0 or 1"):
+            O.brute_force_value(HAND)
 
-    @pytest.mark.parametrize("gamma_cells,theta_cells", [(2, [4, 4]), (5, [2, 2])])
-    def test_guard_on_large_instances(self, gamma_cells, theta_cells):
-        # 16 cells are too many; so are 53**5 allocation profiles
+    @pytest.mark.parametrize("gamma_cells,theta_cells,value", [
+        (2, [4, 4], 1.5625), (5, [2, 2], 1.52),
+    ])
+    def test_larger_instances_match_the_lp(self, gamma_cells, theta_cells, value):
+        # 2**32 allocation tables per type, and 53**5 allocation profiles:
+        # too many to enumerate, but one MIP each
         inst = O.discretize(cl_model(2), gamma_cells, theta_cells)
-        with pytest.raises(InvalidIntervalError):
-            O.brute_force_value(inst)
+        got = O.brute_force_value(inst)
+        assert abs(got - O.solve_simultaneous(inst).value) < 1e-8
+        assert abs(got - value) < 1e-8
 
 
 class TestInstanceRoundtrip:
