@@ -9,18 +9,17 @@ a fresh interpreter on each tree, on the benchmark's full-size README
 and logistic configs, on a one-good drifting Clayton config, on a
 two-good logistic config under a drifting Gaussian copula, on two
 three-good uniform configs under a Gaussian copula (rho 0.5, and rho
--0.49, whose 3x5x5x5 sequential rung writes HiGHS's own vertex because
-the polished one fails its re-check), on a three-good logistic config
-under a Gaussian copula (its ``solve`` integrates the joint score on 3-D
-grids), and on a three-good logistic config whose Gaussian rho drifts
-from -0.3 to 0.2; the three-good configs put the copula paths beyond
-two goods under comparison (``sample`` with ``corners: true``).
-The script
-lists every output file that differs or exists on one side only, and
-every differing exit code; it exits 1 if there is any.  For a differing
-CSV or JSON file it also prints the largest absolute difference between
-the numbers the two files hold in the same places, or says that the
-text around the numbers differs.
+-0.49, whose ladder carries cell masses of about 3e-17), on a
+three-good logistic config under a Gaussian copula (its ``solve``
+integrates the joint score on 3-D grids), and on a three-good logistic
+config whose Gaussian rho drifts from -0.3 to 0.2; the three-good
+configs put the copula paths beyond two goods under comparison
+(``sample`` with ``corners: true``).  The script lists every output
+file that differs or exists on one side only, and every differing exit
+code; it exits 1 if there is any.  For a differing CSV or JSON file it
+also prints the largest absolute difference between the numbers the two
+files hold in the same places, or says that the text around the numbers
+differs.
 """
 
 import argparse

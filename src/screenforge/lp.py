@@ -1,18 +1,17 @@
 """Thin deterministic layer over the HiGHS linear-programming solver.
 
 All callers express problems as maximization with rows in
-``A_ub x <= b_ub`` form, plus optional equality rows ``A_eq x = b_eq``.
-Determinism contract: identical inputs (same row ordering) produce
-identical solutions.
+``A_ub x <= b_ub`` form.  Determinism contract: identical inputs (same
+row ordering) produce identical solutions.
 
 There is one engine: ``LpModel`` keeps one HiGHS model alive so that
 switched column bounds are re-solved by the dual simplex from the last
-basis, and a moved objective by the primal simplex; ``lp_solve`` is a
-single solve on a fresh ``LpModel``.  ``LpModel.polish`` recomputes the
-last optimum from its basis; one with ``integer`` columns is solved by
-branch and bound.  Every model is built under the one option table
-``_OPTIONS`` and handed to HiGHS as CSC arrays in one ``passModel``
-call.  Replaying the same calls on an ``LpModel`` gives the same bytes.
+basis; ``lp_solve`` is a single solve on a fresh ``LpModel``.
+``LpModel.polish`` recomputes the last optimum from its basis; one with
+``integer`` columns is solved by branch and bound.  Every model is built
+under the one option table ``_OPTIONS`` and handed to HiGHS as CSC
+arrays in one ``passModel`` call.  Replaying the same calls on an
+``LpModel`` gives the same bytes.
 """
 
 from __future__ import annotations
@@ -29,13 +28,11 @@ try:
     # private module: the only import of it in the package
     from scipy.optimize._highspy import _core as _highs
 
-    for _method in ("changeColsCost", "changeColsBounds"):
-        getattr(_highs._Highs, _method)
+    _highs._Highs.changeColsBounds
 except (ImportError, AttributeError) as exc:  # pragma: no cover - old scipy
     raise ImportError(
         "screenforge needs scipy >= 1.17: its bundled HiGHS binding "
-        "(scipy.optimize._highspy._core._Highs) must provide "
-        "changeColsCost and changeColsBounds"
+        "(scipy.optimize._highspy._core._Highs) must provide changeColsBounds"
     ) from exc
 
 _INF = _highs.kHighsInf
@@ -82,30 +79,19 @@ def _bound_arrays(bounds, n: int):
     return lower, upper
 
 
-def _row_block(a, b, n: int, what: str):
-    """(CSC rows, right-hand side) of one row block; None is no rows."""
-    a = sp.csc_matrix(a, dtype=float) if a is not None else sp.csc_matrix((0, n))
-    b = np.asarray(b if b is not None else [], dtype=float)
-    if a.shape != (len(b), n):
-        raise ValueError(f"{what} does not match c")
-    return a, b
-
-
 class LpModel:
-    """A persistent HiGHS model of max c.x s.t. A_ub x <= b_ub, A_eq x = b_eq.
+    """A persistent HiGHS model of max c.x s.t. A_ub x <= b_ub.
 
-    Built once, as CSC (a CSC argument is passed on as it is); its rows
-    are fixed.  Columns listed in ``integer`` take integer values only;
-    ``solve`` then runs branch and bound to a zero gap, and ``polish``
-    does not apply.
-    ``set_bounds`` replaces the column bounds; the next
-    ``solve`` re-runs the dual simplex from the last basis, with presolve off.
-    ``set_cost`` moves the objective: the last basis stays primal
-    feasible, so from then on the model re-solves by the primal simplex
-    (HiGHS ``simplex_strategy`` 4).  ``bounds`` follow scipy conventions
-    (default x >= 0, None is unbounded).  A solve raises
-    :class:`LpInfeasibleError` or :class:`LpUnboundedError` on those
-    verdicts and :class:`LpSolverError` when HiGHS stops without either.
+    Built once, as CSC (a CSC argument is passed on as it is; None is no
+    rows); its rows and objective are fixed.  Columns listed in
+    ``integer`` take integer values only; ``solve`` then runs branch and
+    bound to a zero gap, and ``polish`` does not apply.
+    ``set_bounds`` replaces the column bounds; the next ``solve`` re-runs
+    the dual simplex from the last basis, with presolve off.  ``bounds``
+    follow scipy conventions (default x >= 0, None is unbounded).  A
+    solve raises :class:`LpInfeasibleError` or :class:`LpUnboundedError`
+    on those verdicts and :class:`LpSolverError` when HiGHS stops without
+    either.
     A run that HiGHS rejects or that stops without a verdict is retried
     once, from scratch, by the primal simplex, which the model then keeps.
     A solve that ends without an optimum clears the solver before it
@@ -113,21 +99,22 @@ class LpModel:
     stale basis.
     """
 
-    def __init__(self, c, a_ub, b_ub, bounds=None, a_eq=None, b_eq=None, integer=()):
+    def __init__(self, c, a_ub, b_ub, bounds=None, integer=()):
         self._c = np.asarray(c, dtype=float)
         n = len(self._c)
-        a_ub, b_ub = _row_block(a_ub, b_ub, n, "inequality rows")
-        a_eq, b_eq = _row_block(a_eq, b_eq, n, "equality rows")
-        self._a = a = sp.vstack([a_ub, a_eq], format="csc") if len(b_eq) else a_ub
+        a = sp.csc_matrix(a_ub, dtype=float) if a_ub is not None else sp.csc_matrix((0, n))
+        self._a = a
+        self._row_upper = np.asarray(b_ub if b_ub is not None else [], dtype=float)
+        if a.shape != (len(self._row_upper), n):
+            raise ValueError("inequality rows do not match c")
         self._lower, self._upper = _bound_arrays(bounds, n)
-        self._row_upper = np.concatenate([b_ub, b_eq])
         self._highs = _highs._Highs()
         for key, value in _OPTIONS.items():
             self._check(self._highs.setOptionValue(key, value), f"option {key}")
         self._check(self._highs.passModel(
             n, a.shape[0], a.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMaximize, 0.0,
             self._c, self._lower, self._upper,
-            np.concatenate([np.full(len(b_ub), -_INF), b_eq]), self._row_upper,
+            np.full(len(self._row_upper), -_INF), self._row_upper,
             # integrality: 1 (kInteger) on listed columns; HiGHS rejects an empty array
             a.indptr, a.indices, a.data, np.isin(np.arange(n), integer).astype(np.int32),
         ), "passModel")
@@ -136,19 +123,6 @@ class LpModel:
     def _check(status, what: str):
         if status == _highs.HighsStatus.kError:
             raise LpSolverError(f"HiGHS rejected {what}")
-
-    def set_cost(self, c):
-        """Move the objective in one batched call; only changed columns
-        are sent.  The next solve runs the primal simplex."""
-        c = np.asarray(c, dtype=float)
-        if c.shape != self._c.shape:
-            raise ValueError("objective does not match the model")
-        cols = np.flatnonzero(c != self._c)
-        if len(cols):
-            self._check(self._highs.changeColsCost(len(cols), cols.astype(np.int32), c[cols]),
-                        "changeColsCost")
-        self._check(self._highs.setOptionValue("simplex_strategy", 4), "option simplex_strategy")
-        self._c = c.copy()
 
     def set_bounds(self, bounds):
         """Replace the column bounds (scipy convention, as in the constructor)."""
@@ -220,7 +194,7 @@ class LpModel:
             lu = splu(sub)
         except RuntimeError as exc:
             raise LpSolverError(f"basis factorization failed: {exc}") from exc
-        # every row is A_ub x <= b_ub or A_eq x = b_eq: a tight row is at its upper bound
+        # every row is A_ub x <= b_ub: a tight row is at its upper bound
         x[cols] = lu.solve(self._row_upper[tight] - (self._a @ x)[tight])
         if not np.all(np.isfinite(x)):
             raise LpSolverError("basis solve is not finite")

@@ -44,7 +44,6 @@ from .numerics import tensor_points
 
 DEFAULT_TOL = 1e-10
 CAP_FACTOR = 10.0
-MASS_FLOOR = 1e-9  # discretized cell masses below this are set to 0
 _BREAK_TOL = 1e-13  # cdf breakpoints closer than this share one shock cell
 
 
@@ -116,10 +115,6 @@ def discretize(model: JointModel, gamma_cells: int, theta_cells) -> DiscreteInst
 
     Type masses come from prior cdf differences; joint cell masses from
     inclusion-exclusion differences of the joint cdf at cell corners.
-    A cell whose mass is below ``MASS_FLOOR`` gets mass 0, and each
-    type's cell masses are renormalized exactly: a coefficient that small
-    sits at HiGHS's feasibility tolerance, where a correct optimum can
-    fail its independent re-check.
     """
     if gamma_cells < 1:
         raise InvalidIntervalError("need at least one type cell")
@@ -158,7 +153,6 @@ def discretize(model: JointModel, gamma_cells: int, theta_cells) -> DiscreteInst
             raise DegenerateCellError(
                 f"negative cell mass {mass.min()} at type {g}; cdf is not a distribution"
             )
-        mass = np.where(mass < MASS_FLOOR, 0.0, mass)
         pmf[mi] = mass / mass.sum()
 
     return DiscreteInstance(
@@ -213,8 +207,9 @@ class DiscreteMechanism:
 class SolveReport:
     """One regime solve: ``solve_values`` holds the objective of each
     HiGHS solve in order (capped, then cap-free); the last entry is the
-    cap-free vertex polished from its basis, so it equals ``value``.
-    ``rows``, ``cols`` and ``nnz`` size the program."""
+    written cap-free vertex, polished or HiGHS's own (``_solve_exact``),
+    so it equals ``value``.  ``rows``, ``cols`` and ``nnz`` size the
+    program."""
 
     value: float
     mechanism: DiscreteMechanism

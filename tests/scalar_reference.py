@@ -29,7 +29,7 @@ from scipy.special import ndtr, ndtri
 from screenforge import mech as X
 from screenforge import oracle as O
 from screenforge.copulas import IndependenceCopula, bvn_upper
-from screenforge.errors import ConvergenceError, DensityZeroError, LpUnboundedError
+from screenforge.errors import ConvergenceError, DensityZeroError, LpInfeasibleError
 from screenforge.lp import LpModel
 from screenforge.model import divergence_residual, hazard, joint_density, sample_theta
 from screenforge.numerics import (
@@ -526,10 +526,10 @@ def implementable_tables(theta, n):
 def map_enumeration_value(instance):
     """The optimum of ``brute_force_value`` by enumeration: every
     implementable allocation profile, best-first by its participation
-    bound, gets a transfer LP, solved in its dual form, with one row for
-    every joint misreporting map (C^C per ordered type pair) in place of
-    the per-cell epigraph rows; a profile without transfers (an unbounded
-    dual) is skipped."""
+    bound, gets a transfer LP in free transfer columns on a fresh
+    ``LpModel``, with one row for every joint misreporting map (C^C per
+    ordered type pair) in place of the per-cell epigraph rows; a profile
+    without feasible transfers is skipped."""
     m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
     theta = instance.cell_values
     allocs = implementable_tables(theta, n)
@@ -548,13 +548,12 @@ def map_enumeration_value(instance):
     pair_m, pair_rep = np.nonzero(~np.eye(m_count, dtype=bool))  # map-block order
     pm, pr = np.repeat(pair_m, len(maps)), np.repeat(pair_rep, len(maps))
     f = instance.pmf[pm]
-    primal = sp.vstack([
+    rows = sp.vstack([
         csr_rows([(t2[cm, ca], 1.0), (t2[cm, cb], -1.0)], len(cm), nvar),
         csr_rows([(t2, instance.pmf), (t1[:, None], 1.0)], m_count, nvar),
         csr_rows([(t2[pr[:, None], np.tile(maps, (len(pair_m), 1))], -f), (t2[pm], f),
                   (t1[pr, None], -1.0), (t1[pm, None], 1.0)], len(pm), nvar),
-    ]).tocsr()
-    model = LpModel(np.zeros(primal.shape[0]), None, None, a_eq=primal.T, b_eq=obj)
+    ]).tocsc()
 
     qtheta = np.einsum("kcn,an->kac", np.stack(allocs), theta)
     surplus = instance.pmf @ np.einsum("kaa->ka", qtheta).T
@@ -570,13 +569,13 @@ def map_enumeration_value(instance):
             break
         k = np.array(np.unravel_index(p, shape))
         own = surplus[types, k]
-        model.set_cost(-np.concatenate([
+        rhs = np.concatenate([
             cell_gain[k].ravel(), own,
             (own[pair_m, None] - map_gain[pair_m, k[pair_rep]]).ravel(),
-        ]))
+        ])
         try:
-            sol = model.solve()
-        except LpUnboundedError:
+            sol = LpModel(obj, rows, rhs, bounds=(None, None)).solve()
+        except LpInfeasibleError:
             continue
-        best = max(best, -sol.value)
+        best = max(best, sol.value)
     return float(best)

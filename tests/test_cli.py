@@ -598,15 +598,14 @@ class TestOracleCommand:
             assert r["v_sequential"] >= r["v_simultaneous"] - 1e-9
 
     def test_drifting_six_cell_rung_solves(self, tmp_path):
-        # one cell of 3.8e-11 made the sequential optimum fail its re-check
-        # by 2.3e-10 (exit 4); the mass floor sets it to 0
+        # one cell of 3.8e-11: the polished sequential vertex fails its
+        # re-check by 8.1e-9, and HiGHS's own vertex is written (exit 0)
         family = {"name": "logistic_shift", "goods": 2,
                   "copula": {"name": "gaussian", "rho": -0.8, "rho_slope": 1.6}}
         cfg = write_config(tmp_path, family=family, oracle={"gamma_cells": 6, "theta_cells": [6]})
         assert run("oracle", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
         row = json.loads((tmp_path / "out" / "oracle.json").read_text())["refinements"][0]
-        # 1.4503106396842755 without the floor
-        assert abs(row["v_simultaneous"] - 1.4503106394562535) < 1e-11
+        assert abs(row["v_simultaneous"] - 1.4503106396842758) < 1e-11
         assert row["v_sequential"] >= row["v_simultaneous"] - 1e-9
 
     @pytest.mark.parametrize("section", [

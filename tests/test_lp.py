@@ -10,12 +10,11 @@ from screenforge.errors import LpInfeasibleError, LpSolverError, LpUnboundedErro
 from screenforge.lp import LpModel, lp_solve
 
 
-def _reference(c, a, b, bounds, a_eq=None, b_eq=None):
-    """Cold solve of max c.x s.t. a x <= b, a_eq x = b_eq by scipy's
-    linprog, an engine independent of ``LpModel`` (status 0 optimal,
-    2 infeasible, 3 unbounded; ``value`` is the maximum)."""
-    res = linprog(-np.asarray(c, dtype=float), A_ub=a, b_ub=b, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
+def _reference(c, a, b, bounds):
+    """Cold solve of max c.x s.t. a x <= b by scipy's linprog, an engine
+    independent of ``LpModel`` (status 0 optimal, 2 infeasible,
+    3 unbounded; ``value`` is the maximum)."""
+    res = linprog(-np.asarray(c, dtype=float), A_ub=a, b_ub=b, bounds=bounds, method="highs")
     res.value = -res.fun if res.status == 0 else None
     return res
 
@@ -65,20 +64,20 @@ class TestTransportToy:
         demand = [0.5, 0.5]
         cost = np.array([[1.0, 3.0], [2.0, 1.0]])
         c = -cost.reshape(-1)
-        a_eq = []
-        b_eq = []
+        a_bal = []
+        b_bal = []
         for i in range(2):
             row = np.zeros(4)
             row[2 * i : 2 * i + 2] = 1.0
-            a_eq.append(row)
-            b_eq.append(supply[i])
+            a_bal.append(row)
+            b_bal.append(supply[i])
         for j in range(2):
             row = np.zeros(4)
             row[j::2] = 1.0
-            a_eq.append(row)
-            b_eq.append(demand[j])
-        a_eq, b_eq = np.array(a_eq), np.array(b_eq)
-        sol = lp_solve(c, a_ub=np.vstack([a_eq, -a_eq]), b_ub=np.concatenate([b_eq, -b_eq]),
+            a_bal.append(row)
+            b_bal.append(demand[j])
+        a_bal, b_bal = np.array(a_bal), np.array(b_bal)
+        sol = lp_solve(c, a_ub=np.vstack([a_bal, -a_bal]), b_ub=np.concatenate([b_bal, -b_bal]),
                        bounds=[(0, None)] * 4)
 
         # vertex enumeration: one free parameter t = x11 in [0.1, 0.5]
@@ -103,45 +102,17 @@ def _random_program(seed, n=6, rows=5):
     return rng, c, a, b
 
 
-def _dual_program(seed):
-    """The dual of ``_random_program``, min b.y s.t. A^T y = c, y >= 0,
-    as a model of max -b.y; its box rows make it feasible for every c.
-    Returns (rng, model, its cost -b, cold) where ``cold(cost)`` solves
-    the dual under another cost by the reference engine."""
-    rng, c, a, b = _random_program(seed)
-
-    def cold(cost):
-        return _reference(cost, None, None, (0, None), a.T, c)
-
-    return rng, LpModel(-b, None, None, a_eq=a.T, b_eq=c), -b, cold
-
-
-def _dual_replay(seed):
-    """Move the dual's cost three times on one warm model; [(warm, cold)]."""
-    rng, model, cost, cold = _dual_program(seed)
-    steps = [(model.solve(), cold(cost))]
-    for _ in range(3):
-        moved = cost * (rng.random(len(cost)) + 0.5)
-        model.set_cost(moved)
-        steps.append((model.solve(), cold(moved)))
-    return steps
-
-
 def _replay(seed):
     """Edit one warm model step by step; after each step solve it and
     the same program from scratch by the reference engine.  Returns
     [(warm, cold)] per step."""
-    rng, c, a, b = _random_program(seed)
-    n = len(c)
+    _, c, a, b = _random_program(seed)
     model = LpModel(c, sp.csr_matrix(a), b, bounds=CAPPED)
     steps = []
 
     def check(bounds):
         steps.append((model.solve(), _reference(c, a, b, bounds)))
 
-    check(CAPPED)
-    c = c + rng.normal(size=n)
-    model.set_cost(c)
     check(CAPPED)
     model.set_bounds(FREE)
     check(FREE)
@@ -150,25 +121,56 @@ def _replay(seed):
     return steps
 
 
+def _dual_program(seed):
+    """The dual of ``_random_program`` over free columns, min b.y s.t.
+    A^T y = c, y >= 0, as max -b.y; each equality is a pair of opposite
+    <= rows.  Returns (cost, rows, rhs)."""
+    _, c, a, b = _random_program(seed)
+    return -b, np.vstack([a.T, -a.T]), np.concatenate([c, -c])
+
+
+def _dual_replay(seed):
+    """Cap the dual's columns, tighter and then off again, on one warm
+    model; [(warm, cold)] per step, where warm is the solution or the
+    ``LpInfeasibleError`` the solve raised."""
+    cost, rows, rhs = _dual_program(seed)
+    model = LpModel(cost, rows, rhs)
+    steps = []
+
+    def check(bounds):
+        try:
+            warm = model.solve()
+        except LpInfeasibleError as exc:
+            warm = exc
+        steps.append((warm, _reference(cost, rows, rhs, bounds)))
+
+    check((0.0, None))
+    top = steps[0][0].x.max()
+    for bounds in ((0.0, 0.9 * top), (0.0, 0.5 * top), (0.0, None)):
+        model.set_bounds(bounds)
+        check(bounds)
+    return steps
+
+
 class TestPassedModel:
     """HiGHS holds exactly the program the model was given."""
 
-    @pytest.mark.parametrize("n_ub,n_eq", [(4, 0), (0, 3), (4, 3)], ids=["ub", "eq", "mixed"])
-    def test_highs_lp_equals_the_inputs(self, n_ub, n_eq):
-        rng = np.random.default_rng(n_ub + 10 * n_eq)
+    @pytest.mark.parametrize("form", [sp.csr_matrix, sp.csc_matrix, np.asarray],
+                             ids=["csr", "csc", "dense"])
+    def test_highs_lp_equals_the_inputs(self, form):
+        rng = np.random.default_rng(4)
         c = rng.random(5)
-        a = rng.random((n_ub + n_eq, 5)) * (rng.random((n_ub + n_eq, 5)) < 0.6)
-        b = rng.random(n_ub + n_eq)
+        a = rng.random((4, 5)) * (rng.random((4, 5)) < 0.6)
+        b = rng.random(4)
         bounds = [(0.0, 1.0), (None, 2.0), (-1.0, None), (None, None), (0.5, 0.5)]
-        model = LpModel(c, sp.csr_matrix(a[:n_ub]) if n_ub else None, b[:n_ub] if n_ub else None,
-                        bounds=bounds, a_eq=a[n_ub:] if n_eq else None, b_eq=b[n_ub:] if n_eq else None)
+        model = LpModel(c, form(a), b, bounds=bounds)
         got = model._highs.getLp()
         assert got.sense_ == lp._highs.ObjSense.kMaximize
-        assert (got.num_col_, got.num_row_) == (5, n_ub + n_eq)
+        assert (got.num_col_, got.num_row_) == (5, 4)
         assert np.asarray(got.col_cost_).tobytes() == c.tobytes()
         np.testing.assert_array_equal(got.col_lower_, [0.0, -np.inf, -1.0, -np.inf, 0.5])
         np.testing.assert_array_equal(got.col_upper_, [1.0, 2.0, np.inf, np.inf, 0.5])
-        np.testing.assert_array_equal(got.row_lower_, np.concatenate([[-np.inf] * n_ub, b[n_ub:]]))
+        np.testing.assert_array_equal(got.row_lower_, [-np.inf] * 4)
         np.testing.assert_array_equal(got.row_upper_, b)
         csc = sp.csc_matrix(a)
         assert got.a_matrix_.format_ == lp._highs.MatrixFormat.kColwise
@@ -190,58 +192,48 @@ class TestLpModel:
             assert a.x.tobytes() == b.x.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_moved_costs_of_the_dual_form(self, seed):
-        # the dual keeps its feasible set while its cost moves; each warm
-        # re-solve by the primal simplex matches a cold solve
-        for warm, cold in _dual_replay(seed):
-            assert abs(warm.value - cold.value) <= 1e-9
+    def test_dual_form_matches_the_primal(self, seed):
+        # strong duality: min b.y over A^T y = c, y >= 0 equals max c.x
+        _, c, a, b = _random_program(seed)
+        primal = LpModel(c, a, b, bounds=FREE).solve().value
+        dual = LpModel(*_dual_program(seed)).solve().value
+        assert abs(primal + dual) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_capped_dual_matches_cold_solves(self, seed):
+        # the caps cut the optimum, then the feasible set, then come off
+        steps = _dual_replay(seed)
+        assert [cold.status for _, cold in steps] == [0, 0, 2, 0]
+        for warm, cold in steps:
+            if cold.status == 2:
+                assert isinstance(warm, LpInfeasibleError)
+            else:
+                assert abs(warm.value - cold.value) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(3))
     def test_dual_replay_is_byte_identical(self, seed):
         for (a, _), (b, _) in zip(_dual_replay(seed), _dual_replay(seed)):
-            assert a.x.tobytes() == b.x.tobytes()
-
-    def test_cost_shape_mismatch(self):
-        _, model, cost, _ = _dual_program(0)
-        with pytest.raises(ValueError):
-            model.set_cost(cost[:-1])
-
-    def test_unbounded_cost_then_recovery(self):
-        _, model, cost, cold = _dual_program(11)
-        before = model.solve().value
-        bad = cost.copy()
-        bad[-1] = 5.0  # the dual of -x_n <= -5 against x_n <= 2
-        model.set_cost(bad)
-        with pytest.raises(LpUnboundedError):
-            model.solve()
-        assert cold(bad).status == 3
-        model.set_cost(cost)
-        assert abs(model.solve().value - before) <= 1e-9
+            if isinstance(a, LpInfeasibleError):
+                assert isinstance(b, LpInfeasibleError)
+            else:
+                assert a.x.tobytes() == b.x.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_two_unbounded_costs_then_bounded(self, seed):
-        # an unbounded verdict clears the solver: no stale basis is kept
-        _, model, cost, cold = _dual_program(seed)
+    def test_repeated_unbounded_verdicts_then_capped(self, seed):
+        # five random rows in six free columns leave a ray; each verdict
+        # clears the solver, and a later solve starts from scratch
+        _, c, a, b = _random_program(seed)
+        a, b = a[:5], b[:5]
+        model = LpModel(c, a, b, bounds=CAPPED)
         model.solve()
-        for cut in (5.0, 3.0):
-            bad = cost.copy()
-            bad[-1] = cut
-            model.set_cost(bad)
+        model.set_bounds(FREE)
+        for _ in range(2):
             with pytest.raises(LpUnboundedError):
                 model.solve()
-            assert cold(bad).status == 3
             assert not model._highs.getBasis().valid
-        model.set_cost(cost)
-        assert abs(model.solve().value - cold(cost).value) <= 1e-9
-
-    def test_equality_rows(self):
-        # min x_1 + 2 x_2 + 4 x_3 s.t. x_1 + x_2 + x_3 = 1, x_1 - x_3 = 0.2,
-        # x >= 0: with x_3 = t the cost is 1.8 + t, so x = (0.2, 0.8, 0)
-        c, a_eq, b_eq = [-1.0, -2.0, -4.0], [[1.0, 1.0, 1.0], [1.0, 0.0, -1.0]], [1.0, 0.2]
-        sol = LpModel(c, None, None, a_eq=a_eq, b_eq=b_eq).solve()
-        np.testing.assert_allclose(sol.x, [0.2, 0.8, 0.0], atol=1e-12)
-        assert abs(sol.value + 1.8) <= 1e-12
-        assert abs(_reference(c, None, None, (0, None), a_eq, b_eq).value + 1.8) <= 1e-12
+        assert _reference(c, a, b, FREE).status == 3
+        model.set_bounds(CAPPED)
+        assert abs(model.solve().value - _reference(c, a, b, CAPPED).value) <= 1e-9
 
     def test_integer_columns(self):
         # max x_1 + x_2 s.t. 2 x_1 + 2 x_2 <= 3 on [0, 1]^2: 1.5 relaxed,
@@ -253,7 +245,8 @@ class TestLpModel:
         np.testing.assert_allclose(np.sort(sol.x), [0.0, 1.0], rtol=0, atol=1e-12)
 
     def test_unbounded_after_dropping_bounds(self):
-        # max x_1 subject to x_1 - x_2 <= 0: bounded only by the caps
+        # max x_1 subject to x_1 - x_2 <= 0: bounded only by the caps; an
+        # unbounded verdict clears the solver, so no stale basis is kept
         c, a, b = [1.0, 0.0], [[1.0, -1.0]], [0.0]
         model = LpModel(c, a, b, bounds=CAPPED)
         assert abs(model.solve().value - 1.0) <= 1e-9
@@ -261,6 +254,9 @@ class TestLpModel:
         with pytest.raises(LpUnboundedError):
             model.solve()
         assert _reference(c, a, b, FREE).status == 3
+        assert not model._highs.getBasis().valid
+        model.set_bounds(CAPPED)
+        assert abs(model.solve().value - 1.0) <= 1e-9
 
     def test_infeasible_bounds_then_recovery(self):
         # raising both lower bounds to 1 asks x_1 + x_2 >= 2 against x_1 + x_2 <= 1
@@ -287,12 +283,15 @@ class TestPolish:
         assert polished.value == float(np.dot(c, polished.x))
         assert np.max(a @ polished.x - b) <= 1e-12
 
-    def test_dual_form_with_equality_rows(self):
-        _, model, cost, cold = _dual_program(2)
+    def test_dual_form_with_paired_rows(self):
+        # both rows of an equality pair are tight; the basis keeps one slack
+        cost, rows, rhs = _dual_program(2)
+        model = LpModel(cost, rows, rhs)
         model.solve()
         polished = model.polish()
-        assert abs(polished.value - cold(cost).value) <= 1e-9
+        assert abs(polished.value - _reference(cost, rows, rhs, (0, None)).value) <= 1e-9
         assert polished.x.min() >= 0.0
+        assert np.max(rows @ polished.x - rhs) <= 1e-12
 
     def test_no_basis_raises(self):
         model = LpModel([1.0, 1.0], [[1.0, 1.0]], [1.0], bounds=(1.0, None))

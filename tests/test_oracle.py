@@ -102,15 +102,12 @@ class TestDiscretize:
             ref = np.asarray(ref)
             np.testing.assert_allclose(inst.pmf[mi], ref / ref.sum(), atol=1e-10)
 
-    def test_mass_floor(self):
-        # the drifting logistic + Gaussian 6x6x6 instance has one cell of
-        # 3.8e-11; it gets mass 0 and its type's pmf still sums to one
-        model = M.build_model({"name": "logistic_shift", "goods": 2,
-                               "copula": {"name": "gaussian", "rho": -0.8, "rho_slope": 1.6}})
-        inst = O.discretize(model, 6, 6)
-        positive = inst.pmf[inst.pmf > 0]
-        assert np.count_nonzero(inst.pmf == 0) == 1
-        assert positive.min() >= O.MASS_FLOOR
+    def test_tiny_masses_are_kept(self):
+        # the drifting logistic + Gaussian 6x6x6 instance keeps its least
+        # cell, of 3.8e-11, and every type's pmf sums to one
+        inst = O.discretize(M.build_model(DRIFTING_LOGI), 6, 6)
+        assert np.count_nonzero(inst.pmf == 0) == 0
+        assert 3.7e-11 < inst.pmf.min() < 3.8e-11
         np.testing.assert_allclose(inst.pmf.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_marginal_instance_sums_out(self):
@@ -378,6 +375,29 @@ DRIFTING_LOGI = {"name": "logistic_shift", "goods": 2,
                  "copula": {"name": "gaussian", "rho": -0.8, "rho_slope": 1.6}}
 
 
+def _sequential_recorded(monkeypatch, inst):
+    """``solve_sequential(inst)``, HiGHS's vertices in order, and each
+    re-check's outcome (True on a pass) in order."""
+    vertices, outcomes = [], []
+    lp_solve, recheck = O.LpModel.solve, O._recheck
+
+    def recorded(model):
+        vertices.append(lp_solve(model))
+        return vertices[-1]
+
+    def checked(inst, mech):
+        try:
+            recheck(inst, mech)
+        except ConvergenceError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+
+    monkeypatch.setattr(O.LpModel, "solve", recorded)
+    monkeypatch.setattr(O, "_recheck", checked)
+    return O.solve_sequential(inst), vertices, outcomes
+
+
 class TestExactSequential:
     @pytest.mark.parametrize("family,gamma_cells,theta_cells", [
         *((README_FAMILY, 3, k) for k in (2, 3, 4, 5)),
@@ -436,14 +456,23 @@ class TestExactSequential:
         with pytest.raises(ConvergenceError, match="re-check"):
             O.solve_sequential(inst)
 
+    def test_ill_conditioned_basis_keeps_the_solver_vertex(self, monkeypatch):
+        # the drifting 6x6x6 rung's polished vertex fails its re-check by
+        # 8.1e-9; HiGHS's own cap-free vertex passes and is written
+        inst = O.discretize(M.build_model(DRIFTING_LOGI), 6, [6, 6])
+        rep, vertices, outcomes = _sequential_recorded(monkeypatch, inst)
+        assert outcomes == [False, True]
+        assert rep.value == rep.solve_values[-1] == vertices[-1].value
 
-    def test_ill_conditioned_basis_keeps_the_solver_vertex(self):
-        # this rung's final basis has a 1-norm condition number near 8e9:
-        # its polished vertex broke a row by 2.2e-7, HiGHS's own passes
+    def test_gaussian_negative_rho_rung_value(self, monkeypatch):
+        # cl_uniform, 3 goods, Gaussian rho -0.49, 3x5^3: cell masses down
+        # to 3.4e-17 stay in the instance, and the polished sequential
+        # vertex passes its re-check
         model = M.build_model({"name": "cl_uniform", "goods": 3,
                                "copula": {"name": "gaussian", "rho": -0.49}})
-        rep = O.solve_sequential(O.discretize(model, 3, 5))
-        assert abs(rep.value - 2.128399627771195) <= 1e-12
+        rep, _, outcomes = _sequential_recorded(monkeypatch, O.discretize(model, 3, 5))
+        assert outcomes == [True]
+        assert abs(rep.value - 2.1283996266752996) <= 1e-12
 
     @pytest.mark.parametrize("solve,layout", [
         (O.solve_simultaneous, O._sim_layout), (O.solve_sequential, O._seq_layout),
