@@ -6,20 +6,21 @@
 A and B are checkouts of this repository (each with a ``src/``).  Each
 of ``solve``, ``audit``, ``identity``, ``oracle`` and ``sample`` runs in
 a fresh interpreter on each tree, on the benchmark's full-size README
-and logistic configs, on a one-good drifting Clayton config, on a
-two-good logistic config under a drifting Gaussian copula, on two
-three-good uniform configs under a Gaussian copula (rho 0.5, and rho
--0.49, whose ladder carries cell masses of about 3e-17), on a
-three-good logistic config under a Gaussian copula (its ``solve``
-integrates the joint score on 3-D grids), and on a three-good logistic
-config whose Gaussian rho drifts from -0.3 to 0.2; the three-good
-configs put the copula paths beyond two goods under comparison
-(``sample`` with ``corners: true``).  The script lists every output
-file that differs or exists on one side only, and every differing exit
-code; it exits 1 if there is any.  For a differing CSV or JSON file it
-also prints the largest absolute difference between the numbers the two
-files hold in the same places, or says that the text around the numbers
-differs.
+and logistic configs, on a one-good drifting Clayton config, on two
+two-good logistic configs under a drifting Gaussian copula (rho from
+-0.4 to 0.8, and from -0.8 to 0.8, the most negative two-good loading
+the tests pin), on two three-good uniform configs under a Gaussian
+copula (rho 0.5, and rho -0.49, whose ladder carries cell masses of
+about 3e-17), on a three-good logistic config under a Gaussian copula
+(its ``solve`` integrates the joint score on 3-D grids), and on a
+three-good logistic config whose Gaussian rho drifts from -0.3 to 0.2.
+Every Gaussian config's ``oracle`` takes the copula cdf's one-factor
+integral, and ``sample`` runs with ``corners: true``.  The script lists
+every output file that differs or exists on one side only, and every
+differing exit code; it exits 1 if there is any.  For a differing CSV or
+JSON file it also prints the largest absolute difference between the
+numbers the two files hold in the same places, or says that the text
+around the numbers differs.
 """
 
 import argparse
@@ -43,6 +44,8 @@ FAMILIES = {
                 "copula": {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}},
     "driftlogi": {"name": "logistic_shift", "goods": 2,
                   "copula": {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}},
+    "driftlogi8": {"name": "logistic_shift", "goods": 2,
+                   "copula": {"name": "gaussian", "rho": -0.8, "rho_slope": 1.6}},
     "gauss3": {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
     "gauss3neg": {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": -0.49}},
     # smooth and invariant: solve integrates the joint score on 3-D grids
@@ -52,7 +55,8 @@ FAMILIES = {
                "copula": {"name": "gaussian", "rho": -0.3, "rho_slope": 0.5}},
 }
 # the configs run, each under its own family
-CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "gauss3", "gauss3neg", "logi3", "drift3")
+CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "driftlogi8", "gauss3", "gauss3neg", "logi3",
+           "drift3")
 # identity checks these on every config, then the config's own family
 IDENTITY_FAMILIES = ("readme", "logi", "drift")
 _CHILD = """

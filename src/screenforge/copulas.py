@@ -2,7 +2,8 @@
 
 Each copula exposes, for a pre-contract type ``gamma``:
 
-* ``cdf(u, gamma)``        joint distribution on the unit cube,
+* ``cdf(u, gamma)``        joint distribution on the unit cube (the
+  Gaussian one by a single one-factor integral at every number of goods),
 * ``density(u, gamma)``    its density,
 * ``partial_log_density``  componentwise d ln c / d u_j,
 * ``conditional_chain``    the inverse Rosenblatt map z -> u used for
@@ -35,7 +36,7 @@ from .errors import InvalidIntervalError
 from .numerics import composite_rule, outer_sum, tensor_points
 
 _Z_CLIP = 1e-15
-_CDF_CHUNK = 1 << 18  # points x nodes of one chunk of the Gaussian cdf beyond two goods
+_CDF_CHUNK = 1 << 18  # points x nodes of one chunk of the Gaussian cdf
 
 
 def _goods_axis(param):
@@ -175,29 +176,6 @@ class ClaytonCopula(_Copula):
         return np.where(corner, np.clip(z, 0.0, 1.0), u)
 
 
-def bvn_upper(dh: float, dk: float, r: float) -> float:
-    """P(X > dh, Y > dk) for a standard bivariate normal with correlation r.
-
-    Owen's (1956) T-function form of the lower orthant Phi2(h, k; r) at
-    h = -dh, k = -dk: Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta,
-    with a_h = (k - r h) / (h sqrt(1 - r^2)) and beta = 1/2 when hk < 0,
-    or hk = 0 and h + k < 0.
-    """
-    from scipy.special import ndtr, owens_t  # only the Gaussian copula loads scipy
-
-    h, k = -float(dh), -float(dk)
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(r) / (2.0 * math.pi)
-    s = math.sqrt((1.0 - r) * (1.0 + r))
-
-    def t(x, y):  # a zero x has slope +-inf, signed by y - r x
-        return float(owens_t(x, (y - r * x) / (x * s) if x else math.copysign(math.inf, y)))
-
-    beta = 0.5 if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0) else 0.0
-    bvn = 0.5 * float(ndtr(h) + ndtr(k)) - t(h, k) - t(k, h) - beta
-    return max(0.0, min(1.0, bvn))
-
-
 def _normal_scores(u):
     from scipy.special import ndtri
 
@@ -208,8 +186,8 @@ class GaussianCopula(_Copula):
     """Gaussian copula with an equicorrelated matrix, |rho| < 1.
 
     For dim n the correlation matrix is (1-rho) I + rho J; rho may drift
-    with gamma through a linear path.  The cdf is ``bvn_upper`` for two
-    goods and a one-factor integral beyond (see ``cdf``).
+    with gamma through a linear path.  The cdf is the one-factor integral
+    at every number of goods (see ``cdf``).
     """
 
     name = "gaussian"
@@ -295,9 +273,9 @@ class GaussianCopula(_Copula):
         return np.where(corner, np.clip(z, 0.0, 1.0), u)
 
     def cdf(self, u, gamma: float = 0.0):
-        """Beyond two goods, P(X <= x) at the normal scores x of u is the
-        integral of phi(t) prod_j Phi((x_j - l t) / sqrt(1 - r)) dt, with
-        loading l = sqrt(r), or i sqrt(-r) when r < 0 (Genz & Bretz 2009).
+        """P(X <= x) at the normal scores x of u is the integral of phi(t)
+        prod_j Phi((x_j - l t) / sqrt(1 - r)) dt, with loading l =
+        sqrt(r), or i sqrt(-r) when r < 0 (Genz & Bretz 2009).
         It decays like exp(-kappa t^2 / 2), kappa > 0 on exactly the valid
         range of r, and is cut at exp(-40); each factor turns over a width
         sqrt((1 - r) / r) in t (panels of 8 were 4e-13 off at six goods)."""
@@ -309,9 +287,6 @@ class GaussianCopula(_Copula):
         out = np.prod(flat, axis=-1)  # exact with a coordinate at 0 or at most one below 1
         rows = np.flatnonzero((np.sum(flat < 1.0, axis=-1) > 1) & (out > 0.0))
         x = ndtri(flat[rows])  # inf where u_j = 1
-        if n == 2:
-            out[rows] = [bvn_upper(-a, -b, r) for a, b in x]
-            return out.reshape(u.shape[:-1])
         half = math.sqrt(80.0 * (1.0 + abs(r)) / (1.0 - (n - 1) * max(-r, 0.0)))
         width = 6.0 * math.sqrt((1.0 - r) / r) if r > 0.5 else 6.0
         rule = composite_rule(-half, half, 32,

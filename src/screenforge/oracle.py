@@ -205,10 +205,11 @@ class DiscreteMechanism:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """One regime solve: ``solve_values`` holds the objective of each
-    HiGHS solve in order (capped, then cap-free); the last entry is the
-    written cap-free vertex, polished or HiGHS's own (``_solve_exact``),
-    so it equals ``value``.  ``rows``, ``cols`` and ``nnz`` size the
+    """One regime solve: ``solve_values`` holds objectives in solve
+    order, and its last entry is the written vertex, so it equals
+    ``value``.  ``_solve_exact`` writes the capped solve, then the
+    cap-free vertex, polished or HiGHS's own; ``solve_relaxed`` writes
+    its one capped solve.  ``rows``, ``cols`` and ``nnz`` size the
     program."""
 
     value: float

@@ -8,27 +8,28 @@ sequential LP, solved by cutting planes the way the oracle did before
 its adapted constraints were written out.  The relaxed regime's shock
 rectangulation is built by recursion over the goods and its per-cell
 report by one loop per type and good, as before both were batched.  The
-Gaussian cdf beyond two goods recurses by conditioning, one point and
-one node at a time, as before it took the one-factor integral.  The
-exhaustive oracle enumerates the allocation profiles, tests one
-allocation table at a time and writes one transfer-LP row per joint
-misreport map, as before it was one mixed-integer program with per-cell
-epigraph rows.  The joint likelihood score, analytic for an invariant
-copula and a central difference in gamma otherwise, integrates the rents
-of every dependent smooth family on a joint grid, drifting ones included,
-as the solver did before a drifting copula took the per-good score.  The
-tests check the batched code against them.
+Gaussian cdf recurses by conditioning, one point and one node at a
+time, down to Owen's T-function form at two goods, as before it took the
+one-factor integral.  The exhaustive oracle enumerates the allocation
+profiles, tests one allocation table at a time and writes one
+transfer-LP row per joint misreport map, as before it was one
+mixed-integer program with per-cell epigraph rows.  The joint likelihood
+score, analytic for an invariant copula and a central difference in
+gamma otherwise, integrates the rents of every dependent smooth family
+on a joint grid, drifting ones included, as the solver did before a
+drifting copula took the per-good score.  The tests check the batched
+code against them.
 """
 
 import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr, ndtri, owens_t
 
 from screenforge import mech as X
 from screenforge import oracle as O
-from screenforge.copulas import IndependenceCopula, bvn_upper
+from screenforge.copulas import IndependenceCopula
 from screenforge.errors import ConvergenceError, DensityZeroError, LpInfeasibleError
 from screenforge.lp import LpModel
 from screenforge.model import divergence_residual, hazard, joint_density, sample_theta
@@ -294,6 +295,27 @@ def gaussian_chain(z, r, n):
     return np.where((z <= 0.0) | (z >= 1.0), np.clip(z, 0.0, 1.0), ndtr(x))
 
 
+def bvn_upper(dh: float, dk: float, r: float) -> float:
+    """P(X > dh, Y > dk) for a standard bivariate normal with correlation r.
+
+    Owen's (1956) T-function form of the lower orthant Phi2(h, k; r) at
+    h = -dh, k = -dk: Phi(h)/2 + Phi(k)/2 - T(h, a_h) - T(k, a_k) - beta,
+    with a_h = (k - r h) / (h sqrt(1 - r^2)) and beta = 1/2 when hk < 0,
+    or hk = 0 and h + k < 0.
+    """
+    h, k = -float(dh), -float(dk)
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(r) / (2.0 * math.pi)
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+
+    def t(x, y):  # a zero x has slope +-inf, signed by y - r x
+        return float(owens_t(x, (y - r * x) / (x * s) if x else math.copysign(math.inf, y)))
+
+    beta = 0.5 if h * k < 0.0 or (h * k == 0.0 and h + k < 0.0) else 0.0
+    bvn = 0.5 * float(ndtr(h) + ndtr(k)) - t(h, k) - t(k, h) - beta
+    return max(0.0, min(1.0, bvn))
+
+
 def gaussian_cdf(u, r):
     """Equicorrelated Gaussian copula cdf at one point u for r != 0, by
     conditioning on one normal score per good past two, down to the
@@ -397,7 +419,7 @@ def _adapted_cuts(inst, mech, tol):
     return cuts
 
 
-def kelley_sequential(inst, tol=1e-10, max_rounds=200):
+def kelley_sequential(inst, tol=1e-10, max_rounds=400):
     """Optimal value of the sequential LP by Kelley's cutting planes.
 
     Only participation is imposed up front.  Each round builds a fresh

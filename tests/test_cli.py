@@ -598,8 +598,8 @@ class TestOracleCommand:
             assert r["v_sequential"] >= r["v_simultaneous"] - 1e-9
 
     def test_drifting_six_cell_rung_solves(self, tmp_path):
-        # one cell of 3.8e-11: the polished sequential vertex fails its
-        # re-check by 8.1e-9, and HiGHS's own vertex is written (exit 0)
+        # one cell of 3.8e-11 stays in the instance; each regime writes a
+        # vertex that passes its re-check, so the ladder exits 0
         family = {"name": "logistic_shift", "goods": 2,
                   "copula": {"name": "gaussian", "rho": -0.8, "rho_slope": 1.6}}
         cfg = write_config(tmp_path, family=family, oracle={"gamma_cells": 6, "theta_cells": [6]})

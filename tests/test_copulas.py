@@ -11,7 +11,6 @@ from screenforge.copulas import (
     ClaytonCopula,
     GaussianCopula,
     IndependenceCopula,
-    bvn_upper,
     make_copula,
 )
 from screenforge.errors import InvalidIntervalError
@@ -95,7 +94,7 @@ class TestGaussianAgainstReferences:
     def test_bvn_zero_zero_closed_form(self):
         for rho in (-0.8, -0.3, 0.0, 0.2, 0.5, 0.93, 0.99):
             exact = 0.25 + math.asin(rho) / (2 * math.pi)
-            assert abs(bvn_upper(0.0, 0.0, rho) - exact) < 1e-14
+            assert abs(scalar.bvn_upper(0.0, 0.0, rho) - exact) < 1e-14
 
     def test_bvn_against_scipy(self):
         from scipy.special import ndtr
@@ -106,7 +105,7 @@ class TestGaussianAgainstReferences:
             rho = rng.uniform(-0.98, 0.98)
             mvn = multivariate_normal(mean=[0, 0], cov=[[1, rho], [rho, 1]])
             ref = 1 - ndtr(h) - ndtr(k) + mvn.cdf([h, k])
-            assert abs(bvn_upper(h, k, rho) - ref) < 5e-8
+            assert abs(scalar.bvn_upper(h, k, rho) - ref) < 5e-8
 
     def test_bvn_against_the_angle_integral(self):
         # P(X > h, Y > k) = Phi(-h) Phi(-k) + (1/2pi) int_0^asin(r)
@@ -124,8 +123,12 @@ class TestGaussianAgainstReferences:
                 expo = -(h * h - 2.0 * h * k * np.sin(t) + k * k) / (2.0 * np.cos(t) ** 2)
                 angle = math.copysign(1.0, r) * (np.exp(expo) @ rule.weights)
             ref = ndtr(-h[..., 0]) * ndtr(-k[..., 0]) + angle / (2.0 * math.pi)
-            got = [[bvn_upper(a, b, r) for b in scores] for a in scores]
+            got = [[scalar.bvn_upper(a, b, r) for b in scores] for a in scores]
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14, err_msg=f"r={r}")
+            # the copula's lower orthant at u = Phi(-h), Phi(-k) is this upper one
+            u = tensor_points([ndtr(-scores)] * 2)
+            got = GaussianCopula(2, rho=r).cdf(u, 0.0).reshape(len(scores), len(scores))
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14, err_msg=f"cdf r={r}")
 
     def test_cdf_dim3_against_scipy(self):
         cop = GaussianCopula(3, rho=0.5)
@@ -173,11 +176,16 @@ class TestGaussianAgainstReferences:
         for u, value in zip(pts, GaussianCopula(dim, rho=rho).cdf(pts, 0.0)):
             assert abs(value - self.one_factor_cdf(u, rho)) < 1e-13, u
 
-    @pytest.mark.parametrize("rho", [-0.3, -0.4, -0.48, -0.499, -0.4999])
-    def test_cdf_dim3_negative_rho_median_orthant(self, rho):
-        # P(X1, X2, X3 <= 0) = 1/8 + 3 asin(rho) / (4 pi) for equicorrelation rho
-        want = 0.125 + 3.0 * math.asin(rho) / (4.0 * math.pi)
-        assert abs(float(GaussianCopula(3, rho=rho).cdf(np.full(3, 0.5), 0.0)) - want) < 1e-14
+    @pytest.mark.parametrize("dim,rho", [
+        *((2, r) for r in (-0.999, -0.5, 0.0, 0.5, 0.999)),
+        *((3, r) for r in (-0.3, -0.4, -0.48, -0.499, -0.4999)),
+    ])
+    def test_cdf_median_orthant(self, dim, rho):
+        # P(X <= 0) = 1/4 + asin(rho) / (2 pi) at two goods and 1/8 + 3
+        # asin(rho) / (4 pi) at three, for equicorrelation rho
+        want = (0.25 + math.asin(rho) / (2.0 * math.pi) if dim == 2
+                else 0.125 + 3.0 * math.asin(rho) / (4.0 * math.pi))
+        assert abs(float(GaussianCopula(dim, rho=rho).cdf(np.full(dim, 0.5), 0.0)) - want) < 1e-14
 
     @pytest.mark.parametrize("dim,rho,pts", [
         (3, -0.3, [[0.3, 0.6, 0.8], [0.05, 0.95, 0.5], [0.2, 1.0, 0.4]]),
@@ -189,7 +197,8 @@ class TestGaussianAgainstReferences:
         for u, value in zip(pts, got):
             assert abs(value - scalar.gaussian_cdf(u, rho)) < 1e-13, u
 
-    @pytest.mark.parametrize("dim,rho", [(3, 0.5), (3, -0.4999), (4, 0.99), (6, -0.15), (6, 0.5)])
+    @pytest.mark.parametrize("dim,rho", [(2, 0.5), (2, -0.9), (3, 0.5), (3, -0.4999), (4, 0.99),
+                                         (6, -0.15), (6, 0.5)])
     def test_cdf_edge_rows_are_exact(self, dim, rho):
         # all ones, a zero coordinate, and one coordinate below 1: the
         # one-factor integral would leave round-off (and NaN at infinite scores)

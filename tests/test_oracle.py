@@ -457,9 +457,13 @@ class TestExactSequential:
             O.solve_sequential(inst)
 
     def test_ill_conditioned_basis_keeps_the_solver_vertex(self, monkeypatch):
-        # the drifting 6x6x6 rung's polished vertex fails its re-check by
-        # 8.1e-9; HiGHS's own cap-free vertex passes and is written
-        inst = O.discretize(M.build_model(DRIFTING_LOGI), 6, [6, 6])
+        # logistic_shift under a Gaussian rho -0.4, slope 1.2, at 5x4x4:
+        # the polished sequential vertex fails its re-check by 5.0e-10, and
+        # HiGHS's own cap-free vertex passes (2.3e-13) and is written.  The
+        # rungs that fall back move with round-off in the cell masses
+        family = {"name": "logistic_shift", "goods": 2,
+                  "copula": {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}}
+        inst = O.discretize(M.build_model(family), 5, [4, 4])
         rep, vertices, outcomes = _sequential_recorded(monkeypatch, inst)
         assert outcomes == [False, True]
         assert rep.value == rep.solve_values[-1] == vertices[-1].value
