@@ -6,9 +6,10 @@ row ordering) produce identical solutions.
 
 There is one engine: ``LpModel`` keeps one HiGHS model alive so that
 switched column bounds are re-solved by the dual simplex from the last
-basis; ``lp_solve`` is a single solve on a fresh ``LpModel``.
-``LpModel.polish`` recomputes the last optimum from its basis; one with
-``integer`` columns is solved by branch and bound.  Every model is built
+basis; ``lp_solve`` is a single solve on a fresh ``LpModel``, which the
+exhaustive oracle's mixed-integer program makes.  ``LpModel.polish``
+recomputes the last optimum from its basis; one with ``integer``
+columns is solved by branch and bound.  Every model is built
 under the one option table ``_OPTIONS`` and handed to HiGHS as CSC
 arrays in one ``passModel`` call.  Replaying the same calls on an
 ``LpModel`` gives the same bytes.
@@ -62,10 +63,10 @@ class LpSolution:
     value: float
 
 
-def lp_solve(c, a_ub=None, b_ub=None, bounds=None) -> LpSolution:
+def lp_solve(c, a_ub=None, b_ub=None, bounds=None, integer=()) -> LpSolution:
     """Solve max c.x subject to A_ub x <= b_ub once, on a fresh
-    :class:`LpModel` (bounds and errors as there)."""
-    return LpModel(c, a_ub, b_ub, bounds=bounds).solve()
+    :class:`LpModel` (bounds, ``integer`` and errors as there)."""
+    return LpModel(c, a_ub, b_ub, bounds=bounds, integer=integer).solve()
 
 
 def _bound_arrays(bounds, n: int):
@@ -160,35 +161,36 @@ class LpModel:
     def polish(self) -> LpSolution:
         """The last optimum recomputed from its final basis, to round-off.
 
-        Nonbasic columns go on their bounds (a free one at zero), and the
-        basic columns solve the square system of tight rows by one sparse
-        LU: one step of iterative refinement (Gleixner, Steffy & Wolter
-        2016).  A basis whose basic columns do not match its tight rows
-        in number, or whose matrix is singular, raises
-        :class:`LpSolverError`.
+        Nonbasic columns snap from HiGHS's values to their nearer bounds
+        (a free one to zero), and the basic columns solve the square
+        system of tight rows by one sparse LU: one step of iterative
+        refinement (Gleixner, Steffy & Wolter 2016).  A basis that is not
+        valid, whose basic columns do not match its tight rows in number,
+        or whose matrix is singular, raises :class:`LpSolverError`.
         """
-        basis = self._highs.getBasis()
-        if not basis.valid:
-            raise LpSolverError("no valid basis to polish")
-        col = np.fromiter(map(int, basis.col_status), dtype=np.int8)
-        status = _highs.HighsBasisStatus
-        lower, upper = int(status.kLower), int(status.kUpper)
-        x = np.where(col == lower, self._lower, np.where(col == upper, self._upper, 0.0))
         # one basic variable per row: column j as j, the slack of row i as -1 - i
         found, basic = self._highs.getBasicVariables()
-        self._check(found, "getBasicVariables")
-        cols = np.sort(basic[basic >= 0])
+        solution = self._highs.getSolution()
+        if found == _highs.HighsStatus.kError or not solution.value_valid:
+            raise LpSolverError("no valid basis to polish")
+        x = np.array(solution.col_value, dtype=float)
+        x = np.where(x - self._lower <= self._upper - x, self._lower, self._upper)
+        basic_col = np.zeros(len(x), bool)
+        basic_col[basic[basic >= 0]] = True
+        cols = np.flatnonzero(basic_col)
+        # basic columns, and free ones (both distances infinite), start at zero
+        x[basic_col | np.isinf(x)] = 0.0
         tight = np.ones(len(self._row_upper), bool)
         tight[-1 - basic[basic < 0]] = False
         if len(cols) != tight.sum():
             raise LpSolverError(f"basis of {len(cols)} columns on {tight.sum()} tight rows")
-        # the tight rows of the basic columns: a row mask over the CSC
-        # indices keeps each column's entries in order
-        sub = self._a[:, cols]
-        keep = tight[sub.indices]
-        kept = np.concatenate(([0], np.cumsum(keep)))
-        sub = sp.csc_matrix((sub.data[keep], (np.cumsum(tight) - 1)[sub.indices[keep]],
-                             kept[sub.indptr]), shape=(len(cols), len(cols)))
+        # the tight rows of the basic columns: one mask over the CSC
+        # entries keeps each column's entries in order
+        a = self._a
+        keep = tight[a.indices] & np.repeat(basic_col, np.diff(a.indptr))
+        kept = np.concatenate(([0], np.cumsum(keep)))[a.indptr]
+        sub = sp.csc_matrix((a.data[keep], (np.cumsum(tight) - 1)[a.indices[keep]],
+                             np.append(kept[cols], kept[-1])), shape=(len(cols), len(cols)))
         tight = np.flatnonzero(tight)
         try:
             lu = splu(sub)

@@ -205,17 +205,14 @@ class DiscreteMechanism:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """One regime solve: ``solve_values`` holds objectives in solve
-    order, and its last entry is the written vertex, so it equals
-    ``value``.  ``_solve_exact`` writes the capped solve, then the
-    cap-free vertex, polished or HiGHS's own; ``solve_relaxed`` writes
-    its one capped solve.  ``rows``, ``cols`` and ``nnz`` size the
+    """One regime solve by ``_solve_exact``: ``value`` is the objective
+    of the written cap-free vertex, polished or HiGHS's own, and
+    ``iterations`` is always 1.  ``rows``, ``cols`` and ``nnz`` size the
     program."""
 
     value: float
     mechanism: DiscreteMechanism
     iterations: int
-    solve_values: list
     rows: int
     cols: int
     nnz: int
@@ -366,7 +363,7 @@ def _solve_exact(layout: _Layout, parts) -> SolveReport:
     """
     rows, rhs = _stack(parts, layout.nvar)
     model = LpModel(layout.objective(), rows, rhs, bounds=layout.bounds())
-    capped = model.solve()
+    model.solve()
     model.set_bounds(layout.bounds(capped=False))
     vertex = model.solve()
     sol = model.polish()
@@ -380,7 +377,6 @@ def _solve_exact(layout: _Layout, parts) -> SolveReport:
         value=sol.value,
         mechanism=mech,
         iterations=1,
-        solve_values=[capped.value, sol.value],
         rows=rows.shape[0],
         cols=rows.shape[1],
         nnz=rows.nnz,
@@ -639,56 +635,49 @@ def build_relaxed_tables(instance: DiscreteInstance) -> RelaxedTables:
     return RelaxedTables(masses=masses, cell_of=cell_of, values=values)
 
 
+class _RelaxedLayout(_Layout):
+    """The relaxed regime's columns: an allocation per type and shock
+    cell, then an upfront fee per type.  ``unpack`` writes each valuation
+    cell's allocation as the mean over its shock cells, and keeps the
+    shock-space table in ``aux`` for the re-check."""
+
+    def __init__(self, instance: DiscreteInstance):
+        self.tables = tables = build_relaxed_tables(instance)
+        m_count, z_count = instance.n_types, len(tables.masses)
+        nq = m_count * z_count * instance.n_goods
+        super().__init__(
+            instance, qcol=np.arange(nq).reshape(m_count, z_count, -1), t2col=None,
+            t1col=nq + np.arange(m_count), regime="relaxed",
+            pmf=np.broadcast_to(tables.masses, (m_count, z_count)),
+            theta=tables.values.transpose(1, 0, 2),
+        )
+
+    def unpack(self, x: np.ndarray) -> DiscreteMechanism:
+        inst, tables, qhat = self.inst, self.tables, x[self.qcol]
+        # mass-weighted sums over each valuation cell, run in z order
+        at = (np.arange(inst.n_types)[:, None], tables.cell_of.T)
+        wsum = np.zeros((inst.n_types, inst.n_cells, 1))
+        np.add.at(wsum, at, tables.masses[:, None])
+        acc = np.zeros((inst.n_types, inst.n_cells, inst.n_goods))
+        np.add.at(acc, at, tables.masses[:, None] * qhat)
+        return DiscreteMechanism(
+            q=np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0),
+            t1=x[self.t1col], t2=np.zeros(wsum.shape[:2]), regime=self.regime,
+            aux={"qhat": qhat, "masses": tables.masses, "cell_of": tables.cell_of},
+        )
+
+
 def solve_relaxed(instance: DiscreteInstance) -> SolveReport:
     """One-transfer screening with the shock publicly observed.
 
     The program is the simultaneous regime's participation and
     type-misreport rows on the shock cells, where each type values a cell
     by its own valuation; there is no settling transfer, so no cell rows.
-    Its one capped optimum is re-checked in shock space (``_recheck``).
+    It is solved like every regime LP (``_solve_exact``), and its optimum
+    is re-checked in shock space.
     """
-    tables = build_relaxed_tables(instance)
-    m_count, n = instance.n_types, instance.n_goods
-    z_count = len(tables.masses)
-    nq = m_count * z_count * n
-    layout = _Layout(
-        instance,
-        qcol=np.arange(nq).reshape(m_count, z_count, n),
-        t2col=None,
-        t1col=nq + np.arange(m_count),
-        regime="relaxed",
-        pmf=np.broadcast_to(tables.masses, (m_count, z_count)),
-        theta=tables.values.transpose(1, 0, 2),
-    )
-    a_ub, b_ub = _stack([layout.participation_rows(), _sim_type_rows(layout)], layout.nvar)
-    sol = lp_solve(layout.objective(), a_ub=a_ub, b_ub=b_ub, bounds=layout.bounds())
-
-    qhat = sol.x[layout.qcol]
-    # conditional-average allocation per valuation cell, for reporting;
-    # each cell's sums run in z order
-    at = (np.arange(m_count)[:, None], tables.cell_of.T)
-    wsum = np.zeros((m_count, instance.n_cells, 1))
-    np.add.at(wsum, at, tables.masses[:, None])
-    acc = np.zeros((m_count, instance.n_cells, n))
-    np.add.at(acc, at, tables.masses[:, None] * qhat)
-    q_cells = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 0)
-    mech = DiscreteMechanism(
-        q=q_cells,
-        t1=sol.x[layout.t1col],
-        t2=np.zeros((m_count, instance.n_cells)),
-        regime="relaxed",
-        aux={"qhat": qhat, "masses": tables.masses, "cell_of": tables.cell_of},
-    )
-    _recheck(instance, mech)
-    return SolveReport(
-        value=sol.value,
-        mechanism=mech,
-        iterations=1,
-        solve_values=[sol.value],
-        rows=a_ub.shape[0],
-        cols=layout.nvar,
-        nnz=a_ub.nnz,
-    )
+    layout = _RelaxedLayout(instance)
+    return _solve_exact(layout, [layout.participation_rows(), _sim_type_rows(layout)])
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +807,7 @@ def brute_force_value(instance: DiscreteInstance) -> float:
     ]
     rows, rhs = _stack([(_block_rows(blk, k), np.zeros(k)) for blk, k in blocks], len(obj))
     bounds = [(0.0, 1.0)] * nq + [(None, None)] * (len(obj) - nq)
-    sol = LpModel(obj, rows, rhs, bounds=bounds, integer=q.ravel()).solve()
+    sol = lp_solve(obj, a_ub=rows, b_ub=rhs, bounds=bounds, integer=q.ravel())
     if (off := np.abs(sol.x[:nq] - np.rint(sol.x[:nq])).max()) > 1e-9:
         raise LpSolverError(f"allocation {off:.3g} away from 0 or 1")
     return sol.value

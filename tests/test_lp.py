@@ -315,12 +315,11 @@ class TestPolish:
         _, c, a, b = _random_program(0)
         model = LpModel(c, a, b, bounds=FREE)
         model.solve()
-        basis = model._highs.getBasis()
-        basis.col_status = [lp._highs.HighsBasisStatus.kBasic] * len(c)
+        solution = model._highs.getSolution()
         # every column and every row slack basic
         basic = np.concatenate([np.arange(len(c)), -1 - np.arange(len(b))]).astype(np.int32)
         model._highs = types.SimpleNamespace(
-            getBasis=lambda: basis,
+            getSolution=lambda: solution,
             getBasicVariables=lambda: (lp._highs.HighsStatus.kOk, basic))
         with pytest.raises(LpSolverError, match="columns on 0 tight rows"):
             model.polish()

@@ -209,14 +209,20 @@ class TestSimultaneous:
         assert ev.ir_violation <= 1e-9
         assert ev.ic1_violation <= 1e-9
 
-    @pytest.mark.parametrize("solver", [O.solve_simultaneous, O.solve_sequential],
-                             ids=["simultaneous", "sequential"])
-    def test_capped_and_cap_free_values_agree(self, solver):
-        inst = O.discretize(cl_model(2), 3, [4, 4])
-        rep = solver(inst)
-        capped, cap_free = rep.solve_values
+    @pytest.mark.parametrize("solver", [O.solve_simultaneous, O.solve_sequential, O.solve_relaxed],
+                             ids=["simultaneous", "sequential", "relaxed"])
+    def test_capped_and_cap_free_values_agree(self, monkeypatch, solver):
+        vertices, lp_solve = [], O.LpModel.solve
+
+        def recorded(model):
+            vertices.append(lp_solve(model))
+            return vertices[-1]
+
+        monkeypatch.setattr(O.LpModel, "solve", recorded)
+        rep = solver(O.discretize(cl_model(2), 3, [4, 4]))
+        capped, cap_free = (sol.value for sol in vertices)
         assert abs(capped - cap_free) <= 1e-9
-        assert rep.value == cap_free and rep.iterations == 1
+        assert abs(rep.value - cap_free) <= 1e-9 and rep.iterations == 1
 
     def test_value_capped_by_full_surplus(self):
         for inst in (HAND, SINGLE, IDENTICAL, O.discretize(cl_model(2), 3, [3, 3])):
@@ -466,7 +472,7 @@ class TestExactSequential:
         inst = O.discretize(M.build_model(family), 5, [4, 4])
         rep, vertices, outcomes = _sequential_recorded(monkeypatch, inst)
         assert outcomes == [False, True]
-        assert rep.value == rep.solve_values[-1] == vertices[-1].value
+        assert rep.value == vertices[-1].value
 
     def test_gaussian_negative_rho_rung_value(self, monkeypatch):
         # cl_uniform, 3 goods, Gaussian rho -0.49, 3x5^3: cell masses down
@@ -509,7 +515,7 @@ class TestExactSequential:
         inst = O.discretize(M.build_model(README_FAMILY), 3, 3)
         rep = solve(inst)
         assert outcomes == [False, True]
-        assert rep.value == rep.solve_values[-1] == vertices[-1].value
+        assert rep.value == vertices[-1].value
         want = layout(inst).unpack(vertices[-1].x)
         assert rep.mechanism.q.tobytes() == want.q.tobytes()
         assert rep.mechanism.t1.tobytes() == want.t1.tobytes()
@@ -615,19 +621,28 @@ class TestRelaxed:
         assert max(ev.ic1_violation, ev.ir_violation) <= 1e-10
 
     def test_perturbed_fees_fail_the_recheck(self, monkeypatch):
-        # raising every fee breaks the lowest type's participation, which
-        # only the independent re-audit can notice
-        solve = O.lp_solve
+        # raising every fee, on the polished and on HiGHS's own vertex,
+        # breaks the lowest type's participation, which only the
+        # independent re-audit can notice
+        unpack = O._RelaxedLayout.unpack
 
-        def raise_fees(c, **kwargs):
-            sol = solve(c, **kwargs)
-            x = sol.x.copy()
-            x[-HAND.n_types:] += 1e-3
-            return type(sol)(x=x, value=sol.value)
+        def raise_fees(layout, x):
+            x = x.copy()
+            x[layout.t1col] += 1e-3
+            return unpack(layout, x)
 
-        monkeypatch.setattr(O, "lp_solve", raise_fees)
+        monkeypatch.setattr(O._RelaxedLayout, "unpack", raise_fees)
         with pytest.raises(ConvergenceError, match="relaxed LP optimum fails"):
             O.solve_relaxed(HAND)
+
+    def test_a_binding_fee_cap_is_lifted(self):
+        # one good, a type that values it at -1 and one (mass 0.05) at 100:
+        # the high fee of 100 is past the cap of 50 (10 x full surplus 5),
+        # and a capped optimum earned 2.5 below the simultaneous 5.0
+        inst = O.DiscreteInstance([0.0, 1.0], [0.95, 0.05], ([-1.0, 100.0],), np.eye(2))
+        row = O.regime_row(inst)
+        assert row.v_relaxed == row.v_simultaneous == 5.0
+        assert row.reports["relaxed"].mechanism.t1[1] == 100.0
 
     def test_self_consistency_in_shock_space(self):
         inst = O.discretize(cl_model(2), 3, [3, 3])
