@@ -15,12 +15,14 @@ about 3e-17), on a three-good logistic config under a Gaussian copula
 (its ``solve`` integrates the joint score on 3-D grids), and on a
 three-good logistic config whose Gaussian rho drifts from -0.3 to 0.2.
 Every Gaussian config's ``oracle`` takes the copula cdf's one-factor
-integral, and ``sample`` runs with ``corners: true``.  The script lists
-every output file that differs or exists on one side only, and every
-differing exit code; it exits 1 if there is any.  For a differing CSV or
-JSON file it also prints the largest absolute difference between the
-numbers the two files hold in the same places, or says that the text
-around the numbers differs.
+integral, and ``sample`` runs with ``corners: true``.  ``oracle`` alone
+also runs on the rho -0.49 config with 5 type cells in place of 3: its
+5 x 5^3 rung is the largest here, and the ladder takes about 95 s on 2
+vCPUs.  The script lists every output file that differs or exists on
+one side only, and every differing exit code; it exits 1 if there is
+any.  For a differing CSV or JSON file it also prints the largest
+absolute difference between the numbers the two files hold in the same
+places, or says that the text around the numbers differs.
 """
 
 import argparse
@@ -57,6 +59,8 @@ FAMILIES = {
 # the configs run, each under its own family
 CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "driftlogi8", "gauss3", "gauss3neg", "logi3",
            "drift3")
+# oracle only, on a family above under another oracle section
+ORACLE_CONFIGS = {"gauss3neg5": ("gauss3neg", {"gamma_cells": 5, "theta_cells": [2, 3, 4, 5]})}
 # identity checks these on every config, then the config's own family
 IDENTITY_FAMILIES = ("readme", "logi", "drift")
 _CHILD = """
@@ -84,7 +88,7 @@ def moved(a: Path, b: Path) -> str:
     return f"largest |difference| {diff.max(initial=0.0):.3g} over {len(x)} numbers"
 
 
-def make_config(family: str) -> dict:
+def make_config(family: str, oracle: dict | None = None) -> dict:
     return {
         "family": FAMILIES[family],
         "seed": 7,
@@ -92,23 +96,26 @@ def make_config(family: str) -> dict:
         "audit": {"gamma_grid": 51, "cycles": 1000, "cycle_length": 5},
         "identity": {"points": 1000, "families": [
             FAMILIES[f] for f in dict.fromkeys(IDENTITY_FAMILIES + (family,))]},
-        "oracle": {"gamma_cells": 3, "theta_cells": [2, 3, 4, 5]},
+        "oracle": oracle or {"gamma_cells": 3, "theta_cells": [2, 3, 4, 5]},
         "sample": {"count": 100_000, "gammas": [0.3], "corners": True},
     }
 
 
 def run_all(tree: Path, work: Path) -> dict:
     """{(config, verb): exit code}, outputs under work/<config>/<verb>."""
+    runs = [(name, name, VERBS, None) for name in CONFIGS]
+    runs += [(name, family, ["oracle"], oracle)
+             for name, (family, oracle) in ORACLE_CONFIGS.items()]
     codes = {}
-    for family in CONFIGS:
-        cfg = work / f"{family}.json"
-        cfg.write_text(json.dumps(make_config(family)))
-        for verb in VERBS:
+    for name, family, verbs, oracle in runs:
+        cfg = work / f"{name}.json"
+        cfg.write_text(json.dumps(make_config(family, oracle)))
+        for verb in verbs:
             proc = subprocess.run(
                 [sys.executable, "-c", _CHILD, str(tree / "src"), verb, str(cfg),
-                 str(work / family / verb)],
+                 str(work / name / verb)],
                 capture_output=True, text=True, check=False)
-            codes[family, verb] = proc.stdout.strip() or proc.stderr.strip().splitlines()[-1]
+            codes[name, verb] = proc.stdout.strip() or proc.stderr.strip().splitlines()[-1]
     return codes
 
 
@@ -137,7 +144,7 @@ def main() -> int:
                 elif not filecmp.cmp(a, b, shallow=False):
                     how = f", {moved(a, b)}" if a.suffix in (".csv", ".json") else ""
                     differ.append(f"{family}/{verb}/{name}: differs{how}")
-            print(f"{family:9s} {verb:8s} exit {code}: {len(names)} files")
+            print(f"{family:10s} {verb:8s} exit {code}: {len(names)} files")
     for line in differ:
         print(line)
     print(f"{compared} files compared, {len(differ)} differences")

@@ -8,8 +8,8 @@ There is one engine: ``LpModel`` keeps one HiGHS model alive so that
 switched column bounds are re-solved by the dual simplex from the last
 basis; ``lp_solve`` is a single solve on a fresh ``LpModel``, which the
 exhaustive oracle's mixed-integer program makes.  ``LpModel.polish``
-recomputes the last optimum from its basis; one with ``integer``
-columns is solved by branch and bound.  Every model is built
+has HiGHS refactor the last basis and re-solve from it; a model with
+``integer`` columns is solved by branch and bound.  Every model is built
 under the one option table ``_OPTIONS`` and handed to HiGHS as CSC
 arrays in one ``passModel`` call.  Replaying the same calls on an
 ``LpModel`` gives the same bytes.
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import LpInfeasibleError, LpSolverError, LpUnboundedError
 
@@ -87,6 +86,7 @@ class LpModel:
     rows); its rows and objective are fixed.  Columns listed in
     ``integer`` take integer values only; ``solve`` then runs branch and
     bound to a zero gap, and ``polish`` does not apply.
+    ``polish`` re-solves from a fresh factor of the last basis.
     ``set_bounds`` replaces the column bounds; the next ``solve`` re-runs
     the dual simplex from the last basis, with presolve off.  ``bounds``
     follow scipy conventions (default x >= 0, None is unbounded).  A
@@ -104,9 +104,8 @@ class LpModel:
         self._c = np.asarray(c, dtype=float)
         n = len(self._c)
         a = sp.csc_matrix(a_ub, dtype=float) if a_ub is not None else sp.csc_matrix((0, n))
-        self._a = a
-        self._row_upper = np.asarray(b_ub if b_ub is not None else [], dtype=float)
-        if a.shape != (len(self._row_upper), n):
+        row_upper = np.asarray(b_ub if b_ub is not None else [], dtype=float)
+        if a.shape != (len(row_upper), n):
             raise ValueError("inequality rows do not match c")
         self._lower, self._upper = _bound_arrays(bounds, n)
         self._highs = _highs._Highs()
@@ -115,7 +114,7 @@ class LpModel:
         self._check(self._highs.passModel(
             n, a.shape[0], a.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMaximize, 0.0,
             self._c, self._lower, self._upper,
-            np.full(len(self._row_upper), -_INF), self._row_upper,
+            np.full(len(row_upper), -_INF), row_upper,
             # integrality: 1 (kInteger) on listed columns; HiGHS rejects an empty array
             a.indptr, a.indices, a.data, np.isin(np.arange(n), integer).astype(np.int32),
         ), "passModel")
@@ -159,45 +158,16 @@ class LpModel:
         raise LpSolverError(f"solver failure: {message}")
 
     def polish(self) -> LpSolution:
-        """The last optimum recomputed from its final basis, to round-off.
+        """The last optimum re-solved from a fresh factor of its basis.
 
-        Nonbasic columns snap from HiGHS's values to their nearer bounds
-        (a free one to zero), and the basic columns solve the square
-        system of tight rows by one sparse LU: one step of iterative
-        refinement (Gleixner, Steffy & Wolter 2016).  A basis that is not
-        valid, whose basic columns do not match its tight rows in number,
-        or whose matrix is singular, raises :class:`LpSolverError`.
+        Handed its own basis back, HiGHS drops the factor; the re-run
+        refactors the basis, recomputes the vertex and moves on from it if
+        the fresh factor shows it infeasible (one step of iterative
+        refinement, Gleixner, Steffy & Wolter 2016).  Without a valid
+        basis it raises :class:`LpSolverError`.
         """
-        # one basic variable per row: column j as j, the slack of row i as -1 - i
-        found, basic = self._highs.getBasicVariables()
-        solution = self._highs.getSolution()
-        if found == _highs.HighsStatus.kError or not solution.value_valid:
+        basis = self._highs.getBasis()
+        if not basis.valid:
             raise LpSolverError("no valid basis to polish")
-        x = np.array(solution.col_value, dtype=float)
-        x = np.where(x - self._lower <= self._upper - x, self._lower, self._upper)
-        basic_col = np.zeros(len(x), bool)
-        basic_col[basic[basic >= 0]] = True
-        cols = np.flatnonzero(basic_col)
-        # basic columns, and free ones (both distances infinite), start at zero
-        x[basic_col | np.isinf(x)] = 0.0
-        tight = np.ones(len(self._row_upper), bool)
-        tight[-1 - basic[basic < 0]] = False
-        if len(cols) != tight.sum():
-            raise LpSolverError(f"basis of {len(cols)} columns on {tight.sum()} tight rows")
-        # the tight rows of the basic columns: one mask over the CSC
-        # entries keeps each column's entries in order
-        a = self._a
-        keep = tight[a.indices] & np.repeat(basic_col, np.diff(a.indptr))
-        kept = np.concatenate(([0], np.cumsum(keep)))[a.indptr]
-        sub = sp.csc_matrix((a.data[keep], (np.cumsum(tight) - 1)[a.indices[keep]],
-                             np.append(kept[cols], kept[-1])), shape=(len(cols), len(cols)))
-        tight = np.flatnonzero(tight)
-        try:
-            lu = splu(sub)
-        except RuntimeError as exc:
-            raise LpSolverError(f"basis factorization failed: {exc}") from exc
-        # every row is A_ub x <= b_ub: a tight row is at its upper bound
-        x[cols] = lu.solve(self._row_upper[tight] - (self._a @ x)[tight])
-        if not np.all(np.isfinite(x)):
-            raise LpSolverError("basis solve is not finite")
-        return LpSolution(x=x, value=float(np.dot(self._c, x)))
+        self._check(self._highs.setBasis(basis), "setBasis")
+        return self.solve()

@@ -206,7 +206,7 @@ class DiscreteMechanism:
 @dataclass(frozen=True)
 class SolveReport:
     """One regime solve by ``_solve_exact``: ``value`` is the objective
-    of the written cap-free vertex, polished or HiGHS's own, and
+    of the written cap-free vertex, polished or pre-polish, and
     ``iterations`` is always 1.  ``rows``, ``cols`` and ``nnz`` size the
     program."""
 
@@ -355,11 +355,11 @@ def _solve_exact(layout: _Layout, parts) -> SolveReport:
 
     ``parts`` are the (triplets, rhs) blocks of ``rows x <= rhs``.  The first
     solve caps the transfers; the cap-free re-solve starts from its basis
-    and can end at another vertex of the optimal face.  That vertex is
-    recomputed from its basis (``LpModel.polish``), and the polished
-    optimum is re-checked (``_recheck``).  An ill-conditioned basis can
-    polish a correct vertex into a wrong one: if the polished optimum
-    fails, HiGHS's own vertex is re-checked and kept instead.
+    and can end at another vertex of the optimal face.  HiGHS re-runs
+    from a fresh factor of that vertex's basis (``LpModel.polish``), and
+    the polished optimum is re-checked (``_recheck``).  If it fails (the
+    refactored vertex can break a row in unscaled terms), the pre-polish
+    cap-free vertex is re-checked and kept instead.
     """
     rows, rhs = _stack(parts, layout.nvar)
     model = LpModel(layout.objective(), rows, rhs, bounds=layout.bounds())

@@ -523,18 +523,33 @@ class TestOracleCommand:
         dump = json.loads((tmp_path / "out" / "instance_fail.json").read_text())
         assert "instance" in dump and dump["error"] == "forced failure"
 
-    def test_singular_final_basis_exits_4_and_dumps_instance(self, tmp_path, monkeypatch):
+    def test_rejected_final_basis_exits_4_and_dumps_instance(self, tmp_path, monkeypatch):
+        # a HiGHS that will not take back its own final basis: the polish
+        # raises a solver error, which the verb reports
         from screenforge import lp
 
-        def singular(matrix):
-            raise RuntimeError("Factor is exactly singular")
+        class SetBasisRejected:
+            def __init__(self, highs):
+                self.highs = highs
 
-        monkeypatch.setattr(lp, "splu", singular)
+            def setBasis(self, *args):
+                return lp._highs.HighsStatus.kError
+
+            def __getattr__(self, name):
+                return getattr(self.highs, name)
+
+        build = lp.LpModel.__init__
+
+        def proxied(model, *args, **kwargs):
+            build(model, *args, **kwargs)
+            model._highs = SetBasisRejected(model._highs)
+
+        monkeypatch.setattr(lp.LpModel, "__init__", proxied)
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert run("oracle", "--config", cfg, "--out", str(out), "--quiet") == 4
         dump = json.loads((out / "instance_fail.json").read_text())
-        assert "instance" in dump and "exactly singular" in dump["error"]
+        assert "instance" in dump and dump["error"] == "HiGHS rejected setBasis"
         assert not (out / "oracle.json").exists()
 
     def test_rejected_first_run_is_retried(self, tmp_path, monkeypatch):

@@ -1,5 +1,3 @@
-import types
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -300,26 +298,13 @@ class TestPolish:
         with pytest.raises(LpSolverError):
             model.polish()
 
-    def test_singular_factor_raises_solver_error(self, monkeypatch):
-        def singular(matrix):
-            raise RuntimeError("Factor is exactly singular")
-
-        _, c, a, b = _random_program(0)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_polish_after_set_bounds_solves_the_new_program(self, seed):
+        # the basis left by the old bounds is no longer primal feasible;
+        # polish re-runs HiGHS from it rather than recomputing it as it is
+        _, c, a, b = _random_program(seed)
         model = LpModel(c, a, b, bounds=FREE)
         model.solve()
-        monkeypatch.setattr(lp, "splu", singular)
-        with pytest.raises(LpSolverError, match="exactly singular"):
-            model.polish()
-
-    def test_non_square_basis_raises(self):
-        _, c, a, b = _random_program(0)
-        model = LpModel(c, a, b, bounds=FREE)
-        model.solve()
-        solution = model._highs.getSolution()
-        # every column and every row slack basic
-        basic = np.concatenate([np.arange(len(c)), -1 - np.arange(len(b))]).astype(np.int32)
-        model._highs = types.SimpleNamespace(
-            getSolution=lambda: solution,
-            getBasicVariables=lambda: (lp._highs.HighsStatus.kOk, basic))
-        with pytest.raises(LpSolverError, match="columns on 0 tight rows"):
-            model.polish()
+        model.set_bounds((-0.5, 0.5))
+        polished = model.polish()
+        assert abs(polished.value - _reference(c, a, b, (-0.5, 0.5)).value) <= 1e-9

@@ -220,9 +220,9 @@ class TestSimultaneous:
 
         monkeypatch.setattr(O.LpModel, "solve", recorded)
         rep = solver(O.discretize(cl_model(2), 3, [4, 4]))
-        capped, cap_free = (sol.value for sol in vertices)
-        assert abs(capped - cap_free) <= 1e-9
-        assert abs(rep.value - cap_free) <= 1e-9 and rep.iterations == 1
+        capped, cap_free, polished = (sol.value for sol in vertices)
+        assert abs(capped - cap_free) <= 1e-9 and abs(polished - cap_free) <= 1e-9
+        assert rep.value == polished and rep.iterations == 1
 
     def test_value_capped_by_full_surplus(self):
         for inst in (HAND, SINGLE, IDENTICAL, O.discretize(cl_model(2), 3, [3, 3])):
@@ -381,9 +381,9 @@ DRIFTING_LOGI = {"name": "logistic_shift", "goods": 2,
                  "copula": {"name": "gaussian", "rho": -0.8, "rho_slope": 1.6}}
 
 
-def _sequential_recorded(monkeypatch, inst):
-    """``solve_sequential(inst)``, HiGHS's vertices in order, and each
-    re-check's outcome (True on a pass) in order."""
+def _recorded(monkeypatch, solve, inst):
+    """``solve(inst)``, HiGHS's vertices in order (capped, cap-free,
+    polished), and each re-check's outcome (True on a pass) in order."""
     vertices, outcomes = [], []
     lp_solve, recheck = O.LpModel.solve, O._recheck
 
@@ -401,7 +401,7 @@ def _sequential_recorded(monkeypatch, inst):
 
     monkeypatch.setattr(O.LpModel, "solve", recorded)
     monkeypatch.setattr(O, "_recheck", checked)
-    return O.solve_sequential(inst), vertices, outcomes
+    return solve(inst), vertices, outcomes
 
 
 class TestExactSequential:
@@ -462,17 +462,32 @@ class TestExactSequential:
         with pytest.raises(ConvergenceError, match="re-check"):
             O.solve_sequential(inst)
 
-    def test_ill_conditioned_basis_keeps_the_solver_vertex(self, monkeypatch):
-        # logistic_shift under a Gaussian rho -0.4, slope 1.2, at 5x4x4:
-        # the polished sequential vertex fails its re-check by 5.0e-10, and
-        # HiGHS's own cap-free vertex passes (2.3e-13) and is written.  The
-        # rungs that fall back move with round-off in the cell masses
+    @pytest.mark.parametrize("gamma_cells,cells", [(5, 4), (4, 5)])
+    def test_refactored_basis_passes_the_recheck(self, monkeypatch, gamma_cells, cells):
+        # logistic_shift under a Gaussian rho -0.4, slope 1.2: recomputed
+        # from its basis by a second LU, each sequential vertex failed its
+        # re-check (5.0e-10 at 5x4x4, 3.5e-10 at 4x5x5); re-run by HiGHS
+        # on a fresh factor, it passes and is written
         family = {"name": "logistic_shift", "goods": 2,
                   "copula": {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}}
-        inst = O.discretize(M.build_model(family), 5, [4, 4])
-        rep, vertices, outcomes = _sequential_recorded(monkeypatch, inst)
-        assert outcomes == [False, True]
+        inst = O.discretize(M.build_model(family), gamma_cells, [cells, cells])
+        rep, vertices, outcomes = _recorded(monkeypatch, O.solve_sequential, inst)
+        assert outcomes == [True] and len(vertices) == 3
         assert rep.value == vertices[-1].value
+        if gamma_cells == 5:
+            assert abs(rep.value - 1.721112906700538) <= 1e-9
+
+    def test_failed_polish_keeps_the_pre_polish_vertex(self, monkeypatch):
+        # logistic_shift, 4 goods, Gaussian rho -0.3, 3x3^4 simultaneous:
+        # the refreshed vertex breaks a cell row by 1.48e-9, though HiGHS
+        # reports 6.2e-12 in its scaled terms; the pre-polish cap-free
+        # vertex passes (9.8e-12) and is written
+        family = {"name": "logistic_shift", "goods": 4,
+                  "copula": {"name": "gaussian", "rho": -0.3}}
+        inst = O.discretize(M.build_model(family), 3, 3)
+        rep, vertices, outcomes = _recorded(monkeypatch, O.solve_simultaneous, inst)
+        assert outcomes == [False, True]
+        assert rep.value == vertices[1].value
 
     def test_gaussian_negative_rho_rung_value(self, monkeypatch):
         # cl_uniform, 3 goods, Gaussian rho -0.49, 3x5^3: cell masses down
@@ -480,7 +495,7 @@ class TestExactSequential:
         # vertex passes its re-check
         model = M.build_model({"name": "cl_uniform", "goods": 3,
                                "copula": {"name": "gaussian", "rho": -0.49}})
-        rep, _, outcomes = _sequential_recorded(monkeypatch, O.discretize(model, 3, 5))
+        rep, _, outcomes = _recorded(monkeypatch, O.solve_sequential, O.discretize(model, 3, 5))
         assert outcomes == [True]
         assert abs(rep.value - 2.1283996266752996) <= 1e-12
 
@@ -514,9 +529,9 @@ class TestExactSequential:
         monkeypatch.setattr(O, "_recheck", checked)
         inst = O.discretize(M.build_model(README_FAMILY), 3, 3)
         rep = solve(inst)
-        assert outcomes == [False, True]
-        assert rep.value == vertices[-1].value
-        want = layout(inst).unpack(vertices[-1].x)
+        assert outcomes == [False, True] and len(vertices) == 3
+        assert rep.value == vertices[1].value
+        want = layout(inst).unpack(vertices[1].x)
         assert rep.mechanism.q.tobytes() == want.q.tobytes()
         assert rep.mechanism.t1.tobytes() == want.t1.tobytes()
 
