@@ -18,8 +18,8 @@ from .numerics import RngStream, uniform_draws  # noqa: F401
 
 # The oracle loads HiGHS and scipy.sparse; it is imported on first use
 # (PEP 562) so that the continuum solver starts with numpy alone.
-_ORACLE_NAMES = ("DiscreteInstance", "DiscreteMechanism", "SolveReport", "compare_regimes",
-                 "discretize", "solve_relaxed", "solve_sequential", "solve_simultaneous")
+_ORACLE_NAMES = ("DiscreteInstance", "DiscreteMechanism", "SolveReport", "discretize",
+                 "solve_relaxed", "solve_sequential", "solve_simultaneous")
 
 
 def __getattr__(name):

@@ -85,13 +85,20 @@ def _upto(limit: int, name: str, least: int = 1):
 
 _COUNT = ("positive integers", lambda v: isinstance(v, int) and v >= 1)
 _TOLERANCE = ("finite numbers >= 0", lambda v: 0 <= v < np.inf)
-_SECTION_KEYS = {"gamma_grid": _upto(MAX_GAMMA_GRID, "MAX_GAMMA_GRID", least=2),
-                 "count": _upto(MAX_SAMPLE_COUNT, "MAX_SAMPLE_COUNT"),
-                 "cycles": _COUNT, "cycle_length": _COUNT,
-                 "points": _upto(MAX_IDENTITY_POINTS, "MAX_IDENTITY_POINTS"),
-                 "gamma_cells": _COUNT, "divergence_tol": _TOLERANCE,
-                 "boundary_tol": _TOLERANCE, "invariance_tol": _TOLERANCE,
-                 "tolerance_gain_rel": _TOLERANCE, "ir_tol": _TOLERANCE}
+_GRID = _upto(MAX_GAMMA_GRID, "MAX_GAMMA_GRID", least=2)
+# the keys that each verb reads from its own section, with the rule of each
+# number; None marks a key that load_config checks on its own
+_VERB_KEYS = {
+    "solve": {"gamma_grid": _GRID},
+    "audit": {"gamma_grid": _GRID, "cycles": _COUNT, "cycle_length": _COUNT,
+              "tolerance_gain_rel": _TOLERANCE, "ir_tol": _TOLERANCE, "mechanism_csv": None},
+    "identity": {"points": _upto(MAX_IDENTITY_POINTS, "MAX_IDENTITY_POINTS"),
+                 "divergence_tol": _TOLERANCE, "boundary_tol": _TOLERANCE,
+                 "invariance_tol": _TOLERANCE, "gamma_pair": None, "families": None},
+    "oracle": {"gamma_cells": _COUNT, "theta_cells": None},
+    "sample": {"count": _upto(MAX_SAMPLE_COUNT, "MAX_SAMPLE_COUNT"), "gammas": None,
+               "corners": None},
+}
 # section defaults that the size checks read as well as the commands
 _DEFAULTS = {"cycles": 1000, "cycle_length": 5, "gamma_cells": 3, "theta_cells": [2, 3, 4],
              "count": 1000}
@@ -120,8 +127,12 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
     )
     cfg.model = modelmod.build_model(dict(raw["family"]))
     checks = [("seed", seed, _upto(MAX_SEED, "MAX_SEED"))]
+    keys = _VERB_KEYS[command]
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown key {command}.{key}; {command} reads {', '.join(keys)}")
     checks += [(f"{command}.{key}", section[key], rule)
-               for key, rule in _SECTION_KEYS.items() if key in section]
+               for key, rule in keys.items() if rule and key in section]
     if command == "oracle":
         checks += [("oracle.theta_cells", k, _COUNT) for k in _theta_cell_counts(section, cfg.model.n)]
     _check_values(checks)

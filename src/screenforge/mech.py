@@ -95,11 +95,6 @@ class ThresholdMechanism:
     def strikes_at(self, gamma: float) -> np.ndarray:
         return self.strikes[self.menu_index(gamma)]
 
-    def t1_at(self, gamma: float) -> float:
-        if self.upfront is None:
-            raise InvalidIntervalError("upfront fees not filled yet")
-        return float(self.upfront[self.menu_index(gamma)])
-
     def allocation(self, gamma: float, theta) -> np.ndarray:
         """Exercise indicator per good, shape (..., n)."""
         theta = np.asarray(theta, dtype=float)
@@ -216,19 +211,6 @@ def solve_thresholds(model: JointModel, gamma_grid=None) -> ThresholdMechanism:
         strikes=strikes,
         box_top=np.array([m.support[1] for m in model.marginals]),
     )
-
-
-# ---------------------------------------------------------------------------
-# pointwise menu objects
-# ---------------------------------------------------------------------------
-
-
-def transfer_t2(mech: ThresholdMechanism, gamma: float, theta):
-    """Exercise payments: sum_j strike_j * 1{exercised}; equals theta . q
-    minus the option value sum_j max(0, theta_j - strike_j) identically."""
-    theta = np.asarray(theta, dtype=float)
-    p = mech.strikes_at(gamma)
-    return np.sum(p * mech.allocation(gamma, theta), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +37,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .lp import LpModel, lp_solve
-from .mech import ThresholdMechanism, transfer_t2
 from .model import JointModel
 from .numerics import tensor_points
 
@@ -751,22 +749,6 @@ def _evaluate_relaxed(instance: DiscreteInstance, mech: DiscreteMechanism, reven
     return EvalReport(revenue=revenue, ic2_violation=0.0, ir_violation=ir, ic1_violation=max(ic1, 0.0))
 
 
-def project_mechanism(
-    model: JointModel, tmech: ThresholdMechanism, instance: DiscreteInstance
-) -> DiscreteMechanism:
-    """Restrict a continuum option menu to the instance's grid."""
-    m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
-    q = np.zeros((m_count, c_count, n))
-    t2 = np.zeros((m_count, c_count))
-    t1 = np.zeros(m_count)
-    reps = instance.cell_values
-    for m, g in enumerate(instance.gamma_values):
-        q[m] = tmech.allocation(g, reps)
-        t2[m] = transfer_t2(tmech, g, reps)
-        t1[m] = tmech.t1_at(g)
-    return DiscreteMechanism(q=q, t1=t1, t2=t2, regime="simultaneous")
-
-
 def brute_force_value(instance: DiscreteInstance) -> float:
     """Best mechanism with 0/1 allocations: one mixed-integer program,
     solved by HiGHS's branch and bound (Land & Doig 1960) to a zero gap.
@@ -864,12 +846,3 @@ def regime_row(instance: DiscreteInstance) -> RegimeRow:
         "relaxed": solve_relaxed(instance),
     }
     return RegimeRow(reports, separate_selling_value(instance), full_surplus(instance))
-
-
-def compare_regimes(model: JointModel, grid_specs: Sequence[dict]) -> list:
-    """Solve all four values per refinement spec.
-
-    Each spec is ``{"gamma_cells": int, "theta_cells": int | list}``.
-    """
-    return [regime_row(discretize(model, int(spec["gamma_cells"]), spec["theta_cells"]))
-            for spec in grid_specs]

@@ -181,7 +181,7 @@ def test_criterion_5_ic_ir_audit(cl1_pack):
 @pytest.fixture(scope="module")
 def ladder_rows():
     mdl = _build({"name": "cl_uniform", "goods": 2})
-    return O.compare_regimes(mdl, [{"gamma_cells": 3, "theta_cells": k} for k in (2, 3, 4)])
+    return [O.regime_row(O.discretize(mdl, 3, k)) for k in (2, 3, 4)]
 
 
 def test_criterion_6_regime_orderings(ladder_rows):

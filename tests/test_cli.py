@@ -309,6 +309,25 @@ class TestSolveCommand:
         assert f"{command}.{key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,key", [
+        ("solve", "gamma_grids"),
+        ("audit", "cycle_lenght"),
+        ("identity", "divergence_tolerance"),
+        ("oracle", "theta_cell"),
+        ("sample", "corner"),
+    ])
+    def test_unknown_section_key_exits_2(self, tmp_path, command, key, capsys):
+        # if it ran, a misspelled key would leave the verb on the default of the key meant
+        cfg = write_config(tmp_path, **{command: {key: 1e-12}})
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+        assert f"config error: unknown key {command}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+        # top-level keys and the other verbs' sections are not the verb's to refuse
+        other = "sample" if command == "solve" else "solve"
+        climod.load_config(write_config(tmp_path, "other.json", note="x", **{other: {key: 1}}),
+                           command)
+
 
 class TestAuditCommand:
     def test_solved_menu_passes(self, tmp_path):
@@ -494,7 +513,7 @@ class TestOracleCommand:
                 size = r["lp_size"][regime]
                 assert size["rows"] > 0 and size["cols"] > 0 and size["nnz"] > 0
 
-    def test_report_matches_compare_regimes(self, tmp_path):
+    def test_report_matches_regime_rows(self, tmp_path):
         from screenforge import model as M
         from screenforge import oracle as O
 
@@ -503,8 +522,8 @@ class TestOracleCommand:
                            oracle={"gamma_cells": 3, "theta_cells": [2, 3]})
         assert run("oracle", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
         table = json.loads((tmp_path / "out" / "oracle.json").read_text())["refinements"]
-        rows = O.compare_regimes(M.build_model(family),
-                                 [{"gamma_cells": 3, "theta_cells": k} for k in (2, 3)])
+        mdl = M.build_model(family)
+        rows = [O.regime_row(O.discretize(mdl, 3, k)) for k in (2, 3)]
         keys = ("v_simultaneous", "v_sequential", "v_relaxed", "v_separate",
                 "gap_separate", "gap_sequential", "gap_relaxed")
         assert [[r[k] for k in keys] for r in table] == [[getattr(r, k) for k in keys] for r in rows]

@@ -130,10 +130,16 @@ class TestSolveThresholds:
         assert mech.menu_index(5.0) == 100
 
 
+def exercise_payment(mech, gamma, theta):
+    """p . q: the strike of each good the type exercises."""
+    return np.sum(mech.strikes_at(gamma) * mech.allocation(gamma, theta), axis=-1)
+
+
 class TestUtilityAndTransfer:
     @staticmethod
     def ex_post_utility(mech, gamma, theta):
-        return float(np.dot(theta, mech.allocation(gamma, theta))) - X.transfer_t2(mech, gamma, theta)
+        return float(np.dot(theta, mech.allocation(gamma, theta))
+                     - exercise_payment(mech, gamma, theta))
 
     def test_kink_point_zero(self, cl2):
         _, mech = cl2
@@ -155,8 +161,8 @@ class TestUtilityAndTransfer:
     def test_transfer_below_and_above(self, cl2):
         _, mech = cl2
         p = mech.strikes_at(0.3)
-        assert X.transfer_t2(mech, 0.3, p - 0.1) == 0.0
-        assert abs(X.transfer_t2(mech, 0.3, p + 0.1) - p.sum()) < 1e-12
+        assert exercise_payment(mech, 0.3, p - 0.1) == 0.0
+        assert abs(exercise_payment(mech, 0.3, p + 0.1) - p.sum()) < 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -170,7 +176,7 @@ class TestUtilityAndTransfer:
         q = mech.allocation(gamma, theta)
         u = np.sum(np.maximum(theta - mech.strikes_at(gamma), 0.0))
         lhs = float(np.dot(theta, q)) - u
-        assert abs(lhs - X.transfer_t2(mech, gamma, theta)) < 1e-12
+        assert abs(lhs - exercise_payment(mech, gamma, theta)) < 1e-12
 
     def test_never_sell_strict_at_top(self):
         mech = X.ThresholdMechanism(
@@ -179,7 +185,7 @@ class TestUtilityAndTransfer:
             box_top=np.array([2.0]),
         )
         assert mech.allocation(0.5, np.array([2.0]))[0] == 0.0
-        assert X.transfer_t2(mech, 0.5, np.array([2.0])) == 0.0
+        assert exercise_payment(mech, 0.5, np.array([2.0])) == 0.0
 
 
 class TestUpfrontFees:

@@ -714,7 +714,13 @@ class TestEvaluateAndProject:
         mdl = cl_model(2)
         tmech = X.upfront_t1(mdl, X.solve_thresholds(mdl, np.linspace(0, 1, 101)))
         inst = O.discretize(mdl, 3, [4, 4])
-        proj = O.project_mechanism(mdl, tmech, inst)
+        # the menu restricted to the grid: each type's entry, exercised at
+        # the cell representatives
+        entry = tmech.menu_index(inst.gamma_values)
+        q = np.stack([tmech.allocation(g, inst.cell_values) for g in inst.gamma_values])
+        proj = O.DiscreteMechanism(q=q, t1=tmech.upfront[entry],
+                                   t2=np.sum(tmech.strikes[entry][:, None, :] * q, axis=-1),
+                                   regime="simultaneous")
         ev = O.evaluate_mechanism(inst, proj)
         # option menus are exactly truthful in valuations on any grid
         assert ev.ic2_violation <= 1e-9
@@ -947,14 +953,14 @@ class TestSeparationSoundness:
 class TestRegimeComparison:
     def test_type_independent_model_all_equal(self):
         mdl = M.build_model({"name": "uniform_iid", "goods": 2})
-        rows = O.compare_regimes(mdl, [{"gamma_cells": 2, "theta_cells": k} for k in (2, 3)])
+        rows = [O.regime_row(O.discretize(mdl, 2, k)) for k in (2, 3)]
         for row in rows:
             for v in (row.v_simultaneous, row.v_sequential, row.v_relaxed, row.v_separate):
                 assert abs(v - row.surplus) < 1e-9
 
     def test_orderings_on_cl_ladder(self):
         mdl = cl_model(2)
-        rows = O.compare_regimes(mdl, [{"gamma_cells": 3, "theta_cells": k} for k in (2, 3)])
+        rows = [O.regime_row(O.discretize(mdl, 3, k)) for k in (2, 3)]
         for row in rows:
             assert row.v_relaxed >= row.v_simultaneous - 1e-9
             assert row.v_simultaneous >= row.v_separate - 1e-9
@@ -969,7 +975,7 @@ class TestRegimeComparison:
             3: (14 / 9, 14 / 9, 43 / 27, 14 / 9),
             4: (3 / 2, 3 / 2, 14 / 9, 3 / 2),
         }
-        rows = O.compare_regimes(mdl, [{"gamma_cells": 3, "theta_cells": k} for k in expected])
+        rows = [O.regime_row(O.discretize(mdl, 3, k)) for k in expected]
         for row, (k, vals) in zip(rows, expected.items()):
             got = (row.v_simultaneous, row.v_sequential, row.v_relaxed, row.v_separate)
             np.testing.assert_allclose(got, vals, atol=1e-9, err_msg=f"cells={k}")

@@ -73,15 +73,36 @@ def test_oracle_loads_highs(tmp_path):
     assert "scipy.optimize._highspy" in mods
 
 
-def test_oracle_names_from_package():
-    from screenforge import (DiscreteInstance, DiscreteMechanism, SolveReport, compare_regimes,
-                             discretize, oracle, solve_relaxed, solve_sequential,
-                             solve_simultaneous)
+_ORACLE_ALONE = """
+import json, sys, types
+# the package's __init__ exports the continuum solver, so it is bypassed:
+# only the oracle's own imports are loaded
+pkg = types.ModuleType("screenforge")
+pkg.__path__ = [{pkg!r}]
+sys.modules["screenforge"] = pkg
+import screenforge.oracle
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("screenforge."))))
+"""
 
-    assert [DiscreteInstance, DiscreteMechanism, SolveReport, compare_regimes, discretize,
-            solve_relaxed, solve_sequential, solve_simultaneous] == [
+
+def test_oracle_does_not_import_the_continuum_solver():
+    # the LP oracle verifies the continuum menus, so it shares no module with them
+    code = _ORACLE_ALONE.format(pkg=str(Path(screenforge.__file__).resolve().parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    mods = json.loads(proc.stdout.splitlines()[-1])
+    assert "screenforge.oracle" in mods
+    assert "screenforge.mech" not in mods
+
+
+def test_oracle_names_from_package():
+    from screenforge import (DiscreteInstance, DiscreteMechanism, SolveReport, discretize,
+                             oracle, solve_relaxed, solve_sequential, solve_simultaneous)
+
+    assert [DiscreteInstance, DiscreteMechanism, SolveReport, discretize, solve_relaxed,
+            solve_sequential, solve_simultaneous] == [
         oracle.DiscreteInstance, oracle.DiscreteMechanism, oracle.SolveReport,
-        oracle.compare_regimes, oracle.discretize, oracle.solve_relaxed,
-        oracle.solve_sequential, oracle.solve_simultaneous]
+        oracle.discretize, oracle.solve_relaxed, oracle.solve_sequential,
+        oracle.solve_simultaneous]
     with pytest.raises(AttributeError):
         screenforge.no_such_name
