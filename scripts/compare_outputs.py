@@ -9,7 +9,9 @@ a fresh interpreter on each tree, on the benchmark's full-size README
 and logistic configs, on a one-good drifting Clayton config, on two
 two-good logistic configs under a drifting Gaussian copula (rho from
 -0.4 to 0.8, and from -0.8 to 0.8, the most negative two-good loading
-the tests pin), on two three-good uniform configs under a Gaussian
+the tests pin), on a two-good logistic config under an invariant Clayton
+copula (alpha 2; its ``solve`` integrates the joint score under the
+Clayton link), on two three-good uniform configs under a Gaussian
 copula (rho 0.5, and rho -0.49, whose ladder carries cell masses of
 about 3e-17), on a three-good logistic config under a Gaussian copula
 (its ``solve`` integrates the joint score on 3-D grids), and on a
@@ -50,6 +52,8 @@ FAMILIES = {
                    "copula": {"name": "gaussian", "rho": -0.8, "rho_slope": 1.6}},
     "gauss3": {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
     "gauss3neg": {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": -0.49}},
+    # smooth and invariant: solve integrates the joint score under the Clayton link
+    "logiclay": {"name": "logistic_shift", "goods": 2, "copula": {"name": "clayton", "alpha": 2.0}},
     # smooth and invariant: solve integrates the joint score on 3-D grids
     "logi3": {"name": "logistic_shift", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
     # the per-type rho crosses 0, so both loadings of the Gaussian cdf run
@@ -57,8 +61,8 @@ FAMILIES = {
                "copula": {"name": "gaussian", "rho": -0.3, "rho_slope": 0.5}},
 }
 # the configs run, each under its own family
-CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "driftlogi8", "gauss3", "gauss3neg", "logi3",
-           "drift3")
+CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "driftlogi8", "logiclay", "gauss3", "gauss3neg",
+           "logi3", "drift3")
 # oracle only, on a family above under another oracle section
 ORACLE_CONFIGS = {"gauss3neg5": ("gauss3neg", {"gamma_cells": 5, "theta_cells": [2, 3, 4, 5]})}
 # identity checks these on every config, then the config's own family

@@ -70,9 +70,8 @@ MAX_IDENTITY_POINTS = 100_000    # points per family
 MAX_SIMULTANEOUS_ROWS = 250_000
 # solve on a smooth family with an invariant dependent copula integrates
 # rents on a joint grid of about 130**goods points: at 4 goods each
-# grid-shaped array is 2.1 GiB, and a Gaussian copula holds about 6 of
-# them at once, a Clayton copula about 18 (a drifting copula takes the
-# per-good score)
+# grid-shaped array is 2.1 GiB, and a Gaussian or Clayton copula holds 3
+# of them at once (a drifting copula takes the per-good score)
 MAX_JOINT_SCORE_GOODS = 3
 # the Philox key that numerics.RngStream builds from the seed is uint64
 MAX_SEED = 2**64 - 1

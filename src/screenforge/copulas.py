@@ -9,13 +9,13 @@ Each copula exposes, for a pre-contract type ``gamma``:
 * ``conditional_chain``    the inverse Rosenblatt map z -> u used for
   sequential sampling (z uniform on the cube gives u distributed as the
   copula),
-* ``score_on_grid(axes, v, gamma)``  the density c and the directional
-  term sum_j v_j(u_j) d ln c / d u_j on the tensor grid of n per-axis 1-D
-  arrays, in grid shape, for one type; ``v`` holds one 1-D array per
-  axis.  The Gaussian copula computes both in closed form from its normal
-  scores, taken once per axis, with outer sums of per-axis terms and one
-  grid-shaped square; the others evaluate the point form on
-  ``numerics.tensor_points(axes)``.
+* ``axis_terms(u, gamma)`` and ``link(t, gamma)``  the dependent
+  copulas' log density in the form ln c(u) = sum_j lambda(u_j) +
+  g(sum_j tau(u_j)): ``axis_terms`` gives lambda, d lambda / du, tau and
+  d tau / du at every percentile of ``u`` (elementwise), and ``link``
+  gives g and g' at every point of ``t``, for one type.  So on a tensor
+  grid the density is one exponential of outer sums of per-axis terms,
+  and d ln c / d u_j = lambda'(u_j) + tau'(u_j) g'(t).
 
 Parameters may drift with ``gamma`` through a linear path ``base +
 slope * gamma``; a copula is invariant exactly when every slope is zero.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidIntervalError
-from .numerics import composite_rule, outer_sum, tensor_points
+from .numerics import composite_rule
 
 _Z_CLIP = 1e-15
 _CDF_CHUNK = 1 << 18  # points x nodes of one chunk of the Gaussian cdf
@@ -62,17 +62,7 @@ class ParamPath:
 
 
 class _Copula:
-    """Shared grid entry point; see the module docstring."""
-
-    def score_on_grid(self, axes, v, gamma: float = 0.0):
-        """The density c and the directional term sum_j v_j d ln c / d u_j
-        on the tensor grid of the per-axis 1-D arrays ``axes``, for one
-        type; ``v`` holds one 1-D array per axis, like ``axes``.  Both come
-        back in grid shape.  This is the point form on the tensor points."""
-        shape = tuple(len(a) for a in axes)
-        u = tensor_points(axes)
-        slope = self.partial_log_density(u, gamma) * tensor_points(v)
-        return self.density(u, gamma).reshape(shape), (slope @ np.ones(len(axes))).reshape(shape)
+    """Shared parameter-path check; see the module docstring."""
 
     def check_path(self, lo: float, hi: float) -> None:
         """Raise InvalidIntervalError unless the parameter path is valid for
@@ -161,6 +151,26 @@ class ClaytonCopula(_Copula):
         s = np.sum(u ** (-a), axis=-1, keepdims=True) - n + 1.0
         return -(a + 1.0) / u + a * (n + 1.0 / a) * u ** (-(a + 1.0)) / s
 
+    def axis_terms(self, u, gamma=0.0):
+        """lambda = -(alpha+1) ln u and tau = u^-alpha with their
+        derivatives; ``gamma`` broadcasts against ``u``."""
+        a = self._alpha(gamma)
+        u = np.asarray(u, dtype=float)
+        tau = u ** -a
+        return -(a + 1.0) * np.log(u), -(a + 1.0) / u, tau, -a * tau / u
+
+    def link(self, t, gamma=0.0):
+        """g(t) = ln prod_k (k alpha + 1) - (n + 1/alpha) ln(t - n + 1) and
+        g'(t), for one type."""
+        a, n = self._alpha(gamma), self.dim
+        s = t - (n - 1.0)
+        power = n + 1.0 / a
+        slope = -power / s
+        g = np.log(s, out=s)
+        g *= -power
+        g += sum(math.log(k * a + 1.0) for k in range(1, n))
+        return g, slope
+
     def conditional_chain(self, z, gamma=0.0):
         a = self._alpha(gamma)
         z = np.asarray(z, dtype=float)
@@ -232,29 +242,25 @@ class GaussianCopula(_Copula):
         phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
         return -(self._rinv(x, self._rho(gamma)) - x) / phi
 
-    def score_on_grid(self, axes, v, gamma: float = 0.0):
-        """Closed form on the grid from the normal scores x_j of each axis:
-        ln c = -b/2 sum x^2 + kappa/2 S^2 - ln(det)/2 and d ln c / d u_j =
-        (kappa S - b x_j) / phi(x_j), with b = r/(1-r), kappa =
-        b/(1+(n-1)r) and S = sum x.  Everything but S^2 is an outer sum of
-        per-axis terms, so no grid point is materialized."""
-        r, n = self._rho(gamma), self.dim
+    def axis_terms(self, u, gamma=0.0):
+        """From the normal score x of u: lambda = -b x^2 / 2 and tau = x,
+        with tau' = 1 / phi(x) and b = rho / (1 - rho); ``gamma``
+        broadcasts against ``u``."""
+        r = self._rho(gamma)
         b = r / (1.0 - r)
-        kappa = b / (1.0 + (n - 1) * r)
-        det = (1.0 - r) ** (n - 1) * (1.0 + (n - 1) * r)
-        x = [_normal_scores(a) for a in axes]
-        w = [np.asarray(vj, dtype=float) * math.sqrt(2.0 * math.pi) * np.exp(0.5 * xj * xj)
-             for vj, xj in zip(v, x)]  # v_j / phi(x_j)
-        s = outer_sum(x)
-        c = s * s
-        c *= 0.5 * kappa
-        c += outer_sum([-0.5 * b * xj * xj for xj in x])
-        np.exp(c, out=c)
-        c /= math.sqrt(det)
-        d = outer_sum([kappa * wj for wj in w])
-        d *= s
-        d -= outer_sum([b * wj * xj for wj, xj in zip(w, x)])
-        return c, d
+        x = _normal_scores(u)
+        dtau = math.sqrt(2.0 * math.pi) * np.exp(0.5 * x * x)
+        return -0.5 * b * x * x, -b * x * dtau, x, dtau
+
+    def link(self, t, gamma=0.0):
+        """g(t) = kappa t^2 / 2 - ln(det R) / 2 and g'(t) = kappa t, with
+        kappa = b / (1 + (n-1) rho), for one type."""
+        r, n = self._rho(gamma), self.dim
+        kappa = r / (1.0 - r) / (1.0 + (n - 1) * r)
+        g = t * t
+        g *= 0.5 * kappa
+        g -= 0.5 * ((n - 1) * math.log(1.0 - r) + math.log(1.0 + (n - 1) * r))
+        return g, kappa * t
 
     def _cholesky(self, gamma) -> np.ndarray:
         r = np.asarray(self._rho(gamma), dtype=float)[..., None, None]

@@ -332,10 +332,10 @@ def uses_joint_score(model: JointModel) -> bool:
     """Whether ``revenue_functional`` integrates each type's rents on a
     joint grid of about 130**goods points: smooth marginals and an
     invariant dependent copula (one good always has the independence
-    copula).  The copula's ``score_on_grid`` gives its terms in grid
-    shape, and the grid sum is contracted axis by axis by matmul; each
-    grid-shaped array takes 130**goods * 8 bytes.  A drifting copula takes
-    the per-good score."""
+    copula).  Each type's grid sum is two kernels built from the copula's
+    ``axis_terms`` and ``link`` (see ``_joint_score_rents``); at most 3
+    grid-shaped arrays of 130**goods * 8 bytes are alive at once.  A
+    drifting copula takes the per-good score."""
     return (all(m.smooth_in_gamma for m in model.marginals) and model.invariant_flag
             and not isinstance(model.copula, IndependenceCopula))
 
@@ -388,43 +388,76 @@ def _joint_score_rents(model: JointModel, rule: PercentileRule) -> np.ndarray:
     """Joint percentile-space score integrals, one tensor grid per type,
     graded toward the cube corners and split at the strike percentiles.
 
-    The marginal quantities are evaluated once per axis, and the copula
-    gives its density and directional score term on the grid.  The
-    weighted sum over the grid is then contracted one axis at a time,
-    from the last, by matmul, carrying two partial sums (weights only,
-    and weights times the option value), so no grid of points, weights or
-    option values is built.
+    With ln c = sum_j lambda_j + g(t) on t = sum_j tau_j (the copula's
+    ``axis_terms`` and ``link``), the joint score is sum_j beta_j + g'(t)
+    sum_j y_j, where beta_j = d_gamma ln f_j + v_j lambda'_j, y_j = v_j
+    tau'_j and v_j = dcdf_dgamma.  So each type's grid sum of weights
+    times option value times c times score is two kernels, c and c g'(t),
+    each contracted with n**2 rank-one per-axis terms (see
+    ``_rank_one_sums``).  The marginal and per-axis copula terms are
+    evaluated on padded (type * good) x node arrays, one type per row and
+    zero weight on the padding.
     """
-    n = model.n
+    n, cop = model.n, model.copula
     rents = np.empty(len(rule.gamma))
     # types per batch of axis evaluations; an axis has at most (breaks + 2) * order nodes
     step = max(1, _CHUNK_POINTS // (n * (len(geometric_breaks(depth=CORNER_DEPTH)) + 2)
                                     * JOINT_ORDER))
     for start in range(0, len(rule.gamma), step):
         ks = slice(start, start + step)
-        axes = _joint_axes(rule.s[ks].ravel())  # type k, good j at (k - start) * n + j
-        sizes = [a.nodes.size for a in axes]
-        goods = np.repeat(np.tile(np.arange(n), len(axes) // n), sizes)
-        gam = np.repeat(np.repeat(rule.gamma[ks], n), sizes)
-        theta = _by_marginal(model, goods, "quantile", np.concatenate([a.nodes for a in axes]), gam)
+        axes = _joint_axes(rule.s[ks].ravel())  # type k, good j in row (k - start) * n + j
+        # the padding sits at an interior percentile, where every term is finite
+        nodes = np.full((len(axes), max(a.nodes.size for a in axes)), 0.5)
+        weights = np.zeros_like(nodes)
+        for r, a in enumerate(axes):
+            nodes[r, :a.nodes.size], weights[r, :a.nodes.size] = a.nodes, a.weights
+        goods = np.tile(np.arange(n), len(axes) // n)
+        gam = np.repeat(rule.gamma[ks], n)[:, None]
+        theta = _by_marginal(model, goods, "quantile", nodes, gam)
         f, df, dcdf = (_by_marginal(model, goods, name, theta, gam)
                        for name in ("pdf", "dpdf_dgamma", "dcdf_dgamma"))
         if np.any(f <= 0.0):
             raise DensityZeroError("score requested where the density vanishes")
-        util = np.maximum(theta - np.repeat(rule.strikes[ks].ravel(), sizes), 0.0)
-        per_axis = [np.split(f, np.cumsum(sizes)[:-1]) for f in (df / f, dcdf, util)]
+        util = np.maximum(theta - rule.strikes[ks].reshape(-1, 1), 0.0)
+        lam, dlam, tau, dtau = cop.axis_terms(nodes, gam)
+        # per row, the weights times 1, the option value, z and both, with
+        # z = beta for the kernel c and z = y for the kernel c g'(t)
+        cols = [np.stack([weights, weights * util, weights * z, weights * util * z], axis=-1)
+                for z in (df / f + dcdf * dlam, dcdf * dtau)]
         for i, g in enumerate(rule.gamma[ks]):
-            ax = slice(i * n, (i + 1) * n)
-            c, part = model.copula.score_on_grid([a.nodes for a in axes[ax]], per_axis[1][ax], g)
-            part += outer_sum(per_axis[0][ax])
-            part *= c
-            total = None  # the partial sum weighted by weights times the option value
-            for a, u in zip(axes[ax][::-1], per_axis[2][ax][::-1]):
-                both = part @ np.stack([a.weights, a.weights * u], axis=-1)
-                part, gained = both[..., 0], both[..., 1]
-                total = gained if total is None else gained + total @ a.weights
-            rents[start + i] = total
+            rows = slice(i * n, (i + 1) * n)
+            rents[start + i] = _kernel_sums(cop, g, lam[rows], tau[rows],
+                                            cols[0][rows], cols[1][rows])
     return rents
+
+
+def _kernel_sums(cop, gamma: float, lam, tau, beta_cols, y_cols) -> float:
+    """One type's grid sum: the kernels c = exp(sum_j lambda_j + g(t)) and
+    c g'(t) on t = sum_j tau_j, with one exp of the whole exponent, each
+    contracted with its per-axis columns.  Both grid-shaped kernels die on
+    return, before the next type builds its own."""
+    c, dc = cop.link(outer_sum(tau), gamma)
+    n = len(lam)
+    for j, lj in enumerate(lam):
+        c += lj.reshape((-1,) + (1,) * (n - 1 - j))
+    np.exp(c, out=c)
+    dc *= c
+    return _rank_one_sums(c, beta_cols) + _rank_one_sums(dc, y_cols)
+
+
+def _rank_one_sums(kernel: np.ndarray, cols: np.ndarray) -> float:
+    """Sum over axis pairs (i, j) of ``kernel`` contracted with a rank-one
+    term: column 1 of ``cols`` on axis i, column 2 on axis j (column 3
+    when i = j) and column 0 on every other axis.  ``cols`` holds one
+    (nodes x 4) array per axis.  One matmul contracts the last axis and
+    einsum the others, giving all 4**n contractions at once."""
+    n, width = cols.shape[:2]
+    part = kernel.reshape(-1, width) @ cols[-1]
+    for c in cols[-2::-1]:  # the flat index takes axis j's column as digit n - 1 - j in base 4
+        rest = part.reshape(-1, width, part.shape[-1])
+        part = np.einsum("amc,md->adc", rest, c).reshape(len(rest), -1)
+    terms = [4 ** (n - 1 - i) + 2 * 4 ** (n - 1 - j) for i in range(n) for j in range(n)]
+    return float(part.ravel()[terms].sum())
 
 
 def revenue_functional(model: JointModel, mech: ThresholdMechanism) -> float:

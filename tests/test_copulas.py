@@ -297,15 +297,15 @@ class TestTypeArrays:
         np.testing.assert_array_equal(cop.conditional_chain(u, gammas), u)
 
 
-class TestGridForm:
-    """score_on_grid against the point form on the tensor points: the
-    density to rtol 1e-12, and the directional term sum_j v_j d ln c /
-    d u_j to 1e-12 of the sum of its terms' magnitudes at each point (the
-    Gaussian closed form sums the terms in another order)."""
+class TestLogDensityForm:
+    """The form ln c = sum_j lambda(u_j) + g(sum_j tau(u_j)) of
+    ``axis_terms`` and ``link`` against the point form on the tensor
+    points: exp(sum_j lambda_j + g(t)) against the density to rtol 1e-12,
+    and lambda'_j + tau'_j g'(t) against d ln c / d u_j to 1e-12 of the
+    sum of its two terms' magnitudes at each point (the forms sum in
+    another order).  The independence copula has no such form."""
 
     COPULAS = [
-        IndependenceCopula(2),
-        IndependenceCopula(3),
         ClaytonCopula(2, alpha=2.0),
         ClaytonCopula(3, alpha=1.5),
         ClaytonCopula(2, alpha=2.0, alpha_slope=1.0),
@@ -315,30 +315,29 @@ class TestGridForm:
         GaussianCopula(2, rho=0.2, rho_slope=0.6),
         GaussianCopula(3, rho=-0.1, rho_slope=0.5),
     ]
-    IDS = ["indep2", "indep3", "clayton2", "clayton3", "clayton2-drift", "clayton3-drift",
+    IDS = ["clayton2", "clayton3", "clayton2-drift", "clayton3-drift",
            "gauss2", "gauss3", "gauss2-drift", "gauss3-drift"]
 
     @pytest.mark.parametrize("cop", COPULAS, ids=IDS)
-    @pytest.mark.parametrize("part", ["density", "directional"])
+    @pytest.mark.parametrize("part", ["density", "partial"])
     def test_matches_point_form_on_tensor_points(self, cop, part):
         rng = np.random.default_rng(31)
         # unequal lengths; 0, 1e-16, 1 - 1e-16 and 1 clip at the score clamp
         edges = [0.0, 1e-16, 1.0 - 1e-16, 1.0]
         axes = [rng.permutation(np.concatenate([edges, rng.uniform(size=3 + 2 * j)]))
                 for j in range(cop.dim)]
-        v = [rng.normal(size=len(a)) for a in axes]
-        shape = tuple(len(a) for a in axes)
         u = tensor_points(axes)
         with np.errstate(all="ignore"):
-            density, slope = cop.score_on_grid(axes, v, 0.7)
-            terms = (cop.partial_log_density(u, 0.7) * tensor_points(v)).reshape(shape + (-1,))
-            point = cop.density(u, 0.7).reshape(shape)
-        assert density.shape == slope.shape == shape
-        if part == "density":
-            np.testing.assert_allclose(density, point, rtol=1e-12, atol=0.0)
-            return
-        expect = terms.sum(axis=-1)
+            lam, dlam, tau, dtau = cop.axis_terms(u, 0.7)
+            g, dg = cop.link(tau.sum(axis=-1), 0.7)
+            if part == "density":
+                np.testing.assert_allclose(np.exp(lam.sum(axis=-1) + g), cop.density(u, 0.7),
+                                           rtol=1e-12, atol=0.0)
+                return
+            along = dtau * dg[:, None]
+            slope = dlam + along
+            expect = cop.partial_log_density(u, 0.7)
         finite = np.isfinite(expect)
         np.testing.assert_array_equal(slope[~finite], expect[~finite])  # Clayton at u = 0
-        bound = 1e-12 * np.abs(terms).sum(axis=-1)
+        bound = 1e-12 * (np.abs(dlam) + np.abs(along))
         assert np.all(np.abs(slope - expect)[finite] <= bound[finite])

@@ -463,7 +463,7 @@ REFERENCE_FAMILIES = {
     "logistic_shift": {"name": "logistic_shift", "goods": 2,
                        "copula": {"name": "gaussian", "rho": 0.5}},
     "logistic_shift-independent": {"name": "logistic_shift", "goods": 2},
-    # the copulas' point form on the grid (score_on_grid of the base class)
+    # the Clayton copula's axis terms and link on the joint grid
     "logistic_shift-clayton": {"name": "logistic_shift", "goods": 2,
                                "copula": {"name": "clayton", "alpha": 2.0}},
 }
@@ -502,9 +502,10 @@ class TestAgainstScalarReference:
 
     @pytest.mark.parametrize("copula,shifts", [
         ({"name": "gaussian", "rho": 0.3}, None),
+        ({"name": "gaussian", "rho": -0.45}, None),
         ({"name": "clayton", "alpha": 2.0}, None),
         ({"name": "gaussian", "rho": 0.3}, (1.0, 0.6, 1.4)),
-    ], ids=["gaussian", "clayton", "gaussian-unequal-goods"])
+    ], ids=["gaussian", "gaussian-negative", "clayton", "gaussian-unequal-goods"])
     def test_three_good_joint_score_integral(self, copula, shifts, monkeypatch):
         # three axes check the broadcast order of the per-axis terms on the
         # tensor grid; goods with unequal marginals make every axis differ
@@ -517,6 +518,19 @@ class TestAgainstScalarReference:
         functional = X.revenue_functional(mdl, mech)
         expected = scalar.revenue_functional(mdl, mech, joint_order=4, corner_depth=2)
         assert abs(functional - expected) < 1e-12
+
+    @pytest.mark.parametrize("copula", [
+        {"name": "gaussian", "rho": 0.99},
+        {"name": "gaussian", "rho": -0.9},
+        {"name": "clayton", "alpha": 8.0},
+    ], ids=["gaussian-0.99", "gaussian--0.9", "clayton-8"])
+    def test_strong_dependence_joint_score_integral(self, copula):
+        # the log density's terms grow large and cancel near the corners;
+        # one exponent per grid point must neither overflow nor lose the
+        # difference
+        mdl = M.build_model({"name": "logistic_shift", "goods": 2, "copula": copula})
+        mech = X.upfront_t1(mdl, X.solve_thresholds(mdl, np.linspace(0.0, 1.0, 5)))
+        assert abs(X.revenue_functional(mdl, mech) - scalar.revenue_functional(mdl, mech)) < 1e-12
 
     def test_joint_axes_are_the_per_type_composite_rules(self):
         # strike percentiles at the ends, on and next to every break, and

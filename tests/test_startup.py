@@ -60,6 +60,15 @@ def test_oracle_config_loads_without_the_lp_solver(tmp_path):
     assert "scipy.optimize" not in mods
 
 
+def test_gaussian_config_loads_no_scipy(tmp_path):
+    # the benchmark's set-up probe: import the CLI and load a solve config;
+    # the copulas' normal scores import scipy.special only when called
+    extra = f"cli.load_config({str(tmp_path / 'cfg.json')!r}, 'solve')"
+    codes, mods = loaded(tmp_path, GAUSSIAN, [], extra)
+    assert codes == []
+    assert mods == set()
+
+
 def test_gaussian_solve_loads_special_only(tmp_path):
     codes, mods = loaded(tmp_path, GAUSSIAN, ["solve"])
     assert codes == [0]
@@ -74,35 +83,40 @@ def test_oracle_loads_highs(tmp_path):
 
 
 _ORACLE_ALONE = """
-import json, sys, types
-# the package's __init__ exports the continuum solver, so it is bypassed:
-# only the oracle's own imports are loaded
-pkg = types.ModuleType("screenforge")
-pkg.__path__ = [{pkg!r}]
-sys.modules["screenforge"] = pkg
+import json, sys
+sys.path.insert(0, {src!r})
 import screenforge.oracle
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("screenforge."))))
 """
 
 
 def test_oracle_does_not_import_the_continuum_solver():
-    # the LP oracle verifies the continuum menus, so it shares no module with them
-    code = _ORACLE_ALONE.format(pkg=str(Path(screenforge.__file__).resolve().parent))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, check=True)
+    # the LP oracle verifies the continuum menus, so it shares no module
+    # with them, also when imported through the package
+    proc = subprocess.run([sys.executable, "-c", _ORACLE_ALONE.format(src=SRC)],
+                          capture_output=True, text=True, timeout=120, check=True)
     mods = json.loads(proc.stdout.splitlines()[-1])
     assert "screenforge.oracle" in mods
     assert "screenforge.mech" not in mods
 
 
 def test_oracle_names_from_package():
-    from screenforge import (DiscreteInstance, DiscreteMechanism, SolveReport, discretize,
-                             oracle, solve_relaxed, solve_sequential, solve_simultaneous)
+    from screenforge import (DiscreteInstance, DiscreteMechanism, InterimUtilityCurve,
+                             SolveReport, ThresholdMechanism, discretize, ic_audit, mech, oracle,
+                             revenue_direct, revenue_functional, revenue_impulse_form,
+                             solve_relaxed, solve_sequential, solve_simultaneous,
+                             solve_thresholds, upfront_t1, virtual_value)
 
     assert [DiscreteInstance, DiscreteMechanism, SolveReport, discretize, solve_relaxed,
             solve_sequential, solve_simultaneous] == [
         oracle.DiscreteInstance, oracle.DiscreteMechanism, oracle.SolveReport,
         oracle.discretize, oracle.solve_relaxed, oracle.solve_sequential,
         oracle.solve_simultaneous]
+    assert [InterimUtilityCurve, ThresholdMechanism, ic_audit, revenue_direct,
+            revenue_functional, revenue_impulse_form, solve_thresholds, upfront_t1,
+            virtual_value] == [
+        mech.InterimUtilityCurve, mech.ThresholdMechanism, mech.ic_audit, mech.revenue_direct,
+        mech.revenue_functional, mech.revenue_impulse_form, mech.solve_thresholds,
+        mech.upfront_t1, mech.virtual_value]
     with pytest.raises(AttributeError):
         screenforge.no_such_name
