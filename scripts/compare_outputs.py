@@ -20,11 +20,14 @@ Every Gaussian config's ``oracle`` takes the copula cdf's one-factor
 integral, and ``sample`` runs with ``corners: true``.  ``oracle`` alone
 also runs on the rho -0.49 config with 5 type cells in place of 3: its
 5 x 5^3 rung is the largest here, and the ladder takes about 95 s on 2
-vCPUs.  The script lists every output file that differs or exists on
-one side only, and every differing exit code; it exits 1 if there is
-any.  For a differing CSV or JSON file it also prints the largest
-absolute difference between the numbers the two files hold in the same
-places, or says that the text around the numbers differs.
+vCPUs.  All five verbs also run on a ``defaults`` config: the README
+family and a seed with no verb sections, so that every key takes its
+default and a default that moves shows up as a byte difference.  The
+script lists every output file that differs or exists on one side only,
+and every differing exit code; it exits 1 if there is any.  For a
+differing CSV or JSON file it also prints the largest absolute
+difference between the numbers the two files hold in the same places,
+or says that the text around the numbers differs.
 """
 
 import argparse
@@ -65,6 +68,8 @@ CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "driftlogi8", "logiclay", "
            "logi3", "drift3")
 # oracle only, on a family above under another oracle section
 ORACLE_CONFIGS = {"gauss3neg5": ("gauss3neg", {"gamma_cells": 5, "theta_cells": [2, 3, 4, 5]})}
+# all five verbs with every section key at its default
+DEFAULTS_CONFIG = {"family": FAMILIES["readme"], "seed": 7}
 # identity checks these on every config, then the config's own family
 IDENTITY_FAMILIES = ("readme", "logi", "drift")
 _CHILD = """
@@ -107,13 +112,14 @@ def make_config(family: str, oracle: dict | None = None) -> dict:
 
 def run_all(tree: Path, work: Path) -> dict:
     """{(config, verb): exit code}, outputs under work/<config>/<verb>."""
-    runs = [(name, name, VERBS, None) for name in CONFIGS]
-    runs += [(name, family, ["oracle"], oracle)
+    runs = [(name, make_config(name), VERBS) for name in CONFIGS]
+    runs += [(name, make_config(family, oracle), ["oracle"])
              for name, (family, oracle) in ORACLE_CONFIGS.items()]
+    runs.append(("defaults", DEFAULTS_CONFIG, VERBS))
     codes = {}
-    for name, family, verbs, oracle in runs:
+    for name, config, verbs in runs:
         cfg = work / f"{name}.json"
-        cfg.write_text(json.dumps(make_config(family, oracle)))
+        cfg.write_text(json.dumps(config))
         for verb in verbs:
             proc = subprocess.run(
                 [sys.executable, "-c", _CHILD, str(tree / "src"), verb, str(cfg),

@@ -47,8 +47,12 @@ class RunConfig:
     quiet: bool
     config_hash: str = ""
     model: object = None
-    section: dict = field(default_factory=dict)
-    families: list = field(default_factory=list)  # identity: the models it checks
+    section: dict = field(default_factory=dict)  # every key of the verb, defaults filled in
+
+    @property
+    def families(self) -> list:
+        """The models that identity checks: identity.families, else the family."""
+        return self.section.get("families") or [self.model]
 
 
 def _hash_config(raw: dict, command: str, seed: int) -> str:
@@ -77,30 +81,86 @@ MAX_JOINT_SCORE_GOODS = 3
 MAX_SEED = 2**64 - 1
 
 
+def _rule(what: str, valid):
+    """Check that a value is one for which ``valid`` holds: it must ``what``."""
+    def check(name, value, cfg=None):
+        if not valid(value):
+            raise ConfigError(f"{name} must {what}, got {value!r}")
+        return value
+    return check
+
+
+def _number(what: str, valid):
+    return _rule(f"hold {what}", lambda v: isinstance(v, (int, float))
+                 and not isinstance(v, bool) and valid(v))
+
+
 def _upto(limit: int, name: str, least: int = 1):
-    return (f"integers from {least} to {limit} (cli.{name})",
-            lambda v: isinstance(v, int) and least <= v <= limit)
+    return _number(f"integers from {least} to {limit} (cli.{name})",
+                   lambda v: isinstance(v, int) and least <= v <= limit)
 
 
-_COUNT = ("positive integers", lambda v: isinstance(v, int) and v >= 1)
-_TOLERANCE = ("finite numbers >= 0", lambda v: 0 <= v < np.inf)
+_COUNT = _number("positive integers", lambda v: isinstance(v, int) and v >= 1)
+_TOLERANCE = _number("finite numbers >= 0", lambda v: 0 <= v < np.inf)
 _GRID = _upto(MAX_GAMMA_GRID, "MAX_GAMMA_GRID", least=2)
-# the keys that each verb reads from its own section, with the rule of each
-# number; None marks a key that load_config checks on its own
+_FLAG = _rule("be true or false", lambda v: isinstance(v, bool))
+_PATH = _rule("be a non-empty path", lambda v: isinstance(v, str) and v != "")
+_FAMILY_LIST = _rule("be a non-empty list of family objects", lambda v: isinstance(v, list)
+                     and v != [] and all(isinstance(f, dict) for f in v))
+
+
+def _families(name, value, cfg):
+    return [modelmod.build_model(dict(f)) for f in _FAMILY_LIST(name, value)]
+
+
+def _types(count=None):
+    """Check of a list of types in the prior support of each of ``cfg.families``."""
+    what = "types" if count is None else f"{count} types"
+
+    def check(name, values, cfg):
+        lo = max(m.prior.lo for m in cfg.families)
+        hi = min(m.prior.hi for m in cfg.families)
+        if not isinstance(values, list) or (count is not None and len(values) != count) or not all(
+                isinstance(g, (int, float)) and not isinstance(g, bool) and lo <= g <= hi
+                for g in values):
+            raise ConfigError(f"{name} must list {what} in the prior support [{lo}, {hi}], "
+                              f"got {values!r}")
+        return values
+    return check
+
+
+def _rungs(name, ladder, cfg):
+    """A rung (one count, or one count per good) or a list of them, as a list."""
+    rungs = ladder if isinstance(ladder, list) else [ladder]
+    if not rungs:
+        raise ConfigError(f"{name} must list at least one rung")
+    counts = []
+    for entry in rungs:
+        if isinstance(entry, list) and len(entry) != cfg.model.n:
+            raise ConfigError(f"{name} entry {entry!r} needs {cfg.model.n} counts")
+        counts += entry if isinstance(entry, list) else [entry]
+    for k in counts:
+        _COUNT(name, k)
+    return rungs
+
+
+# every key of each verb's section: (default, check).  A check takes
+# (name, given value, cfg), raises ConfigError on a malformed value and
+# returns what the verb reads; it may read the keys above its own.  A
+# default of None is worked out from the family where the verb uses it
 _VERB_KEYS = {
-    "solve": {"gamma_grid": _GRID},
-    "audit": {"gamma_grid": _GRID, "cycles": _COUNT, "cycle_length": _COUNT,
-              "tolerance_gain_rel": _TOLERANCE, "ir_tol": _TOLERANCE, "mechanism_csv": None},
-    "identity": {"points": _upto(MAX_IDENTITY_POINTS, "MAX_IDENTITY_POINTS"),
-                 "divergence_tol": _TOLERANCE, "boundary_tol": _TOLERANCE,
-                 "invariance_tol": _TOLERANCE, "gamma_pair": None, "families": None},
-    "oracle": {"gamma_cells": _COUNT, "theta_cells": None},
-    "sample": {"count": _upto(MAX_SAMPLE_COUNT, "MAX_SAMPLE_COUNT"), "gammas": None,
-               "corners": None},
+    "solve": {"gamma_grid": (101, _GRID)},
+    "audit": {"gamma_grid": (51, _GRID), "cycles": (1000, _COUNT), "cycle_length": (5, _COUNT),
+              "tolerance_gain_rel": (1e-6, _TOLERANCE), "ir_tol": (1e-8, _TOLERANCE),
+              "mechanism_csv": (None, _PATH)},  # None: audit solves its own menu
+    "identity": {"points": (100, _upto(MAX_IDENTITY_POINTS, "MAX_IDENTITY_POINTS")),
+                 "divergence_tol": (1e-4, _TOLERANCE), "boundary_tol": (1e-6, _TOLERANCE),
+                 "invariance_tol": (1e-8, _TOLERANCE), "families": (None, _families),
+                 "gamma_pair": (None, _types(count=2))},
+    "oracle": {"gamma_cells": (3, _COUNT), "theta_cells": ([2, 3, 4], _rungs)},
+    "sample": {"count": (1000, _upto(MAX_SAMPLE_COUNT, "MAX_SAMPLE_COUNT")),
+               "gammas": (None, _types()), "corners": (False, _FLAG)},
 }
-# section defaults that the size checks read as well as the commands
-_DEFAULTS = {"cycles": 1000, "cycle_length": 5, "gamma_cells": 3, "theta_cells": [2, 3, 4],
-             "count": 1000}
 
 
 def load_config(path: str, command: str, out_override=None, seed_override=None,
@@ -117,105 +177,43 @@ def load_config(path: str, command: str, out_override=None, seed_override=None,
     section = raw.get(command, {})
     if not isinstance(section, dict):
         raise ConfigError(f"'{command}' must be a JSON object, got {section!r}")
-    cfg = RunConfig(
-        out_dir=out_dir,
-        seed=seed,
-        quiet=quiet,
-        config_hash=_hash_config(raw, command, seed),
-        section=section,
-    )
+    cfg = RunConfig(out_dir=out_dir, seed=seed, quiet=quiet,
+                    config_hash=_hash_config(raw, command, seed))
     cfg.model = modelmod.build_model(dict(raw["family"]))
-    checks = [("seed", seed, _upto(MAX_SEED, "MAX_SEED"))]
     keys = _VERB_KEYS[command]
     for key in section:
         if key not in keys:
             raise ConfigError(f"unknown key {command}.{key}; {command} reads {', '.join(keys)}")
-    checks += [(f"{command}.{key}", section[key], rule)
-               for key, rule in keys.items() if rule and key in section]
-    if command == "oracle":
-        checks += [("oracle.theta_cells", k, _COUNT) for k in _theta_cell_counts(section, cfg.model.n)]
-    _check_values(checks)
-    if command == "sample":
-        _check_types("sample.gammas", section.get("gammas", []), [cfg.model])
-        if not isinstance(section.get("corners", False), bool):
-            raise ConfigError(f"sample.corners must be true or false, got {section['corners']!r}")
-    if command == "audit" and "mechanism_csv" in section:
-        csv_path = section["mechanism_csv"]
-        if not isinstance(csv_path, str) or not csv_path:
-            raise ConfigError(f"audit.mechanism_csv must be a non-empty path, got {csv_path!r}")
-    _check_values(_size_checks(command, section, cfg.model))
-    if command == "identity":
-        fams = section.get("families")
-        if fams is not None and not (isinstance(fams, list) and all(isinstance(f, dict) for f in fams)):
-            raise ConfigError(f"identity.families must be a list of family objects, got {fams!r}")
-        cfg.families = [modelmod.build_model(dict(f)) for f in fams] if fams else [cfg.model]
-        if section.get("gamma_pair") is not None:
-            _check_types("identity.gamma_pair", section["gamma_pair"], cfg.families, count=2)
+    _upto(MAX_SEED, "MAX_SEED")("seed", seed)
+    cfg.section = {key: default for key, (default, _) in keys.items()}
+    for key, (_, check) in keys.items():
+        if key in section:
+            cfg.section[key] = check(f"{command}.{key}", section[key], cfg)
+    _size_checks(command, cfg.section, cfg.model)
     return cfg
 
 
-def _check_values(checks):
-    for name, value, (what, valid) in checks:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not valid(value):
-            raise ConfigError(f"{name} must hold {what}, got {value!r}")
-
-
-def _size_checks(command: str, section: dict, model) -> list:
-    """(name, size, rule) of each size that several keys or the family set
-    together, from a section whose keys passed their own checks."""
+def _size_checks(command: str, sec: dict, model):
+    """Check each size that several keys or the family set together, on a
+    section whose keys passed their own checks."""
     if command == "audit":
-        points = (section.get("cycles", _DEFAULTS["cycles"])
-                  * section.get("cycle_length", _DEFAULTS["cycle_length"]))
-        return [("audit.cycles * audit.cycle_length", points,
-                 _upto(MAX_CYCLE_POINTS, "MAX_CYCLE_POINTS"))]
-    if command == "oracle":
-        types = section.get("gamma_cells", _DEFAULTS["gamma_cells"])
-        checks = []
-        for entry in _ladder(section):
+        _upto(MAX_CYCLE_POINTS, "MAX_CYCLE_POINTS")(
+            "audit.cycles * audit.cycle_length", sec["cycles"] * sec["cycle_length"])
+    elif command == "oracle":
+        types = sec["gamma_cells"]
+        for entry in sec["theta_cells"]:
             cells = math.prod(entry) if isinstance(entry, list) else entry ** model.n
-            checks.append((f"oracle.theta_cells {entry!r}: simultaneous LP rows",
-                           types * cells * (cells - 1) + types * types,
-                           _upto(MAX_SIMULTANEOUS_ROWS, "MAX_SIMULTANEOUS_ROWS")))
-        return checks
-    if command == "sample":
-        corners = 2 ** model.n if section.get("corners", False) else 0
-        rows = len(section.get("gammas", [None])) * (section.get("count", _DEFAULTS["count"])
-                                                      + corners)
-        return [("len(sample.gammas) * (sample.count + corner rows)", rows,
-                 _upto(MAX_SAMPLE_COUNT, "MAX_SAMPLE_COUNT"))]
-    if command == "solve" and mechmod.uses_joint_score(model):
-        return [("family.goods of a smooth family with an invariant dependent copula", model.n,
-                 _upto(MAX_JOINT_SCORE_GOODS, "MAX_JOINT_SCORE_GOODS"))]
-    return []
-
-
-def _check_types(name: str, values, models, count=None):
-    """``values`` must list types in every model's prior support, ``count`` of them if given."""
-    lo, hi = max(m.prior.lo for m in models), min(m.prior.hi for m in models)
-    if not isinstance(values, list) or (count is not None and len(values) != count) or not all(
-            isinstance(g, (int, float)) and not isinstance(g, bool) and lo <= g <= hi
-            for g in values):
-        what = "types" if count is None else f"{count} types"
-        raise ConfigError(f"{name} must list {what} in the prior support [{lo}, {hi}], "
-                          f"got {values!r}")
-
-
-def _ladder(section: dict) -> list:
-    """The oracle.theta_cells entries, one per rung."""
-    ladder = section.get("theta_cells", _DEFAULTS["theta_cells"])
-    if ladder == []:
-        raise ConfigError("oracle.theta_cells must list at least one rung")
-    return ladder if isinstance(ladder, list) else [ladder]
-
-
-def _theta_cell_counts(section: dict, n_goods: int) -> list:
-    """Each oracle.theta_cells entry: one count, or one count per good."""
-    counts = []
-    for entry in _ladder(section):
-        if isinstance(entry, list) and len(entry) != n_goods:
-            raise ConfigError(f"oracle.theta_cells entry {entry!r} needs {n_goods} counts")
-        counts += entry if isinstance(entry, list) else [entry]
-    return counts
+            _upto(MAX_SIMULTANEOUS_ROWS, "MAX_SIMULTANEOUS_ROWS")(
+                f"oracle.theta_cells {entry!r}: simultaneous LP rows",
+                types * cells * (cells - 1) + types * types)
+    elif command == "sample":
+        types = 1 if sec["gammas"] is None else len(sec["gammas"])
+        corners = 2 ** model.n if sec["corners"] else 0
+        _upto(MAX_SAMPLE_COUNT, "MAX_SAMPLE_COUNT")(
+            "len(sample.gammas) * (sample.count + corner rows)", types * (sec["count"] + corners))
+    elif command == "solve" and mechmod.uses_joint_score(model):
+        _upto(MAX_JOINT_SCORE_GOODS, "MAX_JOINT_SCORE_GOODS")(
+            "family.goods of a smooth family with an invariant dependent copula", model.n)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +418,8 @@ def read_mechanism_csv(path: str, goods: int, box_top=None) -> mechmod.Threshold
 # ---------------------------------------------------------------------------
 
 
-def _solved_mechanism(cfg: RunConfig, grid_size: int):
-    grid = np.linspace(cfg.model.prior.lo, cfg.model.prior.hi, grid_size)
+def _solved_mechanism(cfg: RunConfig):
+    grid = np.linspace(cfg.model.prior.lo, cfg.model.prior.hi, cfg.section["gamma_grid"])
     mech = mechmod.solve_thresholds(cfg.model, grid)
     return mechmod.upfront_t1(cfg.model, mech)
 
@@ -438,8 +436,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     if not report.ok:
         _say(cfg, f"regularity violated; see {cfg.out_dir}/regularity.json")
         return 3
-    grid_size = int(cfg.section.get("gamma_grid", mechmod.DEFAULT_GRID_SIZE))
-    mech = _solved_mechanism(cfg, grid_size)
+    mech = _solved_mechanism(cfg)
     write_mechanism_csv(os.path.join(cfg.out_dir, "mechanism.csv"), mech)
     direct = mechmod.revenue_direct(cfg.model, mech)
     functional = mechmod.revenue_functional(cfg.model, mech)
@@ -450,7 +447,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "residual_functional_rel": abs(functional - direct) / max(abs(direct), 1e-300),
         "revenue_impulse": impulse,
         "residual_impulse_rel": abs(impulse - direct) / max(abs(direct), 1e-300),
-        "gamma_grid": grid_size,
+        "gamma_grid": cfg.section["gamma_grid"],
         "family": cfg.model.label,
     }
     _write_json(os.path.join(cfg.out_dir, "revenue.json"), payload, cfg)
@@ -460,28 +457,23 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_audit(cfg: RunConfig) -> int:
     sec = cfg.section
-    grid_size = int(sec.get("gamma_grid", 51))
-    csv_path = sec.get("mechanism_csv")
-    if csv_path is not None:
+    if sec["mechanism_csv"] is not None:
         box_top = np.array([m.support[1] for m in cfg.model.marginals])
-        mech = read_mechanism_csv(csv_path, cfg.model.n, box_top=box_top)
+        mech = read_mechanism_csv(sec["mechanism_csv"], cfg.model.n, box_top=box_top)
     else:
-        mech = _solved_mechanism(cfg, grid_size)
+        mech = _solved_mechanism(cfg)
     audit = mechmod.ic_audit(cfg.model, mech)
     surplus = _continuum_surplus(cfg.model)
-    gain_tol = float(sec.get("tolerance_gain_rel", 1e-6)) * max(surplus, 1e-12)
-    ir_tol = float(sec.get("ir_tol", 1e-8))
-    n_cycles = int(sec.get("cycles", _DEFAULTS["cycles"]))
-    cyc_len = int(sec.get("cycle_length", _DEFAULTS["cycle_length"]))
+    gain_tol = sec["tolerance_gain_rel"] * max(surplus, 1e-12)
     stream = RngStream(seed=cfg.seed, stream_id=2)
-    cycles = mechmod.random_cycles(cfg.model.box, n_cycles, cyc_len, stream)
+    cycles = mechmod.random_cycles(cfg.model.box, sec["cycles"], sec["cycle_length"], stream)
     gammas = mech.gamma_grid[:: max(1, len(mech.gamma_grid) // 8)]
     cycle_max = max(mechmod.cyclic_monotonicity_check(mech, float(g), cycles) for g in gammas)
     bottom = float(audit.curve.values[0])
     nondecreasing = bool(np.all(np.diff(audit.curve.values) >= -1e-8))
     ok = bool(
         audit.max_gain <= gain_tol
-        and audit.ir_slack >= -ir_tol
+        and audit.ir_slack >= -sec["ir_tol"]
         and abs(bottom) <= 1e-8
         and nondecreasing
         and cycle_max <= 1e-10
@@ -513,17 +505,16 @@ def _continuum_surplus(model) -> float:
 
 def cmd_identity(cfg: RunConfig) -> int:
     sec = cfg.section
-    points = int(sec.get("points", 100))
-    div_tol = float(sec.get("divergence_tol", 1e-4))
-    bnd_tol = float(sec.get("boundary_tol", 1e-6))
-    inv_tol = float(sec.get("invariance_tol", 1e-8))
-    pair = sec.get("gamma_pair")
+    div_tol = float(sec["divergence_tol"])
+    bnd_tol = float(sec["boundary_tol"])
+    inv_tol = float(sec["invariance_tol"])
+    pair = sec["gamma_pair"]
     rows = []
     for mdl in cfg.families:
         lo, hi = mdl.prior.lo, mdl.prior.hi
         gpair = tuple(pair) if pair else (lo, hi)
         stream = RngStream(seed=cfg.seed, stream_id=7)
-        draws = uniform_draws(stream, points, mdl.n + 1)
+        draws = uniform_draws(stream, sec["points"], mdl.n + 1)
         types = lo + (0.1 + 0.8 * draws[:, 0]) * (hi - lo)
         theta = modelmod.sample_theta(mdl, types, 0.1 + 0.8 * draws[:, 1:])
         resids = modelmod.divergence_residual(mdl, types, theta)
@@ -555,12 +546,11 @@ def cmd_identity(cfg: RunConfig) -> int:
 def cmd_oracle(cfg: RunConfig) -> int:
     from . import oracle as oraclemod  # loads HiGHS; no other verb needs it
 
-    sec = cfg.section
-    gcells = int(sec.get("gamma_cells", _DEFAULTS["gamma_cells"]))
+    gcells = cfg.section["gamma_cells"]
     table = []
     inst = None
     try:
-        for cells in _ladder(sec):
+        for cells in cfg.section["theta_cells"]:
             inst = oraclemod.discretize(cfg.model, gcells, cells)
             row = oraclemod.regime_row(inst)
             for regime, rep in row.reports.items():
@@ -607,10 +597,9 @@ def _write_mech_table(path: str, inst, mech):
 
 
 def cmd_sample(cfg: RunConfig) -> int:
-    sec = cfg.section
-    count = int(sec.get("count", _DEFAULTS["count"]))
-    gammas = sec.get("gammas", [0.5 * (cfg.model.prior.lo + cfg.model.prior.hi)])
-    corners = sec.get("corners", False)
+    count, gammas, corners = (cfg.section[key] for key in ("count", "gammas", "corners"))
+    if gammas is None:  # the prior midpoint
+        gammas = [0.5 * (cfg.model.prior.lo + cfg.model.prior.hi)]
     n = cfg.model.n
     rows = None
     ks_rows = []

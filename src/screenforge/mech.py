@@ -35,7 +35,6 @@ from .model import JointModel, hazard
 from .numerics import (QuadratureRule, bisect_root, gauss_rule, geometric_breaks,
                        outer_sum)
 
-DEFAULT_GRID_SIZE = 101
 _SCAN_POINTS = 257
 _REGULARITY_POINTS = 129  # theta points per good in regularity_report
 # points per batched marginal evaluation: bounds the temporaries of the
@@ -187,7 +186,7 @@ def _strike_path(model: JointModel, j: int, gammas: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_thresholds(model: JointModel, gamma_grid=None) -> ThresholdMechanism:
+def solve_thresholds(model: JointModel, gamma_grid) -> ThresholdMechanism:
     """Strike prices per grid type: the zero of each good's virtual value
     over the enclosing box, clipped to a box endpoint when the sign is
     constant.  Fees are left unfilled.  Goods sharing one marginal share
@@ -200,8 +199,6 @@ def solve_thresholds(model: JointModel, gamma_grid=None) -> ThresholdMechanism:
     misreports that no fee schedule removes, so it fails incentive
     compatibility.
     """
-    if gamma_grid is None:
-        gamma_grid = np.linspace(model.prior.lo, model.prior.hi, DEFAULT_GRID_SIZE)
     gamma_grid = np.asarray(gamma_grid, dtype=float)
     strikes = np.empty((len(gamma_grid), model.n))
     for _, goods in _marginal_groups(model):

@@ -481,8 +481,14 @@ class TestIdentityCommand:
         {"gamma_pair": [0.2]},
         {"gamma_pair": [0.2, 7.0]},
         {"gamma_pair": ["low", "high"]},
+        # a given key is checked whatever its value: these three used to
+        # run the top-level family or the default pair
+        {"families": []},
+        {"families": None},
+        {"gamma_pair": None},
     ], ids=["families-int-list", "families-int", "families-object", "family-unknown",
-            "pair-int", "pair-short", "pair-outside-prior", "pair-str"])
+            "pair-int", "pair-short", "pair-outside-prior", "pair-str", "families-empty",
+            "families-null", "pair-null"])
     def test_bad_identity_inputs_exit_2(self, tmp_path, section, capsys):
         cfg = write_config(tmp_path, identity={"points": 5, **section})
         out = tmp_path / "out"
@@ -722,6 +728,29 @@ class TestSampleCommand:
         assert run("sample", "--config", cfg, "--out", out, "--quiet") == 0
         rep = json.loads((tmp_path / "out" / "ks.json").read_text())
         assert max(r["ks"] for r in rep["statistics"]) <= 0.01
+
+
+class TestDefaults:
+    # every key of every verb at its default, as the README's key table gives it
+    DEFAULTS = {
+        "solve": {"gamma_grid": 101},
+        "audit": {"gamma_grid": 51, "cycles": 1000, "cycle_length": 5,
+                  "tolerance_gain_rel": 1e-6, "ir_tol": 1e-8, "mechanism_csv": None},
+        "identity": {"points": 100, "divergence_tol": 1e-4, "boundary_tol": 1e-6,
+                     "invariance_tol": 1e-8, "families": None, "gamma_pair": None},
+        "oracle": {"gamma_cells": 3, "theta_cells": [2, 3, 4]},
+        "sample": {"count": 1000, "gammas": None, "corners": False},
+    }
+
+    def test_a_config_without_sections_reads_every_default(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": {"name": "cl_uniform", "goods": 2,
+                                               "copula": {"name": "clayton", "alpha": 2.0}},
+                                    "seed": 4242}))
+        for command, defaults in self.DEFAULTS.items():
+            assert climod.load_config(str(path), command).section == defaults
+            out = str(tmp_path / command)
+            assert run(command, "--config", str(path), "--out", out, "--quiet") == 0
 
 
 class TestDeterminism:
