@@ -114,7 +114,8 @@ def _families(name, value, cfg):
 
 
 def _types(count=None):
-    """Check of a list of types in the prior support of each of ``cfg.families``."""
+    """Check of a list of types in the prior support of each of ``cfg.families``;
+    a list of ``count`` types must hold ``count`` different ones."""
     what = "types" if count is None else f"{count} types"
 
     def check(name, values, cfg):
@@ -125,6 +126,8 @@ def _types(count=None):
                 for g in values):
             raise ConfigError(f"{name} must list {what} in the prior support [{lo}, {hi}], "
                               f"got {values!r}")
+        if count is not None and len(set(values)) < count:
+            raise ConfigError(f"{name} must list {count} different types, got {values!r}")
         return values
     return check
 

@@ -37,9 +37,14 @@ from .numerics import (QuadratureRule, bisect_root, gauss_rule, geometric_breaks
 
 _SCAN_POINTS = 257
 _REGULARITY_POINTS = 129  # theta points per good in regularity_report
-# points per batched marginal evaluation: bounds the temporaries of the
-# marginal callables and of the audit's cross tensor
-_CHUNK_POINTS = 1 << 12
+# points per block of batched marginal calls: bounds the (rows x nodes)
+# arguments of one marginal call in _by_marginal and the (types x menus x
+# goods x nodes) cross tensor of one ic_audit block, and so the
+# temporaries each call makes
+_CHUNK_POINTS = 1 << 14
+# points per batch of _joint_score_rents' per-axis evaluations: bounds its
+# padded (type * good) x node arrays, which hold a dozen live temporaries
+_JOINT_CHUNK_POINTS = 1 << 12
 
 
 # quadrature of the continuum solver, read at call time
@@ -118,14 +123,15 @@ class InterimUtilityCurve:
 # ---------------------------------------------------------------------------
 
 
-def virtual_value(model: JointModel, j: int, gamma, theta_j):
+def virtual_value(model: JointModel, j: int, gamma, theta_j, h=None):
     """Pointwise marginal revenue of good j: theta plus the rent distortion.
 
     Equals theta at the top type (zero hazard) and for type-independent
     marginals (zero impulse).  ``gamma`` broadcasts against ``theta_j``;
-    an array ``j`` gives one good per row, with one type per row.
+    an array ``j`` gives one good per row, with one type per row.  ``h``
+    is the prior hazard at ``gamma``, computed here when not given.
     """
-    h = hazard(model.prior, gamma)
+    h = hazard(model.prior, gamma) if h is None else h
     t = np.asarray(theta_j, dtype=float)
     imp = (model.marginals[j].impulse(t, gamma) if np.ndim(j) == 0
            else _by_marginal(model, j, "impulse", t, gamma))
@@ -145,9 +151,14 @@ def _by_marginal(model: JointModel, goods, method: str, x, gamma) -> np.ndarray:
     marginal of its good ``goods[r]``; one call per distinct marginal."""
     out = np.empty(np.broadcast(x, gamma).shape)
     step = max(1, _CHUNK_POINTS * len(out) // max(out.size, 1))
-    for m, js in _marginal_groups(model):
-        rows = np.flatnonzero(np.isin(goods, js))
-        for part in np.split(rows, np.arange(step, len(rows), step)):
+    groups = _marginal_groups(model)
+    for m, js in groups:
+        if len(groups) == 1:  # every good shares the marginal: row slices
+            parts = [slice(r, r + step) for r in range(0, len(out), step)]
+        else:
+            rows = np.flatnonzero(np.isin(goods, js))
+            parts = np.split(rows, np.arange(step, len(rows), step))
+        for part in parts:
             out[part] = getattr(m, method)(x[part], gamma[part])
     return out
 
@@ -181,7 +192,8 @@ def _strike_path(model: JointModel, j: int, gammas: np.ndarray) -> np.ndarray:
     cut = (first > 0) & (first < _SCAN_POINTS)
     if np.any(cut):
         g = gammas[cut]
-        out[cut] = bisect_root(lambda t: virtual_value(model, j, g, t),
+        h = hazard(model.prior, g)  # once for the whole bisection
+        out[cut] = bisect_root(lambda t: virtual_value(model, j, g, t, h),
                                thetas[first[cut] - 1], thetas[first[cut]], tol=ROOT_TOL)
     return out
 
@@ -398,8 +410,8 @@ def _joint_score_rents(model: JointModel, rule: PercentileRule) -> np.ndarray:
     n, cop = model.n, model.copula
     rents = np.empty(len(rule.gamma))
     # types per batch of axis evaluations; an axis has at most (breaks + 2) * order nodes
-    step = max(1, _CHUNK_POINTS // (n * (len(geometric_breaks(depth=CORNER_DEPTH)) + 2)
-                                    * JOINT_ORDER))
+    step = max(1, _JOINT_CHUNK_POINTS // (n * (len(geometric_breaks(depth=CORNER_DEPTH)) + 2)
+                                          * JOINT_ORDER))
     for start in range(0, len(rule.gamma), step):
         ks = slice(start, start + step)
         axes = _joint_axes(rule.s[ks].ravel())  # type k, good j in row (k - start) * n + j

@@ -206,36 +206,48 @@ def truncated_logistic_marginal(
 
     def _parts(g):
         mu = loc + shift * g
-        sa = _sigmoid((a - mu) / scale)
-        sb = _sigmoid((b - mu) / scale)
+        sa, sb = _sigmoid(np.stack([a - mu, b - mu]) / scale)
         return mu, sa, sb, sb - sa
 
-    def cdf(t, g):
+    def _at(t, g):
+        """The sigmoid at t and at both box ends, and the ends' spread."""
         mu, sa, sb, d = _parts(g)
-        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
+        return _sigmoid((np.asarray(t, dtype=float) - mu) / scale), sa, sb, d
+
+    def _slopes(s, sa, sb):
+        """The gamma-derivatives of those three sigmoids."""
+        return tuple(-v * (1.0 - v) * shift / scale for v in (s, sa, sb))
+
+    def _density(s, d):
+        return s * (1.0 - s) / (scale * d)
+
+    def _response(s, sa, sb, d):
+        ds, dsa, dsb = _slopes(s, sa, sb)
+        return ((ds - dsa) * d - (s - sa) * (dsb - dsa)) / (d * d)
+
+    def cdf(t, g):
+        s, sa, _, d = _at(t, g)
         return np.clip((s - sa) / d, 0.0, 1.0)
 
     def pdf(t, g):
-        mu, sa, sb, d = _parts(g)
-        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
-        return s * (1.0 - s) / (scale * d)
+        s, _, _, d = _at(t, g)
+        return _density(s, d)
 
     def dcdf(t, g):
-        mu, sa, sb, d = _parts(g)
-        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
-        ds = -s * (1.0 - s) * shift / scale
-        dsa = -sa * (1.0 - sa) * shift / scale
-        dsb = -sb * (1.0 - sb) * shift / scale
-        return ((ds - dsa) * d - (s - sa) * (dsb - dsa)) / (d * d)
+        return _response(*_at(t, g))
 
     def dpdf(t, g):
-        mu, sa, sb, d = _parts(g)
-        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
-        ds = -s * (1.0 - s) * shift / scale
-        dsa = -sa * (1.0 - sa) * shift / scale
-        dsb = -sb * (1.0 - sb) * shift / scale
-        num = (1.0 - 2.0 * s) * ds
-        return (num * d - s * (1.0 - s) * (dsb - dsa)) / (scale * d * d)
+        s, sa, sb, d = _at(t, g)
+        ds, dsa, dsb = _slopes(s, sa, sb)
+        return ((1.0 - 2.0 * s) * ds * d - s * (1.0 - s) * (dsb - dsa)) / (scale * d * d)
+
+    def impulse(t, g):
+        # dcdf / pdf from one sigmoid evaluation, checked as ConditionalMarginal.impulse
+        s, sa, sb, d = _at(t, g)
+        dens = _density(s, d)
+        if np.any(dens <= 0.0):
+            raise DensityZeroError("impulse requested where the density vanishes")
+        return _response(s, sa, sb, d) / dens
 
     def quant(p, g):
         mu, sa, sb, d = _parts(g)
@@ -249,16 +261,17 @@ def truncated_logistic_marginal(
         dcdf_dgamma=dcdf,
         dpdf_dgamma=dpdf,
         quantile_fn=quant,
+        impulse_fn=impulse,
         smooth_in_gamma=True,
     )
 
 
 def _sigmoid(x):
+    """1 / (1 + exp(-x)) without overflow, from one exp(-|x|) per point."""
     x = np.asarray(x, dtype=float)
-    pos = 1.0 / (1.0 + np.exp(-np.clip(x, 0.0, None)))
-    ex = np.exp(np.clip(x, None, 0.0))
-    neg = ex / (1.0 + ex)
-    return np.where(x >= 0, pos, neg)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 # ---------------------------------------------------------------------------

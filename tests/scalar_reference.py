@@ -13,7 +13,9 @@ time, down to Owen's T-function form at two goods, as before it took the
 one-factor integral.  The exhaustive oracle enumerates the allocation
 profiles, tests one allocation table at a time and writes one
 transfer-LP row per joint misreport map, as before it was one
-mixed-integer program with per-cell epigraph rows.  The joint likelihood
+mixed-integer program with per-cell epigraph rows.  The logistic
+sigmoid takes two clipped exps per point, as before it took one exp of
+-|x|.  The joint likelihood
 score, analytic for an invariant copula and a central difference in
 gamma otherwise, integrates the rents of every dependent smooth family
 on a joint grid, drifting ones included, as the solver did before a
@@ -44,6 +46,15 @@ from screenforge.numerics import (
 )
 
 SCAN_POINTS = 257
+
+
+def sigmoid(x):
+    """1 / (1 + exp(-x)) from exp(-max(x, 0)) and exp(min(x, 0))."""
+    x = np.asarray(x, dtype=float)
+    pos = 1.0 / (1.0 + np.exp(-np.clip(x, 0.0, None)))
+    ex = np.exp(np.clip(x, None, 0.0))
+    neg = ex / (1.0 + ex)
+    return np.where(x >= 0, pos, neg)
 
 
 def tensor_rule(box, orders, breaks):

@@ -486,15 +486,23 @@ class TestIdentityCommand:
         {"families": []},
         {"families": None},
         {"gamma_pair": None},
+        # two equal types make the invariance residual 0 whatever the copula
+        {"gamma_pair": [0.5, 0.5]},
     ], ids=["families-int-list", "families-int", "families-object", "family-unknown",
             "pair-int", "pair-short", "pair-outside-prior", "pair-str", "families-empty",
-            "families-null", "pair-null"])
+            "families-null", "pair-null", "pair-equal"])
     def test_bad_identity_inputs_exit_2(self, tmp_path, section, capsys):
         cfg = write_config(tmp_path, identity={"points": 5, **section})
         out = tmp_path / "out"
         assert run("identity", "--config", cfg, "--out", str(out), "--quiet") == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_equal_pair_error_names_the_types(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, identity={"points": 5, "gamma_pair": [0.5, 0.5]})
+        assert run("identity", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 2
+        assert "identity.gamma_pair must list 2 different types, got [0.5, 0.5]" in (
+            capsys.readouterr().err)
 
 
 class TestOracleCommand:

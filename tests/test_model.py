@@ -78,6 +78,17 @@ class TestMarginalBroadcast:
             np.testing.assert_allclose(batch[k], marg.quantile(p, g), rtol=0, atol=1e-15)
 
 
+class TestSigmoid:
+    def test_bit_identical_to_two_exp_form(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, -1e-300,
+                 36.7, -36.7, 709.8, -745.2, np.nan]
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200001), edges])
+        got, want = M._sigmoid(x), scalar.sigmoid(x)
+        np.testing.assert_array_equal(got, want)  # NaN where the reference has NaN
+        num = ~np.isnan(want)  # a NaN's sign bit is not a value
+        np.testing.assert_array_equal(np.signbit(got[num]), np.signbit(want[num]))
+
+
 class TestJointDensity:
     def test_independence_is_product(self):
         mdl = cl_model(2)
@@ -160,6 +171,15 @@ class TestImpulseResponse:
         # same marginals, heavier coupling: the per-good response is unchanged
         mdl = cl_model(2, {"name": "clayton", "alpha": 2.0})
         np.testing.assert_allclose(self.impulses(mdl, 0.4, np.array([0.7, 1.1])), [-1.0, -1.0])
+
+    def test_logistic_is_dcdf_over_pdf(self):
+        # the logistic family's own impulse shares one sigmoid evaluation
+        marg = M.truncated_logistic_marginal()
+        theta, gammas = np.linspace(-4.0, 5.0, 101), np.linspace(0.0, 1.0, 11)[:, None]
+        np.testing.assert_array_equal(
+            marg.impulse(theta, gammas), marg.dcdf_dgamma(theta, gammas) / marg.pdf(theta, gammas))
+        with pytest.raises(DensityZeroError):  # the density underflows at the box top
+            M.truncated_logistic_marginal(scale=0.01).impulse(5.0, 0.5)
 
     def test_nonpositive_on_regular_families(self):
         for name, make in ALL_INVARIANT:
