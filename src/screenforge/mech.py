@@ -152,14 +152,15 @@ def _by_marginal(model: JointModel, goods, method: str, x, gamma) -> np.ndarray:
     out = np.empty(np.broadcast(x, gamma).shape)
     step = max(1, _CHUNK_POINTS * len(out) // max(out.size, 1))
     groups = _marginal_groups(model)
-    for m, js in groups:
-        if len(groups) == 1:  # every good shares the marginal: row slices
-            parts = [slice(r, r + step) for r in range(0, len(out), step)]
-        else:
+    if len(groups) == 1:  # every good shares the marginal: row slices
+        parts = [(groups[0][0], slice(r, r + step)) for r in range(0, len(out), step)]
+    else:
+        parts = []
+        for m, js in groups:
             rows = np.flatnonzero(np.isin(goods, js))
-            parts = np.split(rows, np.arange(step, len(rows), step))
-        for part in parts:
-            out[part] = getattr(m, method)(x[part], gamma[part])
+            parts += [(m, p) for p in np.split(rows, np.arange(step, len(rows), step))]
+    for m, part in parts:
+        out[part] = getattr(m, method)(x[part], gamma[part])
     return out
 
 

@@ -209,45 +209,32 @@ def truncated_logistic_marginal(
         sa, sb = _sigmoid(np.stack([a - mu, b - mu]) / scale)
         return mu, sa, sb, sb - sa
 
-    def _at(t, g):
-        """The sigmoid at t and at both box ends, and the ends' spread."""
-        mu, sa, sb, d = _parts(g)
-        return _sigmoid((np.asarray(t, dtype=float) - mu) / scale), sa, sb, d
-
-    def _slopes(s, sa, sb):
-        """The gamma-derivatives of those three sigmoids."""
-        return tuple(-v * (1.0 - v) * shift / scale for v in (s, sa, sb))
-
-    def _density(s, d):
-        return s * (1.0 - s) / (scale * d)
-
-    def _response(s, sa, sb, d):
-        ds, dsa, dsb = _slopes(s, sa, sb)
-        return ((ds - dsa) * d - (s - sa) * (dsb - dsa)) / (d * d)
-
     def cdf(t, g):
-        s, sa, _, d = _at(t, g)
+        mu, sa, sb, d = _parts(g)
+        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
         return np.clip((s - sa) / d, 0.0, 1.0)
 
     def pdf(t, g):
-        s, _, _, d = _at(t, g)
-        return _density(s, d)
+        mu, sa, sb, d = _parts(g)
+        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
+        return s * (1.0 - s) / (scale * d)
 
     def dcdf(t, g):
-        return _response(*_at(t, g))
+        mu, sa, sb, d = _parts(g)
+        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
+        ds = -s * (1.0 - s) * shift / scale
+        dsa = -sa * (1.0 - sa) * shift / scale
+        dsb = -sb * (1.0 - sb) * shift / scale
+        return ((ds - dsa) * d - (s - sa) * (dsb - dsa)) / (d * d)
 
     def dpdf(t, g):
-        s, sa, sb, d = _at(t, g)
-        ds, dsa, dsb = _slopes(s, sa, sb)
-        return ((1.0 - 2.0 * s) * ds * d - s * (1.0 - s) * (dsb - dsa)) / (scale * d * d)
-
-    def impulse(t, g):
-        # dcdf / pdf from one sigmoid evaluation, checked as ConditionalMarginal.impulse
-        s, sa, sb, d = _at(t, g)
-        dens = _density(s, d)
-        if np.any(dens <= 0.0):
-            raise DensityZeroError("impulse requested where the density vanishes")
-        return _response(s, sa, sb, d) / dens
+        mu, sa, sb, d = _parts(g)
+        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
+        ds = -s * (1.0 - s) * shift / scale
+        dsa = -sa * (1.0 - sa) * shift / scale
+        dsb = -sb * (1.0 - sb) * shift / scale
+        num = (1.0 - 2.0 * s) * ds
+        return (num * d - s * (1.0 - s) * (dsb - dsa)) / (scale * d * d)
 
     def quant(p, g):
         mu, sa, sb, d = _parts(g)
@@ -261,7 +248,6 @@ def truncated_logistic_marginal(
         dcdf_dgamma=dcdf,
         dpdf_dgamma=dpdf,
         quantile_fn=quant,
-        impulse_fn=impulse,
         smooth_in_gamma=True,
     )
 
