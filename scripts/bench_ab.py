@@ -9,7 +9,11 @@ For every workload that ``BENCHMARK.json`` lists, each pair runs
 seed and the ``run_seconds`` of ``BENCHMARK.json``, in a fresh
 interpreter; which tree runs first alternates from pair to pair.  Pair i
 uses seed ``--seed + i``.  Nothing in either tree is changed, apart from
-the benchmark's own scratch directory ``.perfbench_work``.
+the benchmark's own scratch directory ``.perfbench_work``.  A tree that
+holds a ``__pycache__`` directory is refused: its compiled modules are
+read even where writing them is off, so a stale one in one tree only
+once read ``setup_s`` about 18% low.  Compare clean copies (``git
+archive``, or a copy made before any test run).
 
 The output records the machine and the versions (from the benchmark's
 ``env`` line), every run's end-to-end metrics, correctness, failures and
@@ -91,6 +95,10 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     trees = {"a": args.a.resolve(), "b": args.b.resolve()}
+    for tree in trees.values():
+        cache = next(tree.rglob("__pycache__"), None)
+        if cache is not None:
+            ap.error(f"{cache} holds compiled modules; compare clean copies of both trees")
     runs = {wl["name"]: {"a": [], "b": []} for wl in bench["workloads"]}
     env = None
     for i in range(args.pairs):

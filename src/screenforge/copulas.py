@@ -107,7 +107,7 @@ class ClaytonCopula(_Copula):
 
     name = "clayton"
 
-    def __init__(self, dim: int, alpha: float, alpha_slope: float = 0.0):
+    def __init__(self, dim: int, alpha: float = 1.0, alpha_slope: float = 0.0):
         if dim < 2:
             raise InvalidIntervalError("clayton copula needs dim >= 2")
         self.dim = int(dim)
@@ -202,7 +202,7 @@ class GaussianCopula(_Copula):
 
     name = "gaussian"
 
-    def __init__(self, dim: int, rho: float, rho_slope: float = 0.0):
+    def __init__(self, dim: int, rho: float = 0.0, rho_slope: float = 0.0):
         if dim < 2:
             raise InvalidIntervalError("gaussian copula needs dim >= 2")
         self.dim = int(dim)
@@ -315,14 +315,3 @@ class GaussianCopula(_Copula):
             out[rows[lo:lo + step]] = np.clip(acc.sum(axis=-1).real, 0.0, 1.0)
         return out.reshape(u.shape[:-1])
 
-
-def make_copula(name: str, dim: int, **params):
-    """Build a copula by registry name: independence | clayton | gaussian."""
-    name = name.lower()
-    if name == "independence":
-        return IndependenceCopula(dim)
-    if name == "clayton":
-        return ClaytonCopula(dim, params.get("alpha", 1.0), params.get("alpha_slope", 0.0))
-    if name == "gaussian":
-        return GaussianCopula(dim, params.get("rho", 0.0), params.get("rho_slope", 0.0))
-    raise InvalidIntervalError(f"unknown copula family '{name}'")

@@ -99,10 +99,6 @@ class ConditionalMarginal:
     dpdf_dgamma: Callable
     effective_fn: Optional[Callable] = None
     impulse_fn: Optional[Callable] = None
-    # True when the density is differentiable in gamma pointwise on the
-    # whole box; moving supports concentrate the derivative on their
-    # edges and must say False so score-based integrals are avoided
-    smooth_in_gamma: bool = False
 
     def __post_init__(self):
         lo, hi = self.support
@@ -114,6 +110,13 @@ class ConditionalMarginal:
         if self.effective_fn is None:
             return self.support
         return self.effective_fn(gamma)
+
+    @property
+    def smooth_in_gamma(self) -> bool:
+        """Whether the density is differentiable in gamma pointwise on the
+        whole box: a moving support concentrates the derivative on its
+        edges, so score-based integrals must be avoided."""
+        return self.effective_fn is None
 
     def impulse(self, theta, gamma):
         """dcdf_dgamma / pdf, the valuation response to a type shift."""
@@ -137,8 +140,11 @@ def _zeros(t, g):
     return np.zeros(np.broadcast(np.asarray(t, dtype=float), np.asarray(g)).shape)
 
 
-def shifted_uniform_marginal(width: float = 1.0, box: tuple = (0.0, 2.0)) -> ConditionalMarginal:
-    """Valuation uniform on [gamma, gamma + width], embedded in ``box``."""
+def shifted_uniform_marginal(width: float = 1.0) -> ConditionalMarginal:
+    """Valuation uniform on [gamma, gamma + width], embedded in the box
+    [0, 2]; a width in (0, 1] keeps it inside for every type in [0, 1]."""
+    if not 0.0 < width <= 1.0:
+        raise InvalidIntervalError(f"width must lie in (0, 1], got {width!r}")
 
     def cdf(t, g):
         return np.clip((np.asarray(t, dtype=float) - g) / width, 0.0, 1.0)
@@ -154,20 +160,15 @@ def shifted_uniform_marginal(width: float = 1.0, box: tuple = (0.0, 2.0)) -> Con
     def quant(p, g):
         return g + width * np.asarray(p, dtype=float)
 
-    return ConditionalMarginal(
-        support=box,
-        cdf=cdf,
-        pdf=pdf,
-        dcdf_dgamma=dcdf,
-        dpdf_dgamma=_zeros,
-        quantile_fn=quant,
-        effective_fn=lambda g: (g, g + width),
-        impulse_fn=lambda t, g: _zeros(t, g) - 1.0,
-    )
+    return ConditionalMarginal(support=(0.0, 2.0), cdf=cdf, pdf=pdf, quantile_fn=quant,
+                               dcdf_dgamma=dcdf, dpdf_dgamma=_zeros,
+                               effective_fn=lambda g: (g, g + width),
+                               impulse_fn=lambda t, g: _zeros(t, g) - 1.0)
 
 
-def fixed_uniform_marginal(lo: float = 0.0, hi: float = 1.0) -> ConditionalMarginal:
-    """Type-independent uniform valuation on [lo, hi]."""
+def fixed_uniform_marginal(box: tuple = (0.0, 1.0)) -> ConditionalMarginal:
+    """Type-independent uniform valuation on ``box``."""
+    lo, hi = box
     width = hi - lo
 
     def cdf(t, g):
@@ -178,86 +179,89 @@ def fixed_uniform_marginal(lo: float = 0.0, hi: float = 1.0) -> ConditionalMargi
         return np.where((t >= lo) & (t <= hi), 1.0 / width, 0.0)
 
     return ConditionalMarginal(
-        support=(lo, hi),
-        cdf=cdf,
-        pdf=pdf,
-        dcdf_dgamma=_zeros,
-        dpdf_dgamma=_zeros,
+        support=(lo, hi), cdf=cdf, pdf=pdf, dcdf_dgamma=_zeros, dpdf_dgamma=_zeros,
         quantile_fn=lambda p, g: lo + width * np.asarray(p, dtype=float) + _zeros(p, g),
-        impulse_fn=_zeros,
-        smooth_in_gamma=True,
-    )
+        impulse_fn=_zeros)
 
 
-def truncated_logistic_marginal(
-    box: tuple = (-4.0, 5.0),
-    loc: float = 0.0,
-    shift: float = 1.0,
-    scale: float = 0.7,
-) -> ConditionalMarginal:
+def truncated_logistic_marginal(box: tuple = (-4.0, 5.0), loc: float = 0.0, shift: float = 1.0,
+                                scale: float = 0.7) -> ConditionalMarginal:
     """Logistic-shaped cdf with location loc + shift*gamma, renormalized
     to ``box`` so the cdf is exactly 0/1 at the box edges for every type.
 
     Smooth in both arguments; the canonical family for derivative tests.
+    With s the sigmoid at (theta - mu) / scale and c = 1 - s from the same
+    exp, the slope is q = s c, and each difference of sigmoids is taken
+    by ``_rise``; so the density and its derivatives keep their relative
+    accuracy in both tails.
     """
     a, b = box
     if scale <= 0:
         raise InvalidIntervalError("scale must be positive")
+    rate = shift / scale  # every (. - mu) / scale falls at this rate in gamma
 
     def _parts(g):
+        """mu, then s and c at both box ends, and d = sb - sa."""
         mu = loc + shift * g
-        sa, sb = _sigmoid(np.stack([a - mu, b - mu]) / scale)
-        return mu, sa, sb, sb - sa
+        (sa, sb), (ca, cb) = _sigmoid(np.stack([a - mu, b - mu]) / scale)
+        return mu, sa, sb, ca, cb, _rise(sb, sa, cb, ca)
+
+    def _at(t, g):  # s and c at t, then what _parts gives after mu
+        mu, *ends = _parts(g)
+        return (*_sigmoid((np.asarray(t, dtype=float) - mu) / scale), *ends)
 
     def cdf(t, g):
-        mu, sa, sb, d = _parts(g)
-        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
-        return np.clip((s - sa) / d, 0.0, 1.0)
+        s, c, sa, _, ca, _, d = _at(t, g)
+        return np.clip(_rise(s, sa, c, ca) / d, 0.0, 1.0)
 
     def pdf(t, g):
-        mu, sa, sb, d = _parts(g)
-        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
-        return s * (1.0 - s) / (scale * d)
+        s, c, *_, d = _at(t, g)
+        return s * c / (scale * d)
 
-    def dcdf(t, g):
-        mu, sa, sb, d = _parts(g)
-        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
-        ds = -s * (1.0 - s) * shift / scale
-        dsa = -sa * (1.0 - sa) * shift / scale
-        dsb = -sb * (1.0 - sb) * shift / scale
-        return ((ds - dsa) * d - (s - sa) * (dsb - dsa)) / (d * d)
+    def dcdf(t, g):  # -d^2 / rate times it is q d - (sb - s) qa - (s - sa) qb
+        s, c, sa, sb, ca, cb, d = _at(t, g)
+        num = _rise(sb, s, cb, c) * (sa * ca) + _rise(s, sa, c, ca) * (sb * cb) - s * c * d
+        return rate * num / (d * d)
 
-    def dpdf(t, g):
-        mu, sa, sb, d = _parts(g)
-        s = _sigmoid((np.asarray(t, dtype=float) - mu) / scale)
-        ds = -s * (1.0 - s) * shift / scale
-        dsa = -sa * (1.0 - sa) * shift / scale
-        dsb = -sb * (1.0 - sb) * shift / scale
-        num = (1.0 - 2.0 * s) * ds
-        return (num * d - s * (1.0 - s) * (dsb - dsa)) / (scale * d * d)
+    def dpdf(t, g):  # q = s c has the type derivative -rate (1 - 2s) q
+        s, c, sa, sb, ca, cb, d = _at(t, g)
+        return rate * s * c * ((sb * cb - sa * ca) - (1.0 - 2.0 * s) * d) / (scale * d * d)
 
-    def quant(p, g):
-        mu, sa, sb, d = _parts(g)
-        inner = sa + np.asarray(p, dtype=float) * d
-        return mu + scale * (np.log(inner) - np.log1p(-inner))
+    def quant(p, g):  # s = sa + p d and 1 - s = cb + (1 - p) d, both sums
+        mu, sa, _, _, cb, d = _parts(g)
+        p = np.asarray(p, dtype=float)
+        return mu + scale * np.log((sa + p * d) / (cb + (1.0 - p) * d))
 
-    return ConditionalMarginal(
-        support=box,
-        cdf=cdf,
-        pdf=pdf,
-        dcdf_dgamma=dcdf,
-        dpdf_dgamma=dpdf,
-        quantile_fn=quant,
-        smooth_in_gamma=True,
-    )
+    return ConditionalMarginal(support=box, cdf=cdf, pdf=pdf, quantile_fn=quant,
+                               dcdf_dgamma=dcdf, dpdf_dgamma=dpdf)
+
+
+def _rise(s_hi, s_lo, c_hi, c_lo):
+    """s_hi - s_lo for sigmoids s_hi >= s_lo with complements c_hi, c_lo,
+    as c_lo - c_hi where s_lo >= 1/2, so neither form loses digits."""
+    upper = s_lo >= 0.5
+    if not upper.any():
+        return s_hi - s_lo
+    return np.where(upper, c_lo - c_hi, s_hi - s_lo)
 
 
 def _sigmoid(x):
-    """1 / (1 + exp(-x)) without overflow, from one exp(-|x|) per point."""
+    """s = 1 / (1 + exp(-x)) and c = 1 - s, both from one e = exp(-|x|)
+    per point and each to an ulp relative, so the slope s c = e / (1 + e)^2
+    keeps its digits too.  Later steps write into the arrays of earlier
+    ones: at 16k points a fresh temporary costs more than its arithmetic."""
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    if x.ndim == 0:  # numpy hands back scalars, which take no out=
+        return tuple(v[0] for v in _sigmoid(x[None]))
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    d = e + 1.0
+    one = 1.0 / d
+    ex = np.divide(e, d, out=d)
+    up = x >= 0
+    s = np.where(up, one, ex)
+    np.copyto(one, ex, where=up)
+    return s, one
 
 
 # ---------------------------------------------------------------------------
@@ -389,10 +393,21 @@ def boundary_residual(model: JointModel, gamma: float) -> float:
 # registry
 # ---------------------------------------------------------------------------
 
-FAMILY_NAMES = ("cl_uniform", "uniform_iid", "logistic_shift")
+# name -> (factory, the keys its block may set besides the name); each
+# factory's signature holds its defaults, and a copula's takes the number
+# of goods first
+FAMILIES = {
+    "cl_uniform": (shifted_uniform_marginal, ("width",)),
+    "uniform_iid": (fixed_uniform_marginal, ("box",)),
+    "logistic_shift": (truncated_logistic_marginal, ("box", "loc", "shift", "scale")),
+}
+COPULAS = {
+    "independence": (copulas.IndependenceCopula, ()),
+    "clayton": (copulas.ClaytonCopula, ("alpha", "alpha_slope")),
+    "gaussian": (copulas.GaussianCopula, ("rho", "rho_slope")),
+}
 # identity's invariance check builds a 9**goods tensor grid: 140 MB at 6 goods
 MAX_GOODS = 6
-_COPULA_PARAMS = ("alpha", "alpha_slope", "rho", "rho_slope")
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -404,56 +419,50 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
-def build_model(config: dict) -> JointModel:
-    """Construct a registered family from a configuration mapping.
+def _factory(table: dict, where: str, block: dict) -> tuple:
+    """The factory that the block's ``name`` picks from ``table``, and the
+    block's other keys as its checked arguments; a key that the factory
+    does not read is a ConfigError, as an unread verb key is."""
+    name = block.get("name")
+    if not isinstance(name, str) or name.lower() not in table:
+        raise ConfigError(f"{where}.name must be one of {', '.join(table)}, got {name!r}")
+    factory, keys = table[name.lower()]
+    args = {key: value for key, value in block.items() if key != "name"}
+    for key, value in args.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key {where}.{key}; {name.lower()} reads "
+                              f"{', '.join(keys) or 'no other key'}")
+        args[key] = (tuple(_finite(v, f"each {where}.box entry") for v in value)
+                     if key == "box" and isinstance(value, (list, tuple))
+                     else _finite(value, f"{where}.{key}"))
+    return factory, args
 
-    Expected keys: ``name``, ``goods``, optional ``copula`` block and
-    family-specific parameters.
-    """
-    name = config.get("name")
-    if not isinstance(name, str):
-        raise ConfigError(f"family.name must be a string, got {name!r}")
-    name = name.lower()
+
+def build_model(config: dict) -> JointModel:
+    """Construct a registered family from a configuration mapping: a
+    ``name`` from ``FAMILIES`` with the keys it reads, ``goods`` and an
+    optional ``copula`` block, a ``name`` from ``COPULAS`` with its keys
+    (independence when the block or its name is left out)."""
     goods = config.get("goods", 1)
     if isinstance(goods, bool) or not isinstance(goods, int) or not 1 <= goods <= MAX_GOODS:
         raise ConfigError(f"goods must be an integer from 1 to {MAX_GOODS}, got {goods!r}")
-    if name not in FAMILY_NAMES:
-        raise ConfigError(f"unknown family '{name}' (known: {FAMILY_NAMES})")
+    block = config.get("copula", {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"family.copula must be a JSON object, got {block!r}")
+    block = {"name": "independence", **block}
+    marginal, marginal_args = _factory(FAMILIES, "family", {
+        key: value for key, value in config.items() if key not in ("goods", "copula")})
+    copula_class, copula_args = _factory(COPULAS, "family.copula", block)
     prior = uniform_prior(0.0, 1.0)
     try:
-        cop_cfg = dict(config.get("copula", {"name": "independence"}))
-        cop_name = cop_cfg.pop("name", "independence")
-        if not isinstance(cop_name, str):
-            raise ConfigError(f"family.copula.name must be a string, got {cop_name!r}")
-        for key in _COPULA_PARAMS:
-            if key in cop_cfg:
-                _finite(cop_cfg[key], f"family.copula.{key}")
         # checked as for two goods, so one good refuses the same blocks
-        copula = copulas.make_copula(cop_name, max(goods, 2), **cop_cfg)
+        copula = copula_class(max(goods, 2), **copula_args)
         copula.check_path(prior.lo, prior.hi)
-        if goods == 1:
-            copula = copulas.IndependenceCopula(1)
-        params = {key: _finite(config[key], f"family.{key}")
-                  for key in ("width", "loc", "shift", "scale") if key in config}
-        if "box" in config:
-            params["box"] = tuple(_finite(v, "each family.box entry") for v in config["box"])
-        if name == "cl_uniform":
-            width = params.get("width", 1.0)
-            if not 0.0 < width <= 1.0:  # keeps [gamma, gamma + width] in the box
-                raise ConfigError(f"width must lie in (0, 1], got {width!r}")
-            marg = shifted_uniform_marginal(width=width)
-        elif name == "uniform_iid":
-            lo, hi = params.get("box", (0.0, 1.0))
-            marg = fixed_uniform_marginal(lo, hi)
-        else:
-            marg = truncated_logistic_marginal(
-                box=params.get("box", (-4.0, 5.0)),
-                loc=params.get("loc", 0.0),
-                shift=params.get("shift", 1.0),
-                scale=params.get("scale", 0.7),
-            )
-    except (TypeError, ValueError) as exc:
+        marg = marginal(**marginal_args)
+    except (TypeError, ValueError) as exc:  # a box of 3 numbers, a width of 2
         raise ConfigError(f"bad family config: {exc}") from exc
+    if goods == 1:
+        copula = copulas.IndependenceCopula(1)
     # finite parameters can still overflow the marginal's arithmetic (a
     # logistic location far outside its box) and turn every report to NaN
     probe = (np.linspace(*marg.support, 9), np.array([[prior.lo], [prior.hi]]))
@@ -462,12 +471,7 @@ def build_model(config: dict) -> JointModel:
                    for fn in (marg.cdf, marg.pdf, marg.dcdf_dgamma, marg.dpdf_dgamma)):
             raise ConfigError("bad family config: the marginal overflows on its box "
                               "at an end of the type range")
-
-    return JointModel(
-        prior=prior,
-        marginals=(marg,) * goods,
-        copula=copula,
-        label=f"{name}/{goods}g/{cop_name}",
-        config={"name": name, "goods": goods, "copula": {"name": cop_name, **cop_cfg},
-                **{k: v for k, v in config.items() if k not in ("name", "goods", "copula")}},
-    )
+    name = config["name"].lower()
+    return JointModel(prior=prior, marginals=(marg,) * goods, copula=copula,
+                      label=f"{name}/{goods}g/{block['name']}",
+                      config={**config, "name": name, "goods": goods, "copula": block})

@@ -50,6 +50,16 @@ class TestSolveCommand:
         assert rev["residual_impulse_rel"] < 1e-5
         assert "config_hash" in rev and rev["version"]
 
+    def test_narrow_logistic_solves(self, tmp_path):
+        # at scale 0.05 the density on the upper part of the box is 1e-44 to
+        # 1e-35, which the product s * (1 - s) would round to 0 (exit 4)
+        cfg = write_config(tmp_path, family={"name": "logistic_shift", "goods": 1, "scale": 0.05})
+        out = tmp_path / "out"
+        assert run("solve", "--config", cfg, "--out", str(out), "--quiet") == 0
+        assert json.loads((out / "regularity.json").read_text())["ok"]
+        rev = json.loads((out / "revenue.json").read_text())
+        assert rev["residual_impulse_rel"] < 1e-9
+
     def test_type_independent_family_constant_fee(self, tmp_path):
         cfg = write_config(
             tmp_path, family={"name": "uniform_iid", "goods": 2}
@@ -327,6 +337,32 @@ class TestSolveCommand:
         other = "sample" if command == "solve" else "solve"
         climod.load_config(write_config(tmp_path, "other.json", note="x", **{other: {key: 1}}),
                            command)
+
+    STRAY_FAMILY_KEYS = [  # (family block, the key it sets that nothing reads)
+        ({"name": "logistic_shift", "sacle": 0.2}, "family.sacle"),
+        ({"name": "cl_uniform", "box": [0.0, 2.0]}, "family.box"),
+        ({"name": "cl_uniform", "scale": 0.2}, "family.scale"),
+        ({"name": "uniform_iid", "width": 0.5}, "family.width"),
+        ({"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "rho": 0.5}},
+         "family.copula.rho"),
+        ({"name": "cl_uniform", "goods": 2, "copula": {"name": "independence", "alpha": 2.0}},
+         "family.copula.alpha"),
+        ({"name": "cl_uniform", "goods": 2, "copula": {"alpha": 2}}, "family.copula.alpha"),
+    ]
+
+    @pytest.mark.parametrize("family,key", STRAY_FAMILY_KEYS, ids=[
+        "misspelled", "cl-box", "cl-scale", "iid-width", "clayton-rho", "independence-alpha",
+        "no-copula-name"])
+    def test_unknown_family_key_exits_2(self, tmp_path, family, key, capsys):
+        # if it ran, the family would take the default of the key meant (or,
+        # with no copula name, run under independence)
+        for command, cfg in (
+                ("solve", write_config(tmp_path, family=family)),
+                ("identity", write_config(tmp_path, "id.json", identity={"families": [family]}))):
+            out = tmp_path / command
+            assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 2
+            assert f"config error: unknown key {key};" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestAuditCommand:

@@ -99,6 +99,18 @@ def test_base_configs_run_clean(family):
     run_all_verbs(base_config(family), codes=(0,))
 
 
+@pytest.mark.parametrize("family", FAMILIES, ids=FAMILY_IDS)
+@pytest.mark.parametrize("block", ["family", "copula"])
+def test_stray_family_key_exits_2(family, block):
+    # a key that no family or copula reads is refused, as an unread verb key is
+    config = base_config(copy.deepcopy(family))
+    target = config["family"]
+    if block == "copula":
+        target = target.setdefault("copula", {"name": "independence"})
+    target["stray"] = 1.0
+    run_all_verbs(config, codes=(2,))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(CASES), st.sampled_from(BAD_VALUES))
 def test_one_bad_field_ends_in_a_documented_exit_code(case, value):

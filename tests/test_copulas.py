@@ -11,9 +11,10 @@ from screenforge.copulas import (
     ClaytonCopula,
     GaussianCopula,
     IndependenceCopula,
-    make_copula,
+    ParamPath,
 )
-from screenforge.errors import InvalidIntervalError
+from screenforge.errors import ConfigError, InvalidIntervalError
+from screenforge.model import build_model
 from screenforge.numerics import gauss_rule, geometric_breaks, tensor_points
 
 
@@ -224,12 +225,24 @@ class TestParameterPaths:
         d1 = float(cop.density(u, 1.0))
         assert abs(d0 - d1) > 0.05
 
-    def test_registry(self):
-        assert make_copula("independence", 2).name == "independence"
-        assert make_copula("clayton", 2, alpha=1.0).name == "clayton"
-        assert make_copula("gaussian", 2, rho=0.1).name == "gaussian"
-        with pytest.raises(Exception):
-            make_copula("tawn", 2)
+    @pytest.mark.parametrize("block,cls", [
+        ({"name": "independence"}, IndependenceCopula),
+        ({"name": "clayton", "alpha": 1.0}, ClaytonCopula),
+        ({"name": "gaussian", "rho": 0.1}, GaussianCopula),
+    ], ids=["independence", "clayton", "gaussian"])
+    def test_registry(self, block, cls):
+        # build_model picks the class by its name from model.COPULAS
+        cop = build_model({"name": "uniform_iid", "goods": 2, "copula": block}).copula
+        assert isinstance(cop, cls) and cop.name == block["name"] and cop.dim == 2
+
+    def test_unknown_copula_is_config_error(self):
+        with pytest.raises(ConfigError, match="family.copula.name must be one of "
+                                              "independence, clayton, gaussian, got 'tawn'"):
+            build_model({"name": "uniform_iid", "goods": 2, "copula": {"name": "tawn"}})
+
+    def test_defaults_live_in_the_classes(self):
+        assert ClaytonCopula(2).alpha == ParamPath(1.0, 0.0)
+        assert GaussianCopula(2).rho == ParamPath(0.0, 0.0)
 
 
 class TestTypeArrays:

@@ -1,5 +1,8 @@
+import decimal
+
 import numpy as np
 import pytest
+from scipy.special import log_expit
 
 import scalar_reference as scalar
 from screenforge import model as M
@@ -60,7 +63,7 @@ class TestHazard:
 class TestMarginalBroadcast:
     FIELDS = ("cdf", "pdf", "dcdf_dgamma", "dpdf_dgamma", "impulse")
 
-    @pytest.mark.parametrize("name", M.FAMILY_NAMES)
+    @pytest.mark.parametrize("name", M.FAMILIES)
     def test_gamma_array_matches_scalar_rows(self, name):
         marg = M.build_model({"name": name, "goods": 1}).marginals[0]
         lo, hi = marg.support
@@ -83,10 +86,55 @@ class TestSigmoid:
         edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, -1e-300,
                  36.7, -36.7, 709.8, -745.2, np.nan]
         x = np.concatenate([np.linspace(-800.0, 800.0, 200001), edges])
-        got, want = M._sigmoid(x), scalar.sigmoid(x)
+        got, want = M._sigmoid(x)[0], scalar.sigmoid(x)
         np.testing.assert_array_equal(got, want)  # NaN where the reference has NaN
         num = ~np.isnan(want)  # a NaN's sign bit is not a value
         np.testing.assert_array_equal(np.signbit(got[num]), np.signbit(want[num]))
+
+    def test_complement_and_slope_keep_relative_accuracy(self):
+        # log_expit keeps every digit of log s and log(1 - s); the product
+        # s * (1 - s) would reach relative error 1 in the upper tail
+        x = np.linspace(-700.0, 700.0, 140001)
+        s, c = M._sigmoid(x)
+        np.testing.assert_allclose(s * c, np.exp(log_expit(x) + log_expit(-x)), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(c, np.exp(log_expit(-x)), rtol=1e-14, atol=0)
+
+
+class TestLogisticTails:
+    """The logistic family against 120-digit decimal arithmetic in its
+    tails, where a difference of two sigmoids near 1 cancels unless it is
+    taken from their complements."""
+
+    CONFIGS = [  # (box, loc, shift, scale)
+        ((-4.0, 5.0), -2.0, 6.0, 0.2),
+        ((0.0, 2.0), 0.0, 1.0, 0.05),
+        ((-4.0, 5.0), -2.0, 1.0, 0.05),
+    ]
+
+    @staticmethod
+    def reference(box, loc, shift, scale, t, g):
+        """pdf and dcdf_dgamma by central differences of the cdf at step 1e-30."""
+        with decimal.localcontext(prec=120):
+            a, b, loc, shift, scale, t, g = (decimal.Decimal(v)
+                                             for v in (*box, loc, shift, scale, t, g))
+            h = decimal.Decimal("1e-30")
+
+            def cdf(t, g):
+                def sig(x):
+                    return 1 / (1 + ((loc + shift * g - x) / scale).exp())
+                return (sig(t) - sig(a)) / (sig(b) - sig(a))
+
+            return (float((cdf(t + h, g) - cdf(t - h, g)) / (2 * h)),
+                    float((cdf(t, g + h) - cdf(t, g - h)) / (2 * h)))
+
+    @pytest.mark.parametrize("box,loc,shift,scale", CONFIGS)
+    def test_density_and_type_derivative_to_1e_12(self, box, loc, shift, scale):
+        marg = M.truncated_logistic_marginal(box=box, loc=loc, shift=shift, scale=scale)
+        for g in (0.0, 0.5, 1.0):
+            for t in np.linspace(*box, 12)[1:-1]:
+                pdf, dcdf = self.reference(box, loc, shift, scale, t, g)
+                np.testing.assert_allclose(marg.pdf(t, g), pdf, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(marg.dcdf_dgamma(t, g), dcdf, rtol=1e-12, atol=0)
 
 
 class TestJointDensity:
@@ -173,8 +221,15 @@ class TestImpulseResponse:
         np.testing.assert_allclose(self.impulses(mdl, 0.4, np.array([0.7, 1.1])), [-1.0, -1.0])
 
     def test_vanishing_density_raises(self):
-        with pytest.raises(DensityZeroError):  # the density underflows at the box top
-            M.truncated_logistic_marginal(scale=0.01).impulse(5.0, 0.5)
+        # x = (5 - 0.5) / 0.005 = 900: exp(-900) underflows, so the density is 0
+        with pytest.raises(DensityZeroError):
+            M.truncated_logistic_marginal(scale=0.005).impulse(5.0, 0.5)
+
+    def test_upper_tail_density_is_positive(self):
+        # x = 450: the density is about 3.7e-194, which a double holds
+        marg = M.truncated_logistic_marginal(scale=0.01)
+        assert 1e-195 < float(marg.pdf(5.0, 0.5)) < 1e-193
+        assert np.isfinite(marg.impulse(5.0, 0.5))
 
     def test_nonpositive_on_regular_families(self):
         for name, make in ALL_INVARIANT:
@@ -387,7 +442,7 @@ class TestRegistry:
         with pytest.raises(ConfigError):
             M.build_model({"name": "logistic_shift", "goods": 3, "copula": copula})
 
-    @pytest.mark.parametrize("name", M.FAMILY_NAMES)
+    @pytest.mark.parametrize("name", M.FAMILIES)
     def test_one_good_gets_the_1d_independence_copula(self, name):
         # one good has nothing to couple: any valid block leaves it invariant
         for copula in ({"name": "independence"}, {"name": "clayton", "alpha": 2.0},
