@@ -20,7 +20,11 @@ Every Gaussian config's ``oracle`` takes the copula cdf's one-factor
 integral, and ``sample`` runs with ``corners: true``.  ``oracle`` alone
 also runs on the rho -0.49 config with 5 type cells in place of 3: its
 5 x 5^3 rung is the largest here, and the ladder takes about 95 s on 2
-vCPUs.  All five verbs also run on a ``defaults`` config: the README
+vCPUs.  ``oracle`` alone also runs on a four-good logistic config under
+a Gaussian copula (rho -0.3) with 3 type cells and ladder 2/3: its
+simultaneous programs are solved over the 24 permutations of goods, and
+the full program of its 3 x 3^4 rung fell back to the pre-polish vertex.
+All five verbs also run on a ``defaults`` config: the README
 family and a seed with no verb sections, so that every key takes its
 default and a default that moves shows up as a byte difference.  The
 script lists every output file that differs or exists on one side only,
@@ -62,12 +66,14 @@ FAMILIES = {
     # the per-type rho crosses 0, so both loadings of the Gaussian cdf run
     "drift3": {"name": "logistic_shift", "goods": 3,
                "copula": {"name": "gaussian", "rho": -0.3, "rho_slope": 0.5}},
+    "logi4neg": {"name": "logistic_shift", "goods": 4, "copula": {"name": "gaussian", "rho": -0.3}},
 }
 # the configs run, each under its own family
 CONFIGS = ("readme", "logi", "drift1g", "driftlogi", "driftlogi8", "logiclay", "gauss3", "gauss3neg",
            "logi3", "drift3")
 # oracle only, on a family above under another oracle section
-ORACLE_CONFIGS = {"gauss3neg5": ("gauss3neg", {"gamma_cells": 5, "theta_cells": [2, 3, 4, 5]})}
+ORACLE_CONFIGS = {"gauss3neg5": ("gauss3neg", {"gamma_cells": 5, "theta_cells": [2, 3, 4, 5]}),
+                  "logi4neg": ("logi4neg", {"gamma_cells": 3, "theta_cells": [2, 3]})}
 # all five verbs with every section key at its default
 DEFAULTS_CONFIG = {"family": FAMILIES["readme"], "seed": 7}
 # identity checks these on every config, then the config's own family

@@ -70,7 +70,8 @@ MAX_GAMMA_GRID = 2000
 MAX_SAMPLE_COUNT = 1_000_000     # rows of draws.csv, over all types
 MAX_CYCLE_POINTS = 1_000_000     # audit.cycles * cycle_length
 MAX_IDENTITY_POINTS = 100_000    # points per family
-# rows of each oracle rung's simultaneous LP: 247,248 at 12 x 12 x 12
+# rows of each oracle rung's full simultaneous LP, before its orbits of
+# goods are taken: 247,248 at 12 x 12 x 12
 MAX_SIMULTANEOUS_ROWS = 250_000
 # solve on a smooth family with an invariant dependent copula integrates
 # rents on a joint grid of about 130**goods points: at 4 goods each

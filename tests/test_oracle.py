@@ -1,4 +1,5 @@
 from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -478,13 +479,20 @@ class TestExactSequential:
             assert abs(rep.value - 1.721112906700538) <= 1e-9
 
     def test_failed_polish_keeps_the_pre_polish_vertex(self, monkeypatch):
-        # logistic_shift, 4 goods, Gaussian rho -0.3, 3x3^4 simultaneous:
-        # the refreshed vertex breaks a cell row by 1.48e-9, though HiGHS
-        # reports 6.2e-12 in its scaled terms; the pre-polish cap-free
-        # vertex passes (9.8e-12) and is written
+        # logistic_shift, 4 goods, Gaussian rho -0.3, 3x3^4 simultaneous,
+        # with good 1's top cell value one ulp higher, so that no
+        # permutation of goods maps the instance to itself and the full
+        # program is solved: the refreshed vertex breaks a cell row by
+        # 9.9e-10; the pre-polish cap-free vertex passes (9.8e-12) and is
+        # written.  The orbit program of the rung itself passes on its
+        # polished vertex.
         family = {"name": "logistic_shift", "goods": 4,
                   "copula": {"name": "gaussian", "rho": -0.3}}
         inst = O.discretize(M.build_model(family), 3, 3)
+        grid = inst.theta_grids[0].copy()
+        grid[-1] = np.nextafter(grid[-1], np.inf)
+        inst = replace(inst, theta_grids=(grid,) + inst.theta_grids[1:])
+        assert len(inst.symmetries[0]) == 1
         rep, vertices, outcomes = _recorded(monkeypatch, O.solve_simultaneous, inst)
         assert outcomes == [False, True]
         assert rep.value == vertices[1].value
@@ -584,6 +592,83 @@ class TestAssembly:
             np.testing.assert_array_equal(rows.indptr, ref.indptr)
             np.testing.assert_array_equal(rows.indices, ref.indices)
             assert rows.data.tobytes() == ref.data.tobytes()
+
+
+class TestOrbits:
+    """The simultaneous program over orbits of goods against the full one."""
+
+    @pytest.mark.parametrize("family,theta_cells", [
+        (README_FAMILY, 5),
+        (LOGI_FAMILY, 5),
+        ({"name": "cl_uniform", "goods": 2,
+          "copula": {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0}}, 3),
+        (GAUSS3_FAMILY, 4),
+    ], ids=["readme-3x5x5", "logi-3x5x5", "drift-3x3x3", "gauss3-3x4x4x4"])
+    def test_matches_the_full_program(self, monkeypatch, family, theta_cells):
+        inst = O.discretize(M.build_model(family), 3, theta_cells)
+        cells, goods = inst.symmetries
+        assert len(cells) == math.factorial(inst.n_goods)
+        orbit = O.solve_simultaneous(inst)
+        ev = O.evaluate_mechanism(inst, orbit.mechanism)
+        assert max(ev.ic1_violation, ev.ic2_violation, ev.ir_violation) <= O.DEFAULT_TOL
+        assert abs(ev.revenue - orbit.value) <= 1e-12
+        # the expanded mechanism is symmetric: q[m, g(c), g(j)] = q[m, c, j]
+        q = orbit.mechanism.q
+        for image, good in zip(cells, goods):
+            assert np.array_equal(q[:, image][:, :, good], q)
+            assert np.array_equal(orbit.mechanism.t2[:, image], orbit.mechanism.t2)
+        monkeypatch.setattr(O.DiscreteInstance, "symmetries", property(O._identity_group))
+        full = O.solve_simultaneous(inst)
+        assert orbit.rows < full.rows and orbit.cols < full.cols
+        assert abs(orbit.value - full.value) <= 1e-12
+
+    def test_logi_orbit_program_size(self):
+        # 25 q and 15 t2 orbits per type, 3 fees; 310 cell-pair orbits per
+        # type, 3 participation and 6 type rows
+        rep = O.solve_simultaneous(O.discretize(M.build_model(LOGI_FAMILY), 3, 5))
+        assert (rep.rows, rep.cols) == (939, 123)
+
+    def test_unequal_counts_keep_the_full_program(self):
+        inst = O.discretize(M.build_model(LOGI_FAMILY), 3, [4, 5])
+        assert len(inst.symmetries[0]) == 1
+        rep = O.solve_simultaneous(inst)
+        assert (rep.rows, rep.cols) == (3 * 20 * 19 + 9, 3 * 20 * 3 + 3)
+
+    def test_asymmetric_instances_keep_the_full_program(self):
+        # ROUND's cells (1, 4) and (4, 1) carry 2/8 and 1/8 for type 0
+        assert len(ROUND.symmetries[0]) == 1
+        rep = O.solve_simultaneous(ROUND)
+        assert (rep.rows, rep.cols) == (2 * 4 * 3 + 4, 2 * 4 * 3 + 2)
+        base = O.discretize(M.build_model(README_FAMILY), 3, 3)
+        assert len(base.symmetries[0]) == 2
+        grid = base.theta_grids[1].copy()
+        grid[0] = np.nextafter(grid[0], np.inf)
+        nudged = replace(base, theta_grids=(base.theta_grids[0], grid))
+        assert len(nudged.symmetries[0]) == 1
+        assert O.solve_simultaneous(nudged).rows == 3 * 9 * 8 + 9
+
+    def test_a_failed_orbit_program_falls_back_to_the_full_program(self, monkeypatch):
+        # the first two re-checks (the orbit program's polished and
+        # pre-polish vertices) fail; the full program is then solved
+        calls, recheck = [], O._recheck
+
+        def failing_twice(inst, mech):
+            calls.append(mech)
+            if len(calls) <= 2:
+                raise ConvergenceError("re-check")
+            recheck(inst, mech)
+
+        monkeypatch.setattr(O, "_recheck", failing_twice)
+        rep = O.solve_simultaneous(O.discretize(M.build_model(README_FAMILY), 3, 3))
+        assert len(calls) == 3 and (rep.rows, rep.cols) == (3 * 9 * 8 + 9, 3 * 9 * 3 + 3)
+
+    def test_masses_within_the_bound_keep_the_group(self):
+        base = O.discretize(M.build_model(README_FAMILY), 3, 3)
+        for shift, size in ((1e-13, 2), (1e-11, 1)):
+            pmf = base.pmf.copy()
+            pmf[0, 1] += shift  # cell (0, 1); its image (1, 0) keeps its mass
+            pmf[0, 4] -= shift
+            assert len(replace(base, pmf=pmf).symmetries[0]) == size
 
 
 class TestAdaptedBestResponse:
