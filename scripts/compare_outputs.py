@@ -31,7 +31,10 @@ script lists every output file that differs or exists on one side only,
 and every differing exit code; it exits 1 if there is any.  For a
 differing CSV or JSON file it also prints the largest absolute
 difference between the numbers the two files hold in the same places,
-or says that the text around the numbers differs.
+or says that the text around the numbers differs.  In an ``oracle.json``
+that difference is taken over every number outside ``lp_size``, and each
+rung whose ``lp_size`` changed is listed on a line of its own, so that a
+program-size change does not hide how far the values moved.
 """
 
 import argparse
@@ -90,10 +93,9 @@ _NUMBER = re.compile(r"(?<![\w.])(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      r"|[-+]?(?:nan|inf(?:inity)?))(?![\w.])", re.IGNORECASE)
 
 
-def moved(a: Path, b: Path) -> str:
-    """How far a differing CSV or JSON file moved: the largest absolute
+def moved(text_a: str, text_b: str) -> str:
+    """How far a differing CSV or JSON text moved: the largest absolute
     difference between numbers in the same places of A and B."""
-    text_a, text_b = a.read_text(), b.read_text()
     if _NUMBER.split(text_a) != _NUMBER.split(text_b):
         return "text around the numbers differs"
     x, y = (np.array(_NUMBER.findall(t), dtype=float) for t in (text_a, text_b))
@@ -101,6 +103,28 @@ def moved(a: Path, b: Path) -> str:
         diff = np.abs(x - y)
     diff[(x == y) | (np.isnan(x) & np.isnan(y))] = 0.0
     return f"largest |difference| {diff.max(initial=0.0):.3g} over {len(x)} numbers"
+
+
+def _without_sizes(path: Path) -> tuple:
+    """An oracle.json report as text without its ``lp_size`` entries, and
+    those entries by rung."""
+    report = json.loads(path.read_text())
+    sizes = {json.dumps(row["theta_cells"]): row.pop("lp_size")
+             for row in report.get("refinements", [])}
+    return json.dumps(report, indent=1), sizes
+
+
+def how_moved(a: Path, b: Path) -> str:
+    """``moved`` of two differing files; for oracle.json, outside
+    ``lp_size``, with one line per rung whose ``lp_size`` changed."""
+    if a.name != "oracle.json":
+        return moved(a.read_text(), b.read_text())
+    (text_a, sizes_a), (text_b, sizes_b) = _without_sizes(a), _without_sizes(b)
+    lines = [f"{moved(text_a, text_b)} outside lp_size"]
+    lines += [f"    lp_size of rung {rung}: {sizes_a.get(rung)} vs {sizes_b.get(rung)}"
+              for rung in dict.fromkeys([*sizes_a, *sizes_b])
+              if sizes_a.get(rung) != sizes_b.get(rung)]
+    return "\n".join(lines)
 
 
 def make_config(family: str, oracle: dict | None = None) -> dict:
@@ -158,7 +182,7 @@ def main() -> int:
                 if not (a.exists() and b.exists()):
                     differ.append(f"{family}/{verb}/{name}: only in {'A' if a.exists() else 'B'}")
                 elif not filecmp.cmp(a, b, shallow=False):
-                    how = f", {moved(a, b)}" if a.suffix in (".csv", ".json") else ""
+                    how = f", {how_moved(a, b)}" if a.suffix in (".csv", ".json") else ""
                     differ.append(f"{family}/{verb}/{name}: differs{how}")
             print(f"{family:10s} {verb:8s} exit {code}: {len(names)} files")
     for line in differ:

@@ -115,16 +115,16 @@ def _families(name, value, cfg):
 
 
 def _types(count=None):
-    """Check of a list of types in the prior support of each of ``cfg.families``;
-    a list of ``count`` types must hold ``count`` different ones."""
-    what = "types" if count is None else f"{count} types"
+    """Check of a list of one or more types in the prior support of every
+    ``cfg.families`` member; ``count`` types must be ``count`` different ones."""
+    what = "one or more types" if count is None else f"{count} types"
 
     def check(name, values, cfg):
         lo = max(m.prior.lo for m in cfg.families)
         hi = min(m.prior.hi for m in cfg.families)
-        if not isinstance(values, list) or (count is not None and len(values) != count) or not all(
-                isinstance(g, (int, float)) and not isinstance(g, bool) and lo <= g <= hi
-                for g in values):
+        sized = isinstance(values, list) and values != [] and count in (None, len(values))
+        if not sized or not all(isinstance(g, (int, float)) and not isinstance(g, bool)
+                                and lo <= g <= hi for g in values):
             raise ConfigError(f"{name} must list {what} in the prior support [{lo}, {hi}], "
                               f"got {values!r}")
         if count is not None and len(set(values)) < count:

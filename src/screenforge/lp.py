@@ -10,9 +10,10 @@ basis; ``lp_solve`` is a single solve on a fresh ``LpModel``, which the
 exhaustive oracle's mixed-integer program makes.  ``LpModel.polish``
 has HiGHS refactor the last basis and re-solve from it; a model with
 ``integer`` columns is solved by branch and bound.  Every model is built
-under the one option table ``_OPTIONS`` and handed to HiGHS as CSC
-arrays in one ``passModel`` call.  Replaying the same calls on an
-``LpModel`` gives the same bytes.
+under the one option table ``_OPTIONS`` and handed to HiGHS as CSR
+arrays in one ``passModel`` call, of which HiGHS makes the only
+column-wise copy.  Replaying the same calls on an ``LpModel`` gives the
+same bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import LpInfeasibleError, LpSolverError, LpUnboundedError
 
@@ -62,34 +62,31 @@ class LpSolution:
     value: float
 
 
-def lp_solve(c, a_ub=None, b_ub=None, bounds=None, integer=()) -> LpSolution:
+def lp_solve(c, a_ub, b_ub, bounds, integer=()) -> LpSolution:
     """Solve max c.x subject to A_ub x <= b_ub once, on a fresh
-    :class:`LpModel` (bounds, ``integer`` and errors as there)."""
-    return LpModel(c, a_ub, b_ub, bounds=bounds, integer=integer).solve()
+    :class:`LpModel` (arguments and errors as there)."""
+    return LpModel(c, a_ub, b_ub, bounds, integer=integer).solve()
 
 
 def _bound_arrays(bounds, n: int):
-    """(lower, upper) arrays from scipy-style bounds; None is unbounded."""
-    if bounds is None:
-        return np.zeros(n), np.full(n, _INF)
-    pairs = np.array(bounds, dtype=float).reshape(-1, 2)  # None -> nan
-    pairs = np.broadcast_to(pairs, (n, 2))
-    lower = np.where(np.isnan(pairs[:, 0]), -_INF, pairs[:, 0])
-    upper = np.where(np.isnan(pairs[:, 1]), _INF, pairs[:, 1])
-    return lower, upper
+    """Copies of the lower and upper columns of an (n, 2) bounds array."""
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.shape != (n, 2):
+        raise ValueError(f"bounds must be shaped ({n}, 2), got {bounds.shape}")
+    return np.array(bounds.T)
 
 
 class LpModel:
     """A persistent HiGHS model of max c.x s.t. A_ub x <= b_ub.
 
-    Built once, as CSC (a CSC argument is passed on as it is; None is no
-    rows); its rows and objective are fixed.  Columns listed in
-    ``integer`` take integer values only; ``solve`` then runs branch and
-    bound to a zero gap, and ``polish`` does not apply.
+    Built once from the rows ``a_ub``, a ``scipy.sparse`` CSR matrix; its
+    rows and objective are fixed.  Columns listed in ``integer`` take
+    integer values only; ``solve`` then runs branch and bound to a zero
+    gap, and ``polish`` does not apply.
     ``polish`` re-solves from a fresh factor of the last basis.
     ``set_bounds`` replaces the column bounds; the next ``solve`` re-runs
     the dual simplex from the last basis, with presolve off.  ``bounds``
-    follow scipy conventions (default x >= 0, None is unbounded).  A
+    is the (n, 2) array of column bounds, +-inf where there is none.  A
     solve raises :class:`LpInfeasibleError` or :class:`LpUnboundedError`
     on those verdicts and :class:`LpSolverError` when HiGHS stops without
     either.
@@ -100,23 +97,22 @@ class LpModel:
     stale basis.
     """
 
-    def __init__(self, c, a_ub, b_ub, bounds=None, integer=()):
+    def __init__(self, c, a_ub, b_ub, bounds, integer=()):
         self._c = np.asarray(c, dtype=float)
         n = len(self._c)
-        a = sp.csc_matrix(a_ub, dtype=float) if a_ub is not None else sp.csc_matrix((0, n))
-        row_upper = np.asarray(b_ub if b_ub is not None else [], dtype=float)
-        if a.shape != (len(row_upper), n):
-            raise ValueError("inequality rows do not match c")
+        row_upper = np.asarray(b_ub, dtype=float)
+        m = len(row_upper)
+        if getattr(a_ub, "format", None) != "csr" or a_ub.shape != (m, n):
+            raise ValueError("a_ub must be a CSR matrix of len(b_ub) rows and len(c) columns")
         self._lower, self._upper = _bound_arrays(bounds, n)
         self._highs = _highs._Highs()
         for key, value in _OPTIONS.items():
             self._check(self._highs.setOptionValue(key, value), f"option {key}")
         self._check(self._highs.passModel(
-            n, a.shape[0], a.nnz, _highs.MatrixFormat.kColwise, _highs.ObjSense.kMaximize, 0.0,
-            self._c, self._lower, self._upper,
-            np.full(len(row_upper), -_INF), row_upper,
+            n, m, a_ub.nnz, _highs.MatrixFormat.kRowwise, _highs.ObjSense.kMaximize, 0.0,
+            self._c, self._lower, self._upper, np.full(m, -_INF), row_upper,
             # integrality: 1 (kInteger) on listed columns; HiGHS rejects an empty array
-            a.indptr, a.indices, a.data, np.isin(np.arange(n), integer).astype(np.int32),
+            a_ub.indptr, a_ub.indices, a_ub.data, np.isin(np.arange(n), integer).astype(np.int32),
         ), "passModel")
 
     @staticmethod
@@ -125,7 +121,7 @@ class LpModel:
             raise LpSolverError(f"HiGHS rejected {what}")
 
     def set_bounds(self, bounds):
-        """Replace the column bounds (scipy convention, as in the constructor)."""
+        """Replace the column bounds (an (n, 2) array, as in the constructor)."""
         lower, upper = _bound_arrays(bounds, len(self._c))
         cols = np.flatnonzero((lower != self._lower) | (upper != self._upper))
         if len(cols):

@@ -357,12 +357,13 @@ class _Layout:
 
 
 def _stack(parts, nvar: int):
-    """One ``rows x <= rhs`` program, as CSC, from its (triplets, rhs) blocks.
+    """One ``rows x <= rhs`` program, as CSR, from its (triplets, rhs) blocks.
 
     Repeated columns of a row are summed in CSR, in the order scipy's row
-    sort leaves them.  A direct COO -> CSC build sums them in another
-    order, and the sequential regime, whose rows repeat shared allocation
-    columns, then solves to another vertex.
+    sort leaves them; ``LpModel`` hands these arrays to HiGHS as they are.
+    A direct COO -> CSC build sums them in another order, and the
+    sequential regime, whose rows repeat shared allocation columns, then
+    solves to another vertex.
     """
     start = np.cumsum([0] + [len(b) for _, b in parts])
     row = np.concatenate([t[0] + s for (t, _), s in zip(parts, start)])
@@ -370,7 +371,7 @@ def _stack(parts, nvar: int):
     data = np.concatenate([t[2] for t, _ in parts])
     mat = sp.csr_matrix((data, (row, col)), shape=(start[-1], nvar))
     mat.eliminate_zeros()
-    return mat.tocsc(), np.concatenate([b for _, b in parts])
+    return mat, np.concatenate([b for _, b in parts])
 
 
 def _recheck(instance: DiscreteInstance, mech: DiscreteMechanism):
@@ -398,7 +399,7 @@ def _solve_exact(layout: _Layout, parts) -> SolveReport:
     cap-free vertex is re-checked and kept instead.
     """
     rows, rhs = _stack(parts, layout.nvar)
-    model = LpModel(layout.objective(), rows, rhs, bounds=layout.bounds())
+    model = LpModel(layout.objective(), rows, rhs, layout.bounds())
     model.solve()
     model.set_bounds(layout.bounds(capped=False))
     vertex = model.solve()
@@ -424,13 +425,13 @@ def _solve_exact(layout: _Layout, parts) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _sim_layout(instance: DiscreteInstance, group=None) -> _Layout:
+def _sim_layout(instance: DiscreteInstance, group) -> _Layout:
     """One column per orbit of the allocations q[m, c, j] and transfers
-    t2[m, c] under ``group`` (default ``instance.symmetries``): each takes
-    the column of its least image over the group, renumbered densely in
-    order."""
+    t2[m, c] under ``group`` (in the form of ``instance.symmetries``): each
+    takes the column of its least image over the group, renumbered densely
+    in order."""
     m_count, c_count, n = instance.n_types, instance.n_cells, instance.n_goods
-    cells, goods = instance.symmetries if group is None else group
+    cells, goods = group
     q_least = (cells[:, :, None] * n + goods[:, None, :]).min(axis=0)
     q_orbits, q_of = np.unique(q_least, return_inverse=True)
     t2_orbits, t2_of = np.unique(cells.min(axis=0), return_inverse=True)
@@ -769,15 +770,13 @@ def solve_relaxed(instance: DiscreteInstance) -> SolveReport:
 def separate_selling_value(instance: DiscreteInstance) -> float:
     """Sum of one-good optima on the marginal instances; a feasible
     (separable) mechanism of the joint problem, hence a lower bound.
-    Goods whose marginals have the same bytes share one solve."""
-    total, values = 0.0, {}
-    for j in range(instance.n_goods):
-        marg = marginal_instance(instance, j)
-        key = (marg.theta_grids[0].tobytes(), marg.pmf.tobytes())
-        if key not in values:
-            values[key] = solve_simultaneous(marg).value
-        total += values[key]
-    return total
+    A symmetry of the instance (``symmetries``) maps a good onto another
+    with the same grid and marginal masses to within its 1e-12, so each
+    orbit of goods is solved once, on its least good, and counted once
+    per good."""
+    least, size = np.unique(instance.symmetries[1].min(axis=0), return_counts=True)
+    return sum(int(k) * solve_simultaneous(marginal_instance(instance, int(j))).value
+               for j, k in zip(least, size))
 
 
 def evaluate_mechanism(instance: DiscreteInstance, mech: DiscreteMechanism) -> EvalReport:
@@ -871,7 +870,8 @@ def brute_force_value(instance: DiscreteInstance) -> float:
          len(pair_m)),
     ]
     rows, rhs = _stack([(_block_rows(blk, k), np.zeros(k)) for blk, k in blocks], len(obj))
-    bounds = [(0.0, 1.0)] * nq + [(None, None)] * (len(obj) - nq)
+    bounds = np.full((len(obj), 2), [-np.inf, np.inf])
+    bounds[:nq] = 0.0, 1.0
     sol = lp_solve(obj, a_ub=rows, b_ub=rhs, bounds=bounds, integer=q.ravel())
     if (off := np.abs(sol.x[:nq] - np.rint(sol.x[:nq])).max()) > 1e-9:
         raise LpSolverError(f"allocation {off:.3g} away from 0 or 1")

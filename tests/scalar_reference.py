@@ -440,7 +440,8 @@ def kelley_sequential(inst, tol=1e-10, max_rounds=400):
     """
     seq = O._seq_layout(inst)
     layout = O._Layout(inst, seq.qcol, seq.t2col, None, "sequential")
-    rows = [O._stack([layout.participation_rows()], layout.nvar)[0].toarray()]
+    types = np.arange(inst.n_types)
+    rows = [csr_rows(layout.truth_blocks(types), len(types), layout.nvar).toarray()]
     seen = set()
 
     def add(cuts):
@@ -453,7 +454,7 @@ def kelley_sequential(inst, tol=1e-10, max_rounds=400):
 
     for _ in range(max_rounds):
         a = np.vstack(rows)
-        model = LpModel(layout.objective(), a, np.zeros(len(a)), bounds=layout.bounds())
+        model = LpModel(layout.objective(), sp.csr_matrix(a), np.zeros(len(a)), layout.bounds())
         if add(_adapted_cuts(inst, layout.unpack(model.solve().x), tol)):
             continue
         model.set_bounds(layout.bounds(capped=False))
@@ -586,7 +587,8 @@ def map_enumeration_value(instance):
         csr_rows([(t2, instance.pmf), (t1[:, None], 1.0)], m_count, nvar),
         csr_rows([(t2[pr[:, None], np.tile(maps, (len(pair_m), 1))], -f), (t2[pm], f),
                   (t1[pr, None], -1.0), (t1[pm, None], 1.0)], len(pm), nvar),
-    ]).tocsc()
+    ]).tocsr()
+    free = np.full((nvar, 2), [-np.inf, np.inf])
 
     qtheta = np.einsum("kcn,an->kac", np.stack(allocs), theta)
     surplus = instance.pmf @ np.einsum("kaa->ka", qtheta).T
@@ -607,7 +609,7 @@ def map_enumeration_value(instance):
             (own[pair_m, None] - map_gain[pair_m, k[pair_rep]]).ravel(),
         ])
         try:
-            sol = LpModel(obj, rows, rhs, bounds=(None, None)).solve()
+            sol = LpModel(obj, rows, rhs, free).solve()
         except LpInfeasibleError:
             continue
         best = max(best, sol.value)

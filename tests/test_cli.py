@@ -754,14 +754,15 @@ class TestSampleCommand:
         for thetas in by_corner.values():
             assert len(thetas) == 1  # same box corner for every type
 
-    @pytest.mark.parametrize("gammas", [[7.0], [0.3, -0.1], ["low"], 0.3])
+    @pytest.mark.parametrize("gammas", [[7.0], [0.3, -0.1], ["low"], 0.3, []])
     def test_gammas_outside_prior_exit_2(self, tmp_path, gammas, capsys):
         # the prior of cl_uniform is [0, 1]; gamma = 7 used to write
-        # valuations near 7.3, outside the box [0, 2]
+        # valuations near 7.3, outside the box [0, 2]; an empty list used
+        # to fail the sample size check instead
         cfg = write_config(tmp_path, sample={"count": 10, "gammas": gammas})
         out = tmp_path / "out"
         assert run("sample", "--config", cfg, "--out", str(out), "--quiet") == 2
-        assert "sample.gammas" in capsys.readouterr().err
+        assert "config error: sample.gammas must list" in capsys.readouterr().err
         assert not out.exists()
 
     def test_ks_within_tolerance(self, tmp_path):

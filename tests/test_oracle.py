@@ -508,7 +508,8 @@ class TestExactSequential:
         assert abs(rep.value - 2.1283996266752996) <= 1e-12
 
     @pytest.mark.parametrize("solve,layout", [
-        (O.solve_simultaneous, O._sim_layout), (O.solve_sequential, O._seq_layout),
+        (O.solve_simultaneous, lambda inst: O._sim_layout(inst, inst.symmetries)),
+        (O.solve_sequential, O._seq_layout),
     ], ids=["simultaneous", "sequential"])
     def test_a_broken_polish_falls_back_to_the_solver_vertex(self, monkeypatch, solve, layout):
         vertices, outcomes = [], []
@@ -545,17 +546,21 @@ class TestExactSequential:
 
 
 GAUSS3_FAMILY = {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}}
+GAUSS3NEG_FAMILY = {"name": "cl_uniform", "goods": 3,
+                    "copula": {"name": "gaussian", "rho": -0.49}}
+LOGI4NEG_FAMILY = {"name": "logistic_shift", "goods": 4,
+                   "copula": {"name": "gaussian", "rho": -0.3}}
 
 
 class TestAssembly:
     """Every program ``_stack`` builds has the bytes of the one-CSR-per-block
-    build (``scalar_reference.csr_rows`` and ``csr_stack``) turned into CSC.
-    The sequential rows repeat shared allocation columns, so the order in
-    which the repeats are summed shows in the data."""
+    build (``scalar_reference.csr_rows`` and ``csr_stack``).  The sequential
+    rows repeat shared allocation columns, so the order in which the
+    repeats are summed shows in the data."""
 
     @staticmethod
     def programs(monkeypatch, run):
-        """(stacked CSC, reference CSC) of every program that ``run`` stacks."""
+        """(stacked CSR, reference CSR) of every program that ``run`` stacks."""
         block_rows, stack = O._block_rows, O._stack
         built, pairs = {}, []
 
@@ -569,7 +574,7 @@ class TestAssembly:
             ref, ref_rhs = scalar.csr_stack(
                 [(scalar.csr_rows(*built[id(t)], nvar), b) for t, b in parts])
             assert rhs.tobytes() == ref_rhs.tobytes()
-            pairs.append((rows, ref.tocsc()))
+            pairs.append((rows, ref))
             return rows, rhs
 
         monkeypatch.setattr(O, "_block_rows", spy_rows)
@@ -588,7 +593,7 @@ class TestAssembly:
         pairs = self.programs(monkeypatch, lambda: run(inst))
         assert len(pairs) == count
         for rows, ref in pairs:
-            assert rows.format == "csc" and rows.shape == ref.shape
+            assert rows.format == "csr" and rows.shape == ref.shape
             np.testing.assert_array_equal(rows.indptr, ref.indptr)
             np.testing.assert_array_equal(rows.indices, ref.indices)
             assert rows.data.tobytes() == ref.data.tobytes()
@@ -761,18 +766,28 @@ class TestSeparateSelling:
         inst = O.discretize(M.build_model({"name": "uniform_iid", "goods": 2}), 1, [2, 2])
         assert abs(O.separate_selling_value(inst) - O.full_surplus(inst)) < 1e-9
 
-    @pytest.mark.parametrize("family,theta_cells,solves", [
-        *((README_FAMILY, k, 1) for k in (2, 3, 4, 5)), (LOGI_FAMILY, 3, 2),
-    ])
-    def test_each_distinct_marginal_is_solved_once(self, monkeypatch, family, theta_cells, solves):
+    @pytest.mark.parametrize("family,theta_cells,solves,tol", [
+        *((README_FAMILY, k, 1, 0.0) for k in (2, 3, 4, 5)),
+        (LOGI_FAMILY, 3, 1, 1e-12),
+        (GAUSS3NEG_FAMILY, 3, 1, 1e-12),
+        (LOGI4NEG_FAMILY, 3, 1, 1e-12),
+        (LOGI_FAMILY, [4, 5], 2, 0.0),
+    ], ids=[*(f"readme-3x{k}x{k}" for k in (2, 3, 4, 5)), "logi-3x3x3", "gauss3neg-3x3x3x3",
+            "logi4neg-3x3x3x3x3", "logi-3x4x5"])
+    def test_each_orbit_of_goods_is_solved_once(self, monkeypatch, family, theta_cells, solves,
+                                                tol):
+        # the readme marginals have the same bytes, so an orbit's multiple
+        # is their sum exactly; the Gaussian ones agree to about 1e-16, and
+        # unequal counts leave every good its own orbit
         inst = O.discretize(M.build_model(family), 3, theta_cells)
         total = 0.0
         for j in range(inst.n_goods):
             total += O.solve_simultaneous(O.marginal_instance(inst, j)).value
         solve, calls = O.solve_simultaneous, []
         monkeypatch.setattr(O, "solve_simultaneous", lambda i: calls.append(i) or solve(i))
-        assert O.separate_selling_value(inst) == total
-        assert len(calls) == solves
+        value = O.separate_selling_value(inst)
+        assert abs(value - total) <= tol
+        assert [i.lineage["marginal_of"] for i in calls] == list(range(solves))
 
     def test_lower_bound_for_joint_problem(self):
         inst = O.discretize(cl_model(2), 3, [4, 4])
