@@ -225,11 +225,14 @@ def _size_checks(command: str, sec: dict, model):
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: str, header, rows):
-    """Write a 2-D float array in blocks of ``_CSV_BLOCK_ROWS`` rows, one
-    write per block, each field as ``_FLOAT_FMT`` writes it.
+def _write_csv(path: str, header, blocks):
+    """Write the rows of an iterable of 2-D float blocks, in pieces of at
+    most ``_CSV_BLOCK_ROWS`` rows, one write per piece, each field as
+    ``_FLOAT_FMT`` writes it.  A caller that holds one array passes it as
+    the only block; each block is written before the next is asked for,
+    so a generator may hand out views of one reused buffer.
 
-    A block of ``_CSV_VECTOR_FIELDS`` fields or more is formatted by array
+    A piece of ``_CSV_VECTOR_FIELDS`` fields or more is formatted by array
     code, with the same bytes as ``%.17g``.  For 1e-4 <= |x| < 1e16,
     ``%.17g`` writes in fixed notation the 17-digit N * 10**(X - 16)
     nearest to x, ties to even.  The array code takes |x| * 10**(16 - X)
@@ -237,19 +240,20 @@ def _write_csv(path: str, header, rows):
     10**k is exact for k <= 22), and rounds N half to even from the two.
     Every other field (0, -0, nan, inf, subnormal, |x| < 1e-4,
     |x| >= 1e16) goes through ``%`` itself, one at a time, and so does
-    every field of a smaller block.
+    every field of a smaller piece.
     """
     row_fmt = ",".join([_FLOAT_FMT] * len(header)) + "\n"
     step = max(1, _CSV_SLICE_FIELDS // len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = np.asarray(rows[start:start + _CSV_BLOCK_ROWS], dtype=float)
-            if block.size < _CSV_VECTOR_FIELDS:
-                fh.write(((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode())
-            else:
-                fh.write(b"".join([_csv_text(block[i:i + step])
-                                   for i in range(0, len(block), step)]))
+        for rows in blocks:
+            for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+                block = np.asarray(rows[start:start + _CSV_BLOCK_ROWS], dtype=float)
+                if block.size < _CSV_VECTOR_FIELDS:
+                    fh.write(((row_fmt * len(block)) % tuple(block.ravel().tolist())).encode())
+                else:
+                    fh.write(b"".join([_csv_text(block[i:i + step])
+                                       for i in range(0, len(block), step)]))
 
 
 # Array code for _FLOAT_FMT.  Each field is built in four little-endian
@@ -390,7 +394,7 @@ def write_mechanism_csv(path: str, mech: mechmod.ThresholdMechanism):
     n = mech.n_goods
     header = ["gamma", "t1"] + [f"p_{j + 1}" for j in range(n)]
     fees = mech.upfront if mech.upfront is not None else np.full(len(mech.gamma_grid), np.nan)
-    _write_csv(path, header, np.column_stack([mech.gamma_grid, fees, mech.strikes]))
+    _write_csv(path, header, [np.column_stack([mech.gamma_grid, fees, mech.strikes])])
 
 
 def read_mechanism_csv(path: str, goods: int, box_top=None) -> mechmod.ThresholdMechanism:
@@ -494,7 +498,7 @@ def cmd_audit(cfg: RunConfig) -> int:
         "ok": ok,
     }, cfg)
     _write_csv(os.path.join(cfg.out_dir, "u_curve.csv"), ["gamma", "U"],
-               np.column_stack([audit.curve.gamma_grid, audit.curve.values]))
+               [np.column_stack([audit.curve.gamma_grid, audit.curve.values])])
     _say(cfg, f"max gain {audit.max_gain:.3g} (tol {gain_tol:.3g}); ok={ok}")
     return 0 if ok else 3
 
@@ -594,10 +598,10 @@ def _write_mech_table(path: str, inst, mech):
     header = (["gamma"] + [f"theta_{j + 1}" for j in range(n)]
               + [f"q_{j + 1}" for j in range(n)] + ["t2", "t1"])
     cells = inst.n_cells
-    _write_csv(path, header, np.column_stack([
+    _write_csv(path, header, [np.column_stack([
         np.repeat(inst.gamma_values, cells), np.tile(inst.cell_values, (inst.n_types, 1)),
         mech.q.reshape(-1, n), mech.t2.reshape(-1), np.repeat(mech.t1, cells),
-    ]))
+    ])])
 
 
 def cmd_sample(cfg: RunConfig) -> int:
@@ -605,46 +609,66 @@ def cmd_sample(cfg: RunConfig) -> int:
     if gammas is None:  # the prior midpoint
         gammas = [0.5 * (cfg.model.prior.lo + cfg.model.prior.hi)]
     n = cfg.model.n
-    rows = None
-    ks_rows = []
-    for gi, g in enumerate(gammas):
-        stream = RngStream(seed=cfg.seed, stream_id=100 + gi)
-        z = uniform_draws(stream, count, n)
-        if corners:
-            z = np.vstack([tensor_points([[0.0, 1.0]] * n), z])
-        theta = modelmod.sample_theta(cfg.model, float(g), z)
-        if rows is None:
-            # after the first sampling: taken before it, the array pushed the
-            # sampling temporaries onto fresh pages (3.4 MB more peak memory
-            # from the second 100,000-draw run in a process)
-            rows = np.empty((len(gammas) * len(z), 1 + 2 * n))
-        block = rows[gi * len(z):(gi + 1) * len(z)]
-        block[:, 0] = float(g)
-        block[:, 1:1 + n] = z
-        block[:, 1 + n:] = theta
-        for j in range(n):
-            ks_rows.append({
-                "gamma": float(g),
-                "good": j + 1,
-                "ks": _ks_stat(cfg.model.marginals[j], float(g), theta[:, j]),
-            })
     header = (["gamma"] + [f"z_{j + 1}" for j in range(n)]
               + [f"theta_{j + 1}" for j in range(n)])
-    _write_csv(os.path.join(cfg.out_dir, "draws.csv"), header, rows)
+    ks_rows = []
+    _write_csv(os.path.join(cfg.out_dir, "draws.csv"), header,
+               _sample_blocks(cfg.model, gammas, count, corners, cfg.seed, ks_rows))
     _write_json(os.path.join(cfg.out_dir, "ks.json"),
                 {"count": count, "statistics": ks_rows}, cfg)
     worst = max(r["ks"] for r in ks_rows)
-    _say(cfg, f"{len(rows)} draws written; worst KS {worst:.4f}")
+    rows = len(gammas) * (count + (2 ** n if corners else 0))
+    _say(cfg, f"{rows} draws written; worst KS {worst:.4f}")
     return 0
 
 
+def _sample_blocks(model, gammas, count: int, corners: bool, seed: int, ks_rows: list):
+    """The rows of draws.csv, in blocks of at most ``_CSV_BLOCK_ROWS``
+    rows that are views of one reused buffer.  Each type's rows are its
+    corner rows (if any), then ``count`` draws of its Philox stream, each
+    as (gamma, z, theta).  Only the type's theta columns are kept whole;
+    after its last block the type's KS statistics go onto ``ks_rows``."""
+    n = model.n
+    lead = tensor_points([[0.0, 1.0]] * n) if corners else np.empty((0, n))
+    size = len(lead) + count
+    # a type's blocks are of near-equal size, so a type of more rows than
+    # one never has a one-row block: the Gaussian chain's matmul of one
+    # row takes BLAS gemv, which rounds otherwise than gemm
+    rows = -(-size // -(-size // _CSV_BLOCK_ROWS))
+    table = np.empty((rows, 1 + 2 * n))
+    zbuf = np.empty((rows, n))
+    theta_cols = np.empty((n, size))  # one type's theta, good by good
+    for gi, g in enumerate(gammas):
+        gen = RngStream(seed=seed, stream_id=100 + gi).generator()
+        for start in range(0, size, rows):
+            stop = min(start + rows, size)
+            z, block = zbuf[:stop - start], table[:stop - start]
+            corner = lead[start:stop]
+            z[:len(corner)] = corner
+            gen.random(out=z[len(corner):])
+            theta = modelmod.sample_theta(model, float(g), z)
+            theta_cols[:, start:stop] = theta.T
+            block[:, 0] = float(g)
+            block[:, 1:1 + n] = z
+            block[:, 1 + n:] = theta
+            yield block
+        for j in range(n):
+            ks_rows.append({"gamma": float(g), "good": j + 1,
+                            "ks": _ks_stat(model.marginals[j], float(g), theta_cols[j])})
+
+
 def _ks_stat(marginal, gamma: float, sample: np.ndarray) -> float:
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = len(x)
-    cdf = np.asarray(marginal.cdf(x, gamma), dtype=float)
-    hi = np.max(np.arange(1, n + 1) / n - cdf)
-    lo = np.max(cdf - np.arange(0, n) / n)
-    return float(max(hi, lo))
+    """Kolmogorov-Smirnov distance of ``sample`` from the marginal's cdf at
+    ``gamma``.  Sorts ``sample`` in place and takes the cdf in blocks."""
+    sample.sort()
+    n = len(sample)
+    above, below = [], []
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        cdf = np.asarray(marginal.cdf(sample[start:start + _CSV_BLOCK_ROWS], gamma), dtype=float)
+        rank = np.arange(start, start + len(cdf))
+        above.append(np.max((rank + 1) / n - cdf))
+        below.append(np.max(cdf - rank / n))
+    return float(max(np.max(above), np.max(below)))
 
 
 # ---------------------------------------------------------------------------

@@ -603,46 +603,46 @@ def _seq_top_rows(layout: _Layout):
     return _block_rows(blocks, len(m)), np.zeros(len(m))
 
 
-def _seq_best_response(instance: DiscreteInstance, mech: DiscreteMechanism, m: int, m_rep: int):
-    """Adapted best response of true type m on menu m_rep, by backward
-    induction over (true history, reported history) states.
+def _seq_best_response(instance: DiscreteInstance, mech: DiscreteMechanism):
+    """Adapted best response of every true type m on every menu r, by
+    backward induction over (true history, reported history) states, all
+    (m, r) pairs at once.
 
-    Returns (value, reported_cells) with reported_cells[c] the induced
-    full report for each true cell c.
+    Returns (values, reported): values[m, r] is the best response's value
+    and reported[m, r, c] its induced full report for each true cell c.
     """
-    dims = instance.dims
-    n = instance.n_goods
-    pmf = instance.pmf[m].reshape(dims)
-    q = mech.q[m_rep].reshape(dims + (n,))
-    # value tensors carry axes (true prefix..., reported prefix...);
+    dims, n, m_count = instance.dims, instance.n_goods, instance.n_types
+    pmf = instance.pmf.reshape((m_count, 1) + dims)
+    q = mech.q.reshape((1, m_count) + dims + (n,))
+    # value tensors carry axes (m, r, true prefix..., reported prefix...);
     # terminal level: V_n(t_full, r_full) = -t2(r_full)
-    v = np.broadcast_to(-mech.t2[m_rep].reshape(dims), dims + dims)
+    v = -mech.t2.reshape((1, m_count) + (1,) * n + dims)
     policies = [None] * n
     for i in range(n - 1, -1, -1):
-        pre = dims[:i]
         # good i's allocation on the reported prefix (r_0..r_i); the
         # table is read at the last cell of each prefix
-        q_i = q[(slice(None),) * (i + 1) + (-1,) * (n - i - 1) + (i,)]
-        gain = instance.theta_grids[i].reshape((1,) * i + (-1,) + (1,) * (i + 1)) * q_i
-        cand = gain + v  # axes (t_0..t_i, r_0..r_i)
+        q_i = q[(slice(None),) * (i + 3) + (-1,) * (n - i - 1) + (i,)]
+        q_i = q_i.reshape((1, m_count) + (1,) * (i + 1) + dims[: i + 1])
+        gain = instance.theta_grids[i].reshape((1,) * (i + 2) + (-1,) + (1,) * (i + 1)) * q_i
+        cand = gain + v  # axes (m, r, t_0..t_i, r_0..r_i)
         pol = np.argmax(cand, axis=-1)
         best = np.take_along_axis(cand, pol[..., None], axis=-1)[..., 0]
         # conditional probability of t_i given the true prefix
-        p_joint = pmf.sum(axis=tuple(range(i + 1, n)))
-        p_pre = pmf.sum(axis=tuple(range(i, n)))[..., None] if i else np.ones(1)
+        p_joint = pmf.sum(axis=tuple(range(i + 3, n + 2)))
+        p_pre = pmf.sum(axis=tuple(range(i + 2, n + 2)))[..., None] if i else np.ones(1)
         live = (p_joint > 0.0) & (p_pre > 0.0)
-        w = np.divide(p_joint, p_pre, out=np.zeros(dims[: i + 1]), where=live)
-        shape = dims[: i + 1] + (1,) * i
+        w = np.divide(p_joint, p_pre, out=np.zeros(live.shape), where=live)
+        shape = live.shape + (1,) * i
         policies[i] = np.where(live.reshape(shape), pol, 0)
-        v = np.sum(w.reshape(shape) * best, axis=i)  # axes (t_0..t_{i-1}, r_0..r_{i-1})
-    dev_value = float(v)
+        v = np.sum(w.reshape(shape) * best, axis=i + 2)  # axes (m, r, t_0..t_{i-1}, r_0..r_{i-1})
 
     # roll the policy forward to a full reported history per true cell
     true_hist = np.unravel_index(np.arange(instance.n_cells), dims)
+    at = (np.arange(m_count)[:, None, None], np.arange(m_count)[None, :, None])
     rep_hist: tuple = ()
     for i in range(n):
-        rep_hist += (policies[i][true_hist[: i + 1] + rep_hist],)
-    return dev_value, np.ravel_multi_index(rep_hist, dims)
+        rep_hist += (policies[i][at + true_hist[: i + 1] + rep_hist],)
+    return v, np.ravel_multi_index(rep_hist, dims)
 
 
 def solve_sequential(instance: DiscreteInstance) -> SolveReport:
@@ -794,15 +794,12 @@ def evaluate_mechanism(instance: DiscreteInstance, mech: DiscreteMechanism) -> E
     truthful = _truthful_values(instance, mech)
     ir_violation = float(np.maximum(-truthful, 0.0).max())
     theta = instance.cell_values
-    ic1 = ic2 = -np.inf
     if mech.regime == "sequential":
         # valuation reports are adapted too (good i's report cannot depend
         # on later goods' values): IC2 is the adapted best response on the
         # type's own menu, IC1 the one over all menus
-        for m in range(instance.n_types):
-            gains = [_seq_best_response(instance, mech, m, m_rep)[0] - float(truthful[m])
-                     for m_rep in range(instance.n_types)]
-            ic1, ic2 = max(ic1, *gains), max(ic2, gains[m])
+        gains = _seq_best_response(instance, mech)[0] - truthful[:, None]
+        ic1, ic2 = float(np.max(gains)), float(np.max(np.diagonal(gains)))
     else:
         # w[r, c, d]: value on menu r of true cell c reporting cell d; the
         # best joint misreport map reports the argmax cell at every c

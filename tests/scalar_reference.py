@@ -19,8 +19,10 @@ sigmoid takes two clipped exps per point, as before it took one exp of
 score, analytic for an invariant copula and a central difference in
 gamma otherwise, integrates the rents of every dependent smooth family
 on a joint grid, drifting ones included, as the solver did before a
-drifting copula took the per-good score.  The tests check the batched
-code against them.
+drifting copula took the per-good score.  The sample verb holds every
+draw of every type in one table, and identity's invariance residual
+takes its whole tensor grid at once, as both did before they ran in
+blocks.  The tests check the batched code against them.
 """
 
 import math
@@ -254,6 +256,35 @@ def identity_residuals(model, seed, points):
     return np.asarray(resids)
 
 
+def invariance_residual(model, grid, gamma_pair):
+    """The identity verb's invariance residual on the whole tensor grid at once."""
+    pts = tensor_points([np.linspace(0.1, 0.9, grid)] * model.n)
+    c1 = np.asarray(model.copula.density(pts, gamma_pair[0]), dtype=float)
+    c2 = np.asarray(model.copula.density(pts, gamma_pair[1]), dtype=float)
+    return float(np.max(np.abs(c1 - c2)))
+
+
+# --- sample verb, every draw held at once ------------------------------------
+
+def sample_table(model, gammas, count, corners, seed):
+    """draws.csv's rows as one table and ks.json's statistics: one
+    uniform_draws call per type, the KS distance on each whole column."""
+    n, rows, stats = model.n, [], []
+    for gi, g in enumerate(gammas):
+        z = uniform_draws(RngStream(seed=seed, stream_id=100 + gi), count, n)
+        if corners:
+            z = np.vstack([tensor_points([[0.0, 1.0]] * n), z])
+        theta = sample_theta(model, float(g), z)
+        rows.append(np.column_stack([np.full(len(z), float(g)), z, theta]))
+        for j in range(n):
+            x = np.sort(theta[:, j])
+            cdf = np.asarray(model.marginals[j].cdf(x, float(g)), dtype=float)
+            ks = max(np.max(np.arange(1, len(x) + 1) / len(x) - cdf),
+                     np.max(cdf - np.arange(0, len(x)) / len(x)))
+            stats.append({"gamma": float(g), "good": j + 1, "ks": float(ks)})
+    return np.vstack(rows), stats
+
+
 # --- copulas with one scalar parameter -------------------------------------
 
 Z_CLIP = 1e-15
@@ -421,10 +452,11 @@ def _adapted_cuts(inst, mech, tol):
     """(m, m_rep, report map) of every adapted best response that beats
     truth-telling by more than tol."""
     truthful = O._truthful_values(inst, mech)
+    values, reports = O._seq_best_response(inst, mech)
     cuts = []
     for m in range(inst.n_types):
         for m_rep in range(inst.n_types):
-            value, reported = O._seq_best_response(inst, mech, m, m_rep)
+            value, reported = values[m, m_rep], reports[m, m_rep]
             if value - truthful[m] > tol:
                 cuts.append((m, m_rep, tuple(reported.tolist())))
     return cuts

@@ -774,6 +774,29 @@ class TestSampleCommand:
         rep = json.loads((tmp_path / "out" / "ks.json").read_text())
         assert max(r["ks"] for r in rep["statistics"]) <= 0.01
 
+    def test_peak_memory_grows_only_by_the_ks_columns(self, tmp_path):
+        # only each good's theta column of a type is held whole, for its KS
+        # statistic; the draws themselves go to the file block by block
+        import tracemalloc
+
+        family = {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": 2.0}}
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for count in (20_000, 20_000, 200_000):  # the first run builds the writer's tables
+                path = write_config(tmp_path, family=family,
+                                    sample={"count": count, "gammas": [0.3], "corners": False})
+                cfg = climod.load_config(path, "sample", str(tmp_path / "out"), quiet=True)
+                os.makedirs(cfg.out_dir, exist_ok=True)
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert climod.cmd_sample(cfg) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        ks_columns = 2 * 8 * (200_000 - 20_000)
+        assert peaks[200_000] - peaks[20_000] <= ks_columns + 2**20, peaks
+
 
 class TestDefaults:
     # every key of every verb at its default, as the README's key table gives it
@@ -861,7 +884,7 @@ class TestBlockWriter:
             rows[::97, 0] = np.resize([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 7.0],
                                       len(rows[::97]))
             header = ["a", "b", "c", "d"]
-            climod._write_csv(str(tmp_path / "new.csv"), header, rows)
+            climod._write_csv(str(tmp_path / "new.csv"), header, [rows])
             scalar.write_csv(str(tmp_path / "old.csv"), header, rows.tolist())
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
             assert len((tmp_path / "new.csv").read_text().splitlines()) == count + 1
@@ -905,6 +928,44 @@ class TestBlockWriter:
         assert ((tmp_path / "out" / "draws.csv").read_bytes()
                 == (tmp_path / "old.csv").read_bytes())
 
+    @pytest.mark.parametrize("corners", [False, True], ids=["draws", "corners"])
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("family", [
+        {"name": "cl_uniform", "goods": 2, "copula": {"name": "clayton", "alpha": 2.0}},
+        {"name": "logistic_shift", "goods": 2, "copula": {"name": "gaussian", "rho": 0.5}},
+        {"name": "logistic_shift", "goods": 2,
+         "copula": {"name": "gaussian", "rho": -0.4, "rho_slope": 1.2}},
+        {"name": "cl_uniform", "goods": 3, "copula": {"name": "gaussian", "rho": 0.5}},
+    ], ids=["clayton", "gaussian", "drift-gaussian", "gaussian3"])
+    def test_streamed_sample_matches_one_table(self, tmp_path, monkeypatch, family, count,
+                                               corners):
+        import scalar_reference as scalar
+
+        sizes = []
+        sample_theta = modelmod.sample_theta
+        monkeypatch.setattr(modelmod, "sample_theta",
+                            lambda mdl, g, z: sizes.append(len(z)) or sample_theta(mdl, g, z))
+        gammas = [0.1, 0.5, 0.9]
+        path = write_config(tmp_path, family=family,
+                            sample={"count": count, "gammas": gammas, "corners": corners})
+        out = tmp_path / "out"
+        assert run("sample", "--config", path, "--out", str(out), "--quiet") == 0
+        mdl = modelmod.build_model(family)
+        # blocks of at most 4,096 rows, and none of one row in a longer type:
+        # the Gaussian chain's matmul of one row takes BLAS gemv, which
+        # rounds some theta otherwise than gemm on the whole table
+        rows = count + (2 ** mdl.n if corners else 0)
+        assert max(sizes) <= 4096 and sum(sizes) == 3 * rows
+        assert min(sizes) > 1 or rows == 1
+        table, stats = scalar.sample_table(mdl, gammas, count, corners, seed=4242)
+        header = (["gamma"] + [f"z_{j + 1}" for j in range(mdl.n)]
+                  + [f"theta_{j + 1}" for j in range(mdl.n)])
+        scalar.write_csv(str(tmp_path / "draws.csv"), header, table.tolist())
+        climod._write_json(str(tmp_path / "ks.json"), {"count": count, "statistics": stats},
+                           climod.load_config(path, "sample"))
+        for name in ("draws.csv", "ks.json"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
     def test_oracle_mech_table(self, tmp_path):
         import scalar_reference as scalar
         from screenforge import cli as climod
@@ -927,7 +988,7 @@ def _scalar_csv_matches(rows):
     header = [f"c{j}" for j in range(rows.shape[1])]
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
-        climod._write_csv(new, header, rows)
+        climod._write_csv(new, header, [rows])
         scalar.write_csv(old, header, rows.tolist())
         with open(new, "rb") as fa, open(old, "rb") as fb:
             return fa.read() == fb.read()

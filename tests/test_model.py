@@ -319,6 +319,23 @@ class TestInvarianceResidual:
             assert M.invariance_residual(mdl, 7, (0.05, 0.95)) <= 1e-8, name
 
 
+    @pytest.mark.parametrize("block", [None, 1000], ids=["default-block", "block-1000"])
+    @pytest.mark.parametrize("goods", [2, 3, 6])
+    @pytest.mark.parametrize("copula", [
+        {"name": "clayton", "alpha": 2.0, "alpha_slope": 1.0},
+        {"name": "gaussian", "rho": 0.2, "rho_slope": 0.6},
+    ], ids=["drift-clayton", "drift-gaussian"])
+    def test_blocks_match_the_whole_grid(self, copula, goods, block, monkeypatch):
+        # 9**6 = 531,441 points: 32 whole blocks of 16,384 and a part block
+        if block is not None:
+            monkeypatch.setattr(M, "_GRID_BLOCK_POINTS", block)
+        mdl = cl_model(goods, copula)
+        for pair in ((0.0, 1.0), (0.2, 0.7)):
+            expect = scalar.invariance_residual(mdl, 9, pair)
+            assert M.invariance_residual(mdl, 9, pair) == expect
+            assert expect > 0.0
+
+
 class TestDivergenceResidual:
     def test_type_independent(self):
         mdl = M.build_model({"name": "uniform_iid", "goods": 2})

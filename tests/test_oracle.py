@@ -686,9 +686,10 @@ class TestAdaptedBestResponse:
         theta = inst.cell_values
         for _ in range(3):
             mech = _random_adapted_mechanism(rng, inst)
+            values, reports = O._seq_best_response(inst, mech)
             for m in range(n_types):
                 for m_rep in range(n_types):
-                    value, reported = O._seq_best_response(inst, mech, m, m_rep)
+                    value, reported = values[m, m_rep], reports[m, m_rep]
                     assert abs(value - _scalar_best_response(inst, mech, m, m_rep)) <= 1e-12
                     # the induced report earns that value
                     earned = inst.pmf[m] @ (
